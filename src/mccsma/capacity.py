@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .schedule import DEFAULT_MAX_SCHEDULES, Schedule, enumerate_feasible
+from .schedule import Schedule, ScheduleSet, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec, detect_l_partite
 
 BOUNDARY_TOL = 1e-9
@@ -89,8 +89,7 @@ def _simplex_max(tableau: np.ndarray, basis: list[int], *,
 
 
 def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
-               schedules: Optional[list[Schedule]] = None,
-               max_schedules: int = DEFAULT_MAX_SCHEDULES,
+               schedules: Optional[ScheduleSet] = None,
                boundary_tol: float = BOUNDARY_TOL) -> CapacityVerdict:
     """Classify a load vector against the capacity region.
 
@@ -104,7 +103,7 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     if np.any(rho < 0):
         raise ValueError("loads must be nonnegative")
     if schedules is None:
-        schedules = enumerate_feasible(spec, None, max_schedules=max_schedules)
+        schedules = enumerate_feasible(spec, None)
     n_sched = len(schedules)
 
     positive = [k for k in range(spec.num_classes) if rho[k] > 0]
@@ -112,7 +111,7 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
         uniform = {s: 1.0 / n_sched for s in schedules}
         return CapacityVerdict("interior", math.inf, uniform)
 
-    per_class = np.array([s.per_class for s in schedules], dtype=float)
+    per_class = schedules.per_class
     phi = params.phi
     m = 1 + len(positive)
     n = n_sched + 1 + len(positive)          # pi variables, t, slacks
@@ -126,9 +125,8 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
         tableau[r, n_sched + r] = 1.0
     tableau[m, t_col] = 1.0
 
-    # the empty schedule is lexicographically first, hence at index 0
-    empty_idx = schedules.index(Schedule.empty(spec.num_classes, spec.num_channels))
-    basis = [empty_idx] + [n_sched + r for r in range(1, m)]
+    # row 0 is the empty schedule: with the slacks it is a feasible basis
+    basis = [0] + [n_sched + r for r in range(1, m)]
     t_star = _simplex_max(tableau, basis)
 
     pi = np.zeros(n_sched)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .equilibrium import PolicyEvaluator, check_policy
-from .schedule import DEFAULT_MAX_SCHEDULES, Schedule
+from .schedule import Schedule
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 _STREAM_KINDS = {
@@ -64,8 +64,6 @@ class SimConfig:
     max_total_flows: int = 100_000
     replication: int = 0
     track_flows: bool = False
-    phi_cache_size: int = 100_000
-    max_schedules: int = DEFAULT_MAX_SCHEDULES
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -141,8 +139,7 @@ ThroughputFn = Callable[[tuple[int, ...]], np.ndarray]
 
 def default_throughput_fn(spec: NetworkSpec, params: CsmaParams,
                           cfg: SimConfig) -> ThroughputFn:
-    evaluator = PolicyEvaluator(spec, params, cfg.policy, cfg.max_schedules)
-    return ThroughputCache(evaluator, cfg.phi_cache_size)
+    return ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
 
 
 class _Sampler:

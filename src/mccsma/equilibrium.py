@@ -38,8 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .schedule import (DEFAULT_MAX_SCHEDULES, Schedule, enumerate_feasible,
-                       state_flows)
+from .schedule import Schedule, ScheduleSet, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec
 
 POLICIES = ("adhoc", "standard_infra", "flow_aware")
@@ -81,19 +80,21 @@ class PolicyEvaluator:
     """Vectorized stationary-distribution calculator for one (spec, params,
     policy) triple.
 
-    Enumeration and the schedule matrices are cached per activation-cap
-    pattern min(x_k, J), the only way the feasible set depends on the state,
-    so repeated evaluations along a simulation trajectory are cheap.
+    The feasible set depends on the state only through the activation caps
+    min(x_k, J), so each cap pattern is enumerated once and cached together
+    with the state-independent log-weight terms, computed from the
+    ``ScheduleSet``'s ``active`` and ``per_class`` arrays. Repeated
+    evaluations along a simulation trajectory are then a few array
+    operations; ``Schedule`` objects are built only where a result is keyed
+    by schedule (``equilibrium``'s distribution, ``stationary_log_weights``).
     """
 
-    def __init__(self, spec: NetworkSpec, params: CsmaParams, policy: str,
-                 max_schedules: int = DEFAULT_MAX_SCHEDULES):
+    def __init__(self, spec: NetworkSpec, params: CsmaParams, policy: str):
         self.spec = spec
         self.params = params
         self.policy = check_policy(spec, policy)
         if self.policy == "standard_infra":
             check_standard_attempt_rates(spec, params)
-        self.max_schedules = max_schedules
         self._log_alpha = np.log(params.alpha)
         beta = params.beta
         with np.errstate(divide="ignore"):
@@ -111,13 +112,13 @@ class PolicyEvaluator:
         b = self._bundles.get(caps)
         if b is not None:
             return b
-        schedules = enumerate_feasible(self.spec, caps, max_schedules=self.max_schedules)
-        per_class = np.array([s.per_class for s in schedules], dtype=np.int64)
+        schedules = enumerate_feasible(self.spec, caps)
+        per_class = schedules.per_class
         # state-independent part: y_k log alpha_k + sum_kj y_kj log beta_kj
         const = per_class @ self._log_alpha
-        mats = np.array([s.active for s in schedules], dtype=np.int64)
-        const = const + np.einsum("skj,kj->s", mats, np.where(np.isfinite(self._log_beta),
-                                                              self._log_beta, 0.0))
+        const = const + np.einsum("skj,kj->s", schedules.active,
+                                  np.where(np.isfinite(self._log_beta),
+                                           self._log_beta, 0.0))
         ap_active = (np.stack([per_class[:, m].sum(axis=1) for m in self._ap_members],
                               axis=1)
                      if self._ap_members else np.zeros((len(schedules), 0), dtype=np.int64))
@@ -142,7 +143,7 @@ class PolicyEvaluator:
             logw = logw + gammaln(totals[None, :] - b["ap_active"] + 1.0).sum(axis=1)
         return b, logw
 
-    def log_weights(self, state) -> tuple[list[Schedule], np.ndarray]:
+    def log_weights(self, state) -> tuple[ScheduleSet, np.ndarray]:
         """Unnormalized log stationary weights over the feasible set at x."""
         b, logw = self._logw(state_flows(state))
         return b["schedules"], logw
@@ -162,36 +163,20 @@ class PolicyEvaluator:
 
 
 def stationary_log_weights(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str, *,
-                           max_schedules: int = DEFAULT_MAX_SCHEDULES
-                           ) -> dict[Schedule, float]:
+                           policy: str) -> dict[Schedule, float]:
     """Map each feasible schedule at x to its log stationary weight."""
-    ev = PolicyEvaluator(spec, params, policy, max_schedules)
+    ev = PolicyEvaluator(spec, params, policy)
     schedules, logw = ev.log_weights(state)
     return dict(zip(schedules, logw.tolist()))
 
 
-def stationary_measure_adhoc(state, params: CsmaParams, spec: NetworkSpec,
-                             **kwargs) -> dict[Schedule, float]:
-    """Per-flow product-form measure (ad-hoc networks, and infrastructure
-    networks under the per-flow policy)."""
-    policy = "flow_aware" if spec.is_infrastructure else "adhoc"
-    return stationary_log_weights(state, params, spec, policy, **kwargs)
-
-
-def stationary_measure_standard_infra(state, params: CsmaParams, spec: NetworkSpec,
-                                      **kwargs) -> dict[Schedule, float]:
-    """Shared-queue product-form measure for infrastructure networks."""
-    return stationary_log_weights(state, params, spec, "standard_infra", **kwargs)
-
-
-def equilibrium(state, params: CsmaParams, spec: NetworkSpec, policy: str, *,
-                max_schedules: int = DEFAULT_MAX_SCHEDULES) -> EquilibriumResult:
+def equilibrium(state, params: CsmaParams, spec: NetworkSpec,
+                policy: str) -> EquilibriumResult:
     """Normalize the policy's measure at state x and compute throughputs.
 
     throughput[k] = phys_rate[k] * E[number of active class-k links].
     """
-    return PolicyEvaluator(spec, params, policy, max_schedules).equilibrium(state)
+    return PolicyEvaluator(spec, params, policy).equilibrium(state)
 
 
 def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
@@ -215,8 +200,8 @@ def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
 
 def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
                            policy: str, *,
-                           log_weights: Optional[dict[Schedule, float]] = None,
-                           max_schedules: int = DEFAULT_MAX_SCHEDULES) -> float:
+                           log_weights: Optional[dict[Schedule, float]] = None
+                           ) -> float:
     """Largest relative local-balance residual over all activation transitions.
 
     For every feasible pair (y, y + e_kj) the stationary measure must satisfy
@@ -226,8 +211,7 @@ def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
     """
     policy = check_policy(spec, policy)
     if log_weights is None:
-        log_weights = stationary_log_weights(state, params, spec, policy,
-                                             max_schedules=max_schedules)
+        log_weights = stationary_log_weights(state, params, spec, policy)
     flows = state_flows(state)
     log_z = logsumexp(np.fromiter(log_weights.values(), dtype=float))
     prob = {s: np.exp(lw - log_z) for s, lw in log_weights.items()}
@@ -260,8 +244,7 @@ class Lemma1Report:
 
 
 def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
-                 policy: str = "auto", *,
-                 max_schedules: int = DEFAULT_MAX_SCHEDULES) -> Lemma1Report:
+                 policy: str = "auto") -> Lemma1Report:
     """Check that the stationary mean of log u(x, y) is at least
     (1 - epsilon) log u(x) at this state.
 
@@ -273,7 +256,7 @@ def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
     policy = check_policy(spec, policy)
     if policy == "standard_infra":
         raise ValueError("the concentration check applies to the per-flow policies")
-    ev = PolicyEvaluator(spec, params, policy, max_schedules)
+    ev = PolicyEvaluator(spec, params, policy)
     schedules, logw = ev.log_weights(state)
     probs = np.exp(logw - logsumexp(logw))
     log_u = np.array([log_weight_u(state, s, params) for s in schedules])

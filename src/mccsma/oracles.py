@@ -16,15 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equilibrium import PolicyEvaluator, attempt_rate, check_policy
-from .schedule import (DEFAULT_MAX_SCHEDULES, Schedule, enumerate_feasible,
-                       state_flows)
+from .schedule import Schedule, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 
 def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str, *,
-                           max_schedules: int = DEFAULT_MAX_SCHEDULES
-                           ) -> tuple[list[Schedule], np.ndarray]:
+                           policy: str) -> tuple[list[Schedule], np.ndarray]:
     """Generator of the schedule process at a fixed network state.
 
     Activation transitions carry the policy's attempt rates (attempts whose
@@ -33,7 +30,7 @@ def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
     """
     policy = check_policy(spec, policy)
     flows = state_flows(state)
-    schedules = enumerate_feasible(spec, flows, max_schedules=max_schedules)
+    schedules = list(enumerate_feasible(spec, flows))
     index = {s: i for i, s in enumerate(schedules)}
     n = len(schedules)
     q = np.zeros((n, n))
@@ -117,8 +114,7 @@ def _box_states(box: Sequence[int]) -> list[tuple[int, ...]]:
 
 def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
                          traffic: TrafficSpec, policy: str,
-                         box: Sequence[int], *,
-                         max_schedules: int = DEFAULT_MAX_SCHEDULES
+                         box: Sequence[int]
                          ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Truncated generator of the flow-count process under instantaneous
     packet-level equilibrium.
@@ -127,7 +123,7 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
     up to the probability mass the untruncated process puts outside the box.
     """
     policy = check_policy(spec, policy)
-    ev = PolicyEvaluator(spec, params, policy, max_schedules)
+    ev = PolicyEvaluator(spec, params, policy)
     states = _box_states(box)
     index = {x: i for i, x in enumerate(states)}
     n = len(states)
@@ -153,8 +149,7 @@ JointState = tuple[tuple[int, ...], Schedule]
 
 
 def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                    policy: str, scaling_n: int, box: Sequence[int], *,
-                    max_schedules: int = DEFAULT_MAX_SCHEDULES
+                    policy: str, scaling_n: int, box: Sequence[int]
                     ) -> tuple[list[JointState], np.ndarray]:
     """Truncated generator of the joint (flow counts, schedule) process at
     scaling parameter N.
@@ -170,7 +165,7 @@ def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                              f"is below one packet per flow")
     states: list[JointState] = []
     for x in _box_states(box):
-        for y in enumerate_feasible(spec, x, max_schedules=max_schedules):
+        for y in enumerate_feasible(spec, x):
             states.append((x, y))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)

@@ -5,20 +5,34 @@ class-k link transmits on channel j. Feasibility requires channel
 eligibility, per-channel conflict-freeness, at most x_k active links per
 class (when a network state x is given), and in infrastructure mode at most
 one active downlink transmission per access point.
+
+``enumerate_feasible`` returns a ``ScheduleSet``: every feasible matrix in
+one read-only (S, K, J) uint8 array, with the per-class activation counts
+alongside. The exact computations (product-form weights, the capacity LP)
+read those arrays. A ``Schedule`` is one matrix as a hashable tuple of rows;
+the set builds them on demand for the callers that key or print single
+schedules: certificates, distributions, CSV output, the weight maxima and the
+brute-force oracles.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .topology import CsmaParams, NetworkSpec
 
 DEFAULT_MAX_SCHEDULES = 10_000_000
+
+# Candidate (partial schedule, channel subset) pairs tested at once, so the
+# enumeration guard trips before a large product is allocated.
+_PAIR_BLOCK = 1 << 16
 
 
 class ScheduleSpaceError(RuntimeError):
@@ -39,14 +53,6 @@ class Schedule:
     @staticmethod
     def empty(num_classes: int, num_channels: int) -> "Schedule":
         return Schedule(tuple((0,) * num_channels for _ in range(num_classes)))
-
-    @staticmethod
-    def from_slots(num_classes: int, num_channels: int,
-                   slots: Iterable[tuple[int, int]]) -> "Schedule":
-        rows = [[0] * num_channels for _ in range(num_classes)]
-        for k, j in slots:
-            rows[k][j] = 1
-        return Schedule(tuple(tuple(r) for r in rows))
 
     @property
     def num_classes(self) -> int:
@@ -75,9 +81,6 @@ class Schedule:
         rows[k][j] += 1
         return Schedule(tuple(tuple(r) for r in rows))
 
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.active, dtype=np.int64)
-
     def as_text(self) -> str:
         """Row-major 0/1 string, one character per matrix entry."""
         return "".join(str(v) for row in self.active for v in row)
@@ -92,39 +95,45 @@ class Schedule:
                               for _ in range(num_classes)))
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """Number of ongoing flows of each class."""
+class ScheduleSet(Sequence[Schedule]):
+    """The feasible schedules of one enumeration, held as arrays.
 
-    flows: tuple[int, ...]
+    ``active`` is the read-only (S, K, J) uint8 stack of activation matrices
+    in lexicographic order, so row 0 is the empty schedule; ``per_class`` is
+    the read-only (S, K) int64 array of per-class activation counts (row
+    sums). Indexing and iteration build ``Schedule`` objects on demand.
+    """
 
-    @staticmethod
-    def of(values: Iterable[int]) -> "NetworkState":
-        return NetworkState(tuple(int(v) for v in values))
+    __slots__ = ("active", "per_class")
 
-    @property
-    def total(self) -> int:
-        return sum(self.flows)
+    def __init__(self, active: np.ndarray):
+        self.active = active
+        self.per_class = active.sum(axis=2, dtype=np.int64)
+        self.active.flags.writeable = False
+        self.per_class.flags.writeable = False
 
-    def __getitem__(self, k: int) -> int:
-        return self.flows[k]
+    def __len__(self) -> int:
+        return len(self.active)
 
+    def __getitem__(self, i: int) -> Schedule:
+        return Schedule(tuple(map(tuple, self.active[operator.index(i)].tolist())))
 
-StateLike = "NetworkState | Sequence[int] | None"
+    def __iter__(self) -> Iterator[Schedule]:
+        for rows in self.active.tolist():
+            yield Schedule(tuple(map(tuple, rows)))
 
 
 def state_flows(state) -> tuple[int, ...]:
-    if isinstance(state, NetworkState):
-        return state.flows
     return tuple(int(v) for v in state)
 
 
-def _independent_subsets(members: list[int], graph) -> list[tuple[int, ...]]:
-    """All conflict-free subsets of ``members``, including the empty one."""
-    out: list[tuple[int, ...]] = []
+def _independent_rows(members: list[int], graph, num_classes: int) -> np.ndarray:
+    """Indicator rows of all conflict-free subsets of ``members``, the empty
+    one included."""
+    subsets: list[list[int]] = []
 
     def extend(prefix: list[int], start: int) -> None:
-        out.append(tuple(prefix))
+        subsets.append(list(prefix))
         for idx in range(start, len(members)):
             k = members[idx]
             if all(not graph.conflicts(k, m) for m in prefix):
@@ -133,75 +142,72 @@ def _independent_subsets(members: list[int], graph) -> list[tuple[int, ...]]:
                 prefix.pop()
 
     extend([], 0)
-    return out
+    rows = np.zeros((len(subsets), num_classes), dtype=np.uint8)
+    for i, subset in enumerate(subsets):
+        rows[i, subset] = 1
+    return rows
 
 
 def enumerate_feasible(spec: NetworkSpec, state=None, *,
-                       max_schedules: int = DEFAULT_MAX_SCHEDULES) -> list[Schedule]:
-    """Enumerate the feasible schedules, sorted lexicographically.
+                       max_schedules: int = DEFAULT_MAX_SCHEDULES) -> ScheduleSet:
+    """Enumerate the feasible schedules as a ``ScheduleSet``, sorted
+    lexicographically; the empty schedule is always present, as row 0.
 
     With a state, returns the schedules allowed at that state (per-class
     activation capped by the flow count). Without a state, returns the union
     over all states, which equals the state-bound set whenever every class has
-    at least J flows. The empty schedule is always present.
+    at least J flows.
 
-    Raises ScheduleSpaceError once more than ``max_schedules`` schedules have
-    been produced; exact methods are not meant for larger instances.
+    The set is built channel by channel: the partial schedules so far are
+    combined with every conflict-free subset of the next channel and pruned
+    by the per-class caps and the one-downlink-per-access-point limit. A
+    partial schedule that breaks a limit stays broken when channels are
+    added, and one that keeps them extends to a distinct feasible schedule
+    (idle on the remaining channels), so no step holds more partial
+    schedules than the final set has schedules.
+
+    Raises ScheduleSpaceError as soon as more than ``max_schedules`` partial
+    schedules are kept; exact methods are not meant for larger instances.
     """
     K, J = spec.num_classes, spec.num_channels
     if state is None:
-        caps = [J] * K
+        caps = np.full(K, J, dtype=np.int64)
     else:
         flows = state_flows(state)
         if len(flows) != K:
             raise ValueError(f"state has {len(flows)} entries, expected {K}")
-        caps = [min(int(f), J) for f in flows]
+        caps = np.minimum(np.array(flows, dtype=np.int64), J)
+    # Both limits are budgets: an activation of class k spends one unit of
+    # the cap of k and, for a downlink class, the access point's single slot.
+    A = len(spec.access_points)
+    spends = np.eye(K, K + A, dtype=np.int64)
+    for i, ap in enumerate(spec.access_points):
+        spends[sorted(ap.downlink), K + i] = 1
+    budget = np.concatenate([caps, np.ones(A, dtype=np.int64)])
 
-    per_channel = [
-        _independent_subsets(sorted(g.eligible), g) for g in spec.channel_graphs
-    ]
-    downlink_ap = [spec.downlink_ap(k) for k in range(K)]
-    n_aps = len(spec.access_points)
-
-    out: list[Schedule] = []
-    used = [0] * K
-    ap_used = [0] * n_aps
-    chosen: list[tuple[int, ...]] = []
-
-    def recurse(j: int) -> None:
-        if j == J:
-            out.append(Schedule.from_slots(K, J, [(k, jj) for jj, s in enumerate(chosen)
-                                                  for k in s]))
-            if len(out) > max_schedules:
+    active = np.zeros((1, K, 0), dtype=np.uint8)   # partial schedules
+    spent = np.zeros((1, K + A), dtype=np.int64)   # their use of each budget
+    for g in spec.channel_graphs:
+        rows = _independent_rows([k for k in sorted(g.eligible) if caps[k] > 0], g, K)
+        row_spends = rows @ spends
+        step = max(1, _PAIR_BLOCK // len(rows))
+        kept_p, kept_r, n_kept = [], [], 0
+        for lo in range(0, len(spent), step):
+            cand = spent[lo:lo + step, None, :] + row_spends[None, :, :]
+            p, r = np.nonzero((cand <= budget).all(axis=2))
+            n_kept += len(p)
+            if n_kept > max_schedules:
                 raise ScheduleSpaceError(
                     f"more than {max_schedules} feasible schedules; instance too "
                     f"large for exact enumeration")
-            return
-        for subset in per_channel[j]:
-            taken: list[int] = []
-            ok = True
-            for k in subset:
-                i = downlink_ap[k]
-                if used[k] + 1 > caps[k] or (i is not None and ap_used[i] >= 1):
-                    ok = False
-                    break
-                used[k] += 1
-                if i is not None:
-                    ap_used[i] += 1
-                taken.append(k)
-            if ok:
-                chosen.append(subset)
-                recurse(j + 1)
-                chosen.pop()
-            for k in taken:
-                used[k] -= 1
-                i = downlink_ap[k]
-                if i is not None:
-                    ap_used[i] -= 1
+            kept_p.append(p + lo)
+            kept_r.append(r)
+        p, r = np.concatenate(kept_p), np.concatenate(kept_r)
+        active = np.concatenate([active[p], rows[r, :, None]], axis=2)
+        spent = spent[p] + row_spends[r]
 
-    recurse(0)
-    out.sort()
-    return out
+    flat = active.reshape(len(active), K * J)
+    return ScheduleSet(active[np.lexsort(flat.T[::-1])])
 
 
 def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
@@ -222,8 +228,8 @@ def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
 
 def max_weight(state, params: CsmaParams, spec: NetworkSpec,
                over: str = "restricted", *,
-               schedules: Optional[Sequence[Schedule]] = None,
-               max_schedules: int = DEFAULT_MAX_SCHEDULES) -> tuple[float, Schedule]:
+               schedules: Optional[Sequence[Schedule]] = None
+               ) -> tuple[float, Schedule]:
     """Maximum uniform weight and its arg-max schedule.
 
     ``over="restricted"`` maximizes over the schedules feasible at the state;
@@ -234,8 +240,7 @@ def max_weight(state, params: CsmaParams, spec: NetworkSpec,
     if over not in ("restricted", "unrestricted"):
         raise ValueError(f"over must be 'restricted' or 'unrestricted', got {over!r}")
     if schedules is None:
-        schedules = enumerate_feasible(spec, state if over == "restricted" else None,
-                                       max_schedules=max_schedules)
+        schedules = enumerate_feasible(spec, state if over == "restricted" else None)
     best: tuple[float, Schedule] | None = None
     for sched in schedules:
         lw = log_weight_u(state, sched, params)
@@ -272,9 +277,7 @@ def _check_equal_alpha(params: CsmaParams) -> float:
 
 
 def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
-                             policy: str = "auto", *,
-                             max_schedules: int = DEFAULT_MAX_SCHEDULES
-                             ) -> dict[Schedule, Fraction]:
+                             policy: str = "auto") -> dict[Schedule, Fraction]:
     """Limiting schedule distribution as the attempt rates grow without bound
     (at fixed ratios, which must be equal across classes).
 
@@ -290,7 +293,7 @@ def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
     policy = check_policy(spec, policy)
     _check_equal_alpha(params)
     flows = state_flows(state)
-    schedules = enumerate_feasible(spec, flows, max_schedules=max_schedules)
+    schedules = enumerate_feasible(spec, flows)
     top = max(s.total for s in schedules)
     support = [s for s in schedules if s.total == top]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import SimConfig, Trajectory, simulate_separated, stream
 from .equilibrium import PolicyEvaluator, check_policy
-from .schedule import DEFAULT_MAX_SCHEDULES, state_flows
+from .schedule import state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 
@@ -49,8 +49,7 @@ def _lyapunov_f(x: Sequence[int], sigma: np.ndarray, phi: np.ndarray,
 
 def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
                    spec: NetworkSpec, policy: str, *,
-                   evaluator: Optional[PolicyEvaluator] = None,
-                   max_schedules: int = DEFAULT_MAX_SCHEDULES) -> DriftReport:
+                   evaluator: Optional[PolicyEvaluator] = None) -> DriftReport:
     """Evaluate the Lyapunov drift and its bounded/unbounded decomposition.
 
     Uses the convention 0 * log 0 = 0 throughout. At interior loads the drift
@@ -59,7 +58,7 @@ def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
     """
     policy = check_policy(spec, policy)
     if evaluator is None:
-        evaluator = PolicyEvaluator(spec, params, policy, max_schedules)
+        evaluator = PolicyEvaluator(spec, params, policy)
     x = state_flows(state)
     lam = np.asarray(traffic.arrival_rate, dtype=float)
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
@@ -263,8 +262,7 @@ def homogeneous_critical_load(tol: float = 1e-9) -> float:
 
 
 def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
-                            saturated: Sequence[int], *,
-                            max_schedules: int = DEFAULT_MAX_SCHEDULES
+                            saturated: Sequence[int]
                             ) -> Callable[[tuple[int, ...]], np.ndarray]:
     """Service profile that serves the ``saturated`` classes at full physical
     rate whenever they hold flows, leaving the other classes at the policy's
@@ -274,7 +272,7 @@ def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
     flow process is a pathwise lower bound for the true one; its transience
     implies transience of the original.
     """
-    evaluator = PolicyEvaluator(spec, params, policy, max_schedules)
+    evaluator = PolicyEvaluator(spec, params, policy)
     phi = params.phi
     sat = np.zeros(spec.num_classes, dtype=bool)
     for k in saturated:
@@ -341,8 +339,7 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     edges = [k for k in range(K) if k != center_class]
     rho = traffic.rho / params.phi
     target = float(rho[edges[0]])
-    fn = dominated_throughput_fn(spec, params, cfg.policy, edges,
-                                 max_schedules=cfg.max_schedules)
+    fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
     traj = simulate_separated(spec, params, traffic, cfg, throughput_fn=fn)
 
     horizon = traj.final_time

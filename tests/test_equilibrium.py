@@ -6,9 +6,7 @@ from scipy.special import logsumexp
 
 from conftest import bowtie_spec, random_instance
 from mccsma.equilibrium import (PolicyEvaluator, detailed_balance_check, equilibrium,
-                                lemma1_check, stationary_log_weights,
-                                stationary_measure_adhoc,
-                                stationary_measure_standard_infra)
+                                lemma1_check, stationary_log_weights)
 from mccsma.oracles import packet_level_generator, stationary_distribution
 from mccsma.schedule import Schedule, alpha_limit_distribution, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, replicate_graph)
@@ -48,7 +46,7 @@ def test_empty_schedule_has_unit_weight():
 def test_adhoc_single_class_weight():
     spec = NetworkSpec(1, 1, replicate_graph(1, [0], []))
     params = CsmaParams.from_alpha(spec, 2.0)
-    lw = stationary_measure_adhoc((3,), params, spec)
+    lw = stationary_log_weights((3,), params, spec, "adhoc")
     # three flows, one active: falling factorial 3, ratio 2, probe 1
     assert lw[Schedule(((1,),))] == pytest.approx(math.log(6))
     assert lw[Schedule(((0,),))] == pytest.approx(0.0)
@@ -57,7 +55,7 @@ def test_adhoc_single_class_weight():
 def test_adhoc_two_channel_weights():
     spec = NetworkSpec(1, 2, replicate_graph(2, [0], []))
     params = CsmaParams.from_alpha(spec, 1.0)
-    lw = stationary_measure_adhoc((2,), params, spec)
+    lw = stationary_log_weights((2,), params, spec, "adhoc")
     assert lw[Schedule(((1, 0),))] == pytest.approx(math.log(1.0))   # 2 * 1 * 1/2
     assert lw[Schedule(((0, 1),))] == pytest.approx(math.log(1.0))
     assert lw[Schedule(((1, 1),))] == pytest.approx(math.log(0.5))   # 2*1 * 1 * 1/4
@@ -69,7 +67,7 @@ def test_downlink_activation_odds_independent_of_backlog():
                        (AccessPoint.of([], [0]),))
     params = CsmaParams.from_alpha(spec, 1.5)
     for n in (1, 2, 5, 40):
-        lw = stationary_measure_standard_infra((n,), params, spec)
+        lw = stationary_log_weights((n,), params, spec, "standard_infra")
         ratio = lw[Schedule(((1,),))] - lw[Schedule(((0,),))]
         assert ratio == pytest.approx(math.log(1.5), abs=1e-9)
 

@@ -1,0 +1,86 @@
+"""Golden outputs: the CLI's result files must stay byte for byte the same
+from one commit to the next.
+
+Each case runs ``main()`` at seed 0 and compares the SHA-256 digest of every
+result file with the recorded one. ``manifest.json`` is left out because it
+records wall time. A deliberate change of results (say, a change in how
+random numbers are consumed) re-records the digests in the same commit.
+"""
+
+import hashlib
+
+import pytest
+
+from mccsma.cli import main
+
+GOLDEN = {
+    "equilibrium-two-ap": (
+        ["run", "equilibrium", "--scenario", "two-ap"],
+        {
+            "distribution.csv":
+                "4c8b590d226fd99a826e63bc4a8bc48908eecb479ac3054b9957bd838baa5cf3",
+            "throughput.csv":
+                "9124ce176fe4fa1f7c21d70a8772b0b211e212cd68c3b439c4d039faebc90342",
+        },
+    ),
+    "capacity-sweep-bowtie": (
+        ["run", "capacity-sweep", "--scenario", "bowtie", "--grid", "10"],
+        {
+            "sweep.csv":
+                "1e45902101e29b960fe69bf1a05eb630a4d509a98302d2e00ba2a0e7bfaaebad",
+        },
+    ),
+    "simulate-bowtie-standard-infra": (
+        ["run", "simulate", "--scenario", "bowtie", "--policy", "standard_infra",
+         "--horizon", "50", "--replications", "5"],
+        {
+            "summary.csv":
+                "cc014f0190a7e878225886d6c73fe5bcbab777b08709d49b1a865f984b3fbc4f",
+            "trajectory_0.csv":
+                "ff14ef4553a7064974c989e94a62b705cd53f285d1843f9014cbc7941163723f",
+            "trajectory_1.csv":
+                "f218cc500594408d90a1751506c5faf5c66ff388be81341cd423c3f6057af9ca",
+            "trajectory_2.csv":
+                "96f373832d4b614e16e1a612d44bc7541408c0e6ae08c913563a2b5fe9ea0e68",
+            "trajectory_3.csv":
+                "fe0a29fc5bb51580689fcfb66e5d284d5f18ea9ff244b0bfcec102e5f3bf807d",
+            "trajectory_4.csv":
+                "9cc97c05f53a8daa717f79b6b4ccf1b6ee7a2d1fe9da404e4d2d5912758e3130",
+            "verdict.json":
+                "14134e6394f4d9de17756a8e3aee36ea36ec0d6f2d0a4aa4c1acf5d923ad26c8",
+        },
+    ),
+    "simulate-ap-line3-joint": (
+        ["run", "simulate", "--scenario", "ap-line3", "--horizon", "20",
+         "--replications", "5", "--scaling-n", "4"],
+        {
+            "summary.csv":
+                "39a89f0dae6faec312e69575e44e4cef5a757804129d2a77e16f330248e0fb47",
+            "trajectory_0.csv":
+                "629b54ecfcf075913c266a024e8667532db66268df1b18fda511390969b8cc22",
+            "trajectory_1.csv":
+                "ca044104bbc7bc96f8950bab644ffa2bba0520332e14fe8f4a0900351043ab01",
+            "trajectory_2.csv":
+                "03c7a27981aace6e606eed53d3d8c5134702f1206f2c9f426f53e724b8c43f0d",
+            "trajectory_3.csv":
+                "0d42e4169ca78d67c8e0aacab2d78a547a9b0979cc1862d34d998bde6383e150",
+            "trajectory_4.csv":
+                "f72229707495680ba93e8e22836bb4b478bad8d562ae70206683a98d90bfd7fe",
+            "verdict.json":
+                "c71123a8a476fe9fd2ec93afdab242cbf19947ae0922592922d1990ab03be2e5",
+        },
+    ),
+}
+
+
+def result_digests(outdir) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_result_files_match_golden_digests(case, tmp_path):
+    argv, expected = GOLDEN[case]
+    out = tmp_path / case
+    assert main([*argv, "--seed", "0", "--output", str(out)]) == 0
+    assert result_digests(out) == expected

@@ -44,7 +44,8 @@ def brute_force_feasible(spec: NetworkSpec, flows) -> set[Schedule]:
 def test_single_class_two_channels_one_flow():
     spec = NetworkSpec(1, 2, replicate_graph(2, [0], []))
     scheds = enumerate_feasible(spec, (1,))
-    assert scheds == sorted([Schedule(((0, 0),)), Schedule(((0, 1),)), Schedule(((1, 0),))])
+    assert list(scheds) == sorted([Schedule(((0, 0),)), Schedule(((0, 1),)),
+                                   Schedule(((1, 0),))])
     # with two flows both channels may be used at once
     assert len(enumerate_feasible(spec, (2,))) == 4
 
@@ -54,7 +55,7 @@ def test_bowtie_schedule_count_matches_brute_force(bowtie):
     got = enumerate_feasible(bowtie)
     assert set(got) == expected
     assert len(got) == 67          # frozen regression constant
-    assert got == sorted(got)
+    assert list(got) == sorted(got)
     assert Schedule.empty(5, 2) in got
 
 
@@ -72,7 +73,13 @@ def test_bipartite_schedules_are_one_sided_blocks():
 def test_enumeration_matches_brute_force(seed, infra):
     rng = np.random.default_rng(seed)
     spec, _, flows = random_instance(rng, infrastructure=infra)
-    assert set(enumerate_feasible(spec, flows)) == brute_force_feasible(spec, flows)
+    ss = enumerate_feasible(spec, flows)
+    # the row order is part of the contract: every sum over schedules follows it
+    assert list(ss) == sorted(brute_force_feasible(spec, flows))
+    assert np.array_equal(ss.per_class, ss.active.sum(axis=2))
+    assert not ss.active[0].any()
+    for i in range(len(ss)):
+        assert np.array_equal(np.array(ss[i].active), ss.active[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,9 +98,13 @@ def test_state_monotonicity(seed):
 
 
 def test_capacity_guard_raises():
-    spec = NetworkSpec(4, 2, replicate_graph(2, range(4), []))
-    with pytest.raises(ScheduleSpaceError):
-        enumerate_feasible(spec, None, max_schedules=10)
+    free4 = NetworkSpec(4, 2, replicate_graph(2, range(4), []))
+    # ring C_16 on two channels: about 4.9M schedules, refused long before that
+    ring16 = NetworkSpec(16, 2, replicate_graph(2, range(16),
+                                                [(k, (k + 1) % 16) for k in range(16)]))
+    for spec, limit in ((free4, 10), (ring16, 10_000)):
+        with pytest.raises(ScheduleSpaceError):
+            enumerate_feasible(spec, None, max_schedules=limit)
 
 
 # --- uniform weights ---
