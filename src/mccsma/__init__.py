@@ -7,7 +7,7 @@ from .dynamics import (SimConfig, Trajectory, simulate_joint, simulate_separated
                        timescale_convergence, uniform_sample_times)
 from .equilibrium import (EquilibriumResult, PolicyEvaluator, detailed_balance_check,
                           equilibrium, lemma1_check, stationary_log_weights)
-from .schedule import (Schedule, ScheduleSet, ScheduleSpaceError,
+from .schedule import (OracleSpaceError, Schedule, ScheduleSet, ScheduleSpaceError,
                        activity_marginals, alpha_limit_distribution,
                        enumerate_feasible, lemma_gap_bound, log_weight_u, max_weight)
 from .stability import (DriftReport, StabilityThresholds, StabilityVerdict,

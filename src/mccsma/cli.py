@@ -14,8 +14,8 @@ reproduces the result files byte for byte; the manifest itself differs only
 in wall time.
 
 Exit codes: 0 success, 2 scenario parse error, 3 validation error,
-4 schedule-space guard tripped, 5 LP solver failure. Errors also emit a JSON
-diagnostic on stderr.
+4 schedule-space or oracle state-space guard tripped, 5 LP solver failure.
+Errors also emit a JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ import numpy as np
 
 from . import __version__
 from .capacity import SolverError, membership
-from .dynamics import (SimConfig, simulate_joint, simulate_separated,
-                       timescale_convergence, uniform_sample_times)
+from .dynamics import (SimConfig, default_throughput_fn, simulate_joint,
+                       simulate_separated, timescale_convergence,
+                       uniform_sample_times)
 from .equilibrium import equilibrium
-from .schedule import ScheduleSpaceError, enumerate_feasible
+from .schedule import OracleSpaceError, ScheduleSpaceError, enumerate_feasible
 from .scenario import (ExperimentConfig, Scenario, ScenarioError,
                        ScenarioValidationError, SweepAxis, bundled_scenarios,
                        dump_scenario, load_scenario, load_scenario_text,
@@ -198,16 +199,21 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     joint = exp.scaling_n >= 1
     outputs = []
     trajectories = []
+    base = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
+                     initial_state=initial,
+                     scaling_n=max(exp.scaling_n, 1),
+                     sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
+                     max_total_flows=exp.max_total_flows)
+    # throughput depends only on (network, csma, policy): one cache serves
+    # every replication
+    throughput_fn = (None if joint else
+                     default_throughput_fn(scenario.network, scenario.csma, base))
     for rep in range(exp.replications):
-        cfg = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
-                        initial_state=initial,
-                        scaling_n=max(exp.scaling_n, 1),
-                        sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
-                        max_total_flows=exp.max_total_flows,
-                        replication=rep)
+        cfg = replace(base, replication=rep)
         traj = (simulate_joint(scenario.network, scenario.csma, scenario.traffic, cfg)
                 if joint else
-                simulate_separated(scenario.network, scenario.csma, scenario.traffic, cfg))
+                simulate_separated(scenario.network, scenario.csma, scenario.traffic, cfg,
+                                   throughput_fn))
         trajectories.append(traj)
         outputs.append(_trajectory_csv(outdir, f"trajectory_{rep}.csv", traj,
                                        scenario.network.num_channels, joint))
@@ -236,6 +242,12 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
 def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
     axis1, axis2 = _sweep_axes(scenario)
+    base = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
+                     initial_state=(0,) * scenario.network.num_classes,
+                     sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
+                     max_total_flows=exp.max_total_flows)
+    # the load changes only the arrival rates, so one cache serves every point
+    throughput_fn = default_throughput_fn(scenario.network, scenario.csma, base)
     rows = []
     for v1 in _axis_values(axis1, exp.grid):
         for v2 in _axis_values(axis2, exp.grid):
@@ -245,14 +257,9 @@ def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str
             traffic = replace(scenario.traffic, arrival_rate=lam)
             trajectories = []
             for rep in range(exp.replications):
-                cfg = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
-                                initial_state=(0,) * scenario.network.num_classes,
-                                sample_times=uniform_sample_times(exp.horizon,
-                                                                  exp.sample_count),
-                                max_total_flows=exp.max_total_flows,
-                                replication=rep)
+                cfg = replace(base, replication=rep)
                 trajectories.append(simulate_separated(scenario.network, scenario.csma,
-                                                       traffic, cfg))
+                                                       traffic, cfg, throughput_fn))
             verdict = fluid_slope(trajectories)
             rows.append((v1, v2, verdict.verdict, verdict.slope,
                          verdict.ci_lo, verdict.ci_hi))
@@ -418,6 +425,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except ScheduleSpaceError as exc:
         _diag("schedule-space-guard", str(exc))
+        return EXIT_GUARD
+    except OracleSpaceError as exc:
+        _diag("oracle-state-space-guard", str(exc))
         return EXIT_GUARD
     except SolverError as exc:
         _diag("solver", str(exc))

@@ -562,17 +562,29 @@ class DistanceTable:
 
 
 def _tv_from_counts(counts: dict[tuple[int, ...], int], total: int,
-                    reference: dict[tuple[int, ...], float], outside_ref: float) -> float:
+                    index: dict[tuple[int, ...], int], reference: np.ndarray,
+                    outside_ref: float) -> float:
+    """Total-variation distance between empirical counts and a reference
+    distribution over the states of ``index`` (state -> position in
+    ``reference``), with every state outside lumped into one atom of mass
+    ``outside_ref``.
+
+    Only visited states are looked up. The unvisited states' mass is the
+    left-to-right sum of a copy of the reference with the visited entries
+    zeroed: adding an exact zero leaves a float sum unchanged, so this is
+    the sum over the unvisited states alone, in reference order.
+    """
     tv = 0.0
     seen_outside = 0
+    unvisited = reference.tolist()
     for state, c in counts.items():
-        p = c / total
-        q = reference.get(state)
-        if q is None:
+        i = index.get(state)
+        if i is None:
             seen_outside += c
         else:
-            tv += abs(p - q)
-    tv += sum(q for s, q in reference.items() if s not in counts)
+            tv += abs(c / total - unvisited[i])
+            unvisited[i] = 0.0
+    tv += sum(unvisited)
     tv += abs(seen_outside / total - outside_ref)
     return 0.5 * tv
 
@@ -587,14 +599,18 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     ``t_probe`` and the separated model's exact transient distribution.
 
     The separated distribution is computed by uniformization on a truncated
-    box (no simulation noise on the reference side); the joint side is
+    box (no simulation noise on the reference side), from the sparse (CSR)
+    flow-level generator of :mod:`mccsma.oracles`; the joint side is
     estimated from ``replications`` independent runs per scaling value, with
     a multinomial bootstrap confidence interval. The distance is measured
     over the box, with all outside states lumped together.
-    """
-    from scipy.stats import poisson
 
-    from .oracles import flow_level_generator, transient_distribution
+    The default box reaches the 1 - 1e-12 Poisson quantile of each class's
+    arrivals by ``t_probe``. A box of more than
+    ``mccsma.oracles.MAX_ORACLE_STATES`` states raises ``OracleSpaceError``
+    before the generator is built.
+    """
+    from .oracles import flow_level_generator, poisson_quantile, transient_distribution
 
     policy = check_policy(spec, policy)
     K = spec.num_classes
@@ -605,15 +621,15 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
                              [DistanceRow(int(n), 0.0, 0.0, 0.0) for n in n_values])
     if window is None:
         window = tuple(
-            int(x0[k] + poisson.ppf(1 - 1e-12, traffic.arrival_rate[k] * t_probe) + 2)
+            x0[k] + poisson_quantile(1 - 1e-12, traffic.arrival_rate[k] * t_probe) + 2
             if traffic.arrival_rate[k] > 0 else x0[k]
             for k in range(K)
         )
     states, q = flow_level_generator(spec, params, traffic, policy, window)
+    index = {s: i for i, s in enumerate(states)}
     p0 = np.zeros(len(states))
-    p0[states.index(x0)] = 1.0
+    p0[index[x0]] = 1.0
     p_ref = transient_distribution(q, p0, t_probe)
-    reference = {s: float(p) for s, p in zip(states, p_ref)}
     outside_ref = max(0.0, 1.0 - float(p_ref.sum()))
 
     boot_rng = stream(seed, "bootstrap")
@@ -626,7 +642,7 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
                             replication=rep)
             traj = simulate_joint(spec, params, traffic, cfg)
             counts[traj.final_state] = counts.get(traj.final_state, 0) + 1
-        distance = _tv_from_counts(counts, replications, reference, outside_ref)
+        distance = _tv_from_counts(counts, replications, index, p_ref, outside_ref)
         keys = list(counts.keys())
         weights = np.array([counts[s] for s in keys], dtype=float)
         probs = weights / weights.sum()
@@ -634,7 +650,8 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         for b in range(bootstrap):
             resampled = boot_rng.multinomial(replications, probs)
             boot_counts = {s: int(c) for s, c in zip(keys, resampled) if c > 0}
-            samples[b] = _tv_from_counts(boot_counts, replications, reference, outside_ref)
+            samples[b] = _tv_from_counts(boot_counts, replications, index, p_ref,
+                                         outside_ref)
         lo, hi = np.percentile(samples, [2.5, 97.5])
         rows.append(DistanceRow(int(n_val), distance, float(lo), float(hi)))
     return DistanceTable(t_probe, replications, rows)

@@ -6,22 +6,66 @@ numerically. They are deliberately independent of the closed-form weights in
 tested against a null-space solve of the matching generator, and transient
 distributions for convergence studies come from uniformization rather than
 from simulation.
+
+Every generator is a ``scipy.sparse.csr_array`` assembled from (row, column,
+rate) triplets: a state has a handful of transitions, so a dense matrix would
+be almost all zeros (128 MB for a 4,096-state box). ``stationary_distribution``
+densifies for its least-squares solve; ``transient_distribution`` stays
+sparse. The flow-level and joint generators refuse a box of more than
+``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError`` before any
+per-state work.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .equilibrium import PolicyEvaluator, attempt_rate, check_policy
-from .schedule import Schedule, enumerate_feasible, state_flows
+from .schedule import OracleSpaceError, Schedule, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
+
+# Largest box (number of flow-count vectors) the flow-level and joint
+# generators accept. The flow-level build solves one packet-level equilibrium
+# per state: on a 2-CPU Xeon, about 18,000 states/s on adhoc4 and 10,000 on
+# the bow-tie, so this bound keeps a build within about 10 s. It admits
+# adhoc4's default timescale box (28,561 states, built in 1.6 s) and refuses
+# those of bow-tie (759,375, over a minute), two-ap (2,985,984) and
+# bipartite33 (4,826,809).
+MAX_ORACLE_STATES = 100_000
+
+
+def poisson_quantile(q: float, mu: float) -> int:
+    """Smallest m with P(Poisson(mu) <= m) >= q, for 0 < q < 1 and mu > 0.
+
+    The inverse of the regularized incomplete gamma function gives a real
+    m; its ceiling or the integer below is the answer, decided by one exact
+    CDF evaluation.
+    """
+    m = math.ceil(pdtrik(q, mu))
+    below = max(m - 1, 0)
+    return below if pdtr(below, mu) >= q else m
+
+
+def _csr_generator(n: int, triplets: list[tuple[int, int, float]]) -> sp.csr_array:
+    """Generator from off-diagonal (row, column, rate) triplets; repeated
+    pairs add up and each diagonal entry is minus its row's total rate."""
+    t = np.array(triplets, dtype=float).reshape(-1, 3)
+    rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
+    diag = np.arange(n)
+    return sp.csr_array(
+        (np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
+         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+        shape=(n, n))
 
 
 def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> tuple[list[Schedule], np.ndarray]:
+                           policy: str) -> tuple[list[Schedule], sp.csr_array]:
     """Generator of the schedule process at a fixed network state.
 
     Activation transitions carry the policy's attempt rates (attempts whose
@@ -32,8 +76,7 @@ def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
     flows = state_flows(state)
     schedules = list(enumerate_feasible(spec, flows))
     index = {s: i for i, s in enumerate(schedules)}
-    n = len(schedules)
-    q = np.zeros((n, n))
+    triplets: list[tuple[int, int, float]] = []
     for sched, si in index.items():
         for k in range(spec.num_classes):
             for j in range(spec.num_channels):
@@ -42,18 +85,20 @@ def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
                 ti = index.get(sched.with_slot(k, j))
                 if ti is None:
                     continue
-                q[si, ti] += attempt_rate(spec, params, policy, flows, sched, k, j)
+                rate = attempt_rate(spec, params, policy, flows, sched, k, j)
+                triplets.append((si, ti, rate))
         for k, j in sched.slots:
             rows = [list(r) for r in sched.active]
             rows[k][j] -= 1
             target = Schedule(tuple(tuple(r) for r in rows))
-            q[si, index[target]] += params.phys_rate[k]
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
-    return schedules, q
+            triplets.append((si, index[target], params.phys_rate[k]))
+    return schedules, _csr_generator(len(schedules), triplets)
 
 
-def stationary_distribution(q: np.ndarray) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 by least squares."""
+def stationary_distribution(q) -> np.ndarray:
+    """Solve pi Q = 0, sum(pi) = 1 by least squares on the dense form of
+    ``q`` (a dense or sparse generator)."""
+    q = q.toarray() if sp.issparse(q) else np.asarray(q)
     n = q.shape[0]
     a = np.vstack([q.T, np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -63,71 +108,88 @@ def stationary_distribution(q: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def transient_distribution(q: np.ndarray, p0: np.ndarray, t: float,
+def transient_distribution(q, p0: np.ndarray, t: float,
                            tol: float = 1e-12) -> np.ndarray:
-    """Distribution at time t via uniformization, accurate to ``tol``."""
+    """Distribution at time t via uniformization, accurate to ``tol``.
+
+    ``q`` may be dense or sparse; it is converted to CSR once, and each
+    step is one sparse product.
+    """
     if t <= 0:
         return np.array(p0, dtype=float)
-    lam = float(np.max(-np.diag(q)))
+    q = sp.csr_array(q)
+    lam = float(np.max(-q.diagonal()))
     if lam == 0.0:
         return np.array(p0, dtype=float)
     lam *= 1.0 + 1e-12
-    p_step = np.eye(q.shape[0]) + q / lam
+    # I + Q / lam, dividing each rate (scipy's scalar division multiplies
+    # by 1 / lam, which can round differently), transposed so that the
+    # row vector times the step is a CSR product
+    scaled = sp.csr_array((q.data / lam, q.indices, q.indptr), shape=q.shape)
+    step_t = (sp.eye_array(q.shape[0], format="csr") + scaled).T.tocsr()
     v = np.array(p0, dtype=float)
     weight = np.exp(-lam * t)
     if weight == 0.0:
         # avoid underflow for large lam*t by scaling in log space
-        return _transient_scaled(p_step, p0, lam * t, tol)
+        return _transient_scaled(step_t, p0, lam * t, tol)
     acc = weight * v
     mass = weight
     m = 0
     max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
     while mass < 1.0 - tol and m < max_terms:
         m += 1
-        v = v @ p_step
+        v = step_t @ v
         weight *= lam * t / m
         acc += weight * v
         mass += weight
     return acc / acc.sum()
 
 
-def _transient_scaled(p_step: np.ndarray, p0: np.ndarray, lt: float,
+def _poisson_pmf(m: int, mu: float) -> float:
+    return float(np.exp(xlogy(m, mu) - gammaln(m + 1) - mu))
+
+
+def _transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float,
                       tol: float) -> np.ndarray:
     # Poisson weights computed in log space, renormalized at the end
-    from scipy.stats import poisson
-
-    lo, hi = poisson.ppf([tol / 2, 1 - tol / 2], lt).astype(int)
-    lo = max(int(lo) - 1, 0)
+    lo = max(poisson_quantile(tol / 2, lt) - 1, 0)
+    hi = poisson_quantile(1 - tol / 2, lt)
     v = np.array(p0, dtype=float)
     for _ in range(lo):
-        v = v @ p_step
-    acc = poisson.pmf(lo, lt) * v
-    for m in range(lo + 1, int(hi) + 2):
-        v = v @ p_step
-        acc += poisson.pmf(m, lt) * v
+        v = step_t @ v
+    acc = _poisson_pmf(lo, lt) * v
+    for m in range(lo + 1, hi + 2):
+        v = step_t @ v
+        acc += _poisson_pmf(m, lt) * v
     return acc / acc.sum()
 
 
 def _box_states(box: Sequence[int]) -> list[tuple[int, ...]]:
+    size = math.prod(int(b) + 1 for b in box)
+    if size > MAX_ORACLE_STATES:
+        raise OracleSpaceError(
+            f"box {tuple(box)} holds {size} flow-count states, more than the "
+            f"oracle guard of {MAX_ORACLE_STATES}")
     return [tuple(x) for x in itertools.product(*(range(b + 1) for b in box))]
 
 
 def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
                          traffic: TrafficSpec, policy: str,
                          box: Sequence[int]
-                         ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+                         ) -> tuple[list[tuple[int, ...]], sp.csr_array]:
     """Truncated generator of the flow-count process under instantaneous
     packet-level equilibrium.
 
     Arrivals that would leave the box are dropped, so the result is exact only
     up to the probability mass the untruncated process puts outside the box.
+    Raises ``OracleSpaceError`` when the box holds more than
+    ``MAX_ORACLE_STATES`` states.
     """
     policy = check_policy(spec, policy)
-    ev = PolicyEvaluator(spec, params, policy)
     states = _box_states(box)
+    ev = PolicyEvaluator(spec, params, policy)
     index = {x: i for i, x in enumerate(states)}
-    n = len(states)
-    q = np.zeros((n, n))
+    triplets: list[tuple[int, int, float]] = []
     lam = traffic.arrival_rate
     sigma = traffic.mean_flow_size
     for x, xi in index.items():
@@ -136,13 +198,12 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
             if lam[k] > 0 and x[k] < box[k]:
                 up = list(x)
                 up[k] += 1
-                q[xi, index[tuple(up)]] += lam[k]
+                triplets.append((xi, index[tuple(up)], lam[k]))
             if x[k] > 0 and phi_x[k] > 0:
                 down = list(x)
                 down[k] -= 1
-                q[xi, index[tuple(down)]] += phi_x[k] / sigma[k]
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
-    return states, q
+                triplets.append((xi, index[tuple(down)], phi_x[k] / sigma[k]))
+    return states, _csr_generator(len(states), triplets)
 
 
 JointState = tuple[tuple[int, ...], Schedule]
@@ -150,13 +211,14 @@ JointState = tuple[tuple[int, ...], Schedule]
 
 def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                     policy: str, scaling_n: int, box: Sequence[int]
-                    ) -> tuple[list[JointState], np.ndarray]:
+                    ) -> tuple[list[JointState], sp.csr_array]:
     """Truncated generator of the joint (flow counts, schedule) process at
     scaling parameter N.
 
     Transition types: flow arrival, channel access (rate scaled by N), packet
     transmission without flow completion (vanishes when sigma_k N = 1), and
-    packet transmission completing the flow.
+    packet transmission completing the flow. Raises ``OracleSpaceError``
+    when the box holds more than ``MAX_ORACLE_STATES`` flow-count states.
     """
     policy = check_policy(spec, policy)
     for k, s in enumerate(traffic.mean_flow_size):
@@ -168,30 +230,31 @@ def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
         for y in enumerate_feasible(spec, x):
             states.append((x, y))
     index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    q = np.zeros((n, n))
+    triplets: list[tuple[int, int, float]] = []
     lam = traffic.arrival_rate
     sigma = traffic.mean_flow_size
     phi = params.phys_rate
     big_n = scaling_n
+
     for (x, y), si in index.items():
         for k in range(spec.num_classes):
             if lam[k] > 0 and x[k] < box[k]:
                 up = list(x)
                 up[k] += 1
-                q[si, index[(tuple(up), y)]] += lam[k]
+                triplets.append((si, index[(tuple(up), y)], lam[k]))
             for j in range(spec.num_channels):
                 if not y.active[k][j]:
                     ti = index.get((x, y.with_slot(k, j)))
                     if ti is not None:
-                        q[si, ti] += big_n * attempt_rate(spec, params, policy, x, y, k, j)
+                        rate = big_n * attempt_rate(spec, params, policy, x, y, k, j)
+                        triplets.append((si, ti, rate))
         for k, j in y.slots:
             rows = [list(r) for r in y.active]
             rows[k][j] -= 1
             y_down = Schedule(tuple(tuple(r) for r in rows))
-            q[si, index[(x, y_down)]] += big_n * phi[k] * (1.0 - 1.0 / (sigma[k] * big_n))
+            triplets.append((si, index[(x, y_down)],
+                             big_n * phi[k] * (1.0 - 1.0 / (sigma[k] * big_n))))
             x_down = list(x)
             x_down[k] -= 1
-            q[si, index[(tuple(x_down), y_down)]] += phi[k] / sigma[k]
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
-    return states, q
+            triplets.append((si, index[(tuple(x_down), y_down)], phi[k] / sigma[k]))
+    return states, _csr_generator(len(states), triplets)

@@ -39,6 +39,13 @@ class ScheduleSpaceError(RuntimeError):
     """The feasible-schedule set exceeds the exact-enumeration guard."""
 
 
+# Defined here, not in mccsma.oracles, so that the CLI can catch it without
+# importing the oracles (and scipy.sparse) before a run needs them.
+class OracleSpaceError(RuntimeError):
+    """A brute-force oracle's state space exceeds its guard
+    (``mccsma.oracles.MAX_ORACLE_STATES``)."""
+
+
 @dataclass(frozen=True, order=True)
 class Schedule:
     """Binary K x J activation matrix, stored as a tuple of rows.
@@ -127,22 +134,37 @@ def state_flows(state) -> tuple[int, ...]:
     return tuple(int(v) for v in state)
 
 
-def _independent_rows(members: list[int], graph, num_classes: int) -> np.ndarray:
-    """Indicator rows of all conflict-free subsets of ``members``, the empty
-    one included."""
+def _space_error(max_schedules: int) -> ScheduleSpaceError:
+    return ScheduleSpaceError(f"more than {max_schedules} feasible schedules; instance "
+                              f"too large for exact enumeration")
+
+
+def _independent_rows(members: list[int], graph, spec: NetworkSpec,
+                      max_schedules: int) -> np.ndarray:
+    """Indicator rows of the conflict-free subsets of ``members`` that hold
+    at most one downlink class of each access point, the empty one included.
+
+    Every row, with the other channels idle, is a distinct feasible schedule
+    (members are the classes whose cap allows an activation), so more than
+    ``max_schedules`` rows raise ScheduleSpaceError while they are listed.
+    """
+    ap_of = [spec.downlink_ap(k) for k in range(spec.num_classes)]
     subsets: list[list[int]] = []
 
     def extend(prefix: list[int], start: int) -> None:
         subsets.append(list(prefix))
+        if len(subsets) > max_schedules:
+            raise _space_error(max_schedules)
         for idx in range(start, len(members)):
             k = members[idx]
-            if all(not graph.conflicts(k, m) for m in prefix):
+            if all(not graph.conflicts(k, m) and (ap_of[k] is None or ap_of[k] != ap_of[m])
+                   for m in prefix):
                 prefix.append(k)
                 extend(prefix, idx + 1)
                 prefix.pop()
 
     extend([], 0)
-    rows = np.zeros((len(subsets), num_classes), dtype=np.uint8)
+    rows = np.zeros((len(subsets), spec.num_classes), dtype=np.uint8)
     for i, subset in enumerate(subsets):
         rows[i, subset] = 1
     return rows
@@ -167,7 +189,8 @@ def enumerate_feasible(spec: NetworkSpec, state=None, *,
     schedules than the final set has schedules.
 
     Raises ScheduleSpaceError as soon as more than ``max_schedules`` partial
-    schedules are kept; exact methods are not meant for larger instances.
+    schedules are kept, or as soon as one channel alone admits more than
+    that many; exact methods are not meant for larger instances.
     """
     K, J = spec.num_classes, spec.num_channels
     if state is None:
@@ -188,7 +211,8 @@ def enumerate_feasible(spec: NetworkSpec, state=None, *,
     active = np.zeros((1, K, 0), dtype=np.uint8)   # partial schedules
     spent = np.zeros((1, K + A), dtype=np.int64)   # their use of each budget
     for g in spec.channel_graphs:
-        rows = _independent_rows([k for k in sorted(g.eligible) if caps[k] > 0], g, K)
+        rows = _independent_rows([k for k in sorted(g.eligible) if caps[k] > 0], g, spec,
+                                 max_schedules)
         row_spends = rows @ spends
         step = max(1, _PAIR_BLOCK // len(rows))
         kept_p, kept_r, n_kept = [], [], 0
@@ -197,9 +221,7 @@ def enumerate_feasible(spec: NetworkSpec, state=None, *,
             p, r = np.nonzero((cand <= budget).all(axis=2))
             n_kept += len(p)
             if n_kept > max_schedules:
-                raise ScheduleSpaceError(
-                    f"more than {max_schedules} feasible schedules; instance too "
-                    f"large for exact enumeration")
+                raise _space_error(max_schedules)
             kept_p.append(p + lo)
             kept_r.append(r)
         p, r = np.concatenate(kept_p), np.concatenate(kept_r)

@@ -169,3 +169,32 @@ def test_state_length_validation(tmp_path):
     code = main(["run", "equilibrium", "--scenario", "bowtie",
                  "--state", "1,1", "--output", str(tmp_path / "x")])
     assert code == 3
+
+
+def test_timescale_oracle_guard_exits_4(tmp_path, capsys):
+    # the default box of two-ap holds 2,985,984 states
+    code = main(["run", "timescale", "--scenario", "two-ap",
+                 "--output", str(tmp_path / "ts")])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "oracle-state-space-guard"
+
+
+def test_simulate_and_stability_sweep_build_one_evaluator(tmp_path, monkeypatch):
+    from mccsma.equilibrium import PolicyEvaluator
+
+    built = []
+    init = PolicyEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolicyEvaluator, "__init__", counting_init)
+    common = ["--scenario", "bowtie", "--policy", "standard_infra", "--horizon", "20",
+              "--replications", "5"]
+    assert main(["run", "simulate", *common, "--output", str(tmp_path / "sim")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert main(["run", "stability-sweep", *common, "--grid", "2",
+                 "--output", str(tmp_path / "sweep")]) == 0
+    assert len(built) == 1

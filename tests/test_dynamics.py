@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (SimConfig, simulate_coupled_pair, simulate_joint,
-                             simulate_separated, timescale_convergence,
-                             uniform_sample_times)
+from mccsma.dynamics import (SimConfig, _tv_from_counts, simulate_coupled_pair,
+                             simulate_joint, simulate_separated,
+                             timescale_convergence, uniform_sample_times)
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
@@ -239,3 +240,42 @@ def test_coupled_pair_shares_arrivals_and_orders_states():
     assert run.ordered
     for sd, sb in zip(run.dominated.samples, run.base.samples):
         assert all(a <= b for a, b in zip(sd.state, sb.state))
+
+
+def _tv_full_scan(counts, total, reference, outside_ref):
+    """Reference for ``_tv_from_counts``: the distance as a scan of every
+    state of a state -> probability dict."""
+    tv = 0.0
+    seen_outside = 0
+    for state, c in counts.items():
+        p = c / total
+        q = reference.get(state)
+        if q is None:
+            seen_outside += c
+        else:
+            tv += abs(p - q)
+    tv += sum(q for s, q in reference.items() if s not in counts)
+    tv += abs(seen_outside / total - outside_ref)
+    return 0.5 * tv
+
+
+def test_tv_from_counts_matches_full_scan_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        box = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+        states = [tuple(int(v) for v in x)
+                  for x in itertools.product(*(range(b + 1) for b in box))]
+        p_ref = rng.random(len(states))
+        p_ref *= (1.0 - 0.01 * rng.random()) / p_ref.sum()   # some mass outside
+        outside_ref = max(0.0, 1.0 - float(p_ref.sum()))
+        total = int(rng.integers(1, 200))
+        counts: dict[tuple[int, ...], int] = {}
+        for _ in range(total):
+            # up to two beyond the box: some visits fall outside it
+            x = tuple(int(v) for v in rng.integers(0, box + 3))
+            counts[x] = counts.get(x, 0) + 1
+        index = {s: i for i, s in enumerate(states)}
+        got = _tv_from_counts(counts, total, index, p_ref, outside_ref)
+        expected = _tv_full_scan(counts, total, {s: float(q) for s, q in zip(states, p_ref)},
+                                 outside_ref)
+        assert got == expected

@@ -70,6 +70,13 @@ GOLDEN = {
                 "c71123a8a476fe9fd2ec93afdab242cbf19947ae0922592922d1990ab03be2e5",
         },
     ),
+    "timescale-ap-line3": (
+        ["run", "timescale", "--scenario", "ap-line3", "--replications", "20"],
+        {
+            "distances.csv":
+                "1ee57e2c3060172df00357a3fe0d2e2a0086f5b2a3685348272f0c33f3f91b94",
+        },
+    ),
 }
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from mccsma.oracles import (flow_level_generator, joint_generator,
-                            packet_level_generator, stationary_distribution,
-                            transient_distribution)
+from mccsma.oracles import (MAX_ORACLE_STATES, flow_level_generator, joint_generator,
+                            packet_level_generator, poisson_quantile,
+                            stationary_distribution, transient_distribution)
+from mccsma.schedule import OracleSpaceError
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
 
 
@@ -40,6 +41,7 @@ def test_packet_generator_rows_sum_to_zero():
         spec, params, state = random_instance(rng, infrastructure=infra)
         policy = "standard_infra" if infra else "adhoc"
         _, q = packet_level_generator(state, params, spec, policy)
+        q = q.toarray()
         assert np.allclose(q.sum(axis=1), 0.0, atol=1e-12)
         assert np.all(q - np.diag(np.diag(q)) >= 0)
 
@@ -72,3 +74,24 @@ def test_joint_generator_rates_respect_flow_end_probability():
     assert q[si, idx[((1,), idle)]] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="packet count"):
         joint_generator(spec, params, TrafficSpec.of(0.2, 0.5, 1), "adhoc", 1, box=(2,))
+
+
+def test_poisson_quantile_matches_scipy_stats():
+    from scipy.stats import poisson
+
+    mu = 50.0 - np.random.default_rng(5).uniform(0.0, 50.0, 20_000)   # (0, 50]
+    for q in (1 - 1e-12, 0.5e-12):
+        expected = poisson.ppf(q, mu)
+        got = np.array([poisson_quantile(q, m) for m in mu])
+        assert np.array_equal(got, expected)
+
+
+def test_oracle_guard_refuses_large_boxes():
+    spec = NetworkSpec(3, 1, replicate_graph(1, [0, 1, 2], [(0, 1)]))
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.2, 1.0, 3)
+    side = round(MAX_ORACLE_STATES ** (1 / 3))        # (side + 1)^3 > the guard
+    with pytest.raises(OracleSpaceError):
+        flow_level_generator(spec, params, traffic, "adhoc", box=(side,) * 3)
+    with pytest.raises(OracleSpaceError):
+        joint_generator(spec, params, traffic, "adhoc", 1, box=(side,) * 3)

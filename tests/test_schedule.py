@@ -102,7 +102,9 @@ def test_capacity_guard_raises():
     # ring C_16 on two channels: about 4.9M schedules, refused long before that
     ring16 = NetworkSpec(16, 2, replicate_graph(2, range(16),
                                                 [(k, (k + 1) % 16) for k in range(16)]))
-    for spec, limit in ((free4, 10), (ring16, 10_000)):
+    # 40 compatible classes on one channel: 2^40 subsets, refused after 11
+    free40 = NetworkSpec(40, 1, replicate_graph(1, range(40), []))
+    for spec, limit in ((free4, 10), (ring16, 10_000), (free40, 10)):
         with pytest.raises(ScheduleSpaceError):
             enumerate_feasible(spec, None, max_schedules=limit)
 
