@@ -12,6 +12,7 @@ A small library of named scenarios ships with the package (see
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -63,6 +64,20 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"unknown experiment kind {self.kind!r}; "
                                 f"expected one of {EXPERIMENT_KINDS}")
+        # runs through replace() too, so command-line overrides are checked
+        problems = [f"{name} must be at least {low}, got {getattr(self, name)}"
+                    for name, low in (("grid", 1), ("replications", 1),
+                                      ("sample_count", 1), ("max_total_flows", 1),
+                                      ("scaling_n", 0))
+                    if getattr(self, name) < low]
+        if not self.n_values or min(self.n_values) < 1:
+            problems.append(f"n_values must be a non-empty list of integers of at "
+                            f"least 1, got {list(self.n_values)}")
+        problems += [f"{name} must be finite and positive, got {getattr(self, name)}"
+                     for name in ("horizon", "t_probe")
+                     if not 0 < getattr(self, name) < math.inf]
+        if problems:
+            raise ScenarioValidationError("invalid experiment: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -111,13 +111,31 @@ class ScheduleSet(Sequence[Schedule]):
     sums). Indexing and iteration build ``Schedule`` objects on demand.
     """
 
-    __slots__ = ("active", "per_class")
+    __slots__ = ("active", "per_class", "_distinct")
 
     def __init__(self, active: np.ndarray):
         self.active = active
         self.per_class = active.sum(axis=2, dtype=np.int64)
         self.active.flags.writeable = False
         self.per_class.flags.writeable = False
+        self._distinct: Optional[np.ndarray] = None
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """Ascending indices of the first schedule with each distinct
+        ``per_class`` row; index 0, the empty schedule, comes first.
+        Computed on first use, so sets that never need it pay nothing."""
+        if self._distinct is None:
+            # lexsort is stable: each run of equal rows starts at its first
+            # occurrence
+            order = np.lexsort(self.per_class.T)
+            rows = self.per_class[order]
+            starts = np.ones(len(order), dtype=bool)
+            starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            first = np.sort(order[starts])
+            first.flags.writeable = False
+            self._distinct = first
+        return self._distinct
 
     def __len__(self) -> int:
         return len(self.active)

@@ -1,4 +1,5 @@
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (bipartite33, bowtie_spec, random_instance, star5,
                       tripartite221)
-from mccsma.capacity import (full_support_certificate, lpartite_condition,
-                             membership)
+from mccsma.capacity import (BOUNDARY_TOL, SolverError, full_support_certificate,
+                             lpartite_condition, membership)
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
 
@@ -139,3 +140,142 @@ def test_load_shape_and_sign_validation(bowtie):
         membership([0.1, 0.2], bowtie, params)
     with pytest.raises(ValueError, match="nonnegative"):
         membership([-0.1, 0.2, 0.1, 0.1, 0.1], bowtie, params)
+
+
+# The scalar simplex and the tableau over every schedule column, kept as they
+# were before the pivot was vectorised and duplicate service vectors were
+# dropped from the tableau: ``membership`` must match them bit for bit.
+def _reference_simplex_max(tableau: np.ndarray, basis: list[int], *,
+                           tol: float = 1e-11, max_iter: Optional[int] = None) -> float:
+    m = tableau.shape[0] - 1
+    n = tableau.shape[1] - 1
+    if max_iter is None:
+        max_iter = 100 * (n + m + 10)
+    for _ in range(max_iter):
+        reduced = tableau[m, :n]
+        entering = -1
+        for j in range(n):
+            if reduced[j] > tol:
+                entering = j
+                break
+        if entering < 0:
+            return -tableau[m, n]
+        col = tableau[:m, entering]
+        best_ratio = math.inf
+        leave_row = -1
+        for r in range(m):
+            if col[r] > tol:
+                ratio = tableau[r, n] / col[r]
+                if (ratio < best_ratio - tol
+                        or (abs(ratio - best_ratio) <= tol
+                            and (leave_row < 0 or basis[r] < basis[leave_row]))):
+                    best_ratio = ratio
+                    leave_row = r
+        if leave_row < 0:
+            raise SolverError("linear program unbounded; load vector malformed")
+        pivot = tableau[leave_row, entering]
+        tableau[leave_row] /= pivot
+        for r in range(m + 1):
+            if r != leave_row and tableau[r, entering] != 0.0:
+                tableau[r] -= tableau[r, entering] * tableau[leave_row]
+        basis[leave_row] = entering
+    raise SolverError("simplex iteration limit exceeded")
+
+
+def _reference_membership(rho, spec, params, schedules):
+    """(status, margin, certificate) from the full-column scalar LP."""
+    rho = np.asarray(rho, dtype=float)
+    n_sched = len(schedules)
+    positive = [k for k in range(spec.num_classes) if rho[k] > 0]
+    if not positive:
+        return "interior", math.inf, {s: 1.0 / n_sched for s in schedules}
+
+    per_class = schedules.per_class
+    phi = params.phi
+    m = 1 + len(positive)
+    n = n_sched + 1 + len(positive)          # pi variables, t, slacks
+    t_col = n_sched
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[0, :n_sched] = 1.0
+    tableau[0, n] = 1.0
+    for r, k in enumerate(positive, start=1):
+        tableau[r, :n_sched] = -phi[k] * per_class[:, k]
+        tableau[r, t_col] = rho[k]
+        tableau[r, n_sched + r] = 1.0
+    tableau[m, t_col] = 1.0
+
+    basis = [0] + [n_sched + r for r in range(1, m)]
+    t_star = _reference_simplex_max(tableau, basis)
+
+    pi = np.zeros(n_sched)
+    for r, var in enumerate(basis):
+        if var < n_sched:
+            pi[var] = max(tableau[r, n], 0.0)
+    total = pi.sum()
+    if total > 0:
+        pi /= total
+    certificate = {schedules[i]: float(pi[i]) for i in range(n_sched) if pi[i] > 0}
+
+    margin = t_star - 1.0
+    if abs(margin) <= BOUNDARY_TOL:
+        status = "boundary"
+    elif margin > 0:
+        status = "interior"
+    else:
+        status = "exterior"
+    return status, margin, certificate
+
+
+def _assert_matches_reference(rho, spec, params, schedules):
+    verdict = membership(rho, spec, params, schedules=schedules)
+    status, margin, certificate = _reference_membership(rho, spec, params, schedules)
+    assert verdict.status == status
+    assert verdict.margin == margin
+    assert verdict.certificate == certificate
+    return status
+
+
+def test_membership_matches_full_column_scalar_lp_on_bowtie_sweep(bowtie):
+    params = CsmaParams.from_alpha(bowtie, 1.0)
+    schedules = enumerate_feasible(bowtie)
+    assert (len(schedules), len(schedules.distinct)) == (67, 25)
+    statuses = {_assert_matches_reference([r1, r1, r3, r1, r1], bowtie, params,
+                                          schedules)
+                for r1 in np.linspace(0.0, 1.0, 20) for r3 in np.linspace(0.0, 1.0, 20)}
+    assert statuses == {"interior", "boundary", "exterior"}
+
+
+def test_membership_matches_full_column_scalar_lp_on_random_instances():
+    rng = np.random.default_rng(20)
+    for i in range(200):
+        spec, params, _ = random_instance(rng, infrastructure=bool(i % 2))
+        K = spec.num_classes
+        rho = rng.uniform(0.0, 1.5, K) * (rng.random(K) < 0.75)
+        _assert_matches_reference(rho, spec, params, enumerate_feasible(spec))
+
+
+def test_membership_matches_full_column_scalar_lp_on_rings():
+    rng = np.random.default_rng(5)
+    for K in range(5, 10):
+        edges = [(k, (k + 1) % K) for k in range(K)]
+        spec = NetworkSpec(K, 2, replicate_graph(2, range(K), edges))
+        params = CsmaParams.from_alpha(spec, 1.0)
+        schedules = enumerate_feasible(spec)
+        assert schedules.distinct[0] == 0 and len(schedules.distinct) < len(schedules)
+        _assert_matches_reference([0.3] * K, spec, params, schedules)
+        _assert_matches_reference(rng.uniform(0.0, 0.6, K), spec, params, schedules)
+
+
+def test_distinct_columns_are_first_occurrences(bowtie):
+    schedules = enumerate_feasible(bowtie)
+    first = {}
+    for i, row in enumerate(map(tuple, schedules.per_class.tolist())):
+        first.setdefault(row, i)
+    assert schedules.distinct.tolist() == sorted(first.values())
+
+
+def test_non_finite_loads_are_rejected(bowtie):
+    params = CsmaParams.from_alpha(bowtie, 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            membership([bad, 0.2, 0.1, 0.1, 0.1], bowtie, params)

@@ -198,3 +198,46 @@ def test_simulate_and_stability_sweep_build_one_evaluator(tmp_path, monkeypatch)
     assert main(["run", "stability-sweep", *common, "--grid", "2",
                  "--output", str(tmp_path / "sweep")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "timescale", "--scenario", "ap-line3", "--replications", "0"],
+     "replications"),
+    (["run", "capacity-sweep", "--scenario", "bowtie", "--grid", "0"], "grid"),
+])
+def test_out_of_range_override_is_validation_error(argv, field, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and field in diag["message"]
+    assert not out.exists()
+
+
+def test_negative_probe_time_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("""
+name: bad
+network: {classes: 1, channels: 1, conflict_edges: []}
+csma: {phys_rate: 1.0, alpha: 1.0}
+traffic: {arrival_rate: 0.4, mean_flow_size: 1.0}
+experiment: {kind: timescale, t_probe: -1.0}
+""")
+    assert main(["run", "timescale", "--scenario", str(bad),
+                 "--output", str(tmp_path / "o")]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "t_probe" in diag["message"]
+
+
+def test_solver_failure_exits_5(tmp_path, capsys, monkeypatch):
+    from mccsma import cli
+    from mccsma.capacity import SolverError
+
+    def failing_membership(*args, **kwargs):
+        raise SolverError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(cli, "membership", failing_membership)
+    code = main(["run", "capacity-sweep", "--scenario", "bowtie", "--grid", "2",
+                 "--output", str(tmp_path / "o")])
+    assert code == 5
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "solver", "message": "simplex iteration limit exceeded"}

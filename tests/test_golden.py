@@ -30,6 +30,20 @@ GOLDEN = {
                 "1e45902101e29b960fe69bf1a05eb630a4d509a98302d2e00ba2a0e7bfaaebad",
         },
     ),
+    "capacity-sweep-two-ap": (
+        ["run", "capacity-sweep", "--scenario", "two-ap", "--grid", "10"],
+        {
+            "sweep.csv":
+                "993ce2221091bfb7998b2d254b52bfe5b10f0099b1621e328f6c10b3adbfa223",
+        },
+    ),
+    "capacity-sweep-adhoc4": (
+        ["run", "capacity-sweep", "--scenario", "adhoc4", "--grid", "10"],
+        {
+            "sweep.csv":
+                "0d428a2db7d9ca3a28ee1dc94f9a290cd83a9905156f760ef3dae1dc86195ee6",
+        },
+    ),
     "simulate-bowtie-standard-infra": (
         ["run", "simulate", "--scenario", "bowtie", "--policy", "standard_infra",
          "--horizon", "50", "--replications", "5"],
