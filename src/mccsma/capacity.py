@@ -123,8 +123,8 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
 
     positive = [k for k in range(spec.num_classes) if rho[k] > 0]
     if not positive:
-        uniform = {s: 1.0 / n_sched for s in schedules}
-        return CapacityVerdict("interior", math.inf, uniform)
+        # the LP's starting basis: all mass on the empty schedule
+        return CapacityVerdict("interior", math.inf, {schedules[0]: 1.0})
 
     # one pi column per distinct service vector: duplicates never enter
     cols = schedules.distinct

@@ -10,16 +10,47 @@ Two models are simulated exactly (no time discretization):
   size 1/N, and attempt rates are scaled by N, so growing N accelerates the
   packet level against the flow level at constant traffic intensity.
 
+Both run on one event loop, ``_run``: the first-reaction method of Gillespie
+(1977), a race of exponential clocks. The loop owns the class-k Poisson
+arrival clocks, which are memoryless and so kept until they fire, and redraws
+every other clock after each event from its current rate. It fires the
+earliest clock and accrues the exact path integrals (flow counts, busy time,
+served bits) up to it; it also samples the state, counts arrivals and
+departures and enforces the truncation guard. A model supplies what differs:
+
+* ``clocks``: the stream kinds of its redrawn clocks, one clock per class each;
+* ``rates(x)``: each such kind's per-class rate vector plus the served-rate
+  vector at flow counts ``x``, valid until the next event;
+* ``arrive(k)``: flow bookkeeping for a new class-k flow (the initial flows
+  are added this way too);
+* ``fire(kind, k, rng, t)``: the event of clock ``kind`` of class k at time
+  t, given that clock's stream; returns whether a class-k flow departed;
+* ``accrue(x, dt)``: its own path integrals over a stretch of length dt;
+* ``schedule()``: the current schedule, or None;
+* ``finish(traj)``: the model's own fields of the finished trajectory.
+
+``_Separated`` has one departure clock per class; ``_Joint`` has an attempt
+clock and a packet clock per class and keeps the schedule.
+
 Randomness comes from counter-based Philox streams, one per (event kind,
 class, replication), all derived from the master seed. Identical configs give
 bit-identical trajectories, replications are independent, and comparisons
-across policies share arrival randomness (common random numbers).
+across policies share arrival randomness (common random numbers). Since every
+clock has its own stream, the order in which different streams are drawn from
+does not matter; within one stream it does, and an event draws after its
+clock: the attempt stream draws the clock, then the channel; the packet stream
+the clock, then the slot, then whether the flow ends. Rates and path integrals
+are Python floats, and the order of each floating-point operation is part of
+the trajectory: served bits add (phi_k * y_k) * dt, not phi_k * (y_k * dt).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -98,7 +129,6 @@ class Trajectory:
     busy_time: tuple[float, ...]
     served_bits: tuple[float, ...]
     abort_time: Optional[float] = None
-    final_schedule: Optional[Schedule] = None
     completed_flow_sizes: Optional[tuple[tuple[float, ...], ...]] = None
     residual_flow_bits: Optional[tuple[float, ...]] = None
     rate_time: Optional[dict[str, tuple[float, ...]]] = None
@@ -114,12 +144,14 @@ def uniform_sample_times(horizon: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, horizon, count + 1)[1:])
 
 
+_CACHE_SIZE = 100_000
+
+
 class ThroughputCache:
     """Bounded LRU cache of per-state stationary throughput vectors."""
 
-    def __init__(self, evaluator: PolicyEvaluator, maxsize: int = 100_000):
+    def __init__(self, evaluator: PolicyEvaluator):
         self._evaluator = evaluator
-        self._maxsize = maxsize
         self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
 
     def __call__(self, x: tuple[int, ...]) -> np.ndarray:
@@ -129,7 +161,7 @@ class ThroughputCache:
             return hit
         value = self._evaluator.throughput(x)
         self._cache[x] = value
-        if len(self._cache) > self._maxsize:
+        if len(self._cache) > _CACHE_SIZE:
             self._cache.popitem(last=False)
         return value
 
@@ -150,7 +182,10 @@ class _Sampler:
         self.idx = 0
         self.out: list[TrajectorySample] = []
 
-    def emit_until(self, t_next: float, state, schedule=None, schedule_fn=None) -> None:
+    def emit(self, t_next: float, state, schedule_fn=None) -> None:
+        """Sample ``state`` at every remaining time before ``t_next``; the
+        schedule, if any, comes from one call of ``schedule_fn``."""
+        schedule = None
         while self.idx < len(self.times) and self.times[self.idx] < t_next:
             if schedule_fn is not None:
                 schedule = schedule_fn()
@@ -159,11 +194,134 @@ class _Sampler:
                                              tuple(int(v) for v in state), schedule))
             self.idx += 1
 
-    def emit_rest(self, state, schedule=None) -> None:
-        while self.idx < len(self.times):
-            self.out.append(TrajectorySample(self.times[self.idx],
-                                             tuple(int(v) for v in state), schedule))
-            self.idx += 1
+
+def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
+    """The event loop shared by both models (see the module docstring)."""
+    K = model.num_classes
+    x = [int(v) for v in cfg.initial_state]
+    if len(x) != K:
+        raise ValueError(f"initial_state has {len(x)} entries, expected {K}")
+    if any(v < 0 for v in x):
+        raise ValueError(f"initial_state must be nonnegative, got {tuple(x)}")
+    for k in range(K):                  # the initial flows enter as arrivals
+        for _ in range(x[k]):
+            model.arrive(k)
+
+    lam = [float(v) for v in traffic.arrival_rate]
+    arr_rngs = [stream(cfg.seed, "arrival", k, cfg.replication) for k in range(K)]
+    clock_rngs = [[stream(cfg.seed, kind, k, cfg.replication) for k in range(K)]
+                  for kind in model.clocks]
+    next_arrival = [rng.standard_exponential() / r if r > 0 else math.inf
+                    for rng, r in zip(arr_rngs, lam)]
+    arrivals = [0] * K
+    departures = [0] * K
+    integral = [0.0] * K
+    busy = [0.0] * K
+    served = [0.0] * K
+    sampler = _Sampler(cfg.sample_times)
+    t = 0.0
+    abort_time: Optional[float] = None
+
+    while True:
+        clock_rates, served_rate = model.rates(x)
+        # the race runs on Python floats; index() finds the first minimum
+        times = list(next_arrival)
+        for rngs, rates in zip(clock_rngs, clock_rates):
+            times += [t + rng.standard_exponential() / r if r > 0 else math.inf
+                      for rng, r in zip(rngs, rates)]
+        t_next = min(times)
+        done = t_next >= cfg.horizon
+        if done:
+            t_next = cfg.horizon
+        sampler.emit(math.inf if done else t_next, x, model.schedule)
+        dt = t_next - t
+        integral = [a + n * dt for a, n in zip(integral, x)]
+        busy = [b + dt if n > 0 else b for b, n in zip(busy, x)]
+        served = [s + r * dt for s, r in zip(served, served_rate)]
+        model.accrue(x, dt)
+        t = t_next
+        if done:
+            break
+
+        kind, k = divmod(times.index(t_next), K)
+        if kind == 0:
+            x[k] += 1
+            arrivals[k] += 1
+            next_arrival[k] = t + arr_rngs[k].standard_exponential() / lam[k]
+            model.arrive(k)
+            if sum(x) > cfg.max_total_flows:
+                abort_time = t
+                sampler.emit(math.inf, x, model.schedule)
+                break
+        elif model.fire(kind - 1, k, clock_rngs[kind - 1][k], t):
+            x[k] -= 1
+            departures[k] += 1
+
+    traj = Trajectory(
+        samples=sampler.out,
+        arrivals=tuple(arrivals),
+        departures=tuple(departures),
+        aborted=abort_time is not None,
+        final_time=t,
+        final_state=tuple(x),
+        time_integral_flows=tuple(integral),
+        busy_time=tuple(busy),
+        served_bits=tuple(served),
+        abort_time=abort_time,
+    )
+    model.finish(traj)
+    return traj
+
+
+class _Separated:
+    """Separated model: class-k flows depart at rate throughput_k(x) / sigma_k.
+
+    With ``track_flows`` each class shares its throughput equally among its
+    flows, and a departure removes a uniformly chosen one.
+    """
+
+    clocks = ("service",)
+
+    def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn,
+                 traffic: TrafficSpec, cfg: SimConfig):
+        self.num_classes = K = spec.num_classes
+        self.throughput_fn = throughput_fn
+        self.sigma = [float(v) for v in traffic.mean_flow_size]
+        self.track = cfg.track_flows
+        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
+        self.flows: list[list[float]] = [[] for _ in range(K)]
+        self.completed: list[list[float]] = [[] for _ in range(K)]
+        self.phi_x = np.zeros(K)          # throughput at the current state
+
+    def rates(self, x: list[int]):
+        self.phi_x = self.throughput_fn(tuple(x))
+        phi = self.phi_x.tolist()
+        return ([p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)],), phi
+
+    def arrive(self, k: int) -> None:
+        if self.track:
+            self.flows[k].append(0.0)
+
+    def fire(self, kind: int, k: int, rng, t: float) -> bool:
+        if self.track:
+            flows = self.flows[k]
+            self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
+        return True
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        if self.track:
+            for k, n in enumerate(x):
+                if n > 0 and self.phi_x[k] > 0:
+                    share = self.phi_x[k] * dt / n
+                    self.flows[k] = [b + share for b in self.flows[k]]
+
+    def schedule(self) -> None:
+        return None
+
+    def finish(self, traj: Trajectory) -> None:
+        if self.track:
+            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
+            traj.residual_flow_bits = tuple(float(sum(f)) for f in self.flows)
 
 
 def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -183,168 +341,167 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     completed flow size.
     """
     policy = check_policy(spec, cfg.policy)
-    K = spec.num_classes
-    if len(cfg.initial_state) != K:
-        raise ValueError(f"initial_state has {len(cfg.initial_state)} entries, expected {K}")
     if throughput_fn is None:
         throughput_fn = default_throughput_fn(spec, params, replace(cfg, policy=policy))
-
-    lam = np.asarray(traffic.arrival_rate, dtype=float)
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    arr_rngs = [stream(cfg.seed, "arrival", k, cfg.replication) for k in range(K)]
-    svc_rngs = [stream(cfg.seed, "service", k, cfg.replication) for k in range(K)]
-    pick_rng = stream(cfg.seed, "flowpick", 0, cfg.replication)
-
-    x = np.array(cfg.initial_state, dtype=np.int64)
-    t = 0.0
-    next_arrival = np.array([
-        arr_rngs[k].standard_exponential() / lam[k] if lam[k] > 0 else np.inf
-        for k in range(K)
-    ])
-    arrivals = np.zeros(K, dtype=np.int64)
-    departures = np.zeros(K, dtype=np.int64)
-    integral = np.zeros(K)
-    busy = np.zeros(K)
-    served = np.zeros(K)
-    sampler = _Sampler(cfg.sample_times)
-    aborted = False
-    abort_time: Optional[float] = None
-
-    flows: list[list[float]] = [[0.0] * int(x[k]) for k in range(K)] if cfg.track_flows else []
-    completed: list[list[float]] = [[] for _ in range(K)] if cfg.track_flows else []
-
-    def accrue(phi_x: np.ndarray, dt: float) -> None:
-        nonlocal integral, busy, served
-        integral += x * dt
-        busy += (x > 0) * dt
-        served += phi_x * dt
-        if cfg.track_flows:
-            for k in range(K):
-                if x[k] > 0 and phi_x[k] > 0:
-                    share = phi_x[k] * dt / x[k]
-                    flows[k] = [b + share for b in flows[k]]
-
-    while True:
-        phi_x = throughput_fn(tuple(int(v) for v in x))
-        dep_rate = np.where(x > 0, phi_x / sigma, 0.0)
-        next_departure = np.array([
-            t + svc_rngs[k].standard_exponential() / dep_rate[k] if dep_rate[k] > 0 else np.inf
-            for k in range(K)
-        ])
-        times = np.concatenate([next_arrival, next_departure])
-        evt = int(np.argmin(times))
-        t_next = float(times[evt])
-
-        if t_next >= cfg.horizon:
-            sampler.emit_until(cfg.horizon, x)
-            sampler.emit_rest(x)
-            accrue(phi_x, cfg.horizon - t)
-            t = cfg.horizon
-            break
-
-        sampler.emit_until(t_next, x)
-        accrue(phi_x, t_next - t)
-        t = t_next
-        if evt < K:
-            k = evt
-            x[k] += 1
-            arrivals[k] += 1
-            next_arrival[k] = t + arr_rngs[k].standard_exponential() / lam[k]
-            if cfg.track_flows:
-                flows[k].append(0.0)
-            if int(x.sum()) > cfg.max_total_flows:
-                aborted = True
-                abort_time = t
-                sampler.emit_rest(x)
-                break
-        else:
-            k = evt - K
-            x[k] -= 1
-            departures[k] += 1
-            if cfg.track_flows:
-                idx = int(pick_rng.integers(len(flows[k])))
-                completed[k].append(flows[k].pop(idx))
-
-    return Trajectory(
-        samples=sampler.out,
-        arrivals=tuple(int(v) for v in arrivals),
-        departures=tuple(int(v) for v in departures),
-        aborted=aborted,
-        final_time=t,
-        final_state=tuple(int(v) for v in x),
-        time_integral_flows=tuple(float(v) for v in integral),
-        busy_time=tuple(float(v) for v in busy),
-        served_bits=tuple(float(v) for v in served),
-        abort_time=abort_time,
-        completed_flow_sizes=(tuple(tuple(c) for c in completed) if cfg.track_flows else None),
-        residual_flow_bits=(tuple(float(sum(f)) for f in flows) if cfg.track_flows else None),
-    )
+    return _run(_Separated(spec, throughput_fn, traffic, cfg), traffic, cfg)
 
 
-class _JointState:
-    """Mutable joint state with incremental feasibility bookkeeping."""
+class _Joint:
+    """Joint model: per class an attempt clock over its feasible idle slots
+    and a packet clock over its active slots; keeps the schedule feasible
+    incrementally."""
 
-    def __init__(self, spec: NetworkSpec, x0: Sequence[int],
-                 y0: Optional[Schedule] = None):
-        self.spec = spec
-        K, J = spec.num_classes, spec.num_channels
-        self.x = np.array(x0, dtype=np.int64)
-        self.y = np.zeros((K, J), dtype=np.int64)
-        self.y_class = np.zeros(K, dtype=np.int64)
-        self.channel_active: list[set[int]] = [set() for _ in range(J)]
-        self.ap_active = np.zeros(len(spec.access_points), dtype=np.int64)
+    clocks = ("attempt", "packet")
+
+    def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                 policy: str, cfg: SimConfig):
+        self.num_classes = K = spec.num_classes
+        self.num_channels = J = spec.num_channels
+        N = self.N = cfg.scaling_n
+        self.phi_np = params.phi
+        self.phi = params.phi.tolist()
+        self.nu = params.nu.tolist()
+        self.beta = params.beta.tolist()
+        self.lam = [float(v) for v in traffic.arrival_rate]
+        self.sigma = [float(v) for v in traffic.mean_flow_size]
+        self.flow_end_prob = [1.0 / (s * N) for s in self.sigma]
+        self.continue_prob = [1.0 - p for p in self.flow_end_prob]
+        # np.sum adds fewer than 8 terms left to right, as the faster sum()
+        # does, and 8 or more pairwise (pinned by the 8- to 12-channel runs of
+        # test_trajectories_match_recorded_digests)
+        self.total = sum if J < 8 else (lambda v: float(np.sum(v)))
+
         self.downlink_ap = [spec.downlink_ap(k) for k in range(K)]
-        self.eligible = np.array([[k in g.eligible for g in spec.channel_graphs]
-                                  for k in range(K)])
-        self.neighbors = [
-            {k: g.neighbors(k) for k in g.eligible} for g in spec.channel_graphs
-        ]
-        if y0 is not None:
-            for k, j in y0.slots:
-                if not self.can_add(k)[j]:
-                    raise ValueError(f"initial schedule slot ({k},{j}) infeasible")
-                self.add(k, j)
+        self.shared_queue = [policy == "standard_infra" and i is not None
+                             for i in self.downlink_ap]
+        self.ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
+        self.eligible = [[k in g.eligible for g in spec.channel_graphs] for k in range(K)]
+        self.neighbors = [{k: g.neighbors(k) for k in g.eligible} for g in spec.channel_graphs]
+        self.y = [[0] * J for _ in range(K)]
+        self.y_class = [0] * K
+        self.channel_active: list[set[int]] = [set() for _ in range(J)]
+        self.ap_active = [0] * len(spec.access_points)
+        self.attempt: list[Optional[list[float]]] = [None] * K
+        self.attempt_total = [0.0] * K
+        self.packet_total = [0.0] * K
+        self.attempt_counts = [0] * K
+        self.packet_counts = [0] * K
+        self.rate_time = {name: [0.0] * K for name in
+                          ("arrival", "attempt", "packet_continue", "packet_complete")}
 
-    def can_add(self, k: int) -> np.ndarray:
-        """Per-channel feasibility of activating one more class-k link."""
-        J = self.spec.num_channels
-        ok = np.zeros(J, dtype=bool)
+        self.track = cfg.track_flows
+        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
+        self.flows: list[dict[int, float]] = [dict() for _ in range(K)]
+        self.idle: list[list[int]] = [[] for _ in range(K)]
+        self.slot_flow: dict[tuple[int, int], int] = {}
+        self.slot_start: dict[tuple[int, int], float] = {}
+        self.completed: list[list[float]] = [[] for _ in range(K)]
+        self.next_fid = 0
+
+    def _attempt_rates(self, x: list[int], k: int) -> Optional[list[float]]:
+        """Per-channel rate of activating one more class-k link; None when
+        no slot is feasible."""
         i = self.downlink_ap[k]
-        if i is not None and self.ap_active[i] >= 1:
-            return ok
-        if self.y_class[k] >= self.x[k]:
-            return ok
-        for j in range(J):
-            if not self.eligible[k, j] or self.y[k, j]:
-                continue
-            if self.neighbors[j].get(k, set()) & self.channel_active[j]:
-                continue
-            ok[j] = True
-        return ok
+        if (i is not None and self.ap_active[i] >= 1) or self.y_class[k] >= x[k]:
+            return None
+        y_k, active = self.y[k], self.channel_active
+        feas = [ok and not y_k[j] and not (self.neighbors[j][k] & active[j])
+                for j, ok in enumerate(self.eligible[k])]
+        if not any(feas):
+            return None
+        if self.shared_queue[k]:
+            total = sum(x[m] for m in self.ap_downlink[i])
+            base = self.N * self.nu[k] * (x[k] / total)
+        else:
+            base = self.N * (x[k] - self.y_class[k]) * self.nu[k]
+        return [base * b if f else 0.0 for f, b in zip(feas, self.beta[k])]
 
-    def add(self, k: int, j: int) -> None:
-        self.y[k, j] = 1
-        self.y_class[k] += 1
-        self.channel_active[j].add(k)
+    def rates(self, x: list[int]):
+        self.attempt = [self._attempt_rates(x, k) for k in range(self.num_classes)]
+        self.attempt_total = [0.0 if r is None else self.total(r) for r in self.attempt]
+        self.packet_total = [y * self.N * p for y, p in zip(self.y_class, self.phi)]
+        served = [p * y for p, y in zip(self.phi, self.y_class)]
+        return (self.attempt_total, self.packet_total), served
+
+    def arrive(self, k: int) -> None:
+        if self.track:
+            self.flows[k][self.next_fid] = 0.0
+            self.idle[k].append(self.next_fid)
+            self.next_fid += 1
+
+    def fire(self, kind: int, k: int, rng, t: float) -> bool:
         i = self.downlink_ap[k]
-        if i is not None:
-            self.ap_active[i] += 1
-
-    def remove(self, k: int, j: int) -> None:
-        self.y[k, j] = 0
+        if kind == 0:                       # successful channel access
+            u = rng.random() * self.attempt_total[k]
+            j = bisect.bisect_right(list(itertools.accumulate(self.attempt[k])), u)
+            j = min(j, self.num_channels - 1)
+            self.y[k][j] = 1
+            self.y_class[k] += 1
+            self.channel_active[j].add(k)
+            if i is not None:
+                self.ap_active[i] += 1
+            self.attempt_counts[k] += 1
+            self.slot_start[(k, j)] = t
+            if self.track:
+                pool = sorted(self.flows[k]) if self.shared_queue[k] else self.idle[k]
+                fid = pool[int(self.pick.integers(len(pool)))]
+                if fid in self.idle[k]:
+                    self.idle[k].remove(fid)
+                self.slot_flow[(k, j)] = fid
+            return False
+        # packet completion, which ends its flow with probability 1 / (sigma_k N)
+        js = [j for j in range(self.num_channels) if self.y[k][j]]
+        j = js[int(rng.integers(len(js)))]
+        ends_flow = bool(rng.random() < self.flow_end_prob[k])
+        self.y[k][j] = 0
         self.y_class[k] -= 1
         self.channel_active[j].discard(k)
-        i = self.downlink_ap[k]
         if i is not None:
             self.ap_active[i] -= 1
+        self.packet_counts[k] += 1
+        start = self.slot_start.pop((k, j))
+        if self.track:
+            fid = self.slot_flow.pop((k, j))
+            self.flows[k][fid] += self.phi_np[k] * (t - start)
+            if ends_flow:
+                self.completed[k].append(self.flows[k].pop(fid))
+            else:
+                self.idle[k].append(fid)
+        return ends_flow
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        rt = self.rate_time
+        rt["arrival"] = [a + r * dt for a, r in zip(rt["arrival"], self.lam)]
+        rt["attempt"] = [a + r * dt for a, r in zip(rt["attempt"], self.attempt_total)]
+        rt["packet_continue"] = [a + r * c * dt for a, r, c in
+                                 zip(rt["packet_continue"], self.packet_total,
+                                     self.continue_prob)]
+        rt["packet_complete"] = [a + y * p / s * dt for a, y, p, s in
+                                 zip(rt["packet_complete"], self.y_class, self.phi,
+                                     self.sigma)]
 
     def schedule(self) -> Schedule:
-        return Schedule(tuple(tuple(int(v) for v in row) for row in self.y))
+        return Schedule(tuple(tuple(row) for row in self.y))
+
+    def finish(self, traj: Trajectory) -> None:
+        traj.rate_time = {name: tuple(v) for name, v in self.rate_time.items()}
+        traj.event_counts_by_kind = {
+            "arrival": traj.arrivals,
+            "attempt": tuple(self.attempt_counts),
+            "packet": tuple(self.packet_counts),
+            "flow_completion": traj.departures,
+        }
+        if self.track:
+            # credit the in-flight fraction of each still-active packet
+            for (k, j), start in self.slot_start.items():
+                fid = self.slot_flow[(k, j)]
+                self.flows[k][fid] += self.phi_np[k] * (traj.final_time - start)
+            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
+            traj.residual_flow_bits = tuple(float(sum(f.values())) for f in self.flows)
 
 
 def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                   cfg: SimConfig, initial_schedule: Optional[Schedule] = None
-                   ) -> Trajectory:
+                   cfg: SimConfig) -> Trajectory:
     """Simulate the joint (flow counts, schedule) process at scaling N.
 
     Event types and rates, with N = ``cfg.scaling_n``:
@@ -358,192 +515,17 @@ def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
     * packet completion ending the flow: phi_k / sigma_k per active slot,
       releasing the slot and removing the flow.
 
-    The schedule always stays feasible for the current flow vector because a
-    departing flow frees its slot in the same transition.
+    The schedule starts empty and always stays feasible for the current flow
+    vector because a departing flow frees its slot in the same transition.
     """
     policy = check_policy(spec, cfg.policy)
     if policy == "standard_infra":
         from .equilibrium import check_standard_attempt_rates
         check_standard_attempt_rates(spec, params)
-    K, J = spec.num_classes, spec.num_channels
-    N = cfg.scaling_n
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    if np.any(sigma * N < 1.0):
+    if np.any(sigma * cfg.scaling_n < 1.0):
         raise ValueError("mean packet count sigma_k * N must be at least one")
-    lam = np.asarray(traffic.arrival_rate, dtype=float)
-    phi = params.phi
-    nu = params.nu
-    beta = params.beta
-    flow_end_prob = 1.0 / (sigma * N)
-
-    st = _JointState(spec, cfg.initial_state, initial_schedule)
-    arr_rngs = [stream(cfg.seed, "arrival", k, cfg.replication) for k in range(K)]
-    att_rngs = [stream(cfg.seed, "attempt", k, cfg.replication) for k in range(K)]
-    pkt_rngs = [stream(cfg.seed, "packet", k, cfg.replication) for k in range(K)]
-    pick_rng = stream(cfg.seed, "flowpick", 0, cfg.replication)
-
-    t = 0.0
-    next_arrival = np.array([
-        arr_rngs[k].standard_exponential() / lam[k] if lam[k] > 0 else np.inf
-        for k in range(K)
-    ])
-    arrivals = np.zeros(K, dtype=np.int64)
-    departures = np.zeros(K, dtype=np.int64)
-    attempt_counts = np.zeros(K, dtype=np.int64)
-    packet_counts = np.zeros(K, dtype=np.int64)
-    integral = np.zeros(K)
-    busy = np.zeros(K)
-    served = np.zeros(K)
-    rate_time = {name: np.zeros(K) for name in
-                 ("arrival", "attempt", "packet_continue", "packet_complete")}
-    sampler = _Sampler(cfg.sample_times)
-    aborted = False
-    abort_time: Optional[float] = None
-
-    track = cfg.track_flows
-    flows: list[dict[int, float]] = [dict() for _ in range(K)]
-    idle: list[list[int]] = [[] for _ in range(K)]
-    slot_flow: dict[tuple[int, int], int] = {}
-    slot_start: dict[tuple[int, int], float] = {}
-    completed: list[list[float]] = [[] for _ in range(K)]
-    next_fid = 0
-    if track:
-        for k in range(K):
-            for _ in range(int(st.x[k])):
-                flows[k][next_fid] = 0.0
-                idle[k].append(next_fid)
-                next_fid += 1
-
-    def attempt_rates(k: int) -> np.ndarray:
-        feas = st.can_add(k)
-        if not feas.any():
-            return np.zeros(J)
-        i = st.downlink_ap[k]
-        if policy == "standard_infra" and i is not None:
-            total = int(sum(st.x[m] for m in spec.access_points[i].downlink))
-            if total == 0:
-                return np.zeros(J)
-            base = N * nu[k] * (st.x[k] / total)
-        else:
-            base = N * (st.x[k] - st.y_class[k]) * nu[k]
-        return np.where(feas, base * beta[k], 0.0)
-
-    while True:
-        per_class_attempt = [attempt_rates(k) for k in range(K)]
-        attempt_total = np.array([r.sum() for r in per_class_attempt])
-        packet_total = st.y_class * N * phi
-        cand = np.full(3 * K, np.inf)
-        for k in range(K):
-            cand[k] = next_arrival[k]
-            if attempt_total[k] > 0:
-                cand[K + k] = t + att_rngs[k].standard_exponential() / attempt_total[k]
-            if packet_total[k] > 0:
-                cand[2 * K + k] = t + pkt_rngs[k].standard_exponential() / packet_total[k]
-        evt = int(np.argmin(cand))
-        t_next = float(cand[evt])
-
-        def accrue(dt: float) -> None:
-            integral[:] += st.x * dt
-            busy[:] += (st.x > 0) * dt
-            served[:] += phi * st.y_class * dt
-            rate_time["arrival"] += lam * dt
-            rate_time["attempt"] += attempt_total * dt
-            rate_time["packet_continue"] += packet_total * (1.0 - flow_end_prob) * dt
-            rate_time["packet_complete"] += st.y_class * phi / sigma * dt
-
-        if t_next >= cfg.horizon:
-            sched_now = st.schedule()
-            sampler.emit_until(cfg.horizon, st.x, sched_now)
-            sampler.emit_rest(st.x, sched_now)
-            accrue(cfg.horizon - t)
-            t = cfg.horizon
-            break
-
-        sampler.emit_until(t_next, st.x, schedule_fn=st.schedule)
-        accrue(t_next - t)
-        t = t_next
-
-        if evt < K:                                  # flow arrival
-            k = evt
-            st.x[k] += 1
-            arrivals[k] += 1
-            next_arrival[k] = t + arr_rngs[k].standard_exponential() / lam[k]
-            if track:
-                flows[k][next_fid] = 0.0
-                idle[k].append(next_fid)
-                next_fid += 1
-            if int(st.x.sum()) > cfg.max_total_flows:
-                aborted = True
-                abort_time = t
-                sampler.emit_rest(st.x, st.schedule())
-                break
-        elif evt < 2 * K:                            # successful channel access
-            k = evt - K
-            rates = per_class_attempt[k]
-            u = att_rngs[k].random() * rates.sum()
-            j = int(np.searchsorted(np.cumsum(rates), u, side="right"))
-            j = min(j, J - 1)
-            st.add(k, j)
-            attempt_counts[k] += 1
-            slot_start[(k, j)] = t
-            if track:
-                if policy == "standard_infra" and st.downlink_ap[k] is not None:
-                    pool = sorted(flows[k].keys())
-                else:
-                    pool = idle[k]
-                fid = pool[int(pick_rng.integers(len(pool)))]
-                if fid in idle[k]:
-                    idle[k].remove(fid)
-                slot_flow[(k, j)] = fid
-        else:                                        # packet completion
-            k = evt - 2 * K
-            js = [j for j in range(J) if st.y[k, j]]
-            j = js[int(pkt_rngs[k].integers(len(js)))]
-            ends_flow = pkt_rngs[k].random() < flow_end_prob[k]
-            st.remove(k, j)
-            packet_counts[k] += 1
-            if track:
-                fid = slot_flow.pop((k, j))
-                flows[k][fid] += phi[k] * (t - slot_start.pop((k, j)))
-                if ends_flow:
-                    completed[k].append(flows[k].pop(fid))
-                else:
-                    idle[k].append(fid)
-            else:
-                slot_start.pop((k, j), None)
-            if ends_flow:
-                st.x[k] -= 1
-                departures[k] += 1
-
-    if track:
-        # credit the in-flight fraction of each still-active packet
-        for (k, j), start in slot_start.items():
-            fid = slot_flow.get((k, j))
-            if fid is not None:
-                flows[k][fid] += phi[k] * (t - start)
-
-    return Trajectory(
-        samples=sampler.out,
-        arrivals=tuple(int(v) for v in arrivals),
-        departures=tuple(int(v) for v in departures),
-        aborted=aborted,
-        final_time=t,
-        final_state=tuple(int(v) for v in st.x),
-        time_integral_flows=tuple(float(v) for v in integral),
-        busy_time=tuple(float(v) for v in busy),
-        served_bits=tuple(float(v) for v in served),
-        abort_time=abort_time,
-        final_schedule=st.schedule(),
-        completed_flow_sizes=(tuple(tuple(c) for c in completed) if track else None),
-        residual_flow_bits=(tuple(float(sum(f.values())) for f in flows) if track else None),
-        rate_time={name: tuple(float(v) for v in vec) for name, vec in rate_time.items()},
-        event_counts_by_kind={
-            "arrival": tuple(int(v) for v in arrivals),
-            "attempt": tuple(int(v) for v in attempt_counts),
-            "packet": tuple(int(v) for v in packet_counts),
-            "flow_completion": tuple(int(v) for v in departures),
-        },
-    )
+    return _run(_Joint(spec, params, traffic, policy, cfg), traffic, cfg)
 
 
 @dataclass
@@ -615,6 +597,8 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     policy = check_policy(spec, policy)
     K = spec.num_classes
     x0 = tuple(int(v) for v in initial_state)
+    if len(x0) != K or min(x0, default=0) < 0:
+        raise ValueError(f"initial_state must hold {K} nonnegative flow counts, got {x0}")
     if t_probe == 0.0:
         # both models sit at the common initial condition
         return DistanceTable(0.0, replications,
@@ -698,16 +682,14 @@ def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         dt = rng.exponential(1.0 / total_rate)
         t_next = t + dt
         if t_next >= cfg.horizon:
-            samp_hi.emit_until(cfg.horizon, x_hi)
-            samp_hi.emit_rest(x_hi)
-            samp_lo.emit_until(cfg.horizon, x_lo)
-            samp_lo.emit_rest(x_lo)
+            samp_hi.emit(math.inf, x_hi)
+            samp_lo.emit(math.inf, x_lo)
             int_hi += x_hi * (cfg.horizon - t)
             int_lo += x_lo * (cfg.horizon - t)
             t = cfg.horizon
             break
-        samp_hi.emit_until(t_next, x_hi)
-        samp_lo.emit_until(t_next, x_lo)
+        samp_hi.emit(t_next, x_hi)
+        samp_lo.emit(t_next, x_lo)
         int_hi += x_hi * dt
         int_lo += x_lo * dt
         t = t_next

@@ -76,6 +76,9 @@ class ExperimentConfig:
         problems += [f"{name} must be finite and positive, got {getattr(self, name)}"
                      for name in ("horizon", "t_probe")
                      if not 0 < getattr(self, name) < math.inf]
+        problems += [f"{name} must hold nonnegative flow counts, got {list(getattr(self, name))}"
+                     for name in ("state", "initial_state")
+                     if min(getattr(self, name) or (0,)) < 0]
         if problems:
             raise ScenarioValidationError("invalid experiment: " + "; ".join(problems))
 
@@ -196,6 +199,9 @@ def _parse_experiment(doc: dict, K: int) -> ExperimentConfig:
             kwargs[key] = float(doc[key])
     if "initial_state" in doc:
         kwargs["initial_state"] = tuple(int(v) for v in doc["initial_state"])
+        if len(kwargs["initial_state"]) != K:
+            raise ScenarioValidationError(f"invalid experiment: initial_state has "
+                                          f"{len(kwargs['initial_state'])} entries, expected {K}")
     if "n_values" in doc:
         kwargs["n_values"] = tuple(int(v) for v in doc["n_values"])
     if "axis1" in doc:

@@ -10,7 +10,7 @@ from conftest import (bipartite33, bowtie_spec, random_instance, star5,
                       tripartite221)
 from mccsma.capacity import (BOUNDARY_TOL, SolverError, full_support_certificate,
                              lpartite_condition, membership)
-from mccsma.schedule import enumerate_feasible
+from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
 
 
@@ -31,6 +31,13 @@ def test_zero_load_is_interior_with_infinite_margin():
     verdict = membership([0.0, 0.0], spec, params)
     assert verdict.status == "interior"
     assert math.isinf(verdict.margin)
+    schedules = enumerate_feasible(spec)
+    assert verdict.certificate == {Schedule.empty(2, 1): 1.0}
+    assert verdict.certificate == {schedules[0]: 1.0}
+    mixed = full_support_certificate(verdict, schedules)
+    assert set(mixed) == set(schedules)
+    assert all(p > 0 for p in mixed.values())
+    assert sum(mixed.values()) == pytest.approx(1.0)
 
 
 def test_bowtie_region_matches_closed_form(bowtie):
@@ -188,7 +195,7 @@ def _reference_membership(rho, spec, params, schedules):
     n_sched = len(schedules)
     positive = [k for k in range(spec.num_classes) if rho[k] > 0]
     if not positive:
-        return "interior", math.inf, {s: 1.0 / n_sched for s in schedules}
+        return "interior", math.inf, {schedules[0]: 1.0}
 
     per_class = schedules.per_class
     phi = params.phi

@@ -241,3 +241,29 @@ def test_solver_failure_exits_5(tmp_path, capsys, monkeypatch):
     assert code == 5
     diag = json.loads(capsys.readouterr().err)
     assert diag == {"error": "solver", "message": "simplex iteration limit exceeded"}
+
+
+def _ap_line3_file(tmp_path, initial_state) -> str:
+    import yaml
+
+    from mccsma.scenario import load_scenario, scenario_to_document
+
+    doc = scenario_to_document(load_scenario("ap-line3"))
+    doc["experiment"]["initial_state"] = initial_state
+    path = tmp_path / "ap-line3.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "simulate", "--scenario", [1], "--scaling-n", "2"], "initial_state"),
+    (["run", "simulate", "--scenario", [-1, 0, 0], "--scaling-n", "2"], "initial_state"),
+    (["run", "equilibrium", "--scenario", "ap-line3", "--state=-1,0,0"], "state"),
+])
+def test_bad_flow_counts_are_validation_errors(argv, field, tmp_path, capsys):
+    argv = [_ap_line3_file(tmp_path, a) if isinstance(a, list) else a for a in argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and field in diag["message"]
+    assert not out.exists()

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,6 +29,21 @@ def test_config_validation():
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(2.0,))
     with pytest.raises(ValueError, match="increasing"):
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("simulate", [simulate_separated, simulate_joint])
+@pytest.mark.parametrize("initial_state, message", [
+    ((1,), "entries"), ((1, 0, 0), "entries"), ((-1, 0), "nonnegative")])
+def test_bad_initial_state_is_rejected(simulate, initial_state, message):
+    spec = two_conflicting_classes()
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.4, 1.0, 2)
+    with pytest.raises(ValueError, match=message):
+        simulate(spec, params, traffic, SimConfig("adhoc", 10.0, 1, initial_state))
+    with pytest.raises(ValueError, match="nonnegative"):
+        timescale_convergence(spec, params, traffic, n_values=(1,), t_probe=1.0,
+                              replications=2, seed=1, policy="adhoc",
+                              initial_state=initial_state)
 
 
 def test_pure_death_process_absorbs():
@@ -195,7 +213,7 @@ def test_arrival_counts_match_poisson_intensity():
     reps = 20
     for rep in range(reps):
         cfg = SimConfig("adhoc", 500.0, 33, (0, 0), replication=rep)
-        tr = simulate_joint(spec, params, traffic, cfg, None)
+        tr = simulate_joint(spec, params, traffic, cfg)
         totals += tr.arrivals
     for k, lam in enumerate((0.7, 0.2)):
         mean = totals[k] / reps
@@ -279,3 +297,106 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
         expected = _tv_full_scan(counts, total, {s: float(q) for s, q in zip(states, p_ref)},
                                  outside_ref)
         assert got == expected
+
+
+# SHA-256 of every trajectory field below, one per pinned run. Any change to a
+# random draw, to the rounding of an accrual or to the bookkeeping moves a
+# digest: re-record them only with a change that alters random-number
+# consumption on purpose. The fields are written as JSON, whose float format
+# (the shortest repr) does not depend on the NumPy version, as repr() of a
+# NumPy scalar does.
+_TRAJECTORY_FIELDS = ("samples", "arrivals", "departures", "aborted", "final_time",
+                      "final_state", "time_integral_flows", "busy_time", "served_bits",
+                      "abort_time", "completed_flow_sizes", "residual_flow_bits",
+                      "rate_time", "event_counts_by_kind")
+_TRAJECTORY_DIGESTS = [
+    "9106ea9e1265165ee8d3eac4b668887039623a77e1c8042bf7cd694ed4e49ccc",
+    "3b11460362ae9f7a61352765c26aca4940133396cec384a1b8f06f3fd783ca82",
+    "6015e0f7055feffcbad5f0c12261f76b98941f1d14739609f5cb56d5f9a09809",
+    "e42872260377d245c9019b34ed195ca7b813de082025563f13640c2d4308923b",
+    "a0a3b39c473721dc32d1ef17643edaee8ff9ba281c251f6f4dd40bf1b32c700b",
+    "9575a4bf15c7475824e4529d21a5e1fd09cce75c44343c05597c59ac08c99e12",
+    "e308018631d1316c7e2a80e03c9033c5c9fab4d23e147c52bc711560d068dbdc",
+    "b72a683a45e2419b04c68ccd30e889b742e343df64056e71b3e6f8d5eb6d434d",
+    "5eb9f8ef090e73fbd896f671666e7af73673bf4e500b443b7ca66634365cd4b9",
+    "2ee1827d811f1362f51d74dddf08c4808cbf6f16d5f3355fd9b4d47bd52774b5",
+    "a6732398f85111f659f6c84ed61c5fade243b01e96f547dbf73e28320abb9270",
+    "d57bf610ea14aae86fddd969534f8b575c7a08b79da05515c0ff70ab36509950",
+    "c4b93d03d4c3bf17109ad0df5b56d982d8ef202084cbef9f82c731572bf2e55d",
+    "826cd220e7e80930c1f211abb8a48c7035ef455a2a1ee25604213fd2efdb45d0",
+    "42c06a65dbfa89811f57b132a62bd09956a645e272da3c89c76fb88eca2ffc13",
+    "182f9ca3ce43c559dc9a5ca1d9953b66deb049eb125e1b9dfa017e99984d42ad",
+    "26c2193c5c36bbd9456b63376c759c820455f842208d8815793d9ce513cf5b2f",
+    "17f21b4441ebf4b4d40e9edf39952390a035d77cdf75838eb61e9d1308e06442",
+    "c9e5cd4a9078185c9123309e2b6ce2a786b2e2c6e53ef5d632e8832b4391faa3",
+    "632da61c3a1ae379d58051a8339d8f2d5ca41adf0a1c3b3c6b421a35154dd94d",
+    "97144e55bb3bd7ee4be834cac9879898e25743cd0689a69915d1a7ca304f6b03",
+    "87183bff303290f7069f8c47aba2b64e311f9aea407fee7f76870e5c40e21be4",
+    "7d9680e999fa44e69434c501d7f8b3305cabec527fb4392262b0f0a43b041b02",
+    "58d48c1aabe77bf9600bbb520de6a3e4904b4ca1a6fe7c5a539e16be93d29630",
+    "e967b984a1777e7bd8ea6186162b5dd3b3ad516f11a5cdbeecf897ddfc9d2f70",
+    "943a7ae06d89e029f434b6ee763a16f5707c865c503cdc42e9a8be1f761e76dd",
+    "a53d61487a9bfce027f6f1e3a034ee1c629897e3109ef7d1099969113857fa4e",
+    "cd99968a59c828ef1f533b4257846e1630107354df6641cfe490056bcd6c3d96",
+    "2f8c5c01e87818295e91a99a9553d24071a360a84c275e23dba50795e658f726",
+    "a6f4d4f02b37ee819a02ee714edb25fb226a27b24a013db7a3168a3e916be1d7",
+    "4aa0fa7d5e73ce70651699576c54d31f062a46c00fc63540369372192e8cffd4",
+    "87fae8cb32319feb5a3c8ef1de144ec849d69c822eb906a7b665d1d60709a2f0",
+    "366cb548df7934c6cf71b03c122267377b30f3d542b9cd8cb3927f1b66271d9c",
+    "6297f4c813a24aa109528b22d58f87a0c0203f667c015c7a0fe0a366bbda14ce",
+    "163d12738ca344ad8f103dd9298d7ba605ba6fe46cb995a5c7418d5ca64d20ee",
+    "0a35478ace53e3632689a069cc7ba87160d57f6bd85ba1972d15af4ed4f81b88",
+    "409bf6541f517883bb127f22c7d58a5e4809b82c94311cb074c2b786978b2192",
+    "eaebf7f117f7d9bb3c7b5657e4afd8d68b51d1210fbd46d06caf28a1d0cdf10b",
+    "d9a1bad5ad1f707d1e0fa1287eba41995866436f78853d83c8f04f1dbc549e33",
+    "bf8d054eb309df9fdfed836c3ade2e2791fe5eadf18c9a32370eac1caa729cdb",
+    "df8ee685f916bb8b1a71ea3fb4c096c7d07abb5a6ce633dc8f7871668483c25d",
+    "2a72ba31049d968d0b47bd27c475a180f891406c125a82fc5156010cf55b9bef",
+    "14fc9938f972f7bb8292e719d2122940705e0a3987b7f5edd148948ef025c6d8",
+    "bbf37fdc6d5dbcfe00c9840ef6a6829a76289d6c53eabba395ca7002132237b8",
+]
+
+
+def _pinned_runs():
+    """40 short runs over random instances: both models, the adhoc, flow_aware
+    and standard_infra policies, flow tracking on and off, with and without
+    sample times, and 14 runs that hit the truncation guard. Then joint runs
+    on 8, 9 and 12 channels, where the attempt total of a class is summed
+    pairwise, as np.sum does, not left to right."""
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        infra = i % 2 == 1
+        spec, params, state = random_instance(rng, infrastructure=infra)
+        policy = ("flow_aware", "standard_infra")[(i // 2) % 2] if infra else "adhoc"
+        sigma = (1.0, 2.0)[(i // 3) % 2]
+        traffic = TrafficSpec.of((0.3, 0.6, 1.5)[i % 3] / sigma, sigma, spec.num_classes)
+        cfg = SimConfig(policy, 60.0, 100 + i, state,
+                        scaling_n=1 + i % 3,
+                        sample_times=(uniform_sample_times(60.0, 12) if i % 5 < 3 else ()),
+                        max_total_flows=(sum(state) + 2 if i % 4 in (0, 3) else 100_000),
+                        replication=i % 2,
+                        track_flows=i % 3 != 2)
+        simulate = simulate_joint if (i // 4) % 2 else simulate_separated
+        yield simulate(spec, params, traffic, cfg)
+    for i, J in enumerate((8, 8, 9, 12)):
+        K = 4
+        spec = NetworkSpec(K, J, replicate_graph(J, range(K), [(0, 1), (1, 2), (2, 3)]))
+        probe = rng.uniform(0.1, 1.0, (K, J))
+        probe /= probe.sum(axis=1, keepdims=True)
+        params = CsmaParams(tuple(float(v) for v in rng.uniform(0.5, 2.0, K)),
+                            tuple(float(v) for v in rng.uniform(0.3, 3.0, K)),
+                            tuple(tuple(float(v) for v in row) for row in probe))
+        cfg = SimConfig("adhoc", 50.0, 200 + i, (3, 5, 2, 4), scaling_n=2,
+                        sample_times=uniform_sample_times(50.0, 10), track_flows=i % 2 == 0)
+        yield simulate_joint(spec, params, TrafficSpec.of(0.8, 1.0, K), cfg)
+
+
+def test_trajectories_match_recorded_digests():
+    digests, aborts = [], 0
+    for traj in _pinned_runs():
+        text = json.dumps([getattr(traj, name) for name in _TRAJECTORY_FIELDS],
+                          default=dataclasses.asdict)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        aborts += traj.aborted
+    assert aborts == 14
+    assert digests == _TRAJECTORY_DIGESTS
