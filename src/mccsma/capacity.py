@@ -44,6 +44,8 @@ from .schedule import Schedule, ScheduleSet, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec, detect_l_partite
 
 BOUNDARY_TOL = 1e-9
+# a reduced cost or pivot-column entry at or below this counts as zero
+_PIVOT_TOL = 1e-11
 
 
 class SolverError(RuntimeError):
@@ -57,21 +59,19 @@ class CapacityVerdict:
     certificate: dict[Schedule, float]
 
 
-def _simplex_max(tableau: np.ndarray, basis: list[int], *,
-                 tol: float = 1e-11, max_iter: Optional[int] = None) -> float:
+def _simplex_max(tableau: np.ndarray, basis: list[int]) -> float:
     """Maximize over a canonical tableau in place; returns the optimum.
 
     ``tableau`` holds the constraint rows [A | b] with an extra bottom row of
     reduced costs [c | 0]; the columns listed in ``basis`` must form an
     identity. Bland's rule (smallest eligible index enters, smallest basic
-    variable leaves on ties) prevents cycling.
+    variable leaves on ties) prevents cycling; more than 100 (n + m + 10)
+    pivots raise ``SolverError``.
     """
     m = tableau.shape[0] - 1
     n = tableau.shape[1] - 1
-    if max_iter is None:
-        max_iter = 100 * (n + m + 10)
-    for _ in range(max_iter):
-        eligible = tableau[m, :n] > tol
+    for _ in range(100 * (n + m + 10)):
+        eligible = tableau[m, :n] > _PIVOT_TOL
         entering = int(eligible.argmax())
         if not eligible[entering]:
             return -tableau[m, n]
@@ -82,10 +82,10 @@ def _simplex_max(tableau: np.ndarray, basis: list[int], *,
         best_ratio = math.inf
         leave_row = -1
         for r in range(m):
-            if col[r] > tol:
+            if col[r] > _PIVOT_TOL:
                 ratio = rhs[r] / col[r]
-                if (ratio < best_ratio - tol
-                        or (abs(ratio - best_ratio) <= tol
+                if (ratio < best_ratio - _PIVOT_TOL
+                        or (abs(ratio - best_ratio) <= _PIVOT_TOL
                             and (leave_row < 0 or basis[r] < basis[leave_row]))):
                     best_ratio = ratio
                     leave_row = r
@@ -104,11 +104,11 @@ def _simplex_max(tableau: np.ndarray, basis: list[int], *,
 
 
 def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
-               schedules: Optional[ScheduleSet] = None,
-               boundary_tol: float = BOUNDARY_TOL) -> CapacityVerdict:
+               schedules: Optional[ScheduleSet] = None) -> CapacityVerdict:
     """Classify a load vector against the capacity region.
 
-    The certificate is the schedule distribution achieving the optimal load
+    A margin t* - 1 within ``BOUNDARY_TOL`` of zero is "boundary". The
+    certificate is the schedule distribution achieving the optimal load
     multiplier; for an interior verdict it serves every positive-load class
     with strict slack. Passing ``schedules`` skips re-enumeration in sweeps.
     """
@@ -158,7 +158,7 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     certificate = {schedules[i]: float(pi[i]) for i in np.flatnonzero(pi > 0)}
 
     margin = t_star - 1.0
-    if abs(margin) <= boundary_tol:
+    if abs(margin) <= BOUNDARY_TOL:
         status = "boundary"
     elif margin > 0:
         status = "interior"
@@ -177,9 +177,7 @@ def full_support_certificate(verdict: CapacityVerdict,
     """
     if verdict.status != "interior":
         raise ValueError("full-support smoothing applies to interior verdicts only")
-    w = min(verdict.margin / 2.0, 1e-3)
-    if not math.isfinite(w):
-        w = 1e-3
+    w = min(verdict.margin / 2.0, 1e-3)  # 1e-3 also at the zero load's infinite margin
     uniform = 1.0 / len(schedules)
     return {s: (1.0 - w) * verdict.certificate.get(s, 0.0) + w * uniform
             for s in schedules}

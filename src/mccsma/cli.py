@@ -29,24 +29,21 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .capacity import SolverError, membership
-from .dynamics import (SimConfig, default_throughput_fn, simulate_joint,
-                       simulate_separated, timescale_convergence,
-                       uniform_sample_times)
-from .equilibrium import equilibrium
+from .dynamics import (SimConfig, ThroughputCache, simulate_joint, simulate_separated,
+                       timescale_convergence, uniform_sample_times)
+from .equilibrium import PolicyEvaluator, equilibrium
 from .schedule import OracleSpaceError, ScheduleSpaceError, enumerate_feasible
-from .scenario import (ExperimentConfig, Scenario, ScenarioError,
-                       ScenarioValidationError, SweepAxis, bundled_scenarios,
-                       dump_scenario, load_scenario, load_scenario_text,
-                       parse_scenario, scenario_to_document)
-from .stability import (StabilityThresholds, bowtie_boundary, fluid_slope,
-                        homogeneous_critical_load, optimal_center_bound,
-                        center_rate_polynomial)
+from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAxis,
+                       bundled_scenarios, load_scenario, parse_scenario,
+                       scenario_to_document)
+from .stability import (MIN_REPLICATIONS, center_rate_polynomial, check_slope_inputs,
+                        fluid_slope, homogeneous_critical_load, optimal_center_bound)
 from .topology import CsmaParams
 
 EXIT_OK = 0
@@ -75,15 +72,6 @@ def _diag(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def _canonical_inputs(kind: str, seed: int, scenario: Scenario, overrides: dict) -> dict:
-    return {
-        "kind": kind,
-        "seed": seed,
-        "scenario": scenario_to_document(scenario),
-        "overrides": overrides,
-    }
-
-
 def _config_hash(inputs: dict) -> str:
     blob = json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
@@ -105,42 +93,30 @@ def apply_overrides(scenario: Scenario, args: argparse.Namespace) -> tuple[Scena
         state = tuple(int(v) for v in args.state.split(","))
         overrides["state"] = list(state)
         exp = replace(exp, state=state)
-    if getattr(args, "grid", None) is not None:
-        overrides["grid"] = args.grid
-        exp = replace(exp, grid=args.grid)
-    if getattr(args, "horizon", None) is not None:
-        overrides["horizon"] = args.horizon
-        exp = replace(exp, horizon=args.horizon)
-    if getattr(args, "replications", None) is not None:
-        overrides["replications"] = args.replications
-        exp = replace(exp, replications=args.replications)
-    if getattr(args, "scaling_n", None) is not None:
-        overrides["scaling_n"] = args.scaling_n
-        exp = replace(exp, scaling_n=args.scaling_n)
+    for name in ("grid", "horizon", "replications", "scaling_n"):
+        value = getattr(args, name, None)
+        if value is not None:
+            overrides[name] = value
+            exp = replace(exp, **{name: value})
     return replace(scenario, csma=csma, experiment=exp), overrides
 
 
-def _axis_values(axis: Optional[SweepAxis], grid: int) -> np.ndarray:
-    maximum = axis.maximum if axis is not None else 1.0
-    return np.linspace(0.0, maximum, grid)
+def _sweep_points(scenario: Scenario) -> Iterator[tuple[float, float, np.ndarray]]:
+    """The sweep grid row by row: both axis loads and the per-class loads.
 
-
-def _sweep_axes(scenario: Scenario) -> tuple[SweepAxis, SweepAxis]:
+    By default axis 1 loads every class and axis 2 the last one, which then
+    carries the axis-2 load.
+    """
     exp = scenario.experiment
     K = scenario.network.num_classes
     axis1 = exp.axis1 if exp.axis1 is not None else SweepAxis(tuple(range(K)))
     axis2 = exp.axis2 if exp.axis2 is not None else SweepAxis((K - 1,))
-    return axis1, axis2
-
-
-def _rho_for(scenario: Scenario, axis1: SweepAxis, axis2: SweepAxis,
-             v1: float, v2: float) -> np.ndarray:
-    rho = np.zeros(scenario.network.num_classes)
-    for k in axis1.classes:
-        rho[k] = v1
-    for k in axis2.classes:
-        rho[k] = v2
-    return rho
+    for v1 in np.linspace(0.0, axis1.maximum, exp.grid):
+        for v2 in np.linspace(0.0, axis2.maximum, exp.grid):
+            rho = np.zeros(K)
+            rho[list(axis1.classes)] = v1
+            rho[list(axis2.classes)] = v2
+            yield v1, v2, rho
 
 
 def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
@@ -160,16 +136,11 @@ def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
 
 
 def run_capacity_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
-    exp = scenario.experiment
-    axis1, axis2 = _sweep_axes(scenario)
     schedules = enumerate_feasible(scenario.network, None)
     rows = []
-    for v1 in _axis_values(axis1, exp.grid):
-        for v2 in _axis_values(axis2, exp.grid):
-            rho = _rho_for(scenario, axis1, axis2, v1, v2)
-            verdict = membership(rho, scenario.network, scenario.csma,
-                                 schedules=schedules)
-            rows.append((v1, v2, verdict.status, verdict.margin))
+    for v1, v2, rho in _sweep_points(scenario):
+        verdict = membership(rho, scenario.network, scenario.csma, schedules=schedules)
+        rows.append((v1, v2, verdict.status, verdict.margin))
     _write_csv(outdir / "sweep.csv", ["load1", "load2", "status", "margin"], rows)
     return ["sweep.csv"]
 
@@ -204,10 +175,12 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
                      scaling_n=max(exp.scaling_n, 1),
                      sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
                      max_total_flows=exp.max_total_flows)
+    if exp.replications >= MIN_REPLICATIONS:
+        check_slope_inputs(exp.replications, base.sample_times, exp.horizon)
     # throughput depends only on (network, csma, policy): one cache serves
     # every replication
-    throughput_fn = (None if joint else
-                     default_throughput_fn(scenario.network, scenario.csma, base))
+    throughput_fn = (None if joint else ThroughputCache(
+        PolicyEvaluator(scenario.network, scenario.csma, exp.policy)))
     for rep in range(exp.replications):
         cfg = replace(base, replication=rep)
         traj = (simulate_joint(scenario.network, scenario.csma, scenario.traffic, cfg)
@@ -225,7 +198,7 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
                  *(v / tr.final_time for v in tr.time_integral_flows))
                 for rep, tr in enumerate(trajectories)])
     outputs.append("summary.csv")
-    if exp.replications >= 5:
+    if exp.replications >= MIN_REPLICATIONS:
         verdict = fluid_slope(trajectories)
         (outdir / "verdict.json").write_text(json.dumps({
             "verdict": verdict.verdict,
@@ -241,28 +214,24 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
 
 def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
-    axis1, axis2 = _sweep_axes(scenario)
     base = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
                      initial_state=(0,) * scenario.network.num_classes,
                      sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
                      max_total_flows=exp.max_total_flows)
+    check_slope_inputs(exp.replications, base.sample_times, exp.horizon)
     # the load changes only the arrival rates, so one cache serves every point
-    throughput_fn = default_throughput_fn(scenario.network, scenario.csma, base)
+    throughput_fn = ThroughputCache(PolicyEvaluator(scenario.network, scenario.csma,
+                                                    exp.policy))
+    sigma = np.asarray(scenario.traffic.mean_flow_size)
     rows = []
-    for v1 in _axis_values(axis1, exp.grid):
-        for v2 in _axis_values(axis2, exp.grid):
-            rho = _rho_for(scenario, axis1, axis2, v1, v2)
-            sigma = np.asarray(scenario.traffic.mean_flow_size)
-            lam = tuple(float(r) / s for r, s in zip(rho, sigma))
-            traffic = replace(scenario.traffic, arrival_rate=lam)
-            trajectories = []
-            for rep in range(exp.replications):
-                cfg = replace(base, replication=rep)
-                trajectories.append(simulate_separated(scenario.network, scenario.csma,
-                                                       traffic, cfg, throughput_fn))
-            verdict = fluid_slope(trajectories)
-            rows.append((v1, v2, verdict.verdict, verdict.slope,
-                         verdict.ci_lo, verdict.ci_hi))
+    for v1, v2, rho in _sweep_points(scenario):
+        lam = tuple(float(r) / s for r, s in zip(rho, sigma))
+        traffic = replace(scenario.traffic, arrival_rate=lam)
+        trajectories = [simulate_separated(scenario.network, scenario.csma, traffic,
+                                           replace(base, replication=rep), throughput_fn)
+                        for rep in range(exp.replications)]
+        verdict = fluid_slope(trajectories)
+        rows.append((v1, v2, verdict.verdict, verdict.slope, verdict.ci_lo, verdict.ci_hi))
     _write_csv(outdir / "stability.csv",
                ["load1", "load2", "verdict", "slope", "ci_lo", "ci_hi"], rows)
     return ["stability.csv"]
@@ -272,13 +241,13 @@ def run_timescale(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
     K = scenario.network.num_classes
     initial = exp.initial_state if exp.initial_state is not None else (0,) * K
-    table = timescale_convergence(
+    rows = timescale_convergence(
         scenario.network, scenario.csma, scenario.traffic,
         n_values=exp.n_values, t_probe=exp.t_probe,
         replications=exp.replications, seed=seed, policy=exp.policy,
         initial_state=initial)
     _write_csv(outdir / "distances.csv", ["scaling_n", "distance", "ci_lo", "ci_hi"],
-               [(r.scaling_n, r.distance, r.ci_lo, r.ci_hi) for r in table.rows])
+               [(r.scaling_n, r.distance, r.ci_lo, r.ci_hi) for r in rows])
     return ["distances.csv"]
 
 
@@ -295,7 +264,8 @@ def execute(scenario: Scenario, kind: str, seed: int, outdir: Path,
             overrides: dict) -> Path:
     """Run one experiment and write results plus the manifest."""
     outdir.mkdir(parents=True, exist_ok=True)
-    inputs = _canonical_inputs(kind, seed, scenario, overrides)
+    inputs = {"kind": kind, "seed": seed, "scenario": scenario_to_document(scenario),
+              "overrides": overrides}
     started = time.monotonic()
     outputs = _RUNNERS[kind](scenario, seed, outdir)
     manifest = {

@@ -50,12 +50,12 @@ import bisect
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .equilibrium import PolicyEvaluator, check_policy
+from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_rates
 from .schedule import Schedule
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
@@ -134,11 +134,6 @@ class Trajectory:
     rate_time: Optional[dict[str, tuple[float, ...]]] = None
     event_counts_by_kind: Optional[dict[str, tuple[int, ...]]] = None
 
-    @property
-    def mean_flows(self) -> np.ndarray:
-        """Time-average flow counts over the realized horizon."""
-        return np.asarray(self.time_integral_flows) / self.final_time
-
 
 def uniform_sample_times(horizon: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, horizon, count + 1)[1:])
@@ -167,11 +162,6 @@ class ThroughputCache:
 
 
 ThroughputFn = Callable[[tuple[int, ...]], np.ndarray]
-
-
-def default_throughput_fn(spec: NetworkSpec, params: CsmaParams,
-                          cfg: SimConfig) -> ThroughputFn:
-    return ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
 
 
 class _Sampler:
@@ -342,7 +332,7 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     """
     policy = check_policy(spec, cfg.policy)
     if throughput_fn is None:
-        throughput_fn = default_throughput_fn(spec, params, replace(cfg, policy=policy))
+        throughput_fn = ThroughputCache(PolicyEvaluator(spec, params, policy))
     return _run(_Separated(spec, throughput_fn, traffic, cfg), traffic, cfg)
 
 
@@ -520,7 +510,6 @@ def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
     """
     policy = check_policy(spec, cfg.policy)
     if policy == "standard_infra":
-        from .equilibrium import check_standard_attempt_rates
         check_standard_attempt_rates(spec, params)
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
     if np.any(sigma * cfg.scaling_n < 1.0):
@@ -536,11 +525,8 @@ class DistanceRow:
     ci_hi: float
 
 
-@dataclass
-class DistanceTable:
-    t_probe: float
-    replications: int
-    rows: list[DistanceRow]
+# bootstrap resamples behind each distance's confidence interval
+TIMESCALE_BOOTSTRAP = 500
 
 
 def _tv_from_counts(counts: dict[tuple[int, ...], int], total: int,
@@ -575,16 +561,18 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
                           *, n_values: Sequence[int], t_probe: float,
                           replications: int, seed: int, policy: str,
                           initial_state: Sequence[int],
-                          window: Optional[Sequence[int]] = None,
-                          bootstrap: int = 500) -> DistanceTable:
+                          window: Optional[Sequence[int]] = None
+                          ) -> list[DistanceRow]:
     """Total-variation distance between the joint model's flow counts at
-    ``t_probe`` and the separated model's exact transient distribution.
+    ``t_probe`` and the separated model's exact transient distribution, one
+    row per value of ``n_values``.
 
     The separated distribution is computed by uniformization on a truncated
     box (no simulation noise on the reference side), from the sparse (CSR)
     flow-level generator of :mod:`mccsma.oracles`; the joint side is
     estimated from ``replications`` independent runs per scaling value, with
-    a multinomial bootstrap confidence interval. The distance is measured
+    a multinomial bootstrap confidence interval over ``TIMESCALE_BOOTSTRAP``
+    resamples. The distance is measured
     over the box, with all outside states lumped together.
 
     The default box reaches the 1 - 1e-12 Poisson quantile of each class's
@@ -601,8 +589,7 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         raise ValueError(f"initial_state must hold {K} nonnegative flow counts, got {x0}")
     if t_probe == 0.0:
         # both models sit at the common initial condition
-        return DistanceTable(0.0, replications,
-                             [DistanceRow(int(n), 0.0, 0.0, 0.0) for n in n_values])
+        return [DistanceRow(int(n), 0.0, 0.0, 0.0) for n in n_values]
     if window is None:
         window = tuple(
             x0[k] + poisson_quantile(1 - 1e-12, traffic.arrival_rate[k] * t_probe) + 2
@@ -630,15 +617,15 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         keys = list(counts.keys())
         weights = np.array([counts[s] for s in keys], dtype=float)
         probs = weights / weights.sum()
-        samples = np.zeros(bootstrap)
-        for b in range(bootstrap):
+        samples = np.zeros(TIMESCALE_BOOTSTRAP)
+        for b in range(TIMESCALE_BOOTSTRAP):
             resampled = boot_rng.multinomial(replications, probs)
             boot_counts = {s: int(c) for s, c in zip(keys, resampled) if c > 0}
             samples[b] = _tv_from_counts(boot_counts, replications, index, p_ref,
                                          outside_ref)
         lo, hi = np.percentile(samples, [2.5, 97.5])
         rows.append(DistanceRow(int(n_val), distance, float(lo), float(hi)))
-    return DistanceTable(t_probe, replications, rows)
+    return rows
 
 
 @dataclass

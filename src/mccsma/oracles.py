@@ -39,6 +39,9 @@ from .topology import CsmaParams, NetworkSpec, TrafficSpec
 # bipartite33 (4,826,809).
 MAX_ORACLE_STATES = 100_000
 
+# Poisson mass that uniformization may leave out of a transient distribution
+UNIFORMIZATION_TOL = 1e-12
+
 
 def poisson_quantile(q: float, mu: float) -> int:
     """Smallest m with P(Poisson(mu) <= m) >= q, for 0 < q < 1 and mu > 0.
@@ -108,9 +111,9 @@ def stationary_distribution(q) -> np.ndarray:
     return pi / pi.sum()
 
 
-def transient_distribution(q, p0: np.ndarray, t: float,
-                           tol: float = 1e-12) -> np.ndarray:
-    """Distribution at time t via uniformization, accurate to ``tol``.
+def transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:
+    """Distribution at time t via uniformization, accurate to
+    ``UNIFORMIZATION_TOL``.
 
     ``q`` may be dense or sparse; it is converted to CSR once, and each
     step is one sparse product.
@@ -131,12 +134,12 @@ def transient_distribution(q, p0: np.ndarray, t: float,
     weight = np.exp(-lam * t)
     if weight == 0.0:
         # avoid underflow for large lam*t by scaling in log space
-        return _transient_scaled(step_t, p0, lam * t, tol)
+        return _transient_scaled(step_t, p0, lam * t)
     acc = weight * v
     mass = weight
     m = 0
     max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
-    while mass < 1.0 - tol and m < max_terms:
+    while mass < 1.0 - UNIFORMIZATION_TOL and m < max_terms:
         m += 1
         v = step_t @ v
         weight *= lam * t / m
@@ -149,11 +152,10 @@ def _poisson_pmf(m: int, mu: float) -> float:
     return float(np.exp(xlogy(m, mu) - gammaln(m + 1) - mu))
 
 
-def _transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float,
-                      tol: float) -> np.ndarray:
+def _transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float) -> np.ndarray:
     # Poisson weights computed in log space, renormalized at the end
-    lo = max(poisson_quantile(tol / 2, lt) - 1, 0)
-    hi = poisson_quantile(1 - tol / 2, lt)
+    lo = max(poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
+    hi = poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
     v = np.array(p0, dtype=float)
     for _ in range(lo):
         v = step_t @ v

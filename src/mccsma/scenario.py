@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -99,6 +99,17 @@ def _req(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _check_keys(doc: Any, allowed: Sequence[str], where: str) -> None:
+    """Reject a key the parser would ignore, so that a misspelt key fails
+    instead of falling back to its default."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be a mapping")
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key {unknown[0]!r}; "
+                            f"expected one of {', '.join(allowed)}")
+
+
 def _class_list(values: Sequence[int], K: int, where: str) -> tuple[int, ...]:
     out = []
     for v in values:
@@ -110,11 +121,17 @@ def _class_list(values: Sequence[int], K: int, where: str) -> tuple[int, ...]:
 
 
 def _parse_network(doc: dict) -> NetworkSpec:
+    _check_keys(doc, ("classes", "channels", "conflict_edges", "eligible",
+                      "channel_graphs", "mode", "access_points"), "network")
     K = int(_req(doc, "classes", "network"))
     J = int(_req(doc, "channels", "network"))
     if "channel_graphs" in doc:
+        if "conflict_edges" in doc or "eligible" in doc:
+            raise ScenarioError("network: channel_graphs or conflict_edges and eligible, "
+                                "not both")
         graphs = []
         for j, g in enumerate(doc["channel_graphs"]):
+            _check_keys(g, ("eligible", "edges"), f"network.channel_graphs[{j}]")
             eligible = _class_list(_req(g, "eligible", f"channel_graphs[{j}]"), K,
                                    f"channel_graphs[{j}].eligible")
             edges = [(int(a) - 1, int(b) - 1) for a, b in g.get("edges", [])]
@@ -131,13 +148,19 @@ def _parse_network(doc: dict) -> NetworkSpec:
     mode = doc.get("mode", "adhoc")
     aps: tuple[AccessPoint, ...] = ()
     if mode == "infrastructure":
-        aps = tuple(
-            AccessPoint.of(_class_list(ap.get("uplink", []), K, f"access_points[{i}]"),
-                           _class_list(ap.get("downlink", []), K, f"access_points[{i}]"))
-            for i, ap in enumerate(_req(doc, "access_points", "network")))
+        aps = tuple(_parse_access_point(ap, K, f"network.access_points[{i}]")
+                    for i, ap in enumerate(_req(doc, "access_points", "network")))
     elif mode != "adhoc":
         raise ScenarioError(f"network.mode must be 'adhoc' or 'infrastructure', got {mode!r}")
+    elif "access_points" in doc:
+        raise ScenarioError("network: access_points need mode: infrastructure")
     return NetworkSpec(K, J, channel_graphs, aps)
+
+
+def _parse_access_point(doc: dict, K: int, where: str) -> AccessPoint:
+    _check_keys(doc, ("uplink", "downlink"), where)
+    return AccessPoint.of(_class_list(doc.get("uplink", []), K, where),
+                          _class_list(doc.get("downlink", []), K, where))
 
 
 def _per_class(value, K: int, where: str) -> tuple[float, ...]:
@@ -154,15 +177,16 @@ def _per_class(value, K: int, where: str) -> tuple[float, ...]:
 
 
 def _parse_csma(doc: dict, spec: NetworkSpec) -> CsmaParams:
+    _check_keys(doc, ("phys_rate", "attempt_rate", "alpha", "probe"), "csma")
     K = spec.num_classes
     phys = _per_class(doc.get("phys_rate", 1.0), K, "csma.phys_rate")
+    if ("attempt_rate" in doc) == ("alpha" in doc):
+        raise ScenarioError("csma: need either attempt_rate or alpha, not both")
     if "attempt_rate" in doc:
         nu = _per_class(doc["attempt_rate"], K, "csma.attempt_rate")
-    elif "alpha" in doc:
+    else:
         alpha = _per_class(doc["alpha"], K, "csma.alpha")
         nu = tuple(a * p for a, p in zip(alpha, phys))
-    else:
-        raise ScenarioError("csma: need either attempt_rate or alpha")
     probe = doc.get("probe", "uniform")
     if probe == "uniform":
         probe_prob = CsmaParams.uniform_probe(spec)
@@ -174,46 +198,48 @@ def _parse_csma(doc: dict, spec: NetworkSpec) -> CsmaParams:
 
 
 def _parse_traffic(doc: dict, K: int) -> TrafficSpec:
+    _check_keys(doc, ("arrival_rate", "mean_flow_size"), "traffic")
     lam = _per_class(_req(doc, "arrival_rate", "traffic"), K, "traffic.arrival_rate")
     sigma = _per_class(_req(doc, "mean_flow_size", "traffic"), K, "traffic.mean_flow_size")
     return TrafficSpec(lam, sigma)
 
 
 def _parse_axis(doc: dict, K: int, where: str) -> SweepAxis:
+    _check_keys(doc, ("classes", "max"), where)
     return SweepAxis(_class_list(_req(doc, "classes", where), K, where),
                      float(doc.get("max", 1.0)))
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+# every experiment key but the axes, with its converter; each key is the name
+# of its ExperimentConfig field
+_EXPERIMENT_KEYS = {"kind": str, "policy": str, "state": _ints, "grid": int,
+                    "horizon": float, "replications": int, "scaling_n": int,
+                    "initial_state": _ints, "sample_count": int, "max_total_flows": int,
+                    "n_values": _ints, "t_probe": float}
+
+
 def _parse_experiment(doc: dict, K: int) -> ExperimentConfig:
-    kind = _req(doc, "kind", "experiment")
-    kwargs: dict[str, Any] = {"kind": kind}
-    if "policy" in doc:
-        kwargs["policy"] = str(doc["policy"])
-    if "state" in doc:
-        kwargs["state"] = tuple(int(v) for v in doc["state"])
-    for key in ("grid", "replications", "scaling_n", "sample_count", "max_total_flows"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    for key in ("horizon", "t_probe"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "initial_state" in doc:
-        kwargs["initial_state"] = tuple(int(v) for v in doc["initial_state"])
-        if len(kwargs["initial_state"]) != K:
-            raise ScenarioValidationError(f"invalid experiment: initial_state has "
-                                          f"{len(kwargs['initial_state'])} entries, expected {K}")
-    if "n_values" in doc:
-        kwargs["n_values"] = tuple(int(v) for v in doc["n_values"])
-    if "axis1" in doc:
-        kwargs["axis1"] = _parse_axis(doc["axis1"], K, "experiment.axis1")
-    if "axis2" in doc:
-        kwargs["axis2"] = _parse_axis(doc["axis2"], K, "experiment.axis2")
+    _check_keys(doc, [*_EXPERIMENT_KEYS, "axis1", "axis2"], "experiment")
+    _req(doc, "kind", "experiment")
+    kwargs: dict[str, Any] = {key: convert(doc[key])
+                              for key, convert in _EXPERIMENT_KEYS.items() if key in doc}
+    initial = kwargs.get("initial_state")
+    if initial is not None and len(initial) != K:
+        raise ScenarioValidationError(f"invalid experiment: initial_state has "
+                                      f"{len(initial)} entries, expected {K}")
+    for axis in ("axis1", "axis2"):
+        if axis in doc:
+            kwargs[axis] = _parse_axis(doc[axis], K, f"experiment.{axis}")
     return ExperimentConfig(**kwargs)
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a mapping")
+    _check_keys(doc, ("name", "description", "network", "csma", "traffic", "experiment"),
+                "scenario")
     network = _parse_network(_req(doc, "network", "scenario"))
     problems = validate_spec(network)
     if problems:

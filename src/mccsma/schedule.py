@@ -62,14 +62,6 @@ class Schedule:
         return Schedule(tuple((0,) * num_channels for _ in range(num_classes)))
 
     @property
-    def num_classes(self) -> int:
-        return len(self.active)
-
-    @property
-    def num_channels(self) -> int:
-        return len(self.active[0]) if self.active else 0
-
-    @property
     def per_class(self) -> tuple[int, ...]:
         """Number of active links of each class (row sums)."""
         return tuple(sum(row) for row in self.active)
@@ -267,9 +259,7 @@ def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
 
 
 def max_weight(state, params: CsmaParams, spec: NetworkSpec,
-               over: str = "restricted", *,
-               schedules: Optional[Sequence[Schedule]] = None
-               ) -> tuple[float, Schedule]:
+               over: str = "restricted") -> tuple[float, Schedule]:
     """Maximum uniform weight and its arg-max schedule.
 
     ``over="restricted"`` maximizes over the schedules feasible at the state;
@@ -279,8 +269,7 @@ def max_weight(state, params: CsmaParams, spec: NetworkSpec,
     """
     if over not in ("restricted", "unrestricted"):
         raise ValueError(f"over must be 'restricted' or 'unrestricted', got {over!r}")
-    if schedules is None:
-        schedules = enumerate_feasible(spec, state if over == "restricted" else None)
+    schedules = enumerate_feasible(spec, state if over == "restricted" else None)
     best: tuple[float, Schedule] | None = None
     for sched in schedules:
         lw = log_weight_u(state, sched, params)

@@ -16,10 +16,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, simulate_separated, stream
-from .equilibrium import PolicyEvaluator, check_policy
+from .dynamics import (SimConfig, ThroughputCache, Trajectory, simulate_separated,
+                       stream)
+from .equilibrium import PolicyEvaluator
 from .schedule import state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
+
+FIT_WINDOW = 0.6          # final fraction of each run that the slope is fitted over
+MIN_REPLICATIONS = 5      # fewest runs a slope verdict accepts
+MM1_BATCHES = 10          # batch means behind the M/M/1 check's intervals
+DRAIN_FRACTION = 0.05     # share of its start below which the workload is drained
 
 
 @dataclass
@@ -48,17 +54,14 @@ def _lyapunov_f(x: Sequence[int], sigma: np.ndarray, phi: np.ndarray,
 
 
 def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
-                   spec: NetworkSpec, policy: str, *,
-                   evaluator: Optional[PolicyEvaluator] = None) -> DriftReport:
+                   spec: NetworkSpec, policy: str) -> DriftReport:
     """Evaluate the Lyapunov drift and its bounded/unbounded decomposition.
 
     Uses the convention 0 * log 0 = 0 throughout. At interior loads the drift
     is negative outside a finite set of states; sweeping this over growing
     states exhibits that threshold.
     """
-    policy = check_policy(spec, policy)
-    if evaluator is None:
-        evaluator = PolicyEvaluator(spec, params, policy)
+    evaluator = PolicyEvaluator(spec, params, policy)
     x = state_flows(state)
     lam = np.asarray(traffic.arrival_rate, dtype=float)
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
@@ -160,20 +163,37 @@ def _ls_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(((times - t_bar) * (values - v_bar)).sum() / denom)
 
 
+def in_fit_window(time: float, final_time: float) -> bool:
+    """Whether a sample at ``time`` of a run ending at ``final_time`` enters
+    the slope fit."""
+    return time >= (1 - FIT_WINDOW) * final_time
+
+
+def check_slope_inputs(replications: int, sample_times: Sequence[float],
+                       horizon: float) -> None:
+    """Raise ``fluid_slope``'s ``ValueError`` for such runs before any is
+    simulated. A run that aborts ends early, which only widens its window."""
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications for a "
+                         f"slope verdict, got {replications}")
+    fit = sum(in_fit_window(t, horizon) for t in sample_times)
+    if fit < 3:
+        raise ValueError(f"too few samples in the fit window: {fit} of "
+                         f"{len(sample_times)}, need 3")
+
+
 def fluid_slope(trajectories: Sequence[Trajectory],
-                thresholds: Optional[StabilityThresholds] = None, *,
-                fit_window: float = 0.6, bootstrap: int = 1000,
-                seed: int = 0) -> StabilityVerdict:
+                thresholds: Optional[StabilityThresholds] = None) -> StabilityVerdict:
     """Estimate the linear growth rate of the total flow count.
 
     Fits a least-squares line to each replication's total flow count over the
-    final ``fit_window`` fraction of the horizon and bootstraps a 95%
+    final ``FIT_WINDOW`` fraction of the horizon and bootstraps a 95%
     confidence interval over replications. A CI strictly above zero is
     unstable-evidence. Otherwise the verdict is stable-evidence when the run
     satisfies the thresholds (long enough, bounded time-average queue, no
     aborts); anything else is inconclusive.
     """
-    if len(trajectories) < 5:
+    if len(trajectories) < MIN_REPLICATIONS:
         raise ValueError("need at least 5 replications for a slope verdict")
     K = len(trajectories[0].final_state)
     slopes = []
@@ -184,7 +204,7 @@ def fluid_slope(trajectories: Sequence[Trajectory],
     for tr in trajectories:
         if tr.aborted:
             aborted += 1
-        pts = [(s.time, s.state) for s in tr.samples if s.time >= (1 - fit_window) * tr.final_time]
+        pts = [(s.time, s.state) for s in tr.samples if in_fit_window(s.time, tr.final_time)]
         if len(pts) < 3:
             raise ValueError("trajectories carry too few samples in the fit window")
         times = np.array([p[0] for p in pts])
@@ -194,10 +214,10 @@ def fluid_slope(trajectories: Sequence[Trajectory],
         means.append(sum(tr.time_integral_flows) / tr.final_time)
 
     slopes_arr = np.array(slopes)
-    rng = stream(seed, "bootstrap", 0, 0)
+    rng = stream(0, "bootstrap", 0, 0)
     resampled = np.array([
         slopes_arr[rng.integers(0, len(slopes_arr), len(slopes_arr))].mean()
-        for _ in range(bootstrap)
+        for _ in range(1000)
     ])
     ci_lo, ci_hi = (float(v) for v in np.percentile(resampled, [2.5, 97.5]))
     slope = float(slopes_arr.mean())
@@ -245,14 +265,15 @@ def bowtie_boundary(rho1_grid: Sequence[float]) -> list[BoundaryRow]:
                         optimal_center_bound(float(r))) for r in rho1_grid]
 
 
-def homogeneous_critical_load(tol: float = 1e-9) -> float:
-    """Fixed point rho = center_rate_polynomial(rho), found by bisection.
+def homogeneous_critical_load() -> float:
+    """Fixed point rho = center_rate_polynomial(rho), found by bisection to
+    an interval of width 1e-9.
 
     Above this load the homogeneous bow-tie network (all five classes equally
     loaded) is unstable under the shared-queue policy.
     """
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if mid - center_rate_polynomial(mid) < 0.0:
             lo = mid
@@ -272,14 +293,15 @@ def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
     flow process is a pathwise lower bound for the true one; its transience
     implies transience of the original.
     """
-    evaluator = PolicyEvaluator(spec, params, policy)
+    throughput = ThroughputCache(PolicyEvaluator(spec, params, policy))
     phi = params.phi
     sat = np.zeros(spec.num_classes, dtype=bool)
     for k in saturated:
         sat[k] = True
 
     def fn(x: tuple[int, ...]) -> np.ndarray:
-        base = evaluator.throughput(x).copy()
+        # a copy, so the override never reaches the cached vector
+        base = throughput(x).copy()
         xv = np.asarray(x)
         base[sat] = np.where(xv[sat] > 0, phi[sat], 0.0)
         return base
@@ -287,16 +309,17 @@ def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
     return fn
 
 
-def _merge_bins(observed: np.ndarray, expected: np.ndarray,
-                min_expected: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
-    """Merge consecutive histogram bins until each expected count is usable."""
+def _merge_bins(observed: np.ndarray, expected: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Merge consecutive histogram bins until each expected count is at
+    least 5, the usual floor for a chi-square test."""
     obs_out: list[float] = []
     exp_out: list[float] = []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             obs_out.append(acc_o)
             exp_out.append(acc_e)
             acc_o = acc_e = 0.0
@@ -322,21 +345,20 @@ class MM1Report:
 
 
 def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                        cfg: SimConfig, *, center_class: int = 2,
-                        gof_threshold: float = 0.01,
-                        batches: int = 10) -> MM1Report:
+                        cfg: SimConfig) -> MM1Report:
     """Check that under the dominating service profile the non-center queues
     behave like independent single-server queues at their own load.
 
-    Runs the separated model with every class except the center served at full
-    rate while occupied, then tests per-class busy fractions against the load,
-    the occupancy distribution against the geometric law (chi-square), and
-    pairwise correlations against zero (batch-means CI).
+    Runs the separated model with every class except the center (class 2)
+    served at full rate while occupied, then tests per-class busy fractions
+    against the load, the occupancy distribution against the geometric law
+    (chi-square, each p-value at least 0.01), and pairwise correlations
+    against zero (CI over ``MM1_BATCHES`` batch means).
     """
     from scipy.stats import chisquare
 
     K = spec.num_classes
-    edges = [k for k in range(K) if k != center_class]
+    edges = [k for k in range(K) if k != 2]
     rho = traffic.rho / params.phi
     target = float(rho[edges[0]])
     fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
@@ -347,15 +369,15 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
 
     samples = np.array([s.state for s in traj.samples], dtype=float)
     n_samples = samples.shape[0]
-    batch_size = n_samples // batches
+    batch_size = n_samples // MM1_BATCHES
 
     busy_half = []
     for idx, k in enumerate(edges):
         per_batch = [
             (samples[b * batch_size:(b + 1) * batch_size, k] > 0).mean()
-            for b in range(batches)
+            for b in range(MM1_BATCHES)
         ]
-        busy_half.append(2.0 * float(np.std(per_batch, ddof=1)) / math.sqrt(batches))
+        busy_half.append(2.0 * float(np.std(per_batch, ddof=1)) / math.sqrt(MM1_BATCHES))
 
     pvalues = []
     for k in edges:
@@ -376,7 +398,7 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
         pvalues.append(float(p))
 
     corr_vals = []
-    for b in range(batches):
+    for b in range(MM1_BATCHES):
         chunk = samples[b * batch_size:(b + 1) * batch_size]
         for a_i, a in enumerate(edges):
             for b_k in edges[a_i + 1:]:
@@ -391,7 +413,7 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
 
     busy_ok = all(abs(b - target) <= max(h, 0.02) + 1e-12
                   for b, h in zip(busy, busy_half))
-    gof_ok = all(p >= gof_threshold for p in pvalues)
+    gof_ok = all(p >= 0.01 for p in pvalues)
     corr_ok = abs(corr_mean) <= corr_half + 0.05
     return MM1Report(busy, tuple(busy_half), target, tuple(pvalues),
                      corr_mean, corr_half,
@@ -404,20 +426,18 @@ class FluidDrainReport:
     bound_time: float
     scaled_drain_times: tuple[float, ...]
     tolerance: float
-    drain_fraction: float
 
 
 def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
                          partition: Sequence[Sequence[int]],
                          params: CsmaParams, traffic: TrafficSpec,
                          num_channels: int, *,
-                         drain_fraction: float = 0.05,
                          time_tolerance: float = 0.2) -> FluidDrainReport:
     """Check the fluid drain bound of complete multipartite networks.
 
     The workload statistic W(t), the sum over blocks of the largest
     x_k(t) * sigma_k / phi_k, scaled by its initial value, must fall below
-    ``drain_fraction`` no later than (1 + tolerance) / (J - sum of block-maxima
+    ``DRAIN_FRACTION`` no later than (1 + tolerance) / (J - sum of block-maxima
     of the loads). Applies to trajectories started from a large state.
     """
     rho = traffic.rho
@@ -440,10 +460,9 @@ def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
             continue
         drained = math.inf
         for s in tr.samples:
-            if w_of(s.state) <= drain_fraction * w0:
+            if w_of(s.state) <= DRAIN_FRACTION * w0:
                 drained = s.time / w0
                 break
         drain_times.append(drained)
     ok = all(d <= bound_time * (1.0 + time_tolerance) for d in drain_times)
-    return FluidDrainReport(ok, bound_time, tuple(drain_times),
-                            time_tolerance, drain_fraction)
+    return FluidDrainReport(ok, bound_time, tuple(drain_times), time_tolerance)

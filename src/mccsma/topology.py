@@ -258,8 +258,9 @@ def validate_spec(spec: NetworkSpec) -> list[str]:
     return out
 
 
-def validate_params(spec: NetworkSpec, params: CsmaParams, atol: float = 1e-9) -> list[str]:
-    """Check CSMA parameter invariants against a network spec."""
+def validate_params(spec: NetworkSpec, params: CsmaParams) -> list[str]:
+    """Check CSMA parameter invariants against a network spec; each class's
+    probe probabilities must sum to one within 1e-9."""
     out: list[str] = []
     K, J = spec.num_classes, spec.num_channels
     if params.num_classes != K:
@@ -274,7 +275,7 @@ def validate_params(spec: NetworkSpec, params: CsmaParams, atol: float = 1e-9) -
         if len(row) != J:
             out.append(f"class {k}: probe_prob row has {len(row)} entries, expected {J}")
             continue
-        if abs(sum(row) - 1.0) > atol:
+        if abs(sum(row) - 1.0) > 1e-9:
             out.append(f"class {k}: probe probabilities sum to {sum(row)!r}, expected 1")
         for j in range(J):
             eligible = k in spec.channel_graphs[j].eligible

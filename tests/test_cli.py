@@ -267,3 +267,60 @@ def test_bad_flow_counts_are_validation_errors(argv, field, tmp_path, capsys):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "validation" and field in diag["message"]
     assert not out.exists()
+
+
+def test_misspelt_scenario_key_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "typo.yaml"
+    bad.write_text("""
+name: typo
+network: {classes: 1, channels: 1, conflict_edges: []}
+csma: {phys_rate: 1.0, alpha: 1.0}
+traffic: {arrival_rate: 0.4, mean_flow_size: 1.0}
+experiment: {kind: simulate, horizn: 5.0, replication: 1}
+""")
+    out = tmp_path / "o"
+    assert main(["run", "simulate", "--scenario", str(bad), "--output", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse"
+    assert diag["message"].startswith("experiment: unknown key 'horizn'")
+    assert not out.exists()
+
+
+def _no_simulation(monkeypatch):
+    from mccsma import cli
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before the slope inputs were checked")
+
+    monkeypatch.setattr(cli, "simulate_separated", simulate)
+    monkeypatch.setattr(cli, "simulate_joint", simulate)
+
+
+def test_stability_sweep_checks_replications_before_simulating(tmp_path, capsys,
+                                                               monkeypatch):
+    _no_simulation(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "stability-sweep", "--scenario", "adhoc4", "--grid", "2",
+                 "--replications", "2", "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "5 replications" in diag["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_checks_fit_window_samples_before_simulating(tmp_path, capsys,
+                                                              monkeypatch):
+    import yaml
+
+    from mccsma.scenario import load_scenario, scenario_to_document
+
+    doc = scenario_to_document(load_scenario("adhoc4"))
+    doc["experiment"]["sample_count"] = 3     # samples at h/3, 2h/3, h: two in the window
+    path = tmp_path / "few-samples.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    _no_simulation(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "simulate", "--scenario", str(path), "--replications", "5",
+                 "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "fit window" in diag["message"]
+    assert not out.exists() or not any(out.iterdir())

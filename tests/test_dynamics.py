@@ -225,21 +225,21 @@ def test_timescale_zero_probe_time_is_exact():
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 1.0)
     traffic = TrafficSpec.of(0.4, 1.0, 2)
-    table = timescale_convergence(spec, params, traffic, n_values=(1, 4),
-                                  t_probe=0.0, replications=10, seed=1,
-                                  policy="adhoc", initial_state=(0, 0))
-    assert all(r.distance == 0.0 for r in table.rows)
+    rows = timescale_convergence(spec, params, traffic, n_values=(1, 4),
+                                 t_probe=0.0, replications=10, seed=1,
+                                 policy="adhoc", initial_state=(0, 0))
+    assert all(r.distance == 0.0 for r in rows)
 
 
 def test_timescale_absorbed_processes_agree():
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 2.0)
     traffic = TrafficSpec.of(0.0, 1.0, 2)
-    table = timescale_convergence(spec, params, traffic, n_values=(1, 8),
-                                  t_probe=40.0, replications=60, seed=2,
-                                  policy="adhoc", initial_state=(1, 1),
-                                  window=(2, 2))
-    for row in table.rows:
+    rows = timescale_convergence(spec, params, traffic, n_values=(1, 8),
+                                 t_probe=40.0, replications=60, seed=2,
+                                 policy="adhoc", initial_state=(1, 1),
+                                 window=(2, 2))
+    for row in rows:
         assert row.distance < 0.02
 
 
@@ -248,11 +248,12 @@ def test_coupled_pair_shares_arrivals_and_orders_states():
     params = CsmaParams.from_alpha(spec, 3.0)
     traffic = TrafficSpec.of(0.4, 1.0, 2)
     from mccsma.stability import dominated_throughput_fn
-    from mccsma.dynamics import default_throughput_fn
+    from mccsma.dynamics import ThroughputCache
+    from mccsma.equilibrium import PolicyEvaluator
     cfg = SimConfig("adhoc", 800.0, 6, (2, 2),
                     sample_times=uniform_sample_times(800.0, 100))
     hi = dominated_throughput_fn(spec, params, "adhoc", [0, 1])
-    lo = default_throughput_fn(spec, params, cfg)
+    lo = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
     run = simulate_coupled_pair(spec, params, traffic, cfg, hi, lo)
     assert run.dominated.arrivals == run.base.arrivals
     assert run.ordered

@@ -84,6 +84,14 @@ GOLDEN = {
                 "c71123a8a476fe9fd2ec93afdab242cbf19947ae0922592922d1990ab03be2e5",
         },
     ),
+    "stability-sweep-adhoc4": (
+        ["run", "stability-sweep", "--scenario", "adhoc4", "--grid", "2",
+         "--replications", "5", "--horizon", "100"],
+        {
+            "stability.csv":
+                "eef4b9492effe2cf0fb0bd493fbe9046093ae190d7d740de7af81913222b305a",
+        },
+    ),
     "timescale-ap-line3": (
         ["run", "timescale", "--scenario", "ap-line3", "--replications", "20"],
         {
@@ -105,3 +113,25 @@ def test_result_files_match_golden_digests(case, tmp_path):
     out = tmp_path / case
     assert main([*argv, "--seed", "0", "--output", str(out)]) == 0
     assert result_digests(out) == expected
+
+
+EXPORT_PLOT_GOLDEN = {
+    "boundary_instability.csv":
+        "8e4eb52d3747837ec12d5d2f66aa8719aa5f0cb0793b3de226a31cd26f9abea8",
+    "boundary_optimal.csv":
+        "906b6819039a8956ee53943603227a589ba398e8d0452a741653817ca00d3723",
+    "region_plot.csv":
+        "d81b3176efbd0d5dba3f8535d269e75f7d829f8cc8b9d03da67c7c45f0b688a4",
+    "simulation_points.csv":
+        "6cee28806196c2c5fad4a2e282f131b61e7aff91279b1286010585825792013b",
+}
+
+
+def test_export_plot_of_stability_sweep_matches_golden_digests(tmp_path):
+    argv, _ = GOLDEN["stability-sweep-adhoc4"]
+    sweep = tmp_path / "sweep"
+    assert main([*argv, "--seed", "0", "--output", str(sweep)]) == 0
+    plot = tmp_path / "plot"
+    assert main(["export-plot", "--sweep", str(sweep / "stability.csv"),
+                 "--output", str(plot)]) == 0
+    assert result_digests(plot) == EXPORT_PLOT_GOLDEN

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from mccsma.scenario import (ScenarioError, ScenarioValidationError,
@@ -48,6 +50,13 @@ def test_bundled_scenarios_all_parse_and_round_trip():
         s = load_scenario(name)
         assert s.name == name
         assert load_scenario_text(dump_scenario(s)) == s
+    # the benchmark's own scenario files as well
+    benchmark = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "scenarios")
+                       .glob("*.yaml"))
+    assert benchmark
+    for path in benchmark:
+        s = load_scenario(str(path))
+        assert load_scenario_text(dump_scenario(s)) == s
 
 
 def test_bowtie_scenario_structure():
@@ -91,3 +100,44 @@ def test_probe_matrix_accepted():
     doc = MINIMAL.replace("alpha: 2.0", "alpha: 2.0\n  probe: [[1.0], [1.0]]")
     s = load_scenario_text(doc)
     assert s.csma.probe_prob == ((1.0,), (1.0,))
+
+
+# one misspelt key per section; each would otherwise fall back to a default
+@pytest.mark.parametrize("old, new, where, key", [
+    ("name: pair", "name: pair\nnmae: typo", "scenario", "nmae"),
+    ("channels: 1", "chanels: 1", "network", "chanels"),
+    ("alpha: 2.0", "alpha: 2.0\n  probe_prob: uniform", "csma", "probe_prob"),
+    ("mean_flow_size: 1.0", "mean_flow_size: 1.0\n  arrival: 0.1", "traffic",
+     "arrival"),
+    ("horizon: 10.0", "horizn: 5.0", "experiment", "horizn"),
+    ("horizon: 10.0", "horizon: 10.0\n  axis1: {classes: [1], maximum: 2.0}",
+     "experiment.axis1", "maximum"),
+    ("conflict_edges: [[1, 2]]",
+     "mode: infrastructure\n  conflict_edges: [[1, 2]]\n"
+     "  access_points: [{uplink: [1], donwlink: [2]}]",
+     "network.access_points[0]", "donwlink"),
+    ("conflict_edges: [[1, 2]]",
+     "channel_graphs: [{eligible: [1, 2], egdes: [[1, 2]]}]",
+     "network.channel_graphs[0]", "egdes"),
+])
+def test_unknown_key_is_parse_error_naming_section_and_key(old, new, where, key):
+    bad = MINIMAL.replace(old, new)
+    assert bad != MINIMAL
+    with pytest.raises(ScenarioError) as info:
+        load_scenario_text(bad)
+    assert not isinstance(info.value, ScenarioValidationError)
+    assert str(info.value).startswith(f"{where}: unknown key {key!r}")
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("alpha: 2.0", "alpha: 2.0\n  attempt_rate: 1.0", "attempt_rate or alpha"),
+    ("conflict_edges: [[1, 2]]",
+     "conflict_edges: [[1, 2]]\n  channel_graphs: [{eligible: [1, 2]}]",
+     "channel_graphs or conflict_edges and eligible"),
+    ("conflict_edges: [[1, 2]]",
+     "conflict_edges: [[1, 2]]\n  access_points: [{downlink: [1, 2]}]",
+     "mode: infrastructure"),
+])
+def test_keys_that_would_be_ignored_together_are_rejected(old, new, match):
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario_text(MINIMAL.replace(old, new))
