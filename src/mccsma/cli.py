@@ -119,6 +119,12 @@ def _sweep_points(scenario: Scenario) -> Iterator[tuple[float, float, np.ndarray
             yield v1, v2, rho
 
 
+def _initial_state(scenario: Scenario) -> tuple[int, ...]:
+    """The experiment's initial flow counts; zero flows when it sets none."""
+    initial = scenario.experiment.initial_state
+    return initial if initial is not None else (0,) * scenario.network.num_classes
+
+
 def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
     if exp.state is None:
@@ -166,12 +172,11 @@ def _trajectory_csv(outdir: Path, name: str, traj, num_channels: int,
 def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
     K = scenario.network.num_classes
-    initial = exp.initial_state if exp.initial_state is not None else (0,) * K
     joint = exp.scaling_n >= 1
     outputs = []
     trajectories = []
     base = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
-                     initial_state=initial,
+                     initial_state=_initial_state(scenario),
                      scaling_n=max(exp.scaling_n, 1),
                      sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
                      max_total_flows=exp.max_total_flows)
@@ -215,7 +220,7 @@ def run_simulate(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
 def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
     base = SimConfig(policy=exp.policy, horizon=exp.horizon, seed=seed,
-                     initial_state=(0,) * scenario.network.num_classes,
+                     initial_state=_initial_state(scenario),
                      sample_times=uniform_sample_times(exp.horizon, exp.sample_count),
                      max_total_flows=exp.max_total_flows)
     check_slope_inputs(exp.replications, base.sample_times, exp.horizon)
@@ -239,13 +244,11 @@ def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str
 
 def run_timescale(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
     exp = scenario.experiment
-    K = scenario.network.num_classes
-    initial = exp.initial_state if exp.initial_state is not None else (0,) * K
     rows = timescale_convergence(
         scenario.network, scenario.csma, scenario.traffic,
         n_values=exp.n_values, t_probe=exp.t_probe,
         replications=exp.replications, seed=seed, policy=exp.policy,
-        initial_state=initial)
+        initial_state=_initial_state(scenario))
     _write_csv(outdir / "distances.csv", ["scaling_n", "distance", "ci_lo", "ci_hi"],
                [(r.scaling_n, r.distance, r.ci_lo, r.ci_hi) for r in rows])
     return ["distances.csv"]
@@ -262,12 +265,24 @@ _RUNNERS = {
 
 def execute(scenario: Scenario, kind: str, seed: int, outdir: Path,
             overrides: dict) -> Path:
-    """Run one experiment and write results plus the manifest."""
+    """Run one experiment and write results plus the manifest.
+
+    When the runner raises, the directories this call created are removed
+    again as long as nothing was written into them.
+    """
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
     inputs = {"kind": kind, "seed": seed, "scenario": scenario_to_document(scenario),
               "overrides": overrides}
     started = time.monotonic()
-    outputs = _RUNNERS[kind](scenario, seed, outdir)
+    try:
+        outputs = _RUNNERS[kind](scenario, seed, outdir)
+    except BaseException:
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     manifest = {
         "inputs": inputs,
         "config_hash": _config_hash(inputs),

@@ -19,6 +19,8 @@ served bits) up to it; it also samples the state, counts arrivals and
 departures and enforces the truncation guard. A model supplies what differs:
 
 * ``clocks``: the stream kinds of its redrawn clocks, one clock per class each;
+* ``block_drawn``: those of its ``clocks`` whose streams give only the
+  clock draws (see below);
 * ``rates(x)``: each such kind's per-class rate vector plus the served-rate
   vector at flow counts ``x``, valid until the next event;
 * ``arrive(k)``: flow bookkeeping for a new class-k flow (the initial flows
@@ -39,9 +41,16 @@ across policies share arrival randomness (common random numbers). Since every
 clock has its own stream, the order in which different streams are drawn from
 does not matter; within one stream it does, and an event draws after its
 clock: the attempt stream draws the clock, then the channel; the packet stream
-the clock, then the slot, then whether the flow ends. Rates and path integrals
-are Python floats, and the order of each floating-point operation is part of
-the trajectory: served bits add (phi_k * y_k) * dt, not phi_k * (y_k * dt).
+the clock, then the slot, then whether the flow ends. A stream that gives only
+standard-exponential clock draws is drawn in blocks of ``EXP_BLOCK``, which
+yields the same values in the same order as one draw at a time: these are the
+arrival streams of both models and the service streams of the separated
+model, whose ``fire`` draws nothing. The joint model's attempt and packet
+streams interleave a uniform or integer draw after each clock draw, so they
+are drawn one value at a time; a block would shift every later value. Rates
+and path integrals are Python floats, and the order of each floating-point
+operation is part of the trajectory: served bits add (phi_k * y_k) * dt, not
+phi_k * (y_k * dt).
 """
 
 from __future__ import annotations
@@ -74,6 +83,24 @@ def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> np.ran
     """Counter-based generator for one (kind, class, replication) stream."""
     entropy = [seed % 2**64, _STREAM_KINDS[kind], klass, replication]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+EXP_BLOCK = 64
+
+
+def exponential_draws(rng: np.random.Generator, *, block: bool) -> Callable[[], float]:
+    """A no-argument callable giving ``rng``'s standard-exponential draws in
+    order. With ``block`` it takes them ``EXP_BLOCK`` at a time, which gives
+    the same values but advances ``rng`` ahead of the draws handed out, so
+    nothing else may draw from ``rng``."""
+    if not block:
+        return rng.standard_exponential
+
+    def blocks():
+        while True:
+            yield from rng.standard_exponential(EXP_BLOCK).tolist()
+
+    return blocks().__next__
 
 
 @dataclass(frozen=True)
@@ -198,11 +225,13 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             model.arrive(k)
 
     lam = [float(v) for v in traffic.arrival_rate]
-    arr_rngs = [stream(cfg.seed, "arrival", k, cfg.replication) for k in range(K)]
+    arr_draws = [exponential_draws(stream(cfg.seed, "arrival", k, cfg.replication),
+                                   block=True) for k in range(K)]
     clock_rngs = [[stream(cfg.seed, kind, k, cfg.replication) for k in range(K)]
                   for kind in model.clocks]
-    next_arrival = [rng.standard_exponential() / r if r > 0 else math.inf
-                    for rng, r in zip(arr_rngs, lam)]
+    clock_draws = [[exponential_draws(rng, block=kind in model.block_drawn)
+                    for rng in rngs] for kind, rngs in zip(model.clocks, clock_rngs)]
+    next_arrival = [draw() / r if r > 0 else math.inf for draw, r in zip(arr_draws, lam)]
     arrivals = [0] * K
     departures = [0] * K
     integral = [0.0] * K
@@ -216,9 +245,9 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         clock_rates, served_rate = model.rates(x)
         # the race runs on Python floats; index() finds the first minimum
         times = list(next_arrival)
-        for rngs, rates in zip(clock_rngs, clock_rates):
-            times += [t + rng.standard_exponential() / r if r > 0 else math.inf
-                      for rng, r in zip(rngs, rates)]
+        for draws, rates in zip(clock_draws, clock_rates):
+            times += [t + draw() / r if r > 0 else math.inf
+                      for draw, r in zip(draws, rates)]
         t_next = min(times)
         done = t_next >= cfg.horizon
         if done:
@@ -237,7 +266,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         if kind == 0:
             x[k] += 1
             arrivals[k] += 1
-            next_arrival[k] = t + arr_rngs[k].standard_exponential() / lam[k]
+            next_arrival[k] = t + arr_draws[k]() / lam[k]
             model.arrive(k)
             if sum(x) > cfg.max_total_flows:
                 abort_time = t
@@ -271,6 +300,7 @@ class _Separated:
     """
 
     clocks = ("service",)
+    block_drawn = ("service",)
 
     def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn,
                  traffic: TrafficSpec, cfg: SimConfig):
@@ -342,6 +372,7 @@ class _Joint:
     incrementally."""
 
     clocks = ("attempt", "packet")
+    block_drawn = ()
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                  policy: str, cfg: SimConfig):

@@ -25,9 +25,13 @@ distribution has an explicit product form. Three policies are covered:
     per-flow weight is the ad-hoc one divided by S_i per active downlink
     slot: the access point's attempt budget is shared by the S_i flows.
 
-All weights are kept in log space; factorials go through lgamma and
-normalization through log-sum-exp, so flow counts in the tens of thousands
-stay representable.
+All weights are kept in log space and normalized through log-sum-exp, so
+flow counts in the tens of thousands stay representable. An evaluator reads
+every factorial from one table of log n! = lgamma(n + 1) for n = 0, 1, ...,
+which doubles as larger states come along, up to ``LOG_FACTORIAL_CAP``
+entries (512 KiB). A state whose flow total reaches the cap gets its
+factorials from lgamma directly, so memory never grows with the flow count.
+The table holds exactly lgamma's values, so both ways give the same floats.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .schedule import Schedule, ScheduleSet, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec
 
 POLICIES = ("adhoc", "standard_infra", "flow_aware")
+
+LOG_FACTORIAL_CAP = 1 << 16
 
 
 def check_policy(spec: NetworkSpec, policy: str) -> str:
@@ -101,11 +107,14 @@ class PolicyEvaluator:
             self._log_beta = np.where(beta > 0, np.log(np.where(beta > 0, beta, 1.0)),
                                       -np.inf)
         self._bundles: dict[tuple[int, ...], dict] = {}
-        K = spec.num_classes
-        self._ap_members = [np.array(sorted(ap.downlink), dtype=np.int64)
-                            for ap in spec.access_points]
+        self._log_factorial = gammaln(np.arange(64) + 1.0)
+        # (K, A) membership of the downlink classes in the access points
+        self._ap_matrix = np.zeros((spec.num_classes, len(spec.access_points)),
+                                   dtype=np.int64)
+        for i, ap in enumerate(spec.access_points):
+            self._ap_matrix[list(ap.downlink), i] = 1
+        self._shared_queue = self.policy == "standard_infra" and bool(spec.access_points)
         self._phi = params.phi
-        self._K = K
         self._J = spec.num_channels
 
     def _bundle(self, caps: tuple[int, ...]) -> dict:
@@ -119,37 +128,49 @@ class PolicyEvaluator:
         const = const + np.einsum("skj,kj->s", schedules.active,
                                   np.where(np.isfinite(self._log_beta),
                                            self._log_beta, 0.0))
-        ap_active = (np.stack([per_class[:, m].sum(axis=1) for m in self._ap_members],
-                              axis=1)
-                     if self._ap_members else np.zeros((len(schedules), 0), dtype=np.int64))
         b = {"schedules": schedules, "per_class": per_class, "const": const,
-             "ap_active": ap_active}
+             "ap_active": per_class @ self._ap_matrix}
         self._bundles[caps] = b
         return b
 
-    def _caps(self, flows: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(min(f, self._J) for f in flows)
+    def _log_factorials(self, n: int) -> Optional[np.ndarray]:
+        """The table of log k!, holding k = 0..n at least, or None when n + 1
+        entries would exceed ``LOG_FACTORIAL_CAP``."""
+        lf = self._log_factorial
+        if n >= len(lf):
+            if n >= LOG_FACTORIAL_CAP:
+                return None
+            size = min(LOG_FACTORIAL_CAP, max(2 * len(lf), n + 1))
+            lf = self._log_factorial = gammaln(np.arange(size) + 1.0)
+        return lf
 
-    def _logw(self, flows: tuple[int, ...]) -> tuple[dict, np.ndarray]:
-        x = np.asarray(flows, dtype=np.float64)
-        b = self._bundle(self._caps(flows))
-        per_class = b["per_class"]
+    def _logw(self, state) -> tuple[dict, np.ndarray]:
+        flows = state if type(state) is tuple else state_flows(state)
+        # every factorial below is of a count in [0, sum(flows)]
+        lf = self._log_factorials(sum(flows)) if min(flows) >= 0 else None
+        x = None if lf is None else np.array(flows)
+        if x is None or x.dtype.kind != "i":   # beyond the table, or not all ints
+            flows = state_flows(state)
+            x = np.asarray(flows, dtype=np.float64)
+            log_factorial = lambda v: gammaln(v + 1.0)
+        else:
+            log_factorial = lf.__getitem__
+        J = self._J
+        b = self._bundle(tuple([f if f < J else J for f in flows]))
         # falling factorial x_k!/(x_k - y_k)! per class, zero rows contribute 0
-        logw = (gammaln(x + 1.0).sum()
-                - gammaln(x[None, :] - per_class + 1.0).sum(axis=1)
-                + b["const"])
-        if self.policy == "standard_infra" and self._ap_members:
-            totals = np.array([x[m].sum() for m in self._ap_members])
-            logw = logw + gammaln(totals[None, :] - b["ap_active"] + 1.0).sum(axis=1)
+        logw = log_factorial(x).sum() - log_factorial(x - b["per_class"]).sum(axis=1)
+        logw += b["const"]
+        if self._shared_queue:
+            logw += log_factorial(x @ self._ap_matrix - b["ap_active"]).sum(axis=1)
         return b, logw
 
     def log_weights(self, state) -> tuple[ScheduleSet, np.ndarray]:
         """Unnormalized log stationary weights over the feasible set at x."""
-        b, logw = self._logw(state_flows(state))
+        b, logw = self._logw(state)
         return b["schedules"], logw
 
     def equilibrium(self, state) -> EquilibriumResult:
-        b, logw = self._logw(state_flows(state))
+        b, logw = self._logw(state)
         log_z = float(logsumexp(logw))
         probs = np.exp(logw - log_z)
         throughput = self._phi * (probs @ b["per_class"])
@@ -157,9 +178,11 @@ class PolicyEvaluator:
 
     def throughput(self, state) -> np.ndarray:
         """Per-class throughput only; skips building the distribution map."""
-        b, logw = self._logw(state_flows(state))
-        w = np.exp(logw - logw.max())
-        return self._phi * ((w / w.sum()) @ b["per_class"])
+        b, w = self._logw(state)
+        w -= w.max()
+        np.exp(w, out=w)
+        w /= w.sum()
+        return self._phi * (w @ b["per_class"])
 
 
 def stationary_log_weights(state, params: CsmaParams, spec: NetworkSpec,

@@ -304,7 +304,7 @@ def test_stability_sweep_checks_replications_before_simulating(tmp_path, capsys,
                  "--replications", "2", "--output", str(out)]) == 3
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "validation" and "5 replications" in diag["message"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_simulate_checks_fit_window_samples_before_simulating(tmp_path, capsys,
@@ -323,4 +323,41 @@ def test_simulate_checks_fit_window_samples_before_simulating(tmp_path, capsys,
                  "--output", str(out)]) == 3
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "validation" and "fit window" in diag["message"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_runner_error_removes_only_the_directories_it_created(tmp_path, capsys):
+    # the equilibrium runner rejects a scenario without a state (exit 3)
+    out = tmp_path / "new" / "eq"
+    assert main(["run", "equilibrium", "--scenario", "adhoc4", "--output", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(["run", "equilibrium", "--scenario", "adhoc4",
+                 "--output", str(existing)]) == 3
+    assert existing.is_dir() and not any(existing.iterdir())
+
+
+def test_stability_sweep_starts_from_initial_state(tmp_path):
+    import yaml
+
+    from mccsma.scenario import load_scenario, scenario_to_document
+
+    doc = scenario_to_document(load_scenario("adhoc4"))
+    doc["experiment"]["initial_state"] = [30, 30, 30, 30]
+    path = tmp_path / "backlogged.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    common = ["run", "stability-sweep", "--grid", "1", "--replications", "5",
+              "--horizon", "20"]
+    csv = {}
+    for name, scenario in (("empty", "adhoc4"), ("backlogged", str(path))):
+        out = tmp_path / name
+        assert main([*common, "--scenario", scenario, "--output", str(out)]) == 0
+        csv[name] = (out / "stability.csv").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"]["scenario"]["experiment"].get("initial_state") == (
+            None if name == "empty" else [30, 30, 30, 30])
+    assert csv["empty"] != csv["backlogged"]
+    # at load 0 the backlog only drains
+    assert float(read_csv(tmp_path / "backlogged" / "stability.csv")[0]["slope"]) < 0

@@ -9,9 +9,9 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (SimConfig, _tv_from_counts, simulate_coupled_pair,
-                             simulate_joint, simulate_separated,
-                             timescale_convergence, uniform_sample_times)
+from mccsma.dynamics import (EXP_BLOCK, SimConfig, _tv_from_counts, exponential_draws,
+                             simulate_coupled_pair, simulate_joint, simulate_separated,
+                             stream, timescale_convergence, uniform_sample_times)
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
@@ -401,3 +401,15 @@ def test_trajectories_match_recorded_digests():
         aborts += traj.aborted
     assert aborts == 14
     assert digests == _TRAJECTORY_DIGESTS
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_block_exponential_draws_equal_scalar_draws(seed):
+    n = 3 * EXP_BLOCK + 5
+    for kind, klass, rep in (("arrival", 0, 0), ("arrival", 3, 2), ("service", 1, 4)):
+        scalar = stream(seed, kind, klass, rep)
+        expected = [scalar.standard_exponential() for _ in range(n)]
+        for block in (True, False):
+            draw = exponential_draws(stream(seed, kind, klass, rep), block=block)
+            got = [draw() for _ in range(n)]
+            assert got == expected and all(type(v) is float for v in got)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from conftest import bowtie_spec, random_instance
-from mccsma.equilibrium import (PolicyEvaluator, detailed_balance_check, equilibrium,
-                                lemma1_check, stationary_log_weights)
+from mccsma.equilibrium import (LOG_FACTORIAL_CAP, PolicyEvaluator, detailed_balance_check,
+                                equilibrium, lemma1_check, stationary_log_weights)
 from mccsma.oracles import packet_level_generator, stationary_distribution
 from mccsma.schedule import Schedule, alpha_limit_distribution, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, replicate_graph)
@@ -204,3 +204,83 @@ def test_lemma1_rejects_shared_queue_policy():
     params = CsmaParams.from_alpha(spec, 1.0)
     with pytest.raises(ValueError):
         lemma1_check((1,), params, spec, 0.1, policy="standard_infra")
+
+
+# --- the log-factorial table gives lgamma's floats ---
+
+def lgamma_log_weights(spec, params, policy, state):
+    """Each schedule's log weight with every factorial from lgamma on floats:
+    the evaluator's expression without its log-factorial table."""
+    schedules = enumerate_feasible(spec, state)
+    per_class = schedules.per_class
+    log_beta = np.log(np.where(params.beta > 0, params.beta, 1.0))
+    const = per_class @ np.log(params.alpha)
+    const = const + np.einsum("skj,kj->s", schedules.active, log_beta)
+    x = np.asarray(state, dtype=np.float64)
+    logw = (gammaln(x + 1.0).sum()
+            - gammaln(x[None, :] - per_class + 1.0).sum(axis=1)
+            + const)
+    if policy == "standard_infra":
+        members = [np.array(sorted(ap.downlink), dtype=np.int64)
+                   for ap in spec.access_points]
+        totals = np.array([x[m].sum() for m in members])
+        ap_active = np.stack([per_class[:, m].sum(axis=1) for m in members], axis=1)
+        logw = logw + gammaln(totals[None, :] - ap_active + 1.0).sum(axis=1)
+    return per_class, logw
+
+
+def test_table_factorials_are_bit_identical_to_lgamma():
+    rng = np.random.default_rng(314)
+    # a layout of both flow-models workloads: access point k serves class k
+    bowtie = (bowtie_spec(), CsmaParams.from_alpha(bowtie_spec(), 2.0), (4, 0, 7, 1, 2))
+    cases = 0
+    for i in range(31):
+        spec, params, small = (random_instance(rng, infrastructure=i % 2 == 1)
+                               if i < 30 else bowtie)
+        K = spec.num_classes
+        # flow totals below, at and above the table cap
+        states = [small] + [tuple(int(v) for v in rng.multinomial(n, [1 / K] * K))
+                            for n in (LOG_FACTORIAL_CAP - 1, LOG_FACTORIAL_CAP,
+                                      3 * LOG_FACTORIAL_CAP)]
+        for policy in policies_for(spec):
+            ev = PolicyEvaluator(spec, params, policy)
+            for state in states:
+                per_class, logw = lgamma_log_weights(spec, params, policy, state)
+                w = np.exp(logw - logw.max())
+                throughput = params.phi * ((w / w.sum()) @ per_class)
+                log_z = float(logsumexp(logw))
+                probs = np.exp(logw - log_z)
+                assert np.array_equal(ev.log_weights(state)[1], logw)
+                assert np.array_equal(ev.throughput(state), throughput)
+                # tuples of other count types: floats take the lgamma path,
+                # NumPy ints the table
+                for other in (tuple(float(v) for v in state),
+                              tuple(np.int64(v) for v in state)):
+                    assert np.array_equal(ev.log_weights(other)[1], logw)
+                    assert np.array_equal(ev.throughput(other), throughput)
+                res = ev.equilibrium(list(state))
+                assert res.log_normalizer == log_z
+                assert np.array_equal(np.fromiter(res.distribution.values(), float), probs)
+                assert np.array_equal(res.throughput, params.phi * (probs @ per_class))
+                cases += 1
+    assert cases == 4 * 47
+
+
+def test_huge_flow_count_skips_the_table(monkeypatch):
+    arange = np.arange
+
+    def guarded_arange(n, *args, **kwargs):
+        assert n <= LOG_FACTORIAL_CAP, f"table of {n} entries"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded_arange)
+    spec = NetworkSpec(2, 1, replicate_graph(1, [0, 1], [(0, 1)]),
+                       (AccessPoint.of([], [0, 1]),))
+    params = CsmaParams.from_alpha(spec, 1.0)
+    for policy in ("standard_infra", "flow_aware"):
+        ev = PolicyEvaluator(spec, params, policy)
+        for state in ((10**9, 3), (3, 10**9), (LOG_FACTORIAL_CAP - 4, 3)):
+            per_class, logw = lgamma_log_weights(spec, params, policy, state)
+            got = ev.log_weights(state)[1]
+            assert np.all(np.isfinite(got)) and np.array_equal(got, logw)
+        assert len(ev._log_factorial) == LOG_FACTORIAL_CAP

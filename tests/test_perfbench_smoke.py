@@ -1,9 +1,12 @@
 """The benchmark's smoke mode, run as a test.
 
 ``perfbench/tracing.py`` wraps ``simulate_separated``, ``simulate_joint``,
-``ThroughputCache.__call__`` and ``PolicyEvaluator._bundle`` and reads
-``Trajectory.event_counts_by_kind``. A renamed or removed target either makes
-the traced run fail or leaves its counter at 0; both fail here.
+``ThroughputCache.__call__``, ``PolicyEvaluator.throughput`` and
+``PolicyEvaluator._bundle`` and reads ``Trajectory.event_counts_by_kind``. A
+renamed or removed target either makes the traced run fail or changes its
+counter. The ``flow-models`` counts are pinned exactly, so a speed-up that
+changes the work done (states evaluated, cache hits, bundles built, events
+simulated) fails here as well.
 """
 
 import json
@@ -28,10 +31,20 @@ def _smoke(workload: str) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+# the first traced unit of the flow-models smoke run at seed 7
+FLOW_MODELS_SMOKE_COUNTS = {
+    "equilibrium.throughput_calls": 3668,   # 1,940 cache misses + 1,728 oracle states
+    "dynamics.cache_lookups": 2745,
+    "dynamics.cache_misses": 1940,
+    "equilibrium.bundle_builds": 356,
+    "dynamics.separated_events": 2735,
+    "dynamics.joint_events": 456,
+}
+
+
 @pytest.mark.parametrize("workload", ["capacity-lp", "flow-models"])
 def test_benchmark_smoke_runs_correctly(workload):
     metrics = _smoke(workload)
     if workload == "flow-models":
-        for name in ("dynamics.separated_events", "dynamics.joint_events",
-                     "dynamics.cache_lookups", "equilibrium.bundle_builds"):
-            assert metrics[name] > 0, name
+        got = {name: metrics[name] for name in FLOW_MODELS_SMOKE_COUNTS}
+        assert got == FLOW_MODELS_SMOKE_COUNTS
