@@ -170,19 +170,32 @@ _CACHE_SIZE = 100_000
 
 
 class ThroughputCache:
-    """Bounded LRU cache of per-state stationary throughput vectors."""
+    """Bounded LRU cache of stationary throughput vectors, keyed on the
+    evaluator's ``throughput_key``.
+
+    States with equal keys have bit-identical throughputs (see
+    ``mccsma.equilibrium``), so one entry serves all of them: on the bow-tie
+    under ``standard_infra`` every access point holds one downlink class, and
+    its count matters only as min(x_k, J). A miss calls
+    ``evaluator.throughput`` on the state itself. The vectors handed out are
+    read-only, since one of them may serve thousands of states; copy one
+    before changing it.
+    """
 
     def __init__(self, evaluator: PolicyEvaluator):
         self._evaluator = evaluator
-        self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+        self._key = evaluator.throughput_key
+        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
     def __call__(self, x: tuple[int, ...]) -> np.ndarray:
-        hit = self._cache.get(x)
+        key = self._key(x)
+        hit = self._cache.get(key)
         if hit is not None:
-            self._cache.move_to_end(x)
+            self._cache.move_to_end(key)
             return hit
         value = self._evaluator.throughput(x)
-        self._cache[x] = value
+        value.flags.writeable = False
+        self._cache[key] = value
         if len(self._cache) > _CACHE_SIZE:
             self._cache.popitem(last=False)
         return value
@@ -296,7 +309,11 @@ class _Separated:
     """Separated model: class-k flows depart at rate throughput_k(x) / sigma_k.
 
     With ``track_flows`` each class shares its throughput equally among its
-    flows, and a departure removes a uniformly chosen one.
+    flows, and a departure removes a uniformly chosen one. Since every
+    class-k flow gets the same service, one counter per class holds the
+    service each of its flows has had since the class last emptied; a flow
+    stores the counter's value at its arrival, and its size is the
+    difference. Accrual is O(classes) per event, not O(flows).
     """
 
     clocks = ("service",)
@@ -309,31 +326,32 @@ class _Separated:
         self.sigma = [float(v) for v in traffic.mean_flow_size]
         self.track = cfg.track_flows
         self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
-        self.flows: list[list[float]] = [[] for _ in range(K)]
+        self.offsets: list[list[float]] = [[] for _ in range(K)]
+        self.service = [0.0] * K          # per-flow service counter per class
         self.completed: list[list[float]] = [[] for _ in range(K)]
-        self.phi_x = np.zeros(K)          # throughput at the current state
+        self.phi = [0.0] * K              # throughput at the current state
 
     def rates(self, x: list[int]):
-        self.phi_x = self.throughput_fn(tuple(x))
-        phi = self.phi_x.tolist()
+        self.phi = phi = self.throughput_fn(tuple(x)).tolist()
         return ([p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)],), phi
 
     def arrive(self, k: int) -> None:
         if self.track:
-            self.flows[k].append(0.0)
+            if not self.offsets[k]:
+                self.service[k] = 0.0
+            self.offsets[k].append(self.service[k])
 
     def fire(self, kind: int, k: int, rng, t: float) -> bool:
         if self.track:
-            flows = self.flows[k]
-            self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
+            offsets = self.offsets[k]
+            offset = offsets.pop(int(self.pick.integers(len(offsets))))
+            self.completed[k].append(self.service[k] - offset)
         return True
 
     def accrue(self, x: list[int], dt: float) -> None:
         if self.track:
-            for k, n in enumerate(x):
-                if n > 0 and self.phi_x[k] > 0:
-                    share = self.phi_x[k] * dt / n
-                    self.flows[k] = [b + share for b in self.flows[k]]
+            self.service = [c + p * dt / n if n > 0 and p > 0 else c
+                            for c, p, n in zip(self.service, self.phi, x)]
 
     def schedule(self) -> None:
         return None
@@ -341,7 +359,9 @@ class _Separated:
     def finish(self, traj: Trajectory) -> None:
         if self.track:
             traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(float(sum(f)) for f in self.flows)
+            traj.residual_flow_bits = tuple(float(sum([c - o for o in offsets]))
+                                            for c, offsets in zip(self.service,
+                                                                  self.offsets))
 
 
 def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,

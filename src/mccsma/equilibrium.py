@@ -19,23 +19,42 @@ distribution has an explicit product form. Three policies are covered:
     instance for all its downlink flows and picks the flow to serve with
     probability proportional to the per-class flow counts. Local balance
     (attempt rate nu_k * x_k / S_i * beta_kj against release rate phi_k, with
-    S_i the total downlink flow count at the access point) then forces the
-    ad-hoc product times (S_i - a_i)! per access point, where a_i is the
-    number of active downlink transmissions (0 or 1). Equivalently, the
-    per-flow weight is the ad-hoc one divided by S_i per active downlink
-    slot: the access point's attempt budget is shared by the S_i flows.
+    S_i the total downlink flow count at access point i) gives each active
+    downlink slot of class k the factor x_k / S_i in place of the falling
+    factorial: the access point's single attempt budget is shared by its S_i
+    flows. Uplink classes, and classes of no access point, keep the ad-hoc
+    factor. This is the share form; it differs from the falling-factorial
+    form x_k! / (x_k - y_k)! * (S_i - a_i)! (a_i the active downlink count,
+    0 or 1) only by the state-only factor prod_i S_i!, which normalization
+    removes.
+
+Under every policy the empty schedule has log-weight exactly 0.
+
+The weights read the state only through its *throughput key*
+(``PolicyEvaluator.throughput_key``): the cap pattern min(x_k, J), the
+counts of the plain classes (every class under ``adhoc`` and ``flow_aware``;
+uplink and AP-less classes under ``standard_infra``) and the share
+x_k / S_i of each shared-queue downlink class (0.0 when S_i = 0, where the
+cap already rules the class out). A class alone at its access point has
+share x / x = 1.0 and term log 1.0 = 0.0 whether it holds 1 flow or 500, so
+it is left out of the key and of the share term; its cap is in the key. The
+log-weight is computed from the key alone, so two states with equal keys get
+bit-identical weights and throughputs by construction. This is what lets
+``dynamics.ThroughputCache`` serve every state of one key from one
+evaluation.
 
 All weights are kept in log space and normalized through log-sum-exp, so
 flow counts in the tens of thousands stay representable. An evaluator reads
 every factorial from one table of log n! = lgamma(n + 1) for n = 0, 1, ...,
 which doubles as larger states come along, up to ``LOG_FACTORIAL_CAP``
-entries (512 KiB). A state whose flow total reaches the cap gets its
+entries (512 KiB). A state whose plain flow total reaches the cap gets its
 factorials from lgamma directly, so memory never grows with the flow count.
 The table holds exactly lgamma's values, so both ways give the same floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,6 +112,8 @@ class PolicyEvaluator:
     evaluations along a simulation trajectory are then a few array
     operations; ``Schedule`` objects are built only where a result is keyed
     by schedule (``equilibrium``'s distribution, ``stationary_log_weights``).
+    Every evaluation reads the state through ``throughput_key`` (see the
+    module docstring).
     """
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, policy: str):
@@ -108,14 +129,20 @@ class PolicyEvaluator:
                                       -np.inf)
         self._bundles: dict[tuple[int, ...], dict] = {}
         self._log_factorial = gammaln(np.arange(64) + 1.0)
-        # (K, A) membership of the downlink classes in the access points
-        self._ap_matrix = np.zeros((spec.num_classes, len(spec.access_points)),
-                                   dtype=np.int64)
-        for i, ap in enumerate(spec.access_points):
-            self._ap_matrix[list(ap.downlink), i] = 1
-        self._shared_queue = self.policy == "standard_infra" and bool(spec.access_points)
         self._phi = params.phi
+        self._K = K = spec.num_classes
         self._J = spec.num_channels
+        # the shared-queue downlink classes; every other class is plain
+        # (falling-factorial weight)
+        groups = [sorted(ap.downlink) for ap in spec.access_points
+                  if ap.downlink] if self.policy == "standard_infra" else []
+        self._shared_queue = bool(groups)
+        self._plain = [k for k in range(K) if not any(k in g for g in groups)]
+        # a class alone at its access point has share 1.0, or 0.0 where its
+        # cap rules it out, and so log-weight term 0: only access points with
+        # two or more downlink classes enter the key and the share term
+        self._groups = [g for g in groups if len(g) > 1]
+        self._shared = [k for g in self._groups for k in g]
 
     def _bundle(self, caps: tuple[int, ...]) -> dict:
         b = self._bundles.get(caps)
@@ -128,8 +155,12 @@ class PolicyEvaluator:
         const = const + np.einsum("skj,kj->s", schedules.active,
                                   np.where(np.isfinite(self._log_beta),
                                            self._log_beta, 0.0))
-        b = {"schedules": schedules, "per_class": per_class, "const": const,
-             "ap_active": per_class @ self._ap_matrix}
+        b = {"schedules": schedules, "per_class": per_class, "const": const}
+        if self._shared_queue:
+            b["plain"] = per_class[:, self._plain]
+            b["shared"] = per_class[:, self._shared].astype(np.float64)
+        else:
+            b["plain"] = per_class
         self._bundles[caps] = b
         return b
 
@@ -144,24 +175,60 @@ class PolicyEvaluator:
             lf = self._log_factorial = gammaln(np.arange(size) + 1.0)
         return lf
 
-    def _logw(self, state) -> tuple[dict, np.ndarray]:
+    def throughput_key(self, state) -> tuple:
+        """Everything the weights at ``state`` read, as a hashable tuple.
+
+        Under ``adhoc`` and ``flow_aware`` that is the flow vector itself
+        (the caps are a function of it). Under ``standard_infra`` it is the
+        cap pattern min(x_k, J), then the plain classes' counts, then the
+        share x_k / S_i (0.0 when S_i = 0) of each downlink class of an
+        access point with two or more of them, grouped by access point.
+        States with equal keys get bit-identical results from every method.
+        Raises ``ValueError`` naming the state when it does not hold K
+        nonnegative counts.
+        """
         flows = state if type(state) is tuple else state_flows(state)
-        # every factorial below is of a count in [0, sum(flows)]
-        lf = self._log_factorials(sum(flows)) if min(flows) >= 0 else None
-        x = None if lf is None else np.array(flows)
-        if x is None or x.dtype.kind != "i":   # beyond the table, or not all ints
-            flows = state_flows(state)
-            x = np.asarray(flows, dtype=np.float64)
-            log_factorial = lambda v: gammaln(v + 1.0)
-        else:
-            log_factorial = lf.__getitem__
+        if len(flows) != self._K or min(flows) < 0:
+            raise ValueError(f"state {tuple(flows)} must hold {self._K} nonnegative "
+                             f"flow counts")
+        if not self._shared_queue:
+            return flows
         J = self._J
-        b = self._bundle(tuple([f if f < J else J for f in flows]))
-        # falling factorial x_k!/(x_k - y_k)! per class, zero rows contribute 0
-        logw = log_factorial(x).sum() - log_factorial(x - b["per_class"]).sum(axis=1)
-        logw += b["const"]
+        key = [f if f < J else J for f in flows]
+        key += [flows[k] for k in self._plain]
+        for group in self._groups:
+            total = sum([flows[k] for k in group])
+            key += [flows[k] / total if total else 0.0 for k in group]
+        return tuple(key)
+
+    def _logw(self, state) -> tuple[dict, np.ndarray]:
+        key = self.throughput_key(state)
         if self._shared_queue:
-            logw += log_factorial(x @ self._ap_matrix - b["ap_active"]).sum(axis=1)
+            K, P = self._K, len(self._plain)
+            caps, counts, shares = key[:K], key[K:K + P], key[K + P:]
+        else:
+            J = self._J
+            caps, counts, shares = tuple([f if f < J else J for f in key]), key, ()
+        b = self._bundle(caps)
+        if counts:
+            # every factorial below is of a count in [0, sum(counts)]
+            lf = self._log_factorials(sum(counts))
+            x = None if lf is None else np.array(counts)
+            if x is None or x.dtype.kind != "i":   # beyond the table, or not all ints
+                x = np.asarray(state_flows(counts), dtype=np.float64)
+                log_factorial = lambda v: gammaln(v + 1.0)
+            else:
+                log_factorial = lf.__getitem__
+            # falling factorial x_k!/(x_k - y_k)! per plain class, zero rows
+            # contribute 0
+            logw = log_factorial(x).sum() - log_factorial(x - b["plain"]).sum(axis=1)
+            logw += b["const"]
+        else:
+            logw = b["const"].copy()
+        if shares:
+            # y_k log(x_k / S_i); a capped-out class (share 0) has y_k = 0 in
+            # every schedule and contributes 0
+            logw += b["shared"] @ [math.log(v) if v else 0.0 for v in shares]
         return b, logw
 
     def log_weights(self, state) -> tuple[ScheduleSet, np.ndarray]:

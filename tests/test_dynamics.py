@@ -9,9 +9,11 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (EXP_BLOCK, SimConfig, _tv_from_counts, exponential_draws,
+from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, Trajectory, _run,
+                             _Separated, _tv_from_counts, exponential_draws,
                              simulate_coupled_pair, simulate_joint, simulate_separated,
                              stream, timescale_convergence, uniform_sample_times)
+from mccsma.equilibrium import PolicyEvaluator
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
@@ -122,6 +124,120 @@ def test_separated_flow_sizes_are_exponential():
         sizes = np.array(tr.completed_flow_sizes[k])
         assert len(sizes) > 200
         assert kstest(sizes, "expon", args=(0, sigma)).pvalue >= 0.01
+
+
+class _PerFlowTracking(_Separated):
+    """The O(flows) flow tracking: every flow keeps its own bit count, and
+    each event adds the flow's share of its class's throughput to every
+    one of them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.flows = [[] for _ in range(self.num_classes)]
+
+    def arrive(self, k):
+        if self.track:
+            self.flows[k].append(0.0)
+
+    def fire(self, kind, k, rng, t):
+        if self.track:
+            flows = self.flows[k]
+            self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
+        return True
+
+    def accrue(self, x, dt):
+        if self.track:
+            for k, n in enumerate(x):
+                if n > 0 and self.phi[k] > 0:
+                    share = self.phi[k] * dt / n
+                    self.flows[k] = [b + share for b in self.flows[k]]
+
+    def finish(self, traj):
+        if self.track:
+            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
+            traj.residual_flow_bits = tuple(float(sum(f)) for f in self.flows)
+
+
+def _tracked_cases():
+    rng = np.random.default_rng(77)
+    for i in range(12):
+        spec, params, state = random_instance(rng, infrastructure=i % 2 == 1)
+        policy = ("flow_aware", "standard_infra")[(i // 2) % 2] if i % 2 else "adhoc"
+        traffic = TrafficSpec.of((0.3, 0.9, 1.5)[i % 3], 1.0, spec.num_classes)
+        yield spec, params, traffic, SimConfig(policy, 300.0, 40 + i, state,
+                                               track_flows=True)
+    spec = bowtie_spec()
+    for load, horizon in ((0.45, 1000.0), (0.65, 1000.0)):
+        yield (spec, CsmaParams.from_alpha(spec, 2.0), TrafficSpec.of(load, 1.0, 5),
+               SimConfig("standard_infra", horizon, 3, (0,) * 5, track_flows=True))
+
+
+def test_flow_tracking_counters_match_per_flow_accrual():
+    fields = [f.name for f in dataclasses.fields(Trajectory)
+              if f.name not in ("completed_flow_sizes", "residual_flow_bits")]
+    completed = 0
+    for spec, params, traffic, cfg in _tracked_cases():
+        fn = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
+        got = _run(_Separated(spec, fn, traffic, cfg), traffic, cfg)
+        want = _run(_PerFlowTracking(spec, fn, traffic, cfg), traffic, cfg)
+        for name in fields:
+            assert getattr(got, name) == getattr(want, name), name
+        for a, b in zip(got.completed_flow_sizes, want.completed_flow_sizes):
+            assert len(a) == len(b)
+            assert all(math.isclose(u, v, rel_tol=1e-9, abs_tol=0.0) for u, v in zip(a, b))
+            completed += len(a)
+        assert all(math.isclose(u, v, rel_tol=1e-9, abs_tol=0.0)
+                   for u, v in zip(got.residual_flow_bits, want.residual_flow_bits))
+    assert completed > 3000
+
+
+def test_throughput_cache_is_bit_identical_to_the_evaluator():
+    rng = np.random.default_rng(99)
+    cases = [random_instance(rng, infrastructure=i % 2 == 1)[:2] for i in range(10)]
+    cases.append((bowtie_spec(), CsmaParams.from_alpha(bowtie_spec(), 2.0)))
+    for spec, params in cases:
+        policies = (("standard_infra", "flow_aware") if spec.is_infrastructure
+                    else ("adhoc",))
+        for policy in policies:
+            ev = PolicyEvaluator(spec, params, policy)
+            cache = ThroughputCache(ev)
+            states = list(itertools.product(range(4), repeat=spec.num_classes))
+            rng.shuffle(states)                  # hits served by other states
+            for x in states + states[::-1]:
+                x = tuple(int(v) for v in x)
+                assert np.array_equal(cache(x), ev.throughput(x))
+
+
+def test_cached_throughput_vectors_are_read_only():
+    spec = bowtie_spec()
+    ev = PolicyEvaluator(spec, CsmaParams.from_alpha(spec, 2.0), "standard_infra")
+    cache = ThroughputCache(ev)
+    first = cache((1, 0, 2, 0, 0))
+    # the same key: counts of single-class access points matter only up to J
+    assert cache((1, 0, 5, 0, 0)) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 9.0
+    with pytest.raises(ValueError, match="read-only"):
+        first *= 2.0
+    assert np.array_equal(first, ev.throughput((1, 0, 2, 0, 0)))
+
+
+def test_separated_runs_are_bit_identical_with_and_without_the_cache():
+    rng = np.random.default_rng(5)
+    runs = 0
+    for i in range(12):
+        spec, params, state = random_instance(rng, infrastructure=i % 2 == 1)
+        for policy in (("standard_infra", "flow_aware") if i % 2 else ("adhoc",)):
+            traffic = TrafficSpec.of((0.4, 1.2)[i % 2], 1.0, spec.num_classes)
+            cfg = SimConfig(policy, 200.0, 60 + i, state, track_flows=i % 3 == 0)
+            ev = PolicyEvaluator(spec, params, policy)
+            cached = simulate_separated(spec, params, traffic, cfg,
+                                        throughput_fn=ThroughputCache(ev))
+            bare = simulate_separated(spec, params, traffic, cfg,
+                                      throughput_fn=ev.throughput)
+            assert cached == bare
+            runs += 1
+    assert runs == 18
 
 
 def test_joint_flow_sizes_are_exponential():
@@ -303,49 +419,49 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
 # SHA-256 of every trajectory field below, one per pinned run. Any change to a
 # random draw, to the rounding of an accrual or to the bookkeeping moves a
 # digest: re-record them only with a change that alters random-number
-# consumption on purpose. The fields are written as JSON, whose float format
-# (the shortest repr) does not depend on the NumPy version, as repr() of a
-# NumPy scalar does.
+# consumption or the rounding of a result on purpose. The fields are written
+# as JSON, whose float format (the shortest repr) does not depend on the NumPy
+# version, as repr() of a NumPy scalar does.
 _TRAJECTORY_FIELDS = ("samples", "arrivals", "departures", "aborted", "final_time",
                       "final_state", "time_integral_flows", "busy_time", "served_bits",
                       "abort_time", "completed_flow_sizes", "residual_flow_bits",
                       "rate_time", "event_counts_by_kind")
 _TRAJECTORY_DIGESTS = [
     "9106ea9e1265165ee8d3eac4b668887039623a77e1c8042bf7cd694ed4e49ccc",
-    "3b11460362ae9f7a61352765c26aca4940133396cec384a1b8f06f3fd783ca82",
+    "2c3595c8e2d0030767461cfff6e57828a9303cb14b8a6fb6c0863899599b2948",
     "6015e0f7055feffcbad5f0c12261f76b98941f1d14739609f5cb56d5f9a09809",
-    "e42872260377d245c9019b34ed195ca7b813de082025563f13640c2d4308923b",
+    "83b322be0dd7b24d0b6956f86e755ed93a0417971266904a7ece306fb4a0a678",
     "a0a3b39c473721dc32d1ef17643edaee8ff9ba281c251f6f4dd40bf1b32c700b",
     "9575a4bf15c7475824e4529d21a5e1fd09cce75c44343c05597c59ac08c99e12",
     "e308018631d1316c7e2a80e03c9033c5c9fab4d23e147c52bc711560d068dbdc",
     "b72a683a45e2419b04c68ccd30e889b742e343df64056e71b3e6f8d5eb6d434d",
     "5eb9f8ef090e73fbd896f671666e7af73673bf4e500b443b7ca66634365cd4b9",
-    "2ee1827d811f1362f51d74dddf08c4808cbf6f16d5f3355fd9b4d47bd52774b5",
-    "a6732398f85111f659f6c84ed61c5fade243b01e96f547dbf73e28320abb9270",
+    "d8ef22353772d4333da5ecc74afb1bc94a4fd5a6aef19fc5e7004fcfff4207fa",
+    "a62655fd7eb3c774e90809e87adc39c8b85848d337f4a51d7b6afc509087d943",
     "d57bf610ea14aae86fddd969534f8b575c7a08b79da05515c0ff70ab36509950",
     "c4b93d03d4c3bf17109ad0df5b56d982d8ef202084cbef9f82c731572bf2e55d",
     "826cd220e7e80930c1f211abb8a48c7035ef455a2a1ee25604213fd2efdb45d0",
     "42c06a65dbfa89811f57b132a62bd09956a645e272da3c89c76fb88eca2ffc13",
     "182f9ca3ce43c559dc9a5ca1d9953b66deb049eb125e1b9dfa017e99984d42ad",
-    "26c2193c5c36bbd9456b63376c759c820455f842208d8815793d9ce513cf5b2f",
+    "7046459ae3d905bba2d441c92467815a7a3feb27553b49a720c1c2701b9f511d",
     "17f21b4441ebf4b4d40e9edf39952390a035d77cdf75838eb61e9d1308e06442",
-    "c9e5cd4a9078185c9123309e2b6ce2a786b2e2c6e53ef5d632e8832b4391faa3",
-    "632da61c3a1ae379d58051a8339d8f2d5ca41adf0a1c3b3c6b421a35154dd94d",
+    "19d571d73005f73fed1ce539fc3bee3cd0753ce42920fac7a661bb6824afefb1",
+    "0f0f8e61c354ec801b7de24130a2c34f7ea7963b5635279d83fba63f9536e5ad",
     "97144e55bb3bd7ee4be834cac9879898e25743cd0689a69915d1a7ca304f6b03",
     "87183bff303290f7069f8c47aba2b64e311f9aea407fee7f76870e5c40e21be4",
     "7d9680e999fa44e69434c501d7f8b3305cabec527fb4392262b0f0a43b041b02",
     "58d48c1aabe77bf9600bbb520de6a3e4904b4ca1a6fe7c5a539e16be93d29630",
-    "e967b984a1777e7bd8ea6186162b5dd3b3ad516f11a5cdbeecf897ddfc9d2f70",
-    "943a7ae06d89e029f434b6ee763a16f5707c865c503cdc42e9a8be1f761e76dd",
+    "c80e5bebe2a503553c9367089291c612b317ac6252ea416fdb0f57fd232f66fe",
+    "22e62fd7aed35e5a1fc11ee42b619f6c8ebd0ad9c5b9df7a04ff74637c82cabf",
     "a53d61487a9bfce027f6f1e3a034ee1c629897e3109ef7d1099969113857fa4e",
-    "cd99968a59c828ef1f533b4257846e1630107354df6641cfe490056bcd6c3d96",
+    "5f32026428221ff62da40a21e0305fe9891b6c24b031c33356ede5b37434cacd",
     "2f8c5c01e87818295e91a99a9553d24071a360a84c275e23dba50795e658f726",
     "a6f4d4f02b37ee819a02ee714edb25fb226a27b24a013db7a3168a3e916be1d7",
     "4aa0fa7d5e73ce70651699576c54d31f062a46c00fc63540369372192e8cffd4",
     "87fae8cb32319feb5a3c8ef1de144ec849d69c822eb906a7b665d1d60709a2f0",
     "366cb548df7934c6cf71b03c122267377b30f3d542b9cd8cb3927f1b66271d9c",
-    "6297f4c813a24aa109528b22d58f87a0c0203f667c015c7a0fe0a366bbda14ce",
-    "163d12738ca344ad8f103dd9298d7ba605ba6fe46cb995a5c7418d5ca64d20ee",
+    "b62d015717ecf656dde018298b6fb8170145685e617d011b209821ad188c9c52",
+    "c9745199f53338e87c3cb120604dd3e0051229dbc6cce691367b19bb1c7798f1",
     "0a35478ace53e3632689a069cc7ba87160d57f6bd85ba1972d15af4ed4f81b88",
     "409bf6541f517883bb127f22c7d58a5e4809b82c94311cb074c2b786978b2192",
     "eaebf7f117f7d9bb3c7b5657e4afd8d68b51d1210fbd46d06caf28a1d0cdf10b",

@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,21 +29,14 @@ def closed_form_distribution(state, params, spec, policy):
 # --- measure values on hand-computed cases ---
 
 def test_empty_schedule_has_unit_weight():
-    # per-flow measures give the empty schedule weight exactly one; the
-    # shared-queue measure carries the state-only factor prod_i (S_i)!
+    # every policy's measure gives the empty schedule weight exactly one
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        spec, params, state = random_instance(rng, infrastructure=False)
-        lw = stationary_log_weights(state, params, spec, "adhoc")
-        assert lw[Schedule.empty(spec.num_classes, spec.num_channels)] == 0.0
-    for _ in range(10):
-        spec, params, state = random_instance(rng, infrastructure=True)
-        empty = Schedule.empty(spec.num_classes, spec.num_channels)
-        assert stationary_log_weights(state, params, spec, "flow_aware")[empty] == 0.0
-        expected = sum(math.lgamma(sum(state[k] for k in ap.downlink) + 1)
-                       for ap in spec.access_points)
-        lw = stationary_log_weights(state, params, spec, "standard_infra")
-        assert lw[empty] == pytest.approx(expected, abs=1e-12)
+    for infra in (False, True):
+        for _ in range(10):
+            spec, params, state = random_instance(rng, infrastructure=infra)
+            empty = Schedule.empty(spec.num_classes, spec.num_channels)
+            for policy in policies_for(spec):
+                assert stationary_log_weights(state, params, spec, policy)[empty] == 0.0
 
 
 def test_adhoc_single_class_weight():
@@ -206,11 +202,46 @@ def test_lemma1_rejects_shared_queue_policy():
         lemma1_check((1,), params, spec, 0.1, policy="standard_infra")
 
 
-# --- the log-factorial table gives lgamma's floats ---
+# --- the share form, its throughput key and the log-factorial table ---
 
-def lgamma_log_weights(spec, params, policy, state):
-    """Each schedule's log weight with every factorial from lgamma on floats:
-    the evaluator's expression without its log-factorial table."""
+def lgamma_log_weights(spec, params, policy, state, schedules=None):
+    """Each schedule's log weight in the share form with every factorial from
+    lgamma on floats: the evaluator's expression without its log-factorial
+    table or its throughput key. A class alone at its access point has
+    share 1.0 or 0.0 and term 0, so only access points with two or more
+    downlink classes get a share term. ``schedules`` may pass in the
+    feasible set at ``state``."""
+    if schedules is None:
+        schedules = enumerate_feasible(spec, state)
+    per_class = schedules.per_class
+    log_beta = np.log(np.where(params.beta > 0, params.beta, 1.0))
+    const = per_class @ np.log(params.alpha)
+    const = const + np.einsum("skj,kj->s", schedules.active, log_beta)
+    downlink = [k for ap in spec.access_points for k in ap.downlink
+                if policy == "standard_infra"]
+    plain = [k for k in range(spec.num_classes) if k not in downlink]
+    groups = [sorted(ap.downlink) for ap in spec.access_points
+              if len(ap.downlink) > 1 and policy == "standard_infra"]
+    shared = [k for g in groups for k in g]
+    if plain:
+        x = np.asarray([state[k] for k in plain], dtype=np.float64)
+        logw = (gammaln(x + 1.0).sum()
+                - gammaln(x[None, :] - per_class[:, plain] + 1.0).sum(axis=1)
+                + const)
+    else:
+        logw = const.copy()
+    if shared:
+        log_share = []
+        for g in groups:
+            total = sum(state[k] for k in g)
+            log_share += [math.log(state[k] / total) if state[k] else 0.0 for k in g]
+        logw += per_class[:, shared].astype(np.float64) @ np.array(log_share)
+    return per_class, logw
+
+
+def falling_factorial_log_weights(spec, params, policy, state):
+    """The falling-factorial form: x_k! / (x_k - y_k)! for every class, times
+    (S_i - a_i)! per access point under the shared-queue policy."""
     schedules = enumerate_feasible(spec, state)
     per_class = schedules.per_class
     log_beta = np.log(np.where(params.beta > 0, params.beta, 1.0))
@@ -227,6 +258,103 @@ def lgamma_log_weights(spec, params, policy, state):
         ap_active = np.stack([per_class[:, m].sum(axis=1) for m in members], axis=1)
         logw = logw + gammaln(totals[None, :] - ap_active + 1.0).sum(axis=1)
     return per_class, logw
+
+
+def normalized(logw):
+    return np.exp(logw - logsumexp(logw))
+
+
+def test_share_form_matches_falling_factorial_form():
+    rng = np.random.default_rng(2718)
+    bowtie = (bowtie_spec(), CsmaParams.from_alpha(bowtie_spec(), 2.0), None)
+    cases = 0
+    for i in range(61):
+        spec, params, _ = (random_instance(rng, infrastructure=i % 2 == 1)
+                           if i < 60 else bowtie)
+        K = spec.num_classes
+        states = [tuple(int(v) for v in rng.integers(0, 40, K)) for _ in range(6)]
+        states += [(0,) * K, tuple(int(v) for v in rng.integers(0, 3, K))]
+        for policy in policies_for(spec):
+            for state in states:
+                _, old = falling_factorial_log_weights(spec, params, policy, state)
+                _, new = lgamma_log_weights(spec, params, policy, state)
+                assert np.allclose(normalized(new), normalized(old), rtol=0, atol=1e-12)
+                cases += 1
+    assert cases == 8 * (30 + 2 * 31)
+
+
+def box_instances():
+    """Random instances, every one with some downlink class, plus the
+    bow-tie and a two-access-point layout with two downlink classes and one
+    uplink class each."""
+    rng = np.random.default_rng(1618)
+    found = 0
+    while found < 25:
+        spec, params, _ = random_instance(rng, infrastructure=True)
+        if any(ap.downlink for ap in spec.access_points):
+            found += 1
+            yield spec, params
+    yield bowtie_spec(), CsmaParams.from_alpha(bowtie_spec(), 2.0)
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
+    two_ap = NetworkSpec(6, 2, replicate_graph(2, range(6), edges),
+                         (AccessPoint.of([1], [0, 2]), AccessPoint.of([4], [3, 5])))
+    yield two_ap, CsmaParams.from_alpha(two_ap, 1.0)
+    for spec, params, _ in (random_instance(rng, infrastructure=False) for _ in range(5)):
+        yield spec, params
+
+
+def test_equal_throughput_keys_give_bit_identical_throughput():
+    merged = two_class_merged = 0
+    for spec, params in box_instances():
+        K = spec.num_classes
+        two_class = [sorted(ap.downlink) for ap in spec.access_points
+                     if len(ap.downlink) >= 2]
+        box = ({5: 3, 6: 2}.get(K, 4),) * K
+        for policy in ("adhoc",) if not spec.is_infrastructure else (
+                "standard_infra", "flow_aware"):
+            ev = PolicyEvaluator(spec, params, policy)
+            by_key, by_caps = {}, {}
+            for x in itertools.product(*(range(b + 1) for b in box)):
+                caps = tuple(min(v, spec.num_channels) for v in x)
+                if caps not in by_caps:
+                    by_caps[caps] = enumerate_feasible(spec, caps)
+                per_class, logw = lgamma_log_weights(spec, params, policy, x,
+                                                     by_caps[caps])
+                w = np.exp(logw - logw.max())
+                expected = params.phi * ((w / w.sum()) @ per_class)
+                assert np.array_equal(ev.throughput(x), expected)
+                by_key.setdefault(ev.throughput_key(x), []).append((x, expected))
+            for members in by_key.values():
+                x0, first = members[0]
+                for x, value in members[1:]:
+                    assert np.array_equal(value, first), (policy, x0, x)
+                    merged += 1
+                    if policy == "standard_infra" and any(
+                            [x[k] for k in g] != [x0[k] for k in g] for g in two_class):
+                        two_class_merged += 1
+    # the key merges states, some of them with different two-class counts
+    assert merged > 4000 and two_class_merged > 1000
+
+
+def test_bad_flow_counts_are_rejected_before_enumeration(monkeypatch):
+    eq = importlib.import_module("mccsma.equilibrium")
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a bad state")
+
+    monkeypatch.setattr(eq, "enumerate_feasible", no_enumeration)
+    spec = bowtie_spec()
+    params = CsmaParams.from_alpha(spec, 2.0)
+    for policy in ("standard_infra", "flow_aware"):
+        ev = PolicyEvaluator(spec, params, policy)
+        for state in ((-1, 2, 0, 0, 1), (0, 0, 0, 0, -3), (1, 2, 3), (1,) * 6):
+            for call in (ev.throughput_key, ev.log_weights, ev.equilibrium,
+                         ev.throughput):
+                with pytest.raises(ValueError, match=re.escape(str(state))):
+                    call(state)
+            with pytest.raises(ValueError, match=re.escape(str(state))):
+                equilibrium(list(state), params, spec, policy)
+    assert not ev._bundles
 
 
 def test_table_factorials_are_bit_identical_to_lgamma():
@@ -274,12 +402,15 @@ def test_huge_flow_count_skips_the_table(monkeypatch):
         return arange(n, *args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded_arange)
-    spec = NetworkSpec(2, 1, replicate_graph(1, [0, 1], [(0, 1)]),
-                       (AccessPoint.of([], [0, 1]),))
+    # downlink classes 0 and 1 share the access point's queue under
+    # standard_infra, so there only the uplink class 2 takes factorials
+    spec = NetworkSpec(3, 1, replicate_graph(1, [0, 1, 2], [(0, 1), (0, 2), (1, 2)]),
+                       (AccessPoint.of([2], [0, 1]),))
     params = CsmaParams.from_alpha(spec, 1.0)
     for policy in ("standard_infra", "flow_aware"):
         ev = PolicyEvaluator(spec, params, policy)
-        for state in ((10**9, 3), (3, 10**9), (LOG_FACTORIAL_CAP - 4, 3)):
+        for state in ((10**9, 3, 2), (3, 10**9, 1), (2, 3, 10**9),
+                      (LOG_FACTORIAL_CAP - 4, 3, 0), (1, 1, LOG_FACTORIAL_CAP - 1)):
             per_class, logw = lgamma_log_weights(spec, params, policy, state)
             got = ev.log_weights(state)[1]
             assert np.all(np.isfinite(got)) and np.array_equal(got, logw)

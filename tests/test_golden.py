@@ -18,9 +18,9 @@ GOLDEN = {
         ["run", "equilibrium", "--scenario", "two-ap"],
         {
             "distribution.csv":
-                "4c8b590d226fd99a826e63bc4a8bc48908eecb479ac3054b9957bd838baa5cf3",
+                "7ff6e502ec3c25151e3b578ac50316b3387b3c34a0bdbeb1a8d75568c82fe014",
             "throughput.csv":
-                "9124ce176fe4fa1f7c21d70a8772b0b211e212cd68c3b439c4d039faebc90342",
+                "2c0a938413a5d81eba5dd8dd1af68b6e49abdd0d2fda34754bf89275fbabbb17",
         },
     ),
     "capacity-sweep-bowtie": (
@@ -49,7 +49,7 @@ GOLDEN = {
          "--horizon", "50", "--replications", "5"],
         {
             "summary.csv":
-                "cc014f0190a7e878225886d6c73fe5bcbab777b08709d49b1a865f984b3fbc4f",
+                "22afa43ca93d9a05246fe4b3427d14577ba0657eae4a8a244358d3c6bf70cda0",
             "trajectory_0.csv":
                 "ff14ef4553a7064974c989e94a62b705cd53f285d1843f9014cbc7941163723f",
             "trajectory_1.csv":

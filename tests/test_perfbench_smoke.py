@@ -33,9 +33,9 @@ def _smoke(workload: str) -> dict:
 
 # the first traced unit of the flow-models smoke run at seed 7
 FLOW_MODELS_SMOKE_COUNTS = {
-    "equilibrium.throughput_calls": 3668,   # 1,940 cache misses + 1,728 oracle states
+    "equilibrium.throughput_calls": 2076,   # 348 cache misses + 1,728 oracle states
     "dynamics.cache_lookups": 2745,
-    "dynamics.cache_misses": 1940,
+    "dynamics.cache_misses": 348,
     "equilibrium.bundle_builds": 356,
     "dynamics.separated_events": 2735,
     "dynamics.joint_events": 456,
