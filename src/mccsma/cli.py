@@ -42,8 +42,8 @@ from .schedule import OracleSpaceError, ScheduleSpaceError, enumerate_feasible
 from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAxis,
                        bundled_scenarios, load_scenario, parse_scenario,
                        scenario_to_document)
-from .stability import (MIN_REPLICATIONS, center_rate_polynomial, check_slope_inputs,
-                        fluid_slope, homogeneous_critical_load, optimal_center_bound)
+from .stability import (MIN_REPLICATIONS, bowtie_boundary, check_slope_inputs,
+                        fluid_slope, homogeneous_critical_load)
 from .topology import CsmaParams
 
 EXIT_OK = 0
@@ -313,22 +313,27 @@ def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
     if len(header) < 3 or header[0] != "load1" or header[1] != "load2":
         raise ScenarioError(f"{sweep_csv}: expected columns load1,load2,...")
     points = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")
-        points.append((float(parts[0]), float(parts[1]), parts[2]))
+        try:
+            points.append((float(parts[0]), float(parts[1]), parts[2]))
+        except (IndexError, ValueError):
+            raise ScenarioError(f"{sweep_csv}: line {number}: expected numeric load1,load2 "
+                                f"and a third field, got {ln!r}") from None
 
     outdir.mkdir(parents=True, exist_ok=True)
     grid = sorted(set(np.linspace(0.0, 1.0, 101)) | {0.5, 2.0 / 3.0,
                                                      homogeneous_critical_load()})
+    boundary = bowtie_boundary(grid)
     _write_csv(outdir / "boundary_optimal.csv", ["load1", "load2"],
-               [(r, optimal_center_bound(r)) for r in grid])
+               [(b.rho1, b.optimal_limit) for b in boundary])
     _write_csv(outdir / "boundary_instability.csv", ["load1", "load2"],
-               [(r, center_rate_polynomial(r)) for r in grid])
+               [(b.rho1, b.unstable_above) for b in boundary])
     _write_csv(outdir / "simulation_points.csv", ["load1", "load2", "verdict"], points)
-    combined = ([(r, optimal_center_bound(r), "optimal") for r in grid]
-                + [(r, center_rate_polynomial(r), "instability") for r in grid]
+    combined = ([(b.rho1, b.optimal_limit, "optimal") for b in boundary]
+                + [(b.rho1, b.unstable_above, "instability") for b in boundary]
                 + [(a, b, f"simulation:{v}") for a, b, v in points])
     _write_csv(outdir / "region_plot.csv", ["load1", "load2", "source"], combined)
     return ["boundary_optimal.csv", "boundary_instability.csv",

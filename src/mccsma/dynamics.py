@@ -1,16 +1,18 @@
 """Discrete-event simulation of the flow-level dynamics.
 
-Two models are simulated exactly (no time discretization):
+Three models are simulated exactly (no time discretization):
 
 * the separated model, where flow counts form a Markov process whose per-class
   departure rates come from the stationary packet-level throughput at the
-  current state (packet dynamics treated as infinitely fast), and
+  current state (packet dynamics treated as infinitely fast);
 * the joint model at scaling parameter N, which tracks the schedule explicitly:
   flows carry geometric packet counts with mean sigma_k * N, packets have mean
   size 1/N, and attempt rates are scaled by N, so growing N accelerates the
-  packet level against the flow level at constant traffic intensity.
+  packet level against the flow level at constant traffic intensity; and
+* the coupled pair, two separated chains with shared arrivals and coupled
+  departures, a pathwise check of stochastic domination (Lindvall, 1992).
 
-Both run on one event loop, ``_run``: the first-reaction method of Gillespie
+All run on one event loop, ``_run``: the first-reaction method of Gillespie
 (1977), a race of exponential clocks. The loop owns the class-k Poisson
 arrival clocks, which are memoryless and so kept until they fire, and redraws
 every other clock after each event from its current rate. It fires the
@@ -23,16 +25,19 @@ departures and enforces the truncation guard. A model supplies what differs:
   clock draws (see below);
 * ``rates(x)``: each such kind's per-class rate vector plus the served-rate
   vector at flow counts ``x``, valid until the next event;
-* ``arrive(k)``: flow bookkeeping for a new class-k flow (the initial flows
-  are added this way too);
+* ``arrive(k, t)``: flow bookkeeping for a new class-k flow at time t (the
+  initial flows are added this way too, at t = 0);
 * ``fire(kind, k, rng, t)``: the event of clock ``kind`` of class k at time
   t, given that clock's stream; returns whether a class-k flow departed;
 * ``accrue(x, dt)``: its own path integrals over a stretch of length dt;
-* ``schedule()``: the current schedule, or None;
+* ``schedule``: a callable giving the current schedule, or None if the model
+  keeps none;
 * ``finish(traj)``: the model's own fields of the finished trajectory.
 
 ``_Separated`` has one departure clock per class; ``_Joint`` has an attempt
-clock and a packet clock per class and keeps the schedule.
+clock and a packet clock per class and keeps the schedule; ``_Coupled`` has
+one coupling clock per class, whose uniform draw decides the departure in
+both chains of the pair.
 
 Randomness comes from counter-based Philox streams, one per (event kind,
 class, replication), all derived from the master seed. Identical configs give
@@ -44,13 +49,13 @@ clock: the attempt stream draws the clock, then the channel; the packet stream
 the clock, then the slot, then whether the flow ends. A stream that gives only
 standard-exponential clock draws is drawn in blocks of ``EXP_BLOCK``, which
 yields the same values in the same order as one draw at a time: these are the
-arrival streams of both models and the service streams of the separated
+arrival streams of every model and the service streams of the separated
 model, whose ``fire`` draws nothing. The joint model's attempt and packet
-streams interleave a uniform or integer draw after each clock draw, so they
-are drawn one value at a time; a block would shift every later value. Rates
-and path integrals are Python floats, and the order of each floating-point
-operation is part of the trajectory: served bits add (phi_k * y_k) * dt, not
-phi_k * (y_k * dt).
+streams and the coupling streams interleave a uniform or integer draw after
+each clock draw, so they are drawn one value at a time; a block would shift
+every later value. Rates and path integrals are Python floats, and the order
+of each floating-point operation is part of the trajectory: served bits add
+(phi_k * y_k) * dt, not phi_k * (y_k * dt).
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import bisect
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,7 +110,7 @@ def exponential_draws(rng: np.random.Generator, *, block: bool) -> Callable[[], 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run configuration shared by both simulators.
+    """Run configuration shared by the simulators.
 
     ``scaling_n`` only affects the joint model. ``max_total_flows`` is the
     truncation guard: crossing it aborts the run, which is recorded on the
@@ -226,7 +231,7 @@ class _Sampler:
 
 
 def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
-    """The event loop shared by both models (see the module docstring)."""
+    """The event loop shared by every model (see the module docstring)."""
     K = model.num_classes
     x = [int(v) for v in cfg.initial_state]
     if len(x) != K:
@@ -235,7 +240,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         raise ValueError(f"initial_state must be nonnegative, got {tuple(x)}")
     for k in range(K):                  # the initial flows enter as arrivals
         for _ in range(x[k]):
-            model.arrive(k)
+            model.arrive(k, 0.0)
 
     lam = [float(v) for v in traffic.arrival_rate]
     arr_draws = [exponential_draws(stream(cfg.seed, "arrival", k, cfg.replication),
@@ -280,7 +285,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             x[k] += 1
             arrivals[k] += 1
             next_arrival[k] = t + arr_draws[k]() / lam[k]
-            model.arrive(k)
+            model.arrive(k, t)
             if sum(x) > cfg.max_total_flows:
                 abort_time = t
                 sampler.emit(math.inf, x, model.schedule)
@@ -318,6 +323,7 @@ class _Separated:
 
     clocks = ("service",)
     block_drawn = ("service",)
+    schedule = None
 
     def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn,
                  traffic: TrafficSpec, cfg: SimConfig):
@@ -335,7 +341,7 @@ class _Separated:
         self.phi = phi = self.throughput_fn(tuple(x)).tolist()
         return ([p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)],), phi
 
-    def arrive(self, k: int) -> None:
+    def arrive(self, k: int, t: float) -> None:
         if self.track:
             if not self.offsets[k]:
                 self.service[k] = 0.0
@@ -352,9 +358,6 @@ class _Separated:
         if self.track:
             self.service = [c + p * dt / n if n > 0 and p > 0 else c
                             for c, p, n in zip(self.service, self.phi, x)]
-
-    def schedule(self) -> None:
-        return None
 
     def finish(self, traj: Trajectory) -> None:
         if self.track:
@@ -464,7 +467,7 @@ class _Joint:
         served = [p * y for p, y in zip(self.phi, self.y_class)]
         return (self.attempt_total, self.packet_total), served
 
-    def arrive(self, k: int) -> None:
+    def arrive(self, k: int, t: float) -> None:
         if self.track:
             self.flows[k][self.next_fid] = 0.0
             self.idle[k].append(self.next_fid)
@@ -686,83 +689,79 @@ class CoupledRun:
     ordered: bool                    # componentwise dominated <= base throughout
 
 
+class _Coupled:
+    """Coupled pair: ``_run``'s own chain is the base chain, served at
+    ``throughput_lo``; the model carries the dominated chain, served at
+    ``throughput_hi``, which takes the same arrivals.
+
+    Class k has one coupling clock at the rate bound J * phi_k / sigma_k.
+    Its uniform u in [0, bound) decides the departure in both chains
+    (nested intervals): a chain holding class-k flows loses one when u falls
+    below its own class-k departure rate.
+    """
+
+    clocks = ("coupling",)
+    block_drawn = ()
+    schedule = None
+
+    def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                 cfg: SimConfig, throughput_hi: ThroughputFn, throughput_lo: ThroughputFn):
+        self.num_classes = K = spec.num_classes
+        self.sigma = [float(v) for v in traffic.mean_flow_size]
+        self.bound = [spec.num_channels * p / s
+                      for p, s in zip(params.phi.tolist(), self.sigma)]
+        self.throughput_hi = throughput_hi
+        self.throughput_lo = throughput_lo
+        self.y = [0] * K                  # the dominated chain's counts
+        self.departures = [0] * K
+        self.integral, self.busy, self.served = [0.0] * K, [0.0] * K, [0.0] * K
+        self.sampler = _Sampler(cfg.sample_times)
+        self.ordered = True
+
+    def rates(self, x: list[int]):
+        self.x = tuple(x)                 # the base chain's counts until the next event
+        self.phi_lo = self.throughput_lo(self.x).tolist()
+        self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
+        return (self.bound,), self.phi_lo
+
+    def arrive(self, k: int, t: float) -> None:
+        self.sampler.emit(t, self.y)
+        self.y[k] += 1
+
+    def fire(self, kind: int, k: int, rng, t: float) -> bool:
+        u = rng.random() * self.bound[k]
+        x, y = self.x, self.y
+        base = x[k] > 0 and u < self.phi_lo[k] / self.sigma[k]
+        if y[k] > 0 and u < self.phi_hi[k] / self.sigma[k]:
+            self.sampler.emit(t, y)
+            y[k] -= 1
+            self.departures[k] += 1
+        self.ordered &= y[k] <= x[k] - base
+        return base
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        y = self.y
+        self.integral = [a + n * dt for a, n in zip(self.integral, y)]
+        self.busy = [b + dt if n > 0 else b for b, n in zip(self.busy, y)]
+        self.served = [s + r * dt for s, r in zip(self.served, self.phi_hi)]
+
+    def finish(self, traj: Trajectory) -> None:
+        self.sampler.emit(math.inf, self.y)
+        self.dominated = replace(
+            traj, samples=self.sampler.out, departures=tuple(self.departures),
+            final_state=tuple(self.y), time_integral_flows=tuple(self.integral),
+            busy_time=tuple(self.busy), served_bits=tuple(self.served))
+
+
 def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                           cfg: SimConfig, throughput_hi: ThroughputFn,
                           throughput_lo: ThroughputFn) -> CoupledRun:
-    """Run two separated-model chains on one uniformized event stream.
-
-    Both chains see identical arrivals; departure events use nested uniform
-    intervals, so whenever the first chain's service rates dominate the
-    second's pointwise (on ordered states), its flow counts stay below.
-    Used for stochastic-domination spot checks.
+    """Run the separated model under ``throughput_hi`` (the dominated chain)
+    and ``throughput_lo`` (the base chain), coupled as in ``_Coupled``: where
+    the first dominates the second pointwise on ordered states, the dominated
+    chain's flow counts stay below. Used for stochastic-domination spot checks.
     """
     check_policy(spec, cfg.policy)
-    K = spec.num_classes
-    lam = np.asarray(traffic.arrival_rate, dtype=float)
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    dep_cap = spec.num_channels * params.phi / sigma
-    total_rate = float(lam.sum() + dep_cap.sum())
-    rng = stream(cfg.seed, "coupling", 0, cfg.replication)
-
-    x_hi = np.array(cfg.initial_state, dtype=np.int64)
-    x_lo = np.array(cfg.initial_state, dtype=np.int64)
-    dep_off = lam.sum() + np.concatenate([[0.0], np.cumsum(dep_cap)[:-1]])
-
-    t = 0.0
-    ordered = True
-    samp_hi = _Sampler(cfg.sample_times)
-    samp_lo = _Sampler(cfg.sample_times)
-    int_hi = np.zeros(K)
-    int_lo = np.zeros(K)
-    counts = [np.zeros(K, dtype=np.int64) for _ in range(4)]  # arr/dep per chain
-
-    while True:
-        dt = rng.exponential(1.0 / total_rate)
-        t_next = t + dt
-        if t_next >= cfg.horizon:
-            samp_hi.emit(math.inf, x_hi)
-            samp_lo.emit(math.inf, x_lo)
-            int_hi += x_hi * (cfg.horizon - t)
-            int_lo += x_lo * (cfg.horizon - t)
-            t = cfg.horizon
-            break
-        samp_hi.emit(t_next, x_hi)
-        samp_lo.emit(t_next, x_lo)
-        int_hi += x_hi * dt
-        int_lo += x_lo * dt
-        t = t_next
-        u = rng.random() * total_rate
-
-        if u < lam.sum():
-            k = int(np.searchsorted(np.cumsum(lam), u, side="right"))
-            x_hi[k] += 1
-            x_lo[k] += 1
-            counts[0][k] += 1
-            counts[2][k] += 1
-        else:
-            phi_hi = throughput_hi(tuple(int(v) for v in x_hi))
-            phi_lo = throughput_lo(tuple(int(v) for v in x_lo))
-            for k in range(K):
-                if dep_off[k] <= u < dep_off[k] + dep_cap[k]:
-                    local = u - dep_off[k]
-                    if x_hi[k] > 0 and local < phi_hi[k] / sigma[k]:
-                        x_hi[k] -= 1
-                        counts[1][k] += 1
-                    if x_lo[k] > 0 and local < phi_lo[k] / sigma[k]:
-                        x_lo[k] -= 1
-                        counts[3][k] += 1
-                    break
-        if np.any(x_hi > x_lo):
-            ordered = False
-
-    def mk(samples, ints, arr, dep, xf) -> Trajectory:
-        return Trajectory(samples=samples, arrivals=tuple(int(v) for v in arr),
-                          departures=tuple(int(v) for v in dep), aborted=False,
-                          final_time=t, final_state=tuple(int(v) for v in xf),
-                          time_integral_flows=tuple(float(v) for v in ints),
-                          busy_time=tuple(0.0 for _ in range(K)),
-                          served_bits=tuple(0.0 for _ in range(K)))
-
-    return CoupledRun(mk(samp_hi.out, int_hi, counts[0], counts[1], x_hi),
-                      mk(samp_lo.out, int_lo, counts[2], counts[3], x_lo),
-                      ordered)
+    model = _Coupled(spec, params, traffic, cfg, throughput_hi, throughput_lo)
+    base = _run(model, traffic, cfg)
+    return CoupledRun(model.dominated, base, model.ordered)

@@ -55,6 +55,7 @@ The table holds exactly lgamma's values, so both ways give the same floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -184,12 +185,20 @@ class PolicyEvaluator:
         share x_k / S_i (0.0 when S_i = 0) of each downlink class of an
         access point with two or more of them, grouped by access point.
         States with equal keys get bit-identical results from every method.
-        Raises ``ValueError`` naming the state when it does not hold K
-        nonnegative counts.
+        Integral floats and NumPy integers count as their ints. Raises
+        ``ValueError`` naming the state when it does not hold K nonnegative
+        integral counts.
         """
-        flows = state if type(state) is tuple else state_flows(state)
+        flows = state
+        if type(state) is not tuple or type(sum(state)) is not int:
+            # a tuple of Python ints skips this; anything else is converted
+            flows = tuple(state)
+            if not all(isinstance(v, numbers.Real) and float(v).is_integer()
+                       for v in flows):
+                raise ValueError(f"state {flows} must hold integral flow counts")
+            flows = tuple([int(v) for v in flows])
         if len(flows) != self._K or min(flows) < 0:
-            raise ValueError(f"state {tuple(flows)} must hold {self._K} nonnegative "
+            raise ValueError(f"state {flows} must hold {self._K} nonnegative "
                              f"flow counts")
         if not self._shared_queue:
             return flows
@@ -213,11 +222,11 @@ class PolicyEvaluator:
         if counts:
             # every factorial below is of a count in [0, sum(counts)]
             lf = self._log_factorials(sum(counts))
-            x = None if lf is None else np.array(counts)
-            if x is None or x.dtype.kind != "i":   # beyond the table, or not all ints
-                x = np.asarray(state_flows(counts), dtype=np.float64)
+            if lf is None:                          # beyond the table
+                x = np.asarray(counts, dtype=np.float64)
                 log_factorial = lambda v: gammaln(v + 1.0)
             else:
+                x = np.array(counts)
                 log_factorial = lf.__getitem__
             # falling factorial x_k!/(x_k - y_k)! per plain class, zero rows
             # contribute 0

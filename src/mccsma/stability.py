@@ -194,7 +194,8 @@ def fluid_slope(trajectories: Sequence[Trajectory],
     aborts); anything else is inconclusive.
     """
     if len(trajectories) < MIN_REPLICATIONS:
-        raise ValueError("need at least 5 replications for a slope verdict")
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications for a "
+                         f"slope verdict, got {len(trajectories)}")
     K = len(trajectories[0].final_state)
     slopes = []
     class_slopes = []
@@ -353,10 +354,15 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     served at full rate while occupied, then tests per-class busy fractions
     against the load, the occupancy distribution against the geometric law
     (chi-square, each p-value at least 0.01), and pairwise correlations
-    against zero (CI over ``MM1_BATCHES`` batch means).
+    against zero (CI over ``MM1_BATCHES`` batch means). Raises
+    ``ValueError`` before simulating when ``cfg`` has fewer sample times
+    than batches.
     """
     from scipy.stats import chisquare
 
+    if len(cfg.sample_times) < MM1_BATCHES:
+        raise ValueError(f"need at least {MM1_BATCHES} sample times for the batch "
+                         f"means, got {len(cfg.sample_times)}")
     K = spec.num_classes
     edges = [k for k in range(K) if k != 2]
     rho = traffic.rho / params.phi

@@ -104,6 +104,17 @@ def test_export_plot_schema_mismatch(tmp_path):
                  "--output", str(tmp_path / "p")]) == 2
 
 
+@pytest.mark.parametrize("row", ["0.5,0.5", "0.5,high,interior"])
+def test_export_plot_bad_row_is_parse_error(row, tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text(f"load1,load2,status\n0.1,0.2,interior\n{row}\n")
+    assert main(["export-plot", "--sweep", str(sweep),
+                 "--output", str(tmp_path / "p")]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse" and "line 3" in diag["message"]
+    assert row in diag["message"]
+
+
 def test_simulate_writes_trajectories_and_verdict(tmp_path):
     out = tmp_path / "sim"
     code = main(["run", "simulate", "--scenario", "ap-line3",

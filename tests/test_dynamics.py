@@ -16,6 +16,7 @@ from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, Trajectory, 
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
+from mccsma.stability import dominated_throughput_fn
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
 
@@ -33,7 +34,16 @@ def test_config_validation():
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(0.5, 0.5))
 
 
-@pytest.mark.parametrize("simulate", [simulate_separated, simulate_joint])
+def simulate_coupled(spec, params, traffic, cfg):
+    """The coupled pair under the policy's own throughput (base) and the
+    profile that serves class 0 at full rate (dominated)."""
+    hi = dominated_throughput_fn(spec, params, cfg.policy, [0])
+    lo = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
+    return simulate_coupled_pair(spec, params, traffic, cfg, hi, lo)
+
+
+@pytest.mark.parametrize("simulate", [simulate_separated, simulate_joint,
+                                      simulate_coupled])
 @pytest.mark.parametrize("initial_state, message", [
     ((1,), "entries"), ((1, 0, 0), "entries"), ((-1, 0), "nonnegative")])
 def test_bad_initial_state_is_rejected(simulate, initial_state, message):
@@ -87,14 +97,22 @@ def test_reproducibility_and_replication_independence():
     assert c != a
 
 
-def test_truncation_guard_records_abort():
+@pytest.mark.parametrize("simulate", [simulate_separated, simulate_coupled])
+def test_truncation_guard_records_abort(simulate):
     spec = NetworkSpec(1, 1, replicate_graph(1, [0], []))
     params = CsmaParams.from_alpha(spec, 1.0)
     traffic = TrafficSpec.of(5.0, 10.0, 1)     # heavily overloaded
     cfg = SimConfig("adhoc", 1000.0, 5, (0,), max_total_flows=30)
-    tr = simulate_separated(spec, params, traffic, cfg)
-    assert tr.aborted and tr.abort_time is not None
-    assert sum(tr.final_state) == 31
+    tr = simulate(spec, params, traffic, cfg)
+    runs = [tr.dominated, tr.base] if simulate is simulate_coupled else [tr]
+    assert sum(runs[-1].final_state) == 31
+    for run in runs:
+        assert run.aborted and run.abort_time is not None
+        assert run.abort_time == runs[-1].abort_time < 1000.0
+        assert all(v > 0 for v in run.busy_time + run.served_bits)
+    if simulate is simulate_coupled:
+        # the dominated chain serves its class at the full rate phi_0 = 1
+        assert tr.dominated.served_bits == tr.dominated.busy_time
 
 
 def test_mm1_mean_queue():
@@ -135,7 +153,7 @@ class _PerFlowTracking(_Separated):
         super().__init__(*args)
         self.flows = [[] for _ in range(self.num_classes)]
 
-    def arrive(self, k):
+    def arrive(self, k, t):
         if self.track:
             self.flows[k].append(0.0)
 
@@ -375,6 +393,27 @@ def test_coupled_pair_shares_arrivals_and_orders_states():
     assert run.ordered
     for sd, sb in zip(run.dominated.samples, run.base.samples):
         assert all(a <= b for a, b in zip(sd.state, sb.state))
+
+
+def test_coupled_pair_with_equal_or_swapped_profiles():
+    # one profile for both chains: every departure is taken by both, so the
+    # model's own bookkeeping must reproduce _run's bit for bit
+    spec = bowtie_spec()
+    params = CsmaParams.from_alpha(spec, 2.0)
+    traffic = TrafficSpec.of(0.6, 1.0, 5)
+    fn = ThroughputCache(PolicyEvaluator(spec, params, "standard_infra"))
+    cfg = SimConfig("standard_infra", 300.0, 4, (3, 0, 1, 0, 2),
+                    sample_times=uniform_sample_times(300.0, 60), max_total_flows=40)
+    run = simulate_coupled_pair(spec, params, traffic, cfg, fn, fn)
+    assert run.ordered and sum(run.base.departures) > 50
+    assert run.dominated == run.base
+    # the dominated chain serves the center class at the full rate phi_2 = 1;
+    # the dominating profile on the base chain breaks the order
+    hi = dominated_throughput_fn(spec, params, "standard_infra", [2])
+    run = simulate_coupled_pair(spec, params, traffic, cfg, hi, fn)
+    assert run.dominated.served_bits[2] == run.dominated.busy_time[2] < run.base.busy_time[2]
+    assert sum(run.dominated.time_integral_flows) < sum(run.base.time_integral_flows)
+    assert not simulate_coupled_pair(spec, params, traffic, cfg, fn, hi).ordered
 
 
 def _tv_full_scan(counts, total, reference, outside_ref):

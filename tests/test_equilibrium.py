@@ -347,7 +347,8 @@ def test_bad_flow_counts_are_rejected_before_enumeration(monkeypatch):
     params = CsmaParams.from_alpha(spec, 2.0)
     for policy in ("standard_infra", "flow_aware"):
         ev = PolicyEvaluator(spec, params, policy)
-        for state in ((-1, 2, 0, 0, 1), (0, 0, 0, 0, -3), (1, 2, 3), (1,) * 6):
+        for state in ((-1, 2, 0, 0, 1), (0, 0, 0, 0, -3), (1, 2, 3), (1,) * 6,
+                      (math.nan, 1, 1, 1, 1), (1.5, 1, 1, 1, 1), (math.inf, 1, 1, 1, 1)):
             for call in (ev.throughput_key, ev.log_weights, ev.equilibrium,
                          ev.throughput):
                 with pytest.raises(ValueError, match=re.escape(str(state))):
@@ -380,8 +381,8 @@ def test_table_factorials_are_bit_identical_to_lgamma():
                 probs = np.exp(logw - log_z)
                 assert np.array_equal(ev.log_weights(state)[1], logw)
                 assert np.array_equal(ev.throughput(state), throughput)
-                # tuples of other count types: floats take the lgamma path,
-                # NumPy ints the table
+                # tuples of other count types: integral floats and NumPy ints
+                # count as their ints
                 for other in (tuple(float(v) for v in state),
                               tuple(np.int64(v) for v in state)):
                     assert np.array_equal(ev.log_weights(other)[1], logw)

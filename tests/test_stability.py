@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite33, bowtie_spec, random_instance
+from mccsma import stability
 from mccsma.dynamics import SimConfig, simulate_joint, simulate_separated, uniform_sample_times
-from mccsma.stability import (StabilityThresholds, bowtie_boundary,
+from mccsma.stability import (MM1_BATCHES, StabilityThresholds, bowtie_boundary,
                               center_rate_polynomial, dominated_throughput_fn,
                               fluid_slope, h_part_bound, homogeneous_critical_load,
                               lpartite_fluid_bound, lyapunov_drift,
@@ -187,6 +188,20 @@ def test_mm1_reduction_zero_load(bowtie):
     report = mm1_reduction_check(bowtie, params, traffic, cfg)
     assert report.passed
     assert all(b == 0.0 for b in report.busy_fraction)
+
+
+@pytest.mark.parametrize("count", [5, 9])
+def test_mm1_reduction_needs_a_sample_per_batch(bowtie, count, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the sample count")
+
+    monkeypatch.setattr(stability, "simulate_separated", no_simulation)
+    params = CsmaParams.from_alpha(bowtie, 1e6)
+    traffic = TrafficSpec.of(0.5, 1.0, 5)
+    cfg = SimConfig("standard_infra", 100.0, 13, (0,) * 5,
+                    sample_times=uniform_sample_times(100.0, count))
+    with pytest.raises(ValueError, match=f"at least {MM1_BATCHES} sample times.*got {count}"):
+        mm1_reduction_check(bowtie, params, traffic, cfg)
 
 
 def test_dominated_profile_serves_saturated_classes(bowtie):
