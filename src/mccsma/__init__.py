@@ -2,7 +2,8 @@
 membership, flow-level simulation and stability diagnostics."""
 
 from .capacity import (CapacityVerdict, LPartiteVerdict, SolverError,
-                       full_support_certificate, lpartite_condition, membership)
+                       full_support_certificate, lpartite_condition, margins,
+                       membership, status_of)
 from .dynamics import (SimConfig, Trajectory, simulate_joint, simulate_separated,
                        timescale_convergence, uniform_sample_times)
 from .equilibrium import (EquilibriumResult, PolicyEvaluator, detailed_balance_check,

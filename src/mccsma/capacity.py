@@ -14,11 +14,21 @@ artifact refuses to guess there.
 
 The LP is solved by a dense two-phase-free tableau simplex with Bland's rule:
 the empty schedule plus the slack variables form an immediately feasible
-basis, and Bland's rule guarantees termination despite degeneracy. Each pivot
-is a handful of array operations: the entering column is the first reduced
-cost above the tolerance (one ``argmax``), the ratio test walks the m <= K + 1
-rows in order on Python floats, and the elimination is one rank-1 update,
-entry for entry the same ``a - f * b`` as row-by-row elimination.
+basis, and Bland's rule guarantees termination despite degeneracy.
+
+The simplex works on a stack of tableaus of one shape and pivots them in
+lockstep; ``margins`` solves a whole sweep that way and ``membership`` is the
+same solve on a stack of one, plus its certificate. Load vectors with the same
+positive classes have LPs of the same shape that differ only in the t column,
+so each such group is built from one shared constraint block and solved in
+stacks of at most ``_STACK_ENTRIES`` entries. Each LP in a stack takes exactly
+the pivots it would take alone, with the same arithmetic: the entering column
+is its first reduced cost above the tolerance; the leaving row is its smallest
+ratio, ties within the tolerance going to the smallest basic variable, as in a
+scan of the rows in order; and the elimination is one rank-1 update, entry for
+entry the same ``a - f * b`` as row-by-row elimination. So every margin is bit
+for bit that of the LP solved on its own. An LP leaves the stack when it
+reaches its optimum.
 
 The LP holds one pi column per distinct per-class service vector, the first
 schedule that has it (``ScheduleSet.distinct``): 25 of the bow-tie's 67
@@ -46,6 +56,8 @@ from .topology import CsmaParams, NetworkSpec, detect_l_partite
 BOUNDARY_TOL = 1e-9
 # a reduced cost or pivot-column entry at or below this counts as zero
 _PIVOT_TOL = 1e-11
+# float64 entries per tableau stack (512 KB); a larger LP is solved alone
+_STACK_ENTRIES = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -59,48 +71,181 @@ class CapacityVerdict:
     certificate: dict[Schedule, float]
 
 
-def _simplex_max(tableau: np.ndarray, basis: list[int]) -> float:
-    """Maximize over a canonical tableau in place; returns the optimum.
+def status_of(margin: float) -> str:
+    """The verdict on a margin t* - 1: "boundary" within ``BOUNDARY_TOL`` of
+    zero, else "interior" or "exterior" by its sign."""
+    if abs(margin) <= BOUNDARY_TOL:
+        return "boundary"
+    return "interior" if margin > 0 else "exterior"
 
-    ``tableau`` holds the constraint rows [A | b] with an extra bottom row of
-    reduced costs [c | 0]; the columns listed in ``basis`` must form an
-    identity. Bland's rule (smallest eligible index enters, smallest basic
-    variable leaves on ties) prevents cycling; more than 100 (n + m + 10)
-    pivots raise ``SolverError``.
+
+def _leaving_row(col: list[float], rhs: list[float], basis: list[int]) -> int:
+    """Bland's ratio test as a scan of the rows in order, on Python floats:
+    the smallest ratio wins, a ratio within the tolerance of the best so far
+    goes to the smaller basic variable; -1 when no entry is positive."""
+    best_ratio = math.inf
+    leave_row = -1
+    for r in range(len(col)):
+        if col[r] > _PIVOT_TOL:
+            ratio = rhs[r] / col[r]
+            if (ratio < best_ratio - _PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= _PIVOT_TOL
+                        and (leave_row < 0 or basis[r] < basis[leave_row]))):
+                best_ratio = ratio
+                leave_row = r
+    return leave_row
+
+
+def _simplex_max(tableaus: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Maximize each tableau of a stack in place; returns the optima.
+
+    ``tableaus`` is a (B, m + 1, n + 1) stack of constraint rows [A | b] with
+    an extra bottom row of reduced costs [c | 0]; in each, the columns listed
+    in its row of the (B, m) int array ``basis`` must form an identity. Bland's
+    rule (smallest eligible index enters, smallest basic variable leaves on
+    ties) prevents cycling; more than 100 (n + m + 10) pivots raise
+    ``SolverError``, as does an unbounded LP anywhere in the stack.
     """
-    m = tableau.shape[0] - 1
-    n = tableau.shape[1] - 1
+    m = tableaus.shape[1] - 1
+    n = tableaus.shape[2] - 1
+    optima = np.empty(len(tableaus))
+    live = np.arange(len(tableaus))      # stack index of each LP still pivoting
+    T, bas = tableaus, basis
     for _ in range(100 * (n + m + 10)):
-        eligible = tableau[m, :n] > _PIVOT_TOL
-        entering = int(eligible.argmax())
-        if not eligible[entering]:
-            return -tableau[m, n]
-        # the ratio test runs over the m <= K + 1 constraint rows in order,
-        # so its tie-break is sequential; Python floats make that loop cheap
-        col = tableau[:m, entering].tolist()
-        rhs = tableau[:m, n].tolist()
-        best_ratio = math.inf
-        leave_row = -1
-        for r in range(m):
-            if col[r] > _PIVOT_TOL:
-                ratio = rhs[r] / col[r]
-                if (ratio < best_ratio - _PIVOT_TOL
-                        or (abs(ratio - best_ratio) <= _PIVOT_TOL
-                            and (leave_row < 0 or basis[r] < basis[leave_row]))):
-                    best_ratio = ratio
-                    leave_row = r
-        if leave_row < 0:
-            raise SolverError("linear program unbounded; load vector malformed")
-        pivot = tableau[leave_row, entering]
-        tableau[leave_row] /= pivot
+        eligible = T[:, m, :n] > _PIVOT_TOL
+        entering = eligible.argmax(axis=1)
+        # argmax is 0 where column 0 enters and where no column is eligible
+        if np.count_nonzero(entering) < len(T):
+            done = (entering == 0) & ~eligible[:, 0]
+            if done.any():
+                optima[live[done]] = -T[done, m, n]
+                tableaus[live[done]] = T[done]
+                basis[live[done]] = bas[done]
+                if done.all():
+                    return optima
+                go = ~done
+                T, bas, live, entering = T[go], bas[go], live[go], entering[go]
+        # the entering column holds the ratio test's pivot column and the
+        # factors of the elimination
+        if len(T) == 1:
+            # a lone LP: the ratio test is the scan itself, and plain slices
+            # stand in for gathers
+            at, entering = slice(None), int(entering[0])
+            factors = T[:, :, entering].copy()
+            leave = _leaving_row(factors[0, :m].tolist(), T[0, :m, n].tolist(),
+                                 bas[0].tolist())
+            if leave < 0:
+                raise SolverError("linear program unbounded; load vector malformed")
+        else:
+            at = np.arange(len(T))
+            factors = T[at, :, entering]
+            col = factors[:, :m]
+            ratio = np.divide(T[:, :m, n], col, out=np.full(col.shape, math.inf),
+                              where=col > _PIVOT_TOL)
+            best = ratio.min(axis=1)
+            if best.max() == math.inf:
+                raise SolverError("linear program unbounded; load vector malformed")
+            gap = ratio - best[:, None]
+            # a ratio within half the tolerance of the minimum ties with it and
+            # a ratio more than three times the tolerance above it loses to it,
+            # in the scan as here; an LP with a ratio in between depends on the
+            # scan order and takes the scan itself
+            near = gap <= 0.5 * _PIVOT_TOL
+            leave = np.where(near, bas, n + 1).argmin(axis=1)
+            unclear = (near != (gap <= 3 * _PIVOT_TOL)).any(axis=1)
+            for b in np.flatnonzero(unclear).tolist():
+                leave[b] = _leaving_row(col[b].tolist(), T[b, :m, n].tolist(),
+                                        bas[b].tolist())
+        T[at, leave] /= factors[at, leave][:, None]
+        factors[at, leave] = 0.0
         # one rank-1 update: every other row r becomes a - f_r * b, the same
         # arithmetic as eliminating row by row (a row with f_r = 0 keeps its
         # values, up to the sign of a zero)
-        factors = tableau[:, entering].copy()
-        factors[leave_row] = 0.0
-        tableau -= factors[:, None] * tableau[leave_row]
-        basis[leave_row] = entering
+        T -= factors[:, :, None] * T[at, leave][:, None, :]
+        bas[at, leave] = entering
     raise SolverError("simplex iteration limit exceeded")
+
+
+def _loads(rho, num_classes: int, ndim: int = 1) -> np.ndarray:
+    """``rho`` as a float array of ``ndim`` dimensions, the last one of
+    ``num_classes`` loads; raises ``ValueError`` on any other shape and on a
+    load that is not finite and nonnegative."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != ndim or rho.shape[-1] != num_classes:
+        raise ValueError(f"expected {num_classes} loads, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho) & (rho >= 0)):
+        raise ValueError("loads must be finite and nonnegative")
+    return rho
+
+
+def _schedule_set(spec: NetworkSpec, schedules: Optional[ScheduleSet]) -> ScheduleSet:
+    """``schedules``, or the enumeration when it is None; a set whose (K, J)
+    shape is not that of ``spec`` raises ``ValueError``."""
+    if schedules is None:
+        return enumerate_feasible(spec, None)
+    shape = (spec.num_classes, spec.num_channels)
+    if schedules.active.shape[1:] != shape:
+        raise ValueError(f"schedules have (classes, channels) shape "
+                         f"{schedules.active.shape[1:]}, network has {shape}")
+    return schedules
+
+
+def _constraint_block(schedules: ScheduleSet, params: CsmaParams,
+                      positive: np.ndarray) -> np.ndarray:
+    """The tableau of the LPs whose positive-load classes are ``positive``,
+    with a zero t column where each LP puts its loads."""
+    # one pi column per distinct service vector: duplicates never enter
+    cols = schedules.distinct
+    n_cols = len(cols)
+    m = 1 + len(positive)
+    n = n_cols + 1 + len(positive)           # pi variables, t, slacks
+    slack_rows = np.arange(1, m)
+    block = np.zeros((m + 1, n + 1))
+    block[0, :n_cols] = 1.0
+    block[0, n] = 1.0
+    block[1:m, :n_cols] = (-params.phi[positive][:, None]
+                           * schedules.per_class[cols][:, positive].T)
+    block[slack_rows, n_cols + slack_rows] = 1.0
+    block[m, n_cols] = 1.0
+    return block
+
+
+def _solve(block: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the LPs of the (B, p) positive loads ``loads`` over one
+    constraint block as one stack; returns the final tableaus, bases and the
+    optima t*."""
+    m = block.shape[0] - 1
+    t_col = block.shape[1] - 1 - m
+    tableaus = np.repeat(block[None], len(loads), axis=0)
+    tableaus[:, 1:m, t_col] = loads
+    # column 0 is the empty schedule: with the slacks it is a feasible basis
+    basis = np.tile(np.r_[0, t_col + 1:t_col + m], (len(loads), 1))
+    return tableaus, basis, _simplex_max(tableaus, basis)
+
+
+def margins(rhos, spec: NetworkSpec, params: CsmaParams) -> np.ndarray:
+    """The margin t* - 1 of each row of the (L, K) load array ``rhos``, +inf
+    for a zero row; ``status_of`` gives the verdicts.
+
+    The schedules are enumerated once. Rows with the same positive classes
+    share one constraint block and are solved in stacks; each margin equals
+    ``membership``'s bit for bit.
+    """
+    rhos = _loads(rhos, spec.num_classes, ndim=2)
+    schedules = enumerate_feasible(spec, None)
+    out = np.full(len(rhos), math.inf)
+    patterns, group = np.unique(rhos > 0, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        positive = np.flatnonzero(pattern)
+        if not len(positive):
+            continue
+        block = _constraint_block(schedules, params, positive)
+        rows = np.flatnonzero(group.reshape(-1) == g)
+        cap = max(1, _STACK_ENTRIES // block.size)
+        for start in range(0, len(rows), cap):
+            chunk = rows[start:start + cap]
+            out[chunk] = _solve(block, rhos[np.ix_(chunk, positive)])[2] - 1.0
+    return out
 
 
 def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
@@ -112,59 +257,29 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     multiplier; for an interior verdict it serves every positive-load class
     with strict slack. Passing ``schedules`` skips re-enumeration in sweeps.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (spec.num_classes,):
-        raise ValueError(f"expected {spec.num_classes} loads, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho) & (rho >= 0)):
-        raise ValueError("loads must be finite and nonnegative")
-    if schedules is None:
-        schedules = enumerate_feasible(spec, None)
-    n_sched = len(schedules)
-
-    positive = [k for k in range(spec.num_classes) if rho[k] > 0]
-    if not positive:
+    rho = _loads(rho, spec.num_classes)
+    schedules = _schedule_set(spec, schedules)
+    positive = np.flatnonzero(rho > 0)
+    if not len(positive):
         # the LP's starting basis: all mass on the empty schedule
         return CapacityVerdict("interior", math.inf, {schedules[0]: 1.0})
 
-    # one pi column per distinct service vector: duplicates never enter
-    cols = schedules.distinct
-    n_cols = len(cols)
-    m = 1 + len(positive)
-    n = n_cols + 1 + len(positive)           # pi variables, t, slacks
-    t_col = n_cols
-    slack_rows = np.arange(1, m)
-    tableau = np.zeros((m + 1, n + 1))
-    tableau[0, :n_cols] = 1.0
-    tableau[0, n] = 1.0
-    tableau[1:m, :n_cols] = (-params.phi[positive][:, None]
-                             * schedules.per_class[cols][:, positive].T)
-    tableau[1:m, t_col] = rho[positive]
-    tableau[slack_rows, n_cols + slack_rows] = 1.0
-    tableau[m, t_col] = 1.0
-
-    # column 0 is the empty schedule: with the slacks it is a feasible basis
-    basis = [0] + [n_cols + r for r in range(1, m)]
-    t_star = _simplex_max(tableau, basis)
-
+    tableaus, basis, t_star = _solve(_constraint_block(schedules, params, positive),
+                                     rho[None, positive])
     # scatter over the full schedule index, so pi.sum() adds in the same order
     # as an LP over every schedule would
-    pi = np.zeros(n_sched)
-    for r, var in enumerate(basis):
-        if var < n_cols:
-            pi[cols[var]] = max(tableau[r, n], 0.0)
+    cols = schedules.distinct
+    pi = np.zeros(len(schedules))
+    rhs = tableaus[0, :-1, -1]
+    for r, var in enumerate(basis[0].tolist()):
+        if var < len(cols):
+            pi[cols[var]] = max(rhs[r], 0.0)
     total = pi.sum()
     if total > 0:
         pi /= total
     certificate = {schedules[i]: float(pi[i]) for i in np.flatnonzero(pi > 0)}
-
-    margin = t_star - 1.0
-    if abs(margin) <= BOUNDARY_TOL:
-        status = "boundary"
-    elif margin > 0:
-        status = "interior"
-    else:
-        status = "exterior"
-    return CapacityVerdict(status, margin, certificate)
+    margin = float(t_star[0] - 1.0)
+    return CapacityVerdict(status_of(margin), margin, certificate)
 
 
 def full_support_certificate(verdict: CapacityVerdict,
@@ -199,8 +314,8 @@ def lpartite_condition(rho: Sequence[float], spec: NetworkSpec,
     partition = detect_l_partite(spec)
     if partition is None:
         raise ValueError("conflict graph is not complete multipartite")
-    rho = np.asarray(rho, dtype=float)
-    phi = params.phi
+    rho = _loads(rho, spec.num_classes).tolist()
+    phi = params.phi.tolist()
     total = sum(max(rho[k] / phi[k] for k in block) for block in partition)
     J = spec.num_channels
     multiplier = math.inf if total == 0 else J / total

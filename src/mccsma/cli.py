@@ -29,16 +29,16 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .capacity import SolverError, membership
+from .capacity import SolverError, margins, status_of
 from .dynamics import (SimConfig, ThroughputCache, simulate_joint, simulate_separated,
                        timescale_convergence, uniform_sample_times)
 from .equilibrium import PolicyEvaluator, equilibrium
-from .schedule import OracleSpaceError, ScheduleSpaceError, enumerate_feasible
+from .schedule import OracleSpaceError, ScheduleSpaceError
 from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAxis,
                        bundled_scenarios, load_scenario, parse_scenario,
                        scenario_to_document)
@@ -101,8 +101,9 @@ def apply_overrides(scenario: Scenario, args: argparse.Namespace) -> tuple[Scena
     return replace(scenario, csma=csma, experiment=exp), overrides
 
 
-def _sweep_points(scenario: Scenario) -> Iterator[tuple[float, float, np.ndarray]]:
-    """The sweep grid row by row: both axis loads and the per-class loads.
+def _sweep_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep grid in row order: the axis-1 loads, the axis-2 loads and the
+    per-class loads, one entry or row per grid point.
 
     By default axis 1 loads every class and axis 2 the last one, which then
     carries the axis-2 load.
@@ -111,12 +112,12 @@ def _sweep_points(scenario: Scenario) -> Iterator[tuple[float, float, np.ndarray
     K = scenario.network.num_classes
     axis1 = exp.axis1 if exp.axis1 is not None else SweepAxis(tuple(range(K)))
     axis2 = exp.axis2 if exp.axis2 is not None else SweepAxis((K - 1,))
-    for v1 in np.linspace(0.0, axis1.maximum, exp.grid):
-        for v2 in np.linspace(0.0, axis2.maximum, exp.grid):
-            rho = np.zeros(K)
-            rho[list(axis1.classes)] = v1
-            rho[list(axis2.classes)] = v2
-            yield v1, v2, rho
+    load1 = np.repeat(np.linspace(0.0, axis1.maximum, exp.grid), exp.grid)
+    load2 = np.tile(np.linspace(0.0, axis2.maximum, exp.grid), exp.grid)
+    rhos = np.zeros((len(load1), K))
+    rhos[:, list(axis1.classes)] = load1[:, None]
+    rhos[:, list(axis2.classes)] = load2[:, None]
+    return load1, load2, rhos
 
 
 def _initial_state(scenario: Scenario) -> tuple[int, ...]:
@@ -142,11 +143,10 @@ def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
 
 
 def run_capacity_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
-    schedules = enumerate_feasible(scenario.network, None)
-    rows = []
-    for v1, v2, rho in _sweep_points(scenario):
-        verdict = membership(rho, scenario.network, scenario.csma, schedules=schedules)
-        rows.append((v1, v2, verdict.status, verdict.margin))
+    load1, load2, rhos = _sweep_grid(scenario)
+    found = margins(rhos, scenario.network, scenario.csma)
+    rows = [(v1, v2, status_of(margin), margin)
+            for v1, v2, margin in zip(load1.tolist(), load2.tolist(), found.tolist())]
     _write_csv(outdir / "sweep.csv", ["load1", "load2", "status", "margin"], rows)
     return ["sweep.csv"]
 
@@ -229,7 +229,7 @@ def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str
                                                     exp.policy))
     sigma = np.asarray(scenario.traffic.mean_flow_size)
     rows = []
-    for v1, v2, rho in _sweep_points(scenario):
+    for v1, v2, rho in zip(*_sweep_grid(scenario)):
         lam = tuple(float(r) / s for r, s in zip(rho, sigma))
         traffic = replace(scenario.traffic, arrival_rate=lam)
         trajectories = [simulate_separated(scenario.network, scenario.csma, traffic,

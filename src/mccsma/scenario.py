@@ -206,8 +206,11 @@ def _parse_traffic(doc: dict, K: int) -> TrafficSpec:
 
 def _parse_axis(doc: dict, K: int, where: str) -> SweepAxis:
     _check_keys(doc, ("classes", "max"), where)
-    return SweepAxis(_class_list(_req(doc, "classes", where), K, where),
-                     float(doc.get("max", 1.0)))
+    maximum = float(doc.get("max", 1.0))
+    if not 0 <= maximum < math.inf:
+        raise ScenarioValidationError(f"invalid experiment: {where}.max must be finite "
+                                      f"and nonnegative, got {maximum}")
+    return SweepAxis(_class_list(_req(doc, "classes", where), K, where), maximum)
 
 
 def _ints(values) -> tuple[int, ...]:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bipartite33, bowtie_spec, random_instance, star5,
+from conftest import (adhoc_path4, bipartite33, bowtie_spec, random_instance, star5,
                       tripartite221)
+from mccsma import capacity
 from mccsma.capacity import (BOUNDARY_TOL, SolverError, full_support_certificate,
-                             lpartite_condition, membership)
+                             lpartite_condition, margins, membership)
 from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
 
@@ -234,34 +235,58 @@ def _reference_membership(rho, spec, params, schedules):
 
 
 def _assert_matches_reference(rho, spec, params, schedules):
+    """``membership`` against the reference; returns the reference verdict
+    and margin."""
     verdict = membership(rho, spec, params, schedules=schedules)
     status, margin, certificate = _reference_membership(rho, spec, params, schedules)
     assert verdict.status == status
     assert verdict.margin == margin
     assert verdict.certificate == certificate
-    return status
+    return status, margin
+
+
+def _assert_batch_matches(loads, expected, spec, params, rng):
+    """One ``margins`` call on ``loads`` plus three zero rows, shuffled, must
+    give the reference margins ``expected`` bit for bit."""
+    rows = np.vstack([loads, np.zeros((3, spec.num_classes))])
+    want = np.concatenate([expected, np.full(3, math.inf)])
+    order = rng.permutation(len(rows))
+    got = margins(rows[order], spec, params)
+    assert got.tobytes() == want[order].tobytes()
 
 
 def test_membership_matches_full_column_scalar_lp_on_bowtie_sweep(bowtie):
     params = CsmaParams.from_alpha(bowtie, 1.0)
     schedules = enumerate_feasible(bowtie)
     assert (len(schedules), len(schedules.distinct)) == (67, 25)
-    statuses = {_assert_matches_reference([r1, r1, r3, r1, r1], bowtie, params,
-                                          schedules)
-                for r1 in np.linspace(0.0, 1.0, 20) for r3 in np.linspace(0.0, 1.0, 20)}
-    assert statuses == {"interior", "boundary", "exterior"}
+    loads = [[r1, r1, r3, r1, r1]
+             for r1 in np.linspace(0.0, 1.0, 20) for r3 in np.linspace(0.0, 1.0, 20)]
+    statuses, expected = zip(*(_assert_matches_reference(rho, bowtie, params, schedules)
+                               for rho in loads))
+    assert set(statuses) == {"interior", "boundary", "exterior"}
+    # the 361 rows that load every class need two stacks
+    block = capacity._constraint_block(schedules, params, np.arange(5))
+    assert 361 > capacity._STACK_ENTRIES // block.size
+    _assert_batch_matches(loads, expected, bowtie, params, np.random.default_rng(1))
 
 
-def test_membership_matches_full_column_scalar_lp_on_random_instances():
+def test_membership_matches_full_column_scalar_lp_on_random_instances(monkeypatch):
+    # stacks of a few LPs, so that most batches span several stacks
+    monkeypatch.setattr(capacity, "_STACK_ENTRIES", 300)
     rng = np.random.default_rng(20)
     for i in range(200):
         spec, params, _ = random_instance(rng, infrastructure=bool(i % 2))
         K = spec.num_classes
+        schedules = enumerate_feasible(spec)
         rho = rng.uniform(0.0, 1.5, K) * (rng.random(K) < 0.75)
-        _assert_matches_reference(rho, spec, params, enumerate_feasible(spec))
+        expected = [_assert_matches_reference(rho, spec, params, schedules)[1]]
+        # more rows of this instance, with their own zero patterns
+        more = rng.uniform(0.0, 1.5, (5, K)) * (rng.random((5, K)) < 0.75)
+        expected += [_reference_membership(r, spec, params, schedules)[1] for r in more]
+        _assert_batch_matches(np.vstack([rho, more]), expected, spec, params, rng)
 
 
-def test_membership_matches_full_column_scalar_lp_on_rings():
+def test_membership_matches_full_column_scalar_lp_on_rings(monkeypatch):
     rng = np.random.default_rng(5)
     for K in range(5, 10):
         edges = [(k, (k + 1) % K) for k in range(K)]
@@ -269,8 +294,20 @@ def test_membership_matches_full_column_scalar_lp_on_rings():
         params = CsmaParams.from_alpha(spec, 1.0)
         schedules = enumerate_feasible(spec)
         assert schedules.distinct[0] == 0 and len(schedules.distinct) < len(schedules)
-        _assert_matches_reference([0.3] * K, spec, params, schedules)
-        _assert_matches_reference(rng.uniform(0.0, 0.6, K), spec, params, schedules)
+        loads = [[0.3] * K, rng.uniform(0.0, 0.6, K)]
+        expected = [_assert_matches_reference(rho, spec, params, schedules)[1]
+                    for rho in loads]
+        # stacks of three LPs; full-load rows beyond one stack, and rows with
+        # one idle class each (three positive-load patterns of the same size)
+        block = capacity._constraint_block(schedules, params, np.arange(K))
+        monkeypatch.setattr(capacity, "_STACK_ENTRIES", 3 * block.size)
+        full = rng.uniform(0.05, 0.6, (4, K))
+        idle = rng.uniform(0.05, 0.6, (3, K))
+        idle[range(3), rng.choice(K, 3, replace=False)] = 0.0
+        for rho in np.vstack([full, idle]):
+            loads.append(rho)
+            expected.append(_reference_membership(rho, spec, params, schedules)[1])
+        _assert_batch_matches(np.array(loads), expected, spec, params, rng)
 
 
 def test_distinct_columns_are_first_occurrences(bowtie):
@@ -286,3 +323,77 @@ def test_non_finite_loads_are_rejected(bowtie):
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             membership([bad, 0.2, 0.1, 0.1, 0.1], bowtie, params)
+
+
+def _tie_tableaus(rng, count: int) -> list[tuple[np.ndarray, list[int]]]:
+    """Canonical tableaus of max c.x over A x <= b, x >= 0, sum x <= b_0, whose
+    ratio tests meet exact ties, ties within the tolerance, and chains of
+    ratios each within the tolerance of the next but not of the first."""
+    m, n_x = 5, 6
+    out = []
+    for _ in range(count):
+        tableau = np.zeros((m + 1, n_x + m + 1))
+        tableau[0, :n_x] = 1.0
+        tableau[1:m, :n_x] = rng.choice([0.0, 1.0, 1.0, 2.0], (m - 1, n_x))
+        tableau[:m, n_x:n_x + m] = np.eye(m)
+        tableau[:m, -1] = 1.0 + rng.choice([0.0, 0.4, 0.8, 1.6, 2.4, 5.0], m) * 1e-11
+        tableau[m, :n_x] = rng.choice([1.0, 2.0, 3.0], n_x)
+        out.append((tableau, list(range(n_x, n_x + m))))
+    # column 0 enters first; rows 0 to 2 hold ratios 1 + 0.8e-11, 1 + 1.6e-11
+    # and 1: the scan keeps row 0, though row 2 has the smallest ratio
+    tableau, basis = out[0]
+    tableau[1:m, 0] = [1.0, 1.0, 0.0, 0.0]
+    tableau[:3, -1] = [1.0 + 0.8e-11, 1.0 + 1.6e-11, 1.0]
+    tableau[m, :n_x] = 1.0
+    return out
+
+
+def test_stacked_simplex_takes_each_lps_own_pivots():
+    lps = _tie_tableaus(np.random.default_rng(11), 60)
+    tableaus = np.stack([t for t, _ in lps])
+    basis = np.array([b for _, b in lps])
+    optima = capacity._simplex_max(tableaus, basis)
+    for i, (tableau, alone) in enumerate(lps):
+        t_star = _reference_simplex_max(tableau, alone)
+        assert optima[i] == t_star
+        assert basis[i].tolist() == alone
+        assert np.array_equal(tableaus[i], tableau)
+
+
+def test_unbounded_lp_in_a_stack_raises():
+    lps = _tie_tableaus(np.random.default_rng(12), 3)
+    tableaus = np.stack([t for t, _ in lps])
+    basis = np.array([b for _, b in lps])
+    tableaus[1, :-1, 0] = -1.0               # column 0 enters and grows forever
+    with pytest.raises(SolverError, match="unbounded"):
+        capacity._simplex_max(tableaus, basis)
+
+
+@pytest.mark.parametrize("check", [
+    lambda rho, spec, params: membership(rho, spec, params),
+    lambda rho, spec, params: margins([rho], spec, params),
+    lambda rho, spec, params: lpartite_condition(rho, spec, params),
+], ids=["membership", "margins", "lpartite_condition"])
+@pytest.mark.parametrize("rho, match", [
+    ([math.nan, 0.1, 0.1, 0.1, 0.1], "finite and nonnegative"),
+    ([-5.0, 0.1, 0.1, 0.1, 0.1], "finite and nonnegative"),
+    ([0.1] * 7, "expected 5 loads"),
+])
+def test_every_entry_checks_its_loads(check, rho, match):
+    spec = tripartite221()
+    with pytest.raises(ValueError, match=match):
+        check(rho, spec, CsmaParams.from_alpha(spec, 1.0))
+
+
+def test_multipartite_verdict_holds_python_scalars():
+    spec = tripartite221()
+    verdict = lpartite_condition(np.full(5, 0.2), spec, CsmaParams.from_alpha(spec, 1.0))
+    assert type(verdict.interior) is bool
+    assert type(verdict.slack) is float and type(verdict.multiplier) is float
+
+
+def test_schedules_of_another_shape_are_rejected(bowtie):
+    params = CsmaParams.from_alpha(bowtie, 1.0)
+    other = enumerate_feasible(adhoc_path4())
+    with pytest.raises(ValueError, match=r"\(4, 2\).*\(5, 2\)"):
+        membership([0.1] * 5, bowtie, params, schedules=other)

@@ -239,14 +239,30 @@ experiment: {kind: timescale, t_probe: -1.0}
     assert diag["error"] == "validation" and "t_probe" in diag["message"]
 
 
+@pytest.mark.parametrize("maximum", ["-1.0", ".nan", ".inf"])
+def test_bad_axis_maximum_is_validation_error(maximum, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"""
+name: bad
+network: {{classes: 2, channels: 1, conflict_edges: [[1, 2]]}}
+csma: {{phys_rate: 1.0, alpha: 1.0}}
+traffic: {{arrival_rate: 0.4, mean_flow_size: 1.0}}
+experiment: {{kind: capacity-sweep, axis1: {{classes: [1], max: {maximum}}}}}
+""")
+    assert main(["run", "capacity-sweep", "--scenario", str(bad),
+                 "--output", str(tmp_path / "o")]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "experiment.axis1.max" in diag["message"]
+
+
 def test_solver_failure_exits_5(tmp_path, capsys, monkeypatch):
-    from mccsma import cli
+    from mccsma import capacity
     from mccsma.capacity import SolverError
 
-    def failing_membership(*args, **kwargs):
+    def failing_simplex(*args, **kwargs):
         raise SolverError("simplex iteration limit exceeded")
 
-    monkeypatch.setattr(cli, "membership", failing_membership)
+    monkeypatch.setattr(capacity, "_simplex_max", failing_simplex)
     code = main(["run", "capacity-sweep", "--scenario", "bowtie", "--grid", "2",
                  "--output", str(tmp_path / "o")])
     assert code == 5
