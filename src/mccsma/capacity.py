@@ -2,50 +2,72 @@
 
 The capacity region is the set of throughput vectors obtainable by averaging
 per-class service rates over a probability distribution on the feasible
-schedules. Membership of a load vector rho is decided by the linear program
+schedules. Without a state, the only feasibility rule that spans channels is
+an access point's budget of one downlink transmission: a class is active at
+most once per channel, so its cap of J never binds. Two channels therefore
+belong to one *group* when one access point has downlink classes eligible on
+both, and groups are closed under that link. A feasible schedule is then any
+combination of one feasible schedule per group, and the region is the
+Minkowski sum of the groups' regions. In ad-hoc mode each channel is a group
+of its own; the bow-tie and two-ap networks form one group each.
+
+Membership of a load vector rho is decided by the linear program
 
     maximize t
-    subject to sum_y pi(y) = 1, pi >= 0,
-               t * rho_k <= phys_rate_k * sum_y y_k * pi(y)  for rho_k > 0.
+    subject to sum_y pi_g(y) = 1, pi_g >= 0     for each group g,
+               t * rho_k <= phys_rate_k * sum_g sum_y y_k * pi_g(y)
+                                                 for rho_k > 0,
 
-t > 1 means rho is interior, t < 1 exterior, and t within the boundary band
-means no verdict: stability results do not cover critical loads and the
-artifact refuses to guess there.
+where y ranges over the feasible schedules of group g alone
+(``enumerate_feasible`` on the network restricted to the group's channels):
+one convexity row per group and one load row per loaded class. t > 1 means
+rho is interior, t < 1 exterior, and t within the boundary band means no
+verdict: stability results do not cover critical loads and the artifact
+refuses to guess there. The certificate couples the groups' optimal
+distributions into one distribution over full schedules with those
+marginals (the north-west-corner rule, at most sum of supports - G + 1
+schedules, where the product distribution could have exponentially many):
+any combination of per-group schedules is feasible and service is linear in
+the distribution, so the coupling serves what the groups serve together. One
+group is the LP over the whole feasible set. With more groups
+the LP has the same optimum, reached by other pivots, so a margin agrees with
+the one of the LP over every schedule up to rounding.
+
+The LP holds one pi column per distinct per-class service vector of each
+group, the first schedule that has it (``ScheduleSet.distinct``): 25 of the
+bow-tie's 67 schedules, and 2 x 123 columns for the ring C_10 on two
+channels, whose product set has 15,129 schedules with 3,281 distinct service
+vectors. Dropping the duplicates does not change a single pivot. Identical
+columns stay identical under row operations, so a later copy has the same
+reduced cost as its first copy and Bland's rule always picks the first; once
+that one is basic, the copy's reduced cost is exactly zero. With each group's
+pi scattered back over the group's full schedule index before it is
+normalised, the optimum, the verdict and the certificate are bit for bit
+those of the LP over every schedule of the group.
 
 The LP is solved by a dense two-phase-free tableau simplex with Bland's rule:
-the empty schedule plus the slack variables form an immediately feasible
-basis, and Bland's rule guarantees termination despite degeneracy.
+each group's empty schedule plus the slack variables form an immediately
+feasible basis, and Bland's rule guarantees termination despite degeneracy.
 
 The simplex works on a stack of tableaus of one shape and pivots them in
 lockstep; ``margins`` solves a whole sweep that way and ``membership`` is the
 same solve on a stack of one, plus its certificate. Load vectors with the same
 positive classes have LPs of the same shape that differ only in the t column,
-so each such group is built from one shared constraint block and solved in
-stacks of at most ``_STACK_ENTRIES`` entries. Each LP in a stack takes exactly
-the pivots it would take alone, with the same arithmetic: the entering column
-is its first reduced cost above the tolerance; the leaving row is its smallest
-ratio, ties within the tolerance going to the smallest basic variable, as in a
-scan of the rows in order; and the elimination is one rank-1 update, entry for
-entry the same ``a - f * b`` as row-by-row elimination. So every margin is bit
-for bit that of the LP solved on its own. An LP leaves the stack when it
-reaches its optimum.
-
-The LP holds one pi column per distinct per-class service vector, the first
-schedule that has it (``ScheduleSet.distinct``): 25 of the bow-tie's 67
-schedules, 3,281 of C_10's 15,129. Dropping the duplicates does not change a
-single pivot. Identical columns stay identical under row operations, so a
-later copy has the same reduced cost as its first copy and Bland's rule always
-picks the first; once that one is basic, the copy's reduced cost is exactly
-zero. The optimum, the verdict and, with pi scattered back over the full
-schedule index before it is normalised, the certificate are bit for bit those
-of the LP over every schedule. A few rows and up to about 100k schedule
-columns (C_12 on two channels) need no sparse machinery.
+so they share one constraint block and are solved in stacks of at most
+``_STACK_ENTRIES`` entries. Each LP in a stack takes exactly the pivots it
+would take alone, with the same arithmetic: the entering column is its first
+reduced cost above the tolerance; the leaving row is its smallest ratio, ties
+within the tolerance going to the smallest basic variable, as in a scan of the
+rows in order; and the elimination is one rank-1 update, entry for entry the
+same ``a - f * b`` as row-by-row elimination. So every margin is bit for bit
+that of the LP solved on its own. An LP leaves the stack when it reaches its
+optimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,48 +200,77 @@ def _loads(rho, num_classes: int, ndim: int = 1) -> np.ndarray:
     return rho
 
 
-def _schedule_set(spec: NetworkSpec, schedules: Optional[ScheduleSet]) -> ScheduleSet:
-    """``schedules``, or the enumeration when it is None; a set whose (K, J)
-    shape is not that of ``spec`` raises ``ValueError``."""
-    if schedules is None:
-        return enumerate_feasible(spec, None)
+def _check_schedules(spec: NetworkSpec, schedules: ScheduleSet) -> None:
+    """Raise ``ValueError`` when the (K, J) shape of ``schedules`` is not
+    that of ``spec``."""
     shape = (spec.num_classes, spec.num_channels)
     if schedules.active.shape[1:] != shape:
         raise ValueError(f"schedules have (classes, channels) shape "
                          f"{schedules.active.shape[1:]}, network has {shape}")
-    return schedules
 
 
-def _constraint_block(schedules: ScheduleSet, params: CsmaParams,
-                      positive: np.ndarray) -> np.ndarray:
-    """The tableau of the LPs whose positive-load classes are ``positive``,
-    with a zero t column where each LP puts its loads."""
-    # one pi column per distinct service vector: duplicates never enter
-    cols = schedules.distinct
-    n_cols = len(cols)
-    m = 1 + len(positive)
-    n = n_cols + 1 + len(positive)           # pi variables, t, slacks
-    slack_rows = np.arange(1, m)
+def _channel_groups(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
+    """The channel groups, each an ascending tuple of channels, in the order
+    of their first channels: channels on which one access point has eligible
+    downlink classes share a group."""
+    label = list(range(spec.num_channels))
+    for ap in spec.access_points:
+        linked = {label[j] for j, g in enumerate(spec.channel_graphs)
+                  if ap.downlink & g.eligible}
+        label = [min(linked) if lab in linked else lab for lab in label]
+    groups: dict[int, list[int]] = {}
+    for j, lab in enumerate(label):
+        groups.setdefault(lab, []).append(j)
+    return tuple(map(tuple, groups.values()))
+
+
+def _group_sets(spec: NetworkSpec) -> list[tuple[tuple[int, ...], ScheduleSet]]:
+    """Each channel group with its feasible schedules, enumerated on the
+    network restricted to the group's channels."""
+    return [(channels, enumerate_feasible(
+                replace(spec, num_channels=len(channels),
+                        channel_graphs=tuple(spec.channel_graphs[j] for j in channels)),
+                None))
+            for channels in _channel_groups(spec)]
+
+
+def _constraint_block(sets: Sequence[ScheduleSet], params: CsmaParams,
+                      positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tableau of the LPs over the groups' feasible ``sets`` whose
+    positive-load classes are ``positive``, with a zero t column where each
+    LP puts its loads, and the column of each group's empty schedule, the
+    first of the group's columns."""
+    # one pi column per distinct service vector of each group: duplicates
+    # never enter
+    rows = [s.per_class[s.distinct] for s in sets]
+    sizes = [len(r) for r in rows]
+    starts = np.cumsum([0] + sizes[:-1])
+    n_cols = sum(sizes)
+    G, p = len(sets), len(positive)
+    m = G + p
+    n = n_cols + 1 + p                       # pi variables, t, slacks
     block = np.zeros((m + 1, n + 1))
-    block[0, :n_cols] = 1.0
-    block[0, n] = 1.0
-    block[1:m, :n_cols] = (-params.phi[positive][:, None]
-                           * schedules.per_class[cols][:, positive].T)
-    block[slack_rows, n_cols + slack_rows] = 1.0
+    for g, (start, size) in enumerate(zip(starts.tolist(), sizes)):
+        block[g, start:start + size] = 1.0
+    block[:G, n] = 1.0
+    block[G:m, :n_cols] = (-params.phi[positive][:, None]
+                           * np.concatenate(rows)[:, positive].T)
+    block[np.arange(G, m), np.arange(n_cols + 1, n)] = 1.0
     block[m, n_cols] = 1.0
-    return block
+    return block, starts
 
 
-def _solve(block: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(block: np.ndarray, starts: np.ndarray, loads: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the LPs of the (B, p) positive loads ``loads`` over one
     constraint block as one stack; returns the final tableaus, bases and the
     optima t*."""
-    m = block.shape[0] - 1
-    t_col = block.shape[1] - 1 - m
+    G, p = len(starts), loads.shape[1]
+    t_col = block.shape[1] - 2 - p
     tableaus = np.repeat(block[None], len(loads), axis=0)
-    tableaus[:, 1:m, t_col] = loads
-    # column 0 is the empty schedule: with the slacks it is a feasible basis
-    basis = np.tile(np.r_[0, t_col + 1:t_col + m], (len(loads), 1))
+    tableaus[:, G:G + p, t_col] = loads
+    # each group's empty schedule with the slacks is a feasible basis
+    basis = np.tile(np.r_[starts, t_col + 1:t_col + 1 + p], (len(loads), 1))
     return tableaus, basis, _simplex_max(tableaus, basis)
 
 
@@ -227,25 +278,70 @@ def margins(rhos, spec: NetworkSpec, params: CsmaParams) -> np.ndarray:
     """The margin t* - 1 of each row of the (L, K) load array ``rhos``, +inf
     for a zero row; ``status_of`` gives the verdicts.
 
-    The schedules are enumerated once. Rows with the same positive classes
-    share one constraint block and are solved in stacks; each margin equals
-    ``membership``'s bit for bit.
+    The groups' schedules are enumerated once. Rows with the same positive
+    classes share one constraint block and are solved in stacks; each margin
+    equals ``membership``'s bit for bit.
     """
     rhos = _loads(rhos, spec.num_classes, ndim=2)
-    schedules = enumerate_feasible(spec, None)
+    sets = [s for _, s in _group_sets(spec)]
     out = np.full(len(rhos), math.inf)
-    patterns, group = np.unique(rhos > 0, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
+    patterns, pattern_of = np.unique(rhos > 0, axis=0, return_inverse=True)
+    for i, pattern in enumerate(patterns):
         positive = np.flatnonzero(pattern)
         if not len(positive):
             continue
-        block = _constraint_block(schedules, params, positive)
-        rows = np.flatnonzero(group.reshape(-1) == g)
+        block, starts = _constraint_block(sets, params, positive)
+        rows = np.flatnonzero(pattern_of.reshape(-1) == i)
         cap = max(1, _STACK_ENTRIES // block.size)
         for start in range(0, len(rows), cap):
             chunk = rows[start:start + cap]
-            out[chunk] = _solve(block, rhos[np.ix_(chunk, positive)])[2] - 1.0
+            out[chunk] = _solve(block, starts, rhos[np.ix_(chunk, positive)])[2] - 1.0
     return out
+
+
+def _certificate(groups: Sequence[tuple[tuple[int, ...], ScheduleSet]],
+                 starts: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
+                 spec: NetworkSpec) -> dict[Schedule, float]:
+    """A coupling of the groups' basic distributions, keyed by full
+    schedules, by the north-west-corner rule: the groups' supports are walked
+    in step, and each entry takes the least mass left on the current schedule
+    of any group. Its marginals are the groups' distributions, and it has at
+    most sum of supports - G + 1 entries. With one group it is that group's
+    distribution."""
+    rhs = tableau[:-1, -1]
+    basic = list(enumerate(basis.tolist()))
+    parts = []
+    for (channels, schedules), start in zip(groups, starts.tolist()):
+        # scatter over the group's full schedule index, so pi.sum() adds in
+        # the same order as an LP over every schedule of the group would
+        cols = schedules.distinct
+        pi = np.zeros(len(schedules))
+        for r, var in basic:
+            if start <= var < start + len(cols):
+                pi[cols[var - start]] = max(rhs[r], 0.0)
+        total = pi.sum()
+        if total > 0:
+            pi /= total
+        support = np.flatnonzero(pi > 0)
+        parts.append((list(channels), schedules.active[support], pi[support].tolist()))
+    # each group's convexity row puts mass on some schedule of its support
+    certificate: dict[Schedule, float] = {}
+    at = [0] * len(parts)
+    left = [masses[0] for _, _, masses in parts]
+    active = np.zeros((spec.num_classes, spec.num_channels), dtype=np.uint8)
+    while True:
+        mass = min(left)
+        for (channels, rows, _), i in zip(parts, at):
+            active[:, channels] = rows[i]
+        certificate[Schedule(tuple(map(tuple, active.tolist())))] = mass
+        for g, (_, _, masses) in enumerate(parts):
+            left[g] -= mass
+            if left[g] <= 0.0:
+                at[g] += 1
+                if at[g] == len(masses):
+                    # a group's mass is spent; what the others keep is rounding
+                    return certificate
+                left[g] = masses[at[g]]
 
 
 def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
@@ -255,29 +351,23 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     A margin t* - 1 within ``BOUNDARY_TOL`` of zero is "boundary". The
     certificate is the schedule distribution achieving the optimal load
     multiplier; for an interior verdict it serves every positive-load class
-    with strict slack. Passing ``schedules`` skips re-enumeration in sweeps.
+    with strict slack. Only the channel groups' own sets are enumerated: a
+    feasible set ``schedules`` is checked for its (K, J) shape and otherwise
+    unused (a benchmark still passes one).
     """
     rho = _loads(rho, spec.num_classes)
-    schedules = _schedule_set(spec, schedules)
+    if schedules is not None:
+        _check_schedules(spec, schedules)
     positive = np.flatnonzero(rho > 0)
     if not len(positive):
         # the LP's starting basis: all mass on the empty schedule
-        return CapacityVerdict("interior", math.inf, {schedules[0]: 1.0})
+        return CapacityVerdict("interior", math.inf,
+                               {Schedule.empty(spec.num_classes, spec.num_channels): 1.0})
 
-    tableaus, basis, t_star = _solve(_constraint_block(schedules, params, positive),
-                                     rho[None, positive])
-    # scatter over the full schedule index, so pi.sum() adds in the same order
-    # as an LP over every schedule would
-    cols = schedules.distinct
-    pi = np.zeros(len(schedules))
-    rhs = tableaus[0, :-1, -1]
-    for r, var in enumerate(basis[0].tolist()):
-        if var < len(cols):
-            pi[cols[var]] = max(rhs[r], 0.0)
-    total = pi.sum()
-    if total > 0:
-        pi /= total
-    certificate = {schedules[i]: float(pi[i]) for i in np.flatnonzero(pi > 0)}
+    groups = _group_sets(spec)
+    block, starts = _constraint_block([s for _, s in groups], params, positive)
+    tableaus, basis, t_star = _solve(block, starts, rho[None, positive])
+    certificate = _certificate(groups, starts, tableaus[0], basis[0], spec)
     margin = float(t_star[0] - 1.0)
     return CapacityVerdict(status_of(margin), margin, certificate)
 

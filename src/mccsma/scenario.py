@@ -110,37 +110,96 @@ def _check_keys(doc: Any, allowed: Sequence[str], where: str) -> None:
                             f"expected one of {', '.join(allowed)}")
 
 
-def _class_list(values: Sequence[int], K: int, where: str) -> tuple[int, ...]:
+def _number(value: Any, where: str) -> float:
+    """``value`` as a float: a number, or a string that reads as one (YAML
+    reads ``1e3``, which has no dot, as a string); anything else raises
+    ScenarioError naming ``where``. Ranges are checked elsewhere."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{where} must be a number, got {value!r}")
+
+
+def _integer(value: Any, where: str) -> int:
+    """``value`` as an int: an integer, or a number with an integral value;
+    anything else raises ScenarioError naming ``where``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _text(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _list(values: Any, where: str, of: str) -> Sequence[Any]:
+    """``values`` when it is a list; anything else raises ScenarioError
+    naming ``where`` and what the list should hold."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{where} must be a list of {of}, got {values!r}")
+    return values
+
+
+def _integers(values: Any, where: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"{where}[{i}]")
+                 for i, v in enumerate(_list(values, where, "integers")))
+
+
+def _numbers(values: Any, where: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{where}[{i}]")
+                 for i, v in enumerate(_list(values, where, "numbers")))
+
+
+def _edges(values: Any, where: str) -> list[tuple[int, int]]:
+    """Conflict edges as 0-based pairs; their classes are range-checked with
+    the rest of the network by ``validate_spec``."""
     out = []
-    for v in values:
-        idx = int(v) - 1
-        if not 0 <= idx < K:
+    for i, edge in enumerate(_list(values, where, "class pairs")):
+        pair = _integers(edge, f"{where}[{i}]")
+        if len(pair) != 2:
+            raise ScenarioError(f"{where}[{i}] must be a pair of classes, got {edge!r}")
+        out.append((pair[0] - 1, pair[1] - 1))
+    return out
+
+
+def _class_list(values: Any, K: int, where: str) -> tuple[int, ...]:
+    out = []
+    for v in _integers(values, where):
+        if not 1 <= v <= K:
             raise ScenarioError(f"{where}: class {v} out of range 1..{K}")
-        out.append(idx)
+        out.append(v - 1)
     return tuple(out)
 
 
 def _parse_network(doc: dict) -> NetworkSpec:
     _check_keys(doc, ("classes", "channels", "conflict_edges", "eligible",
                       "channel_graphs", "mode", "access_points"), "network")
-    K = int(_req(doc, "classes", "network"))
-    J = int(_req(doc, "channels", "network"))
+    K = _integer(_req(doc, "classes", "network"), "network.classes")
+    J = _integer(_req(doc, "channels", "network"), "network.channels")
     if "channel_graphs" in doc:
         if "conflict_edges" in doc or "eligible" in doc:
             raise ScenarioError("network: channel_graphs or conflict_edges and eligible, "
                                 "not both")
         graphs = []
-        for j, g in enumerate(doc["channel_graphs"]):
+        for j, g in enumerate(_list(doc["channel_graphs"], "network.channel_graphs",
+                                    "channel graphs")):
             _check_keys(g, ("eligible", "edges"), f"network.channel_graphs[{j}]")
             eligible = _class_list(_req(g, "eligible", f"channel_graphs[{j}]"), K,
-                                   f"channel_graphs[{j}].eligible")
-            edges = [(int(a) - 1, int(b) - 1) for a, b in g.get("edges", [])]
+                                   f"network.channel_graphs[{j}].eligible")
+            edges = _edges(g.get("edges", []), f"network.channel_graphs[{j}].edges")
             graphs.append(ChannelGraph.of(eligible, edges))
         if len(graphs) != J:
             raise ScenarioError(f"network: {len(graphs)} channel graphs for {J} channels")
         channel_graphs = tuple(graphs)
     else:
-        edges = [(int(a) - 1, int(b) - 1) for a, b in doc.get("conflict_edges", [])]
+        edges = _edges(doc.get("conflict_edges", []), "network.conflict_edges")
         eligible = (_class_list(doc["eligible"], K, "network.eligible")
                     if "eligible" in doc else tuple(range(K)))
         channel_graphs = tuple(ChannelGraph.of(eligible, edges) for _ in range(J))
@@ -149,7 +208,8 @@ def _parse_network(doc: dict) -> NetworkSpec:
     aps: tuple[AccessPoint, ...] = ()
     if mode == "infrastructure":
         aps = tuple(_parse_access_point(ap, K, f"network.access_points[{i}]")
-                    for i, ap in enumerate(_req(doc, "access_points", "network")))
+                    for i, ap in enumerate(_list(_req(doc, "access_points", "network"),
+                                                 "network.access_points", "access points")))
     elif mode != "adhoc":
         raise ScenarioError(f"network.mode must be 'adhoc' or 'infrastructure', got {mode!r}")
     elif "access_points" in doc:
@@ -159,18 +219,14 @@ def _parse_network(doc: dict) -> NetworkSpec:
 
 def _parse_access_point(doc: dict, K: int, where: str) -> AccessPoint:
     _check_keys(doc, ("uplink", "downlink"), where)
-    return AccessPoint.of(_class_list(doc.get("uplink", []), K, where),
-                          _class_list(doc.get("downlink", []), K, where))
+    return AccessPoint.of(_class_list(doc.get("uplink", []), K, f"{where}.uplink"),
+                          _class_list(doc.get("downlink", []), K, f"{where}.downlink"))
 
 
 def _per_class(value, K: int, where: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float, str)):
-        try:
-            scalar = float(value)
-        except ValueError:
-            raise ScenarioError(f"{where}: not a number: {value!r}") from None
-        return tuple(scalar for _ in range(K))
-    vals = tuple(float(v) for v in value)
+    if not isinstance(value, (list, tuple)):
+        return (_number(value, where),) * K
+    vals = _numbers(value, where)
     if len(vals) != K:
         raise ScenarioError(f"{where}: expected {K} values, got {len(vals)}")
     return vals
@@ -190,8 +246,11 @@ def _parse_csma(doc: dict, spec: NetworkSpec) -> CsmaParams:
     probe = doc.get("probe", "uniform")
     if probe == "uniform":
         probe_prob = CsmaParams.uniform_probe(spec)
+    elif not isinstance(probe, (list, tuple)):
+        raise ScenarioError(f"csma.probe must be 'uniform' or a classes x channels "
+                            f"matrix, got {probe!r}")
     else:
-        probe_prob = tuple(tuple(float(v) for v in row) for row in probe)
+        probe_prob = tuple(_numbers(row, f"csma.probe[{k}]") for k, row in enumerate(probe))
         if len(probe_prob) != K or any(len(r) != spec.num_channels for r in probe_prob):
             raise ScenarioError("csma.probe: expected a classes x channels matrix")
     return CsmaParams(phys, nu, probe_prob)
@@ -206,29 +265,26 @@ def _parse_traffic(doc: dict, K: int) -> TrafficSpec:
 
 def _parse_axis(doc: dict, K: int, where: str) -> SweepAxis:
     _check_keys(doc, ("classes", "max"), where)
-    maximum = float(doc.get("max", 1.0))
+    maximum = _number(doc.get("max", 1.0), f"{where}.max")
     if not 0 <= maximum < math.inf:
         raise ScenarioValidationError(f"invalid experiment: {where}.max must be finite "
                                       f"and nonnegative, got {maximum}")
-    return SweepAxis(_class_list(_req(doc, "classes", where), K, where), maximum)
+    return SweepAxis(_class_list(_req(doc, "classes", where), K, f"{where}.classes"),
+                     maximum)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
-# every experiment key but the axes, with its converter; each key is the name
-# of its ExperimentConfig field
-_EXPERIMENT_KEYS = {"kind": str, "policy": str, "state": _ints, "grid": int,
-                    "horizon": float, "replications": int, "scaling_n": int,
-                    "initial_state": _ints, "sample_count": int, "max_total_flows": int,
-                    "n_values": _ints, "t_probe": float}
+# every experiment key but the axes, with its typed converter; each key is
+# the name of its ExperimentConfig field
+_EXPERIMENT_KEYS = {"kind": _text, "policy": _text, "state": _integers, "grid": _integer,
+                    "horizon": _number, "replications": _integer, "scaling_n": _integer,
+                    "initial_state": _integers, "sample_count": _integer,
+                    "max_total_flows": _integer, "n_values": _integers, "t_probe": _number}
 
 
 def _parse_experiment(doc: dict, K: int) -> ExperimentConfig:
     _check_keys(doc, [*_EXPERIMENT_KEYS, "axis1", "axis2"], "experiment")
     _req(doc, "kind", "experiment")
-    kwargs: dict[str, Any] = {key: convert(doc[key])
+    kwargs: dict[str, Any] = {key: convert(doc[key], f"experiment.{key}")
                               for key, convert in _EXPERIMENT_KEYS.items() if key in doc}
     initial = kwargs.get("initial_state")
     if initial is not None and len(initial) != K:

@@ -1,3 +1,4 @@
+import json
 import math
 from typing import Optional
 
@@ -11,8 +12,11 @@ from conftest import (adhoc_path4, bipartite33, bowtie_spec, random_instance, st
 from mccsma import capacity
 from mccsma.capacity import (BOUNDARY_TOL, SolverError, full_support_certificate,
                              lpartite_condition, margins, membership)
-from mccsma.schedule import Schedule, enumerate_feasible
-from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
+from mccsma.cli import main
+from mccsma.scenario import load_scenario
+from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
+from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
+                             replicate_graph, validate_spec)
 
 
 def test_single_link_region():
@@ -113,7 +117,7 @@ def test_interior_certificate_has_strict_slack(bowtie):
     schedules = enumerate_feasible(bowtie)
     served = np.zeros(5)
     for s, p in verdict.certificate.items():
-        served += p * np.asarray(s.per_class)
+        served += p * params.phi * np.asarray(s.per_class)
     assert np.all(rho < served + 1e-12)
     assert all(p >= 0 for p in verdict.certificate.values())
     assert sum(verdict.certificate.values()) == pytest.approx(1.0)
@@ -129,7 +133,7 @@ def test_full_support_mixing_preserves_feasibility(bowtie):
     assert sum(mixed.values()) == pytest.approx(1.0)
     served = np.zeros(5)
     for s, p in mixed.items():
-        served += p * np.asarray(s.per_class)
+        served += p * params.phi * np.asarray(s.per_class)
     assert np.all(rho < served)
 
 
@@ -235,19 +239,40 @@ def _reference_membership(rho, spec, params, schedules):
 
 
 def _assert_matches_reference(rho, spec, params, schedules):
-    """``membership`` against the reference; returns the reference verdict
-    and margin."""
+    """``membership`` against the reference; returns the reference status and
+    ``membership``'s margin. On a network whose channels form one group, the
+    LP is the reference's and must match it bit for bit; with more groups the
+    status must match, the margin within 1e-12, and the certificate must be a
+    feasible distribution that serves the optimum."""
     verdict = membership(rho, spec, params, schedules=schedules)
     status, margin, certificate = _reference_membership(rho, spec, params, schedules)
     assert verdict.status == status
-    assert verdict.margin == margin
-    assert verdict.certificate == certificate
-    return status, margin
+    if len(capacity._channel_groups(spec)) == 1:
+        assert verdict.margin == margin
+        assert verdict.certificate == certificate
+    else:
+        assert verdict.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+        _assert_certificate_serves(verdict, rho, spec, params, schedules)
+    return status, verdict.margin
+
+
+def _assert_certificate_serves(verdict, rho, spec, params, schedules):
+    """The certificate is a distribution over feasible schedules whose
+    served rate reaches (margin + 1) rho."""
+    assert set(verdict.certificate) <= set(schedules)
+    masses = np.array(list(verdict.certificate.values()))
+    assert np.all(masses >= 0)
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    served = np.zeros(spec.num_classes)
+    for s, p in verdict.certificate.items():
+        served += p * params.phi * np.asarray(s.per_class)
+    if math.isfinite(verdict.margin):
+        assert np.all(served >= (verdict.margin + 1.0) * np.asarray(rho) - 1e-12)
 
 
 def _assert_batch_matches(loads, expected, spec, params, rng):
     """One ``margins`` call on ``loads`` plus three zero rows, shuffled, must
-    give the reference margins ``expected`` bit for bit."""
+    give ``membership``'s margins ``expected`` bit for bit."""
     rows = np.vstack([loads, np.zeros((3, spec.num_classes))])
     want = np.concatenate([expected, np.full(3, math.inf)])
     order = rng.permutation(len(rows))
@@ -265,7 +290,7 @@ def test_membership_matches_full_column_scalar_lp_on_bowtie_sweep(bowtie):
                                for rho in loads))
     assert set(statuses) == {"interior", "boundary", "exterior"}
     # the 361 rows that load every class need two stacks
-    block = capacity._constraint_block(schedules, params, np.arange(5))
+    block = capacity._constraint_block([schedules], params, np.arange(5))[0]
     assert 361 > capacity._STACK_ENTRIES // block.size
     _assert_batch_matches(loads, expected, bowtie, params, np.random.default_rng(1))
 
@@ -282,7 +307,8 @@ def test_membership_matches_full_column_scalar_lp_on_random_instances(monkeypatc
         expected = [_assert_matches_reference(rho, spec, params, schedules)[1]]
         # more rows of this instance, with their own zero patterns
         more = rng.uniform(0.0, 1.5, (5, K)) * (rng.random((5, K)) < 0.75)
-        expected += [_reference_membership(r, spec, params, schedules)[1] for r in more]
+        expected += [_assert_matches_reference(r, spec, params, schedules)[1]
+                     for r in more]
         _assert_batch_matches(np.vstack([rho, more]), expected, spec, params, rng)
 
 
@@ -299,14 +325,15 @@ def test_membership_matches_full_column_scalar_lp_on_rings(monkeypatch):
                     for rho in loads]
         # stacks of three LPs; full-load rows beyond one stack, and rows with
         # one idle class each (three positive-load patterns of the same size)
-        block = capacity._constraint_block(schedules, params, np.arange(K))
+        sets = [s for _, s in capacity._group_sets(spec)]
+        block = capacity._constraint_block(sets, params, np.arange(K))[0]
         monkeypatch.setattr(capacity, "_STACK_ENTRIES", 3 * block.size)
         full = rng.uniform(0.05, 0.6, (4, K))
         idle = rng.uniform(0.05, 0.6, (3, K))
         idle[range(3), rng.choice(K, 3, replace=False)] = 0.0
         for rho in np.vstack([full, idle]):
             loads.append(rho)
-            expected.append(_reference_membership(rho, spec, params, schedules)[1])
+            expected.append(_assert_matches_reference(rho, spec, params, schedules)[1])
         _assert_batch_matches(np.array(loads), expected, spec, params, rng)
 
 
@@ -397,3 +424,179 @@ def test_schedules_of_another_shape_are_rejected(bowtie):
     other = enumerate_feasible(adhoc_path4())
     with pytest.raises(ValueError, match=r"\(4, 2\).*\(5, 2\)"):
         membership([0.1] * 5, bowtie, params, schedules=other)
+
+
+def _ring(K: int, J: int) -> NetworkSpec:
+    return NetworkSpec(K, J, replicate_graph(J, range(K), [(k, (k + 1) % K) for k in range(K)]))
+
+
+def _per_channel_aps(linked: bool) -> NetworkSpec:
+    """Three access points on three channels. Each downlink class is eligible
+    on its access point's channel only; the uplink class 5 is eligible on
+    every channel, which links none. With ``linked``, downlink class 4 is
+    also eligible on channel 0, which puts channels 0 and 2 in one group."""
+    channel0 = (ChannelGraph.of([0, 1, 4, 5], [(0, 1), (1, 5), (4, 5)]) if linked
+                else ChannelGraph.of([0, 1, 5], [(0, 1), (1, 5)]))
+    graphs = (channel0, ChannelGraph.of([2, 3, 5], [(2, 3), (3, 5)]),
+              ChannelGraph.of([4, 5], [(4, 5)]))
+    aps = (AccessPoint.of([], [0, 1]), AccessPoint.of([], [2, 3]),
+           AccessPoint.of([5], [4]))
+    return NetworkSpec(6, 3, graphs, aps)
+
+
+def test_channel_groups():
+    groups = {name: capacity._channel_groups(load_scenario(name).network)
+              for name in ("adhoc4", "bowtie", "two-ap")}
+    assert groups == {"adhoc4": ((0,), (1,)), "bowtie": ((0, 1),), "two-ap": ((0, 1),)}
+    assert capacity._channel_groups(_ring(7, 4)) == ((0,), (1,), (2,), (3,))
+    assert capacity._channel_groups(_per_channel_aps(False)) == ((0,), (1,), (2,))
+    assert capacity._channel_groups(_per_channel_aps(True)) == ((0, 2), (1,))
+
+
+@pytest.mark.parametrize("linked", [False, True])
+def test_grouped_infrastructure_lp_matches_reference(linked):
+    spec = _per_channel_aps(linked)
+    assert validate_spec(spec) == []
+    params = CsmaParams.from_alpha(spec, 1.0, phys_rate=[1.0, 0.5, 2.0, 1.0, 1.5, 0.8])
+    schedules = enumerate_feasible(spec)
+    # the product of the groups' sets is the feasible set
+    sizes = [len(s) for _, s in capacity._group_sets(spec)]
+    assert len(schedules) == math.prod(sizes)
+    rng = np.random.default_rng(8)
+    loads = rng.uniform(0.0, 1.2, (40, 6)) * (rng.random((40, 6)) < 0.8)
+    statuses, expected = zip(*(_assert_matches_reference(rho, spec, params, schedules)
+                               for rho in loads))
+    assert {"interior", "exterior"} <= set(statuses)
+    _assert_batch_matches(loads, expected, spec, params, rng)
+
+
+def test_multi_group_certificates_are_feasible_and_serve_the_load():
+    rng = np.random.default_rng(30)
+    cases = []
+    while len(cases) < 40:
+        spec, params, _ = random_instance(rng, infrastructure=False)
+        if spec.num_channels > 1:
+            cases.append((spec, params, rng.uniform(0.0, 1.0, spec.num_classes)))
+    for K in range(5, 10):
+        spec = _ring(K, 2)
+        params = CsmaParams.from_alpha(spec, 1.0)
+        cases += [(spec, params, np.full(K, 0.3)), (spec, params, rng.uniform(0.0, 0.8, K))]
+    interior = 0
+    for spec, params, rho in cases:
+        assert len(capacity._channel_groups(spec)) > 1
+        schedules = enumerate_feasible(spec)
+        verdict = membership(rho, spec, params)
+        _assert_certificate_serves(verdict, rho, spec, params, schedules)
+        if verdict.status == "interior":
+            interior += 1
+            mixed = full_support_certificate(verdict, schedules)
+            assert set(mixed) == set(schedules) and min(mixed.values()) > 0
+    assert interior >= 20
+
+
+def test_rings_beyond_the_product_enumeration(tmp_path, monkeypatch):
+    """C_16 on two channels: 4.87M schedules in the product set, 2 x 2,207
+    per-channel independent sets. The ring is bipartite, so the margin at
+    loads a and b on alternate classes is J / (a + b) - 1, which is
+    J floor(K/2) / (K rho) - 1 at a uniform load rho."""
+    built = []
+
+    def enumerate_and_count(*args, **kwargs):
+        schedules = enumerate_feasible(*args, **kwargs)
+        built.append(len(schedules))
+        return schedules
+
+    monkeypatch.setattr(capacity, "enumerate_feasible", enumerate_and_count)
+    K, J, rho = 16, 2, 0.3
+    spec = _ring(K, J)
+    params = CsmaParams.from_alpha(spec, 1.0)
+    verdict = membership([rho] * K, spec, params)
+    assert verdict.margin == pytest.approx(J * (K // 2) / (K * rho) - 1.0, abs=1e-9)
+    assert set(built) == {2207}
+
+    edges = [[k + 1, (k + 1) % K + 1] for k in range(K)]
+    scenario = tmp_path / "ring16.yaml"
+    scenario.write_text(f"""
+name: ring16
+network: {{classes: {K}, channels: {J}, conflict_edges: {edges}, mode: adhoc}}
+csma: {{phys_rate: 1.0, alpha: 1.0}}
+traffic: {{arrival_rate: {rho}, mean_flow_size: 1.0}}
+experiment:
+  kind: capacity-sweep
+  axis1: {{classes: {list(range(1, K + 1, 2))}, max: 0.6}}
+  axis2: {{classes: {list(range(2, K + 1, 2))}, max: 0.6}}
+""")
+    out = tmp_path / "sweep"
+    argv = ["run", "capacity-sweep", "--scenario", str(scenario), "--grid", "3",
+            "--output", str(out)]
+    assert main(argv) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    for row in rows:
+        a, b, status, margin = row.split(",")
+        expected = J / (float(a) + float(b)) - 1.0 if float(a) + float(b) else math.inf
+        assert float(margin) == pytest.approx(expected, abs=1e-9)
+        assert status == capacity.status_of(expected)
+    assert set(built) == {2207}
+
+
+def test_certificate_of_many_groups_stays_small():
+    """Twenty channels, each with its own triangle of classes: the product of
+    the groups' optimal supports has about 3^20 schedules, the coupling at
+    most sum of supports - 19."""
+    J = 20
+    graphs = tuple(ChannelGraph.of([3 * j, 3 * j + 1, 3 * j + 2],
+                                   [(3 * j, 3 * j + 1), (3 * j + 1, 3 * j + 2),
+                                    (3 * j, 3 * j + 2)])
+                   for j in range(J))
+    spec = NetworkSpec(3 * J, J, graphs)
+    params = CsmaParams.from_alpha(spec, 1.0)
+    rho = np.full(3 * J, 0.2)
+    verdict = membership(rho, spec, params)
+    # one class at a time per triangle: t* = 1 / (3 * 0.2)
+    assert verdict.margin == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
+    assert verdict.margin == margins([rho], spec, params)[0]
+    assert len(verdict.certificate) <= 4 * J - J + 1
+    masses = np.array(list(verdict.certificate.values()))
+    assert np.all(masses >= 0) and abs(masses.sum() - 1.0) <= 1e-12
+    served = np.zeros(3 * J)
+    for s, p in verdict.certificate.items():
+        for j, graph in enumerate(graphs):
+            on = [k for k in range(3 * J) if s.active[k][j]]
+            assert len(on) <= 1 and set(on) <= graph.eligible
+        served += p * params.phi * np.asarray(s.per_class)
+    assert np.all(served >= (verdict.margin + 1.0) * rho - 1e-12)
+
+
+def test_schedule_space_guard_holds_per_channel(monkeypatch, tmp_path, capsys):
+    """With the guard lowered to 1,000 schedules, two channels of 2^8
+    independent sets each (65,536 schedules in the product) get an LP
+    verdict, and a channel of 2^10 independent sets still trips the guard,
+    in the library and as CLI exit 4."""
+    monkeypatch.setitem(enumerate_feasible.__kwdefaults__, "max_schedules", 1000)
+    small = NetworkSpec(8, 2, replicate_graph(2, range(8), []))
+    verdict = membership([0.5] * 8, small, CsmaParams.from_alpha(small, 1.0))
+    assert verdict.margin == pytest.approx(3.0, abs=1e-12)
+
+    K = 10
+    large = NetworkSpec(K, 2, (ChannelGraph.of(range(K)), ChannelGraph.of([0])))
+    params = CsmaParams.from_alpha(large, 1.0)
+    with pytest.raises(ScheduleSpaceError):
+        membership([0.5] * K, large, params)
+    with pytest.raises(ScheduleSpaceError):
+        margins([[0.5] * K], large, params)
+
+    scenario = tmp_path / "wide.yaml"
+    scenario.write_text(f"""
+name: wide
+network:
+  classes: {K}
+  channels: 2
+  channel_graphs: [{{eligible: {list(range(1, K + 1))}}}, {{eligible: [1]}}]
+csma: {{phys_rate: 1.0, alpha: 1.0}}
+traffic: {{arrival_rate: 0.5, mean_flow_size: 1.0}}
+experiment: {{kind: capacity-sweep, grid: 2}}
+""")
+    assert main(["run", "capacity-sweep", "--scenario", str(scenario),
+                 "--output", str(tmp_path / "o")]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "schedule-space-guard"

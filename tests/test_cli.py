@@ -388,3 +388,55 @@ def test_stability_sweep_starts_from_initial_state(tmp_path):
     assert csv["empty"] != csv["backlogged"]
     # at load 0 the backlog only drains
     assert float(read_csv(tmp_path / "backlogged" / "stability.csv")[0]["slope"]) < 0
+
+
+_TWO_CLASSES = """
+name: typed
+network:
+  classes: 2
+  channels: 1
+  NETWORK
+csma: {phys_rate: 1.0, alpha: 1.0}
+traffic: {arrival_rate: 0.4, mean_flow_size: 1.0}
+experiment: {kind: capacity-sweep, grid: 2, EXPERIMENT}
+"""
+
+
+# (network lines, experiment entries, the key the diagnostic must name)
+_MISTYPED = [
+    ("conflict_edges: [[1, 2]]", "axis2: {classes: 2}", "experiment.axis2.classes"),
+    ("conflict_edges: [[1, 2]]", "axis1: {classes: [1.5]}", "experiment.axis1.classes[0]"),
+    ("eligible: 1", "policy: auto", "network.eligible"),
+    ("conflict_edges: [1, 2]", "policy: auto", "network.conflict_edges[0]"),
+    ("conflict_edges: [[1.5, 2]]", "policy: auto", "network.conflict_edges[0][0]"),
+    ("conflict_edges: [[1, 2, 3]]", "policy: auto", "network.conflict_edges[0]"),
+    ("channel_graphs: [{eligible: [1, 2], edges: 12}]", "policy: auto",
+     "network.channel_graphs[0].edges"),
+    ("channel_graphs: [{eligible: 2}]", "policy: auto",
+     "network.channel_graphs[0].eligible"),
+    ("channel_graphs: 3", "policy: auto", "network.channel_graphs"),
+    ("mode: infrastructure\n  conflict_edges: [[1, 2]]\n  access_points: 1",
+     "policy: auto", "network.access_points"),
+    ("mode: infrastructure\n  conflict_edges: [[1, 2]]\n  access_points: [{uplink: 1}]",
+     "policy: auto", "network.access_points[0].uplink"),
+    ("mode: infrastructure\n  conflict_edges: [[1, 2]]\n  access_points: [{downlink: 2}]",
+     "policy: auto", "network.access_points[0].downlink"),
+    ("conflict_edges: [[1, 2]]", "horizon: 10, grid: 2.5", "experiment.grid"),
+    ("conflict_edges: [[1, 2]]", "axis1: {classes: [1], max: high}", "experiment.axis1.max"),
+    ("conflict_edges: [[1, 2]]", "t_probe: soon", "experiment.t_probe"),
+    ("conflict_edges: [[1, 2]]", "state: 3", "experiment.state"),
+    ("conflict_edges: [[1, 2]]", "replications: true", "experiment.replications"),
+]
+
+
+@pytest.mark.parametrize("network, experiment, key", _MISTYPED,
+                         ids=[key for _, _, key in _MISTYPED])
+def test_mistyped_scenario_value_is_parse_error_naming_its_key(network, experiment, key,
+                                                               tmp_path, capsys):
+    bad = tmp_path / "typed.yaml"
+    bad.write_text(_TWO_CLASSES.replace("NETWORK", network).replace("EXPERIMENT", experiment))
+    out = tmp_path / "o"
+    assert main(["run", "capacity-sweep", "--scenario", str(bad), "--output", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse" and diag["message"].startswith(f"{key} must be ")
+    assert not out.exists()

@@ -41,7 +41,7 @@ GOLDEN = {
         ["run", "capacity-sweep", "--scenario", "adhoc4", "--grid", "10"],
         {
             "sweep.csv":
-                "0d428a2db7d9ca3a28ee1dc94f9a290cd83a9905156f760ef3dae1dc86195ee6",
+                "2b9649f0286d0fcb83f1a048634e0f879f78759c43c6c025fb95ab45234b7509",
         },
     ),
     "simulate-bowtie-standard-infra": (

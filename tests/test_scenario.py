@@ -141,3 +141,26 @@ def test_unknown_key_is_parse_error_naming_section_and_key(old, new, where, key)
 def test_keys_that_would_be_ignored_together_are_rejected(old, new, match):
     with pytest.raises(ScenarioError, match=match):
         load_scenario_text(MINIMAL.replace(old, new))
+
+
+def test_numbers_written_as_dotless_exponents_are_read():
+    # YAML reads 1e3, without a dot, as a string
+    doc = MINIMAL.replace("horizon: 10.0", "horizon: 1e3\n  max_total_flows: 1e5")
+    s = load_scenario_text(doc.replace("alpha: 2.0", "alpha: 2e0"))
+    assert s.experiment.horizon == 1000.0 and s.experiment.max_total_flows == 100_000
+    assert s.csma.attempt_rate == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("arrival_rate: [0.5, 0.25]", "arrival_rate: [0.5, fast]", "traffic.arrival_rate[1]"),
+    ("alpha: 2.0", "alpha: {value: 2.0}", "csma.alpha"),
+    ("classes: 2", "classes: 2.5", "network.classes"),
+    ("alpha: 2.0", "alpha: 2.0\n  probe: [1.0, 1.0]", "csma.probe[0]"),
+    ("alpha: 2.0", "alpha: 2.0\n  probe: random", "csma.probe"),
+    ("horizon: 10.0", "horizon: 10.0\n  max_total_flows: 1e-1", "experiment.max_total_flows"),
+])
+def test_mistyped_value_names_its_key(old, new, key):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario_text(MINIMAL.replace(old, new))
+    assert not isinstance(info.value, ScenarioValidationError)
+    assert str(info.value).startswith(f"{key} must be ")
