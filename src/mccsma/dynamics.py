@@ -23,13 +23,16 @@ departures and enforces the truncation guard. A model supplies what differs:
 * ``clocks``: the stream kinds of its redrawn clocks, one clock per class each;
 * ``block_drawn``: those of its ``clocks`` whose streams give only the
   clock draws (see below);
-* ``rates(x)``: each such kind's per-class rate vector plus the served-rate
-  vector at flow counts ``x``, valid until the next event;
+* ``rates(x)``: the rates of its clocks at flow counts ``x`` in one list,
+  kind by kind and class by class within a kind, plus the served-rate
+  vector, both valid until the next event;
 * ``arrive(k, t)``: flow bookkeeping for a new class-k flow at time t (the
   initial flows are added this way too, at t = 0);
 * ``fire(kind, k, rng, t)``: the event of clock ``kind`` of class k at time
   t, given that clock's stream; returns whether a class-k flow departed;
-* ``accrue(x, dt)``: its own path integrals over a stretch of length dt;
+* ``accrue(x, dt)``: its own path integrals over a stretch of length dt, or
+  None for a model with none (the separated model without flow tracking),
+  whose call the loop then skips;
 * ``schedule``: a callable giving the current schedule, or None if the model
   keeps none;
 * ``finish(traj)``: the model's own fields of the finished trajectory.
@@ -39,6 +42,14 @@ clock and a packet clock per class and keeps the schedule; ``_Coupled`` has
 one coupling clock per class, whose uniform draw decides the departure in
 both chains of the pair.
 
+No event pays for work that it leaves unchanged. The loop keeps a running
+flow total for the guard, calls the sampler only when a sample time has
+passed or the run ends, and makes a clock's stream at its first draw, so a
+clock whose rate stays zero makes none. ``_Joint`` recomputes what reads only
+the schedule (the packet clock rates, the served rates and the packet
+rate-time increments) when ``fire`` changes the schedule; only its attempt
+rates, which read the flow counts, are recomputed at every event.
+
 Randomness comes from counter-based Philox streams, one per (event kind,
 class, replication), all derived from the master seed. Identical configs give
 bit-identical trajectories, replications are independent, and comparisons
@@ -46,11 +57,12 @@ across policies share arrival randomness (common random numbers). Since every
 clock has its own stream, the order in which different streams are drawn from
 does not matter; within one stream it does, and an event draws after its
 clock: the attempt stream draws the clock, then the channel; the packet stream
-the clock, then the slot, then whether the flow ends. A stream that gives only
-standard-exponential clock draws is drawn in blocks of ``EXP_BLOCK``, which
-yields the same values in the same order as one draw at a time: these are the
-arrival streams of every model and the service streams of the separated
-model, whose ``fire`` draws nothing. The joint model's attempt and packet
+the clock, then the slot (only where two or more are active, since
+``integers(1)`` draws nothing), then whether the flow ends. A stream that
+gives only standard-exponential clock draws is drawn in blocks of
+``EXP_BLOCK``, which yields the same values in the same order as one draw at
+a time: these are the arrival streams of every model and the service streams
+of the separated model, whose ``fire`` draws nothing. The joint model's attempt and packet
 streams and the coupling streams interleave a uniform or integer draw after
 each clock draw, so they are drawn one value at a time; a block would shift
 every later value. Rates and path integrals are Python floats, and the order
@@ -61,8 +73,10 @@ of each floating-point operation is part of the trajectory: served bits add
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -138,6 +152,9 @@ class SimConfig:
             raise ValueError("sample_times must lie within [0, horizon]")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample_times must be strictly increasing")
+        if sum(self.initial_state) > self.max_total_flows:
+            raise ValueError(f"initial_state holds {sum(self.initial_state)} flows, "
+                             f"above max_total_flows = {self.max_total_flows}")
 
 
 @dataclass
@@ -165,6 +182,17 @@ class Trajectory:
     residual_flow_bits: Optional[tuple[float, ...]] = None
     rate_time: Optional[dict[str, tuple[float, ...]]] = None
     event_counts_by_kind: Optional[dict[str, tuple[int, ...]]] = None
+
+
+def left_sum(values) -> float:
+    """The sum of ``values`` added one at a time, left to right, from 0.0.
+
+    Python's ``sum`` does this for floats up to 3.11 but compensates the
+    rounding since 3.12, and ``np.sum`` adds 8 or more terms pairwise; the
+    sums that feed recorded results use this instead, so their bits do not
+    depend on the interpreter.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def uniform_sample_times(horizon: float, count: int) -> tuple[float, ...]:
@@ -213,21 +241,23 @@ class _Sampler:
     """Emits right-continuous state samples at the configured times."""
 
     def __init__(self, sample_times: Sequence[float]):
-        self.times = list(sample_times)
+        self.times = [*sample_times, math.inf]     # the sentinel ends every scan
         self.idx = 0
+        self.next = self.times[0]                  # the next time to sample
         self.out: list[TrajectorySample] = []
 
     def emit(self, t_next: float, state, schedule_fn=None) -> None:
         """Sample ``state`` at every remaining time before ``t_next``; the
         schedule, if any, comes from one call of ``schedule_fn``."""
         schedule = None
-        while self.idx < len(self.times) and self.times[self.idx] < t_next:
+        while self.next < t_next:
             if schedule_fn is not None:
                 schedule = schedule_fn()
                 schedule_fn = None
-            self.out.append(TrajectorySample(self.times[self.idx],
-                                             tuple(int(v) for v in state), schedule))
+            self.out.append(TrajectorySample(self.next, tuple(int(v) for v in state),
+                                             schedule))
             self.idx += 1
+            self.next = self.times[self.idx]
 
 
 def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
@@ -245,54 +275,71 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
     lam = [float(v) for v in traffic.arrival_rate]
     arr_draws = [exponential_draws(stream(cfg.seed, "arrival", k, cfg.replication),
                                    block=True) for k in range(K)]
-    clock_rngs = [[stream(cfg.seed, kind, k, cfg.replication) for k in range(K)]
-                  for kind in model.clocks]
-    clock_draws = [[exponential_draws(rng, block=kind in model.block_drawn)
-                    for rng in rngs] for kind, rngs in zip(model.clocks, clock_rngs)]
+    # the redrawn clocks, kind by kind, one per class within a kind. A
+    # clock's stream is made at its first draw, and a clock whose rate stays
+    # zero never draws, so a short run makes only the streams it uses.
+    clock_rngs: list[Optional[np.random.Generator]] = [None] * (len(model.clocks) * K)
+
+    def first_draw(i: int) -> Callable[[], float]:
+        def draw() -> float:
+            kind = model.clocks[i // K]
+            rng = clock_rngs[i] = stream(cfg.seed, kind, i % K, cfg.replication)
+            clock_draws[i] = exponential_draws(rng, block=kind in model.block_drawn)
+            return clock_draws[i]()
+        return draw
+
+    clock_draws = [first_draw(i) for i in range(len(clock_rngs))]
     next_arrival = [draw() / r if r > 0 else math.inf for draw, r in zip(arr_draws, lam)]
     arrivals = [0] * K
     departures = [0] * K
     integral = [0.0] * K
     busy = [0.0] * K
     served = [0.0] * K
+    flows = sum(x)                      # the running flow total, for the guard
     sampler = _Sampler(cfg.sample_times)
+    accrue = model.accrue
     t = 0.0
     abort_time: Optional[float] = None
 
     while True:
         clock_rates, served_rate = model.rates(x)
         # the race runs on Python floats; index() finds the first minimum
-        times = list(next_arrival)
-        for draws, rates in zip(clock_draws, clock_rates):
-            times += [t + draw() / r if r > 0 else math.inf
-                      for draw, r in zip(draws, rates)]
+        times = next_arrival + [t + draw() / r if r > 0 else math.inf
+                                for draw, r in zip(clock_draws, clock_rates)]
         t_next = min(times)
         done = t_next >= cfg.horizon
         if done:
             t_next = cfg.horizon
-        sampler.emit(math.inf if done else t_next, x, model.schedule)
+        until = math.inf if done else t_next
+        if sampler.next < until:
+            sampler.emit(until, x, model.schedule)
         dt = t_next - t
         integral = [a + n * dt for a, n in zip(integral, x)]
         busy = [b + dt if n > 0 else b for b, n in zip(busy, x)]
         served = [s + r * dt for s, r in zip(served, served_rate)]
-        model.accrue(x, dt)
+        if accrue is not None:
+            accrue(x, dt)
         t = t_next
         if done:
             break
 
-        kind, k = divmod(times.index(t_next), K)
-        if kind == 0:
-            x[k] += 1
-            arrivals[k] += 1
-            next_arrival[k] = t + arr_draws[k]() / lam[k]
-            model.arrive(k, t)
-            if sum(x) > cfg.max_total_flows:
+        i = times.index(t_next)
+        if i < K:
+            x[i] += 1
+            arrivals[i] += 1
+            next_arrival[i] = t + arr_draws[i]() / lam[i]
+            model.arrive(i, t)
+            flows += 1
+            if flows > cfg.max_total_flows:
                 abort_time = t
                 sampler.emit(math.inf, x, model.schedule)
                 break
-        elif model.fire(kind - 1, k, clock_rngs[kind - 1][k], t):
-            x[k] -= 1
-            departures[k] += 1
+        else:
+            kind, k = divmod(i - K, K)
+            if model.fire(kind, k, clock_rngs[i - K], t):
+                x[k] -= 1
+                departures[k] += 1
+                flows -= 1
 
     traj = Trajectory(
         samples=sampler.out,
@@ -336,10 +383,12 @@ class _Separated:
         self.service = [0.0] * K          # per-flow service counter per class
         self.completed: list[list[float]] = [[] for _ in range(K)]
         self.phi = [0.0] * K              # throughput at the current state
+        if not self.track:
+            self.accrue = None            # nothing to accrue: _run skips the hook
 
     def rates(self, x: list[int]):
         self.phi = phi = self.throughput_fn(tuple(x)).tolist()
-        return ([p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)],), phi
+        return [p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)], phi
 
     def arrive(self, k: int, t: float) -> None:
         if self.track:
@@ -355,14 +404,13 @@ class _Separated:
         return True
 
     def accrue(self, x: list[int], dt: float) -> None:
-        if self.track:
-            self.service = [c + p * dt / n if n > 0 and p > 0 else c
-                            for c, p, n in zip(self.service, self.phi, x)]
+        self.service = [c + p * dt / n if n > 0 and p > 0 else c
+                        for c, p, n in zip(self.service, self.phi, x)]
 
     def finish(self, traj: Trajectory) -> None:
         if self.track:
             traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(float(sum([c - o for o in offsets]))
+            traj.residual_flow_bits = tuple(left_sum([c - o for o in offsets])
                                             for c, offsets in zip(self.service,
                                                                   self.offsets))
 
@@ -392,7 +440,14 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
 class _Joint:
     """Joint model: per class an attempt clock over its feasible idle slots
     and a packet clock over its active slots; keeps the schedule feasible
-    incrementally."""
+    incrementally.
+
+    The attempt rates read the flow counts, so ``rates`` recomputes them at
+    every event. What reads only a class's active-slot count y_k (its packet
+    clock rate, its served rate and its two packet rate-time increments) is
+    recomputed by ``_slots_changed``, which ``fire`` calls whenever y_k
+    changes.
+    """
 
     clocks = ("attempt", "packet")
     block_drawn = ()
@@ -410,10 +465,14 @@ class _Joint:
         self.sigma = [float(v) for v in traffic.mean_flow_size]
         self.flow_end_prob = [1.0 / (s * N) for s in self.sigma]
         self.continue_prob = [1.0 - p for p in self.flow_end_prob]
-        # np.sum adds fewer than 8 terms left to right, as the faster sum()
-        # does, and 8 or more pairwise (pinned by the 8- to 12-channel runs of
-        # test_trajectories_match_recorded_digests)
-        self.total = sum if J < 8 else (lambda v: float(np.sum(v)))
+        # a class's attempt total: fewer than 8 rates are added left to right,
+        # 8 or more pairwise, as np.sum does (pinned by the 8- to 12-channel
+        # runs of test_trajectories_match_recorded_digests). With one channel
+        # the total is the one rate, which is never -0.0, so 0.0 + r == r.
+        if J == 1:
+            self.total = operator.itemgetter(0)
+        else:
+            self.total = left_sum if J < 8 else (lambda v: float(np.sum(v)))
 
         self.downlink_ap = [spec.downlink_ap(k) for k in range(K)]
         self.shared_queue = [policy == "standard_infra" and i is not None
@@ -427,11 +486,16 @@ class _Joint:
         self.ap_active = [0] * len(spec.access_points)
         self.attempt: list[Optional[list[float]]] = [None] * K
         self.attempt_total = [0.0] * K
-        self.packet_total = [0.0] * K
         self.attempt_counts = [0] * K
         self.packet_counts = [0] * K
-        self.rate_time = {name: [0.0] * K for name in
-                          ("arrival", "attempt", "packet_continue", "packet_complete")}
+        # rate-times of the arrival, attempt, packet_continue and
+        # packet_complete events, K entries each
+        self.rate_time = [0.0] * (4 * K)
+        self.packet_total = [0.0] * K     # packet clock rates, (y_k N) phi_k
+        self.served = [0.0] * K           # phi_k y_k
+        self.packet_rt = [0.0] * (2 * K)  # packet_continue, then packet_complete
+        for k in range(K):
+            self._slots_changed(k)
 
         self.track = cfg.track_flows
         self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
@@ -441,6 +505,16 @@ class _Joint:
         self.slot_start: dict[tuple[int, int], float] = {}
         self.completed: list[list[float]] = [[] for _ in range(K)]
         self.next_fid = 0
+
+    def _slots_changed(self, k: int) -> None:
+        """Recompute what reads class k's active-slot count. Each product is
+        the leading part of the expression it stands for: r * c * dt is
+        (r * c) * dt, and y * p / s * dt is ((y * p) / s) * dt."""
+        y, p = self.y_class[k], self.phi[k]
+        self.packet_total[k] = r = y * self.N * p
+        self.served[k] = p * y
+        self.packet_rt[k] = r * self.continue_prob[k]
+        self.packet_rt[self.num_classes + k] = y * p / self.sigma[k]
 
     def _attempt_rates(self, x: list[int], k: int) -> Optional[list[float]]:
         """Per-channel rate of activating one more class-k link; None when
@@ -463,9 +537,7 @@ class _Joint:
     def rates(self, x: list[int]):
         self.attempt = [self._attempt_rates(x, k) for k in range(self.num_classes)]
         self.attempt_total = [0.0 if r is None else self.total(r) for r in self.attempt]
-        self.packet_total = [y * self.N * p for y, p in zip(self.y_class, self.phi)]
-        served = [p * y for p, y in zip(self.phi, self.y_class)]
-        return (self.attempt_total, self.packet_total), served
+        return self.attempt_total + self.packet_total, self.served
 
     def arrive(self, k: int, t: float) -> None:
         if self.track:
@@ -475,36 +547,44 @@ class _Joint:
 
     def fire(self, kind: int, k: int, rng, t: float) -> bool:
         i = self.downlink_ap[k]
+        J = self.num_channels
         if kind == 0:                       # successful channel access
-            u = rng.random() * self.attempt_total[k]
-            j = bisect.bisect_right(list(itertools.accumulate(self.attempt[k])), u)
-            j = min(j, self.num_channels - 1)
+            u = rng.random() * self.attempt_total[k]    # drawn even with one channel
+            j = 0 if J == 1 else min(bisect.bisect_right(
+                list(itertools.accumulate(self.attempt[k])), u), J - 1)
             self.y[k][j] = 1
             self.y_class[k] += 1
+            self._slots_changed(k)
             self.channel_active[j].add(k)
             if i is not None:
                 self.ap_active[i] += 1
             self.attempt_counts[k] += 1
-            self.slot_start[(k, j)] = t
             if self.track:
+                self.slot_start[(k, j)] = t
                 pool = sorted(self.flows[k]) if self.shared_queue[k] else self.idle[k]
                 fid = pool[int(self.pick.integers(len(pool)))]
                 if fid in self.idle[k]:
                     self.idle[k].remove(fid)
                 self.slot_flow[(k, j)] = fid
             return False
-        # packet completion, which ends its flow with probability 1 / (sigma_k N)
-        js = [j for j in range(self.num_channels) if self.y[k][j]]
-        j = js[int(rng.integers(len(js)))]
+        # packet completion, which ends its flow with probability 1 / (sigma_k N);
+        # integers(1) would draw nothing, so one active slot is taken directly
+        y_k = self.y[k]
+        if self.y_class[k] == 1:
+            j = y_k.index(1)
+        else:
+            js = [j for j in range(J) if y_k[j]]
+            j = js[int(rng.integers(len(js)))]
         ends_flow = bool(rng.random() < self.flow_end_prob[k])
-        self.y[k][j] = 0
+        y_k[j] = 0
         self.y_class[k] -= 1
+        self._slots_changed(k)
         self.channel_active[j].discard(k)
         if i is not None:
             self.ap_active[i] -= 1
         self.packet_counts[k] += 1
-        start = self.slot_start.pop((k, j))
         if self.track:
+            start = self.slot_start.pop((k, j))
             fid = self.slot_flow.pop((k, j))
             self.flows[k][fid] += self.phi_np[k] * (t - start)
             if ends_flow:
@@ -514,21 +594,17 @@ class _Joint:
         return ends_flow
 
     def accrue(self, x: list[int], dt: float) -> None:
-        rt = self.rate_time
-        rt["arrival"] = [a + r * dt for a, r in zip(rt["arrival"], self.lam)]
-        rt["attempt"] = [a + r * dt for a, r in zip(rt["attempt"], self.attempt_total)]
-        rt["packet_continue"] = [a + r * c * dt for a, r, c in
-                                 zip(rt["packet_continue"], self.packet_total,
-                                     self.continue_prob)]
-        rt["packet_complete"] = [a + y * p / s * dt for a, y, p, s in
-                                 zip(rt["packet_complete"], self.y_class, self.phi,
-                                     self.sigma)]
+        self.rate_time = [a + r * dt for a, r in
+                          zip(self.rate_time, self.lam + self.attempt_total + self.packet_rt)]
 
     def schedule(self) -> Schedule:
         return Schedule(tuple(tuple(row) for row in self.y))
 
     def finish(self, traj: Trajectory) -> None:
-        traj.rate_time = {name: tuple(v) for name, v in self.rate_time.items()}
+        K, rt = self.num_classes, self.rate_time
+        traj.rate_time = {name: tuple(rt[n * K:(n + 1) * K]) for n, name in
+                          enumerate(("arrival", "attempt", "packet_continue",
+                                     "packet_complete"))}
         traj.event_counts_by_kind = {
             "arrival": traj.arrivals,
             "attempt": tuple(self.attempt_counts),
@@ -541,7 +617,7 @@ class _Joint:
                 fid = self.slot_flow[(k, j)]
                 self.flows[k][fid] += self.phi_np[k] * (traj.final_time - start)
             traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(float(sum(f.values())) for f in self.flows)
+            traj.residual_flow_bits = tuple(float(left_sum(f.values())) for f in self.flows)
 
 
 def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -594,19 +670,25 @@ def _tv_from_counts(counts: dict[tuple[int, ...], int], total: int,
     Only visited states are looked up. The unvisited states' mass is the
     left-to-right sum of a copy of the reference with the visited entries
     zeroed: adding an exact zero leaves a float sum unchanged, so this is
-    the sum over the unvisited states alone, in reference order.
+    the sum over the unvisited states alone, in reference order. The copy
+    starts with a 0.0, so its running sum (``np.add.accumulate``, which adds
+    in order) is ``left_sum`` of the reference's entries.
     """
-    tv = 0.0
     seen_outside = 0
-    unvisited = reference.tolist()
+    visited, freq = [], []
     for state, c in counts.items():
         i = index.get(state)
         if i is None:
             seen_outside += c
         else:
-            tv += abs(c / total - unvisited[i])
-            unvisited[i] = 0.0
-    tv += sum(unvisited)
+            visited.append(i)
+            freq.append(c / total)
+    tv = 0.0
+    for f, q in zip(freq, reference[visited].tolist()):
+        tv += abs(f - q)
+    unvisited = np.concatenate(([0.0], reference))
+    unvisited[1:][visited] = 0.0
+    tv += float(np.add.accumulate(unvisited, out=unvisited)[-1])
     tv += abs(seen_outside / total - outside_ref)
     return 0.5 * tv
 
@@ -722,7 +804,7 @@ class _Coupled:
         self.x = tuple(x)                 # the base chain's counts until the next event
         self.phi_lo = self.throughput_lo(self.x).tolist()
         self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
-        return (self.bound,), self.phi_lo
+        return self.bound, self.phi_lo
 
     def arrive(self, k: int, t: float) -> None:
         self.sampler.emit(t, self.y)

@@ -62,12 +62,18 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .schedule import Schedule, ScheduleSet, enumerate_feasible, state_flows
+from .schedule import (Schedule, ScheduleSet, ScheduleSpaceError, enumerate_feasible,
+                       state_flows)
 from .topology import CsmaParams, NetworkSpec
 
 POLICIES = ("adhoc", "standard_infra", "flow_aware")
 
 LOG_FACTORIAL_CAP = 1 << 16
+
+# The largest uncapped schedule set an evaluator filters its cap patterns
+# from: listing a larger one could cost far more than the patterns that a
+# run visits.
+UNCAPPED_MAX_SCHEDULES = 1 << 16
 
 
 def check_policy(spec: NetworkSpec, policy: str) -> str:
@@ -107,9 +113,10 @@ class PolicyEvaluator:
     policy) triple.
 
     The feasible set depends on the state only through the activation caps
-    min(x_k, J), so each cap pattern is enumerated once and cached together
-    with the state-independent log-weight terms, computed from the
-    ``ScheduleSet``'s ``active`` and ``per_class`` arrays. Repeated
+    min(x_k, J). The evaluator enumerates the uncapped set once and filters
+    each cap pattern's set from it (see ``_feasible``); each pattern's set is
+    cached together with the state-independent log-weight terms, computed
+    from the ``ScheduleSet``'s ``active`` and ``per_class`` arrays. Repeated
     evaluations along a simulation trajectory are then a few array
     operations; ``Schedule`` objects are built only where a result is keyed
     by schedule (``equilibrium``'s distribution, ``stationary_log_weights``).
@@ -129,6 +136,7 @@ class PolicyEvaluator:
             self._log_beta = np.where(beta > 0, np.log(np.where(beta > 0, beta, 1.0)),
                                       -np.inf)
         self._bundles: dict[tuple[int, ...], dict] = {}
+        self._uncapped: Optional[ScheduleSet | bool] = None   # see _feasible
         self._log_factorial = gammaln(np.arange(64) + 1.0)
         self._phi = params.phi
         self._K = K = spec.num_classes
@@ -145,11 +153,35 @@ class PolicyEvaluator:
         self._groups = [g for g in groups if len(g) > 1]
         self._shared = [k for g in self._groups for k in g]
 
+    def _feasible(self, caps: tuple[int, ...]) -> ScheduleSet:
+        """``enumerate_feasible(spec, caps)``, read off the uncapped set.
+
+        A schedule is feasible at caps exactly when it is feasible without
+        them and activates each class k at most caps[k] times, so filtering
+        the uncapped set keeps the same rows in the same lexicographic
+        order. The uncapped set is enumerated once per evaluator if it holds
+        at most ``UNCAPPED_MAX_SCHEDULES`` schedules, far fewer than the
+        enumeration guard allows, so no filtered set could have tripped it.
+        Where it holds more, each pattern is enumerated on its own, under the
+        guard. ``_uncapped`` is None until the first call, then the uncapped
+        set, or False where it is too large.
+        """
+        if self._uncapped is None:
+            try:
+                self._uncapped = enumerate_feasible(
+                    self.spec, max_schedules=UNCAPPED_MAX_SCHEDULES)
+            except ScheduleSpaceError:
+                self._uncapped = False
+        if self._uncapped is False:
+            return enumerate_feasible(self.spec, caps)
+        keep = (self._uncapped.per_class <= caps).all(axis=1)
+        return self._uncapped if keep.all() else ScheduleSet(self._uncapped.active[keep])
+
     def _bundle(self, caps: tuple[int, ...]) -> dict:
         b = self._bundles.get(caps)
         if b is not None:
             return b
-        schedules = enumerate_feasible(self.spec, caps)
+        schedules = self._feasible(caps)
         per_class = schedules.per_class
         # state-independent part: y_k log alpha_k + sum_kj y_kj log beta_kj
         const = per_class @ self._log_alpha

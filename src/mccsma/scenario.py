@@ -79,6 +79,9 @@ class ExperimentConfig:
         problems += [f"{name} must hold nonnegative flow counts, got {list(getattr(self, name))}"
                      for name in ("state", "initial_state")
                      if min(getattr(self, name) or (0,)) < 0]
+        if self.initial_state and sum(self.initial_state) > self.max_total_flows:
+            problems.append(f"initial_state holds {sum(self.initial_state)} flows, above "
+                            f"max_total_flows = {self.max_total_flows}")
         if problems:
             raise ScenarioValidationError("invalid experiment: " + "; ".join(problems))
 

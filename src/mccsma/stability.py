@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (SimConfig, ThroughputCache, Trajectory, simulate_separated,
-                       stream)
+from .dynamics import (SimConfig, ThroughputCache, Trajectory, left_sum,
+                       simulate_separated, stream)
 from .equilibrium import PolicyEvaluator
 from .schedule import state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
@@ -212,7 +212,7 @@ def fluid_slope(trajectories: Sequence[Trajectory],
         states = np.array([p[1] for p in pts], dtype=float)
         slopes.append(_ls_slope(times, states.sum(axis=1)))
         class_slopes.append([_ls_slope(times, states[:, k]) for k in range(K)])
-        means.append(sum(tr.time_integral_flows) / tr.final_time)
+        means.append(left_sum(tr.time_integral_flows) / tr.final_time)
 
     slopes_arr = np.array(slopes)
     rng = stream(0, "bootstrap", 0, 0)

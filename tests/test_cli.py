@@ -296,6 +296,22 @@ def test_bad_flow_counts_are_validation_errors(argv, field, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_initial_state_above_the_guard_exits_3(tmp_path, capsys):
+    import yaml
+
+    from mccsma.scenario import load_scenario, scenario_to_document
+
+    doc = scenario_to_document(load_scenario("bowtie"))
+    doc["experiment"].update(initial_state=[100, 0, 0, 0, 0], max_total_flows=10)
+    path = tmp_path / "bowtie.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["run", "simulate", "--scenario", str(path), "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "max_total_flows" in diag["message"]
+    assert not out.exists()
+
+
 def test_misspelt_scenario_key_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "typo.yaml"
     bad.write_text("""

@@ -10,7 +10,7 @@ from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
 from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, Trajectory, _run,
-                             _Separated, _tv_from_counts, exponential_draws,
+                             _Separated, _tv_from_counts, exponential_draws, left_sum,
                              simulate_coupled_pair, simulate_joint, simulate_separated,
                              stream, timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
@@ -32,6 +32,11 @@ def test_config_validation():
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(2.0,))
     with pytest.raises(ValueError, match="increasing"):
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(0.5, 0.5))
+    # more initial flows than the guard allows used to run until the first
+    # arrival and report an abort there
+    with pytest.raises(ValueError, match="max_total_flows"):
+        SimConfig("standard_infra", 10.0, 1, (100, 0, 0, 0, 0), max_total_flows=10)
+    SimConfig("adhoc", 1.0, 1, (6, 4), max_total_flows=10)
 
 
 def simulate_coupled(spec, params, traffic, cfg):
@@ -568,3 +573,43 @@ def test_block_exponential_draws_equal_scalar_draws(seed):
             draw = exponential_draws(stream(seed, kind, klass, rep), block=block)
             got = [draw() for _ in range(n)]
             assert got == expected and all(type(v) is float for v in got)
+
+
+def test_left_sum_adds_left_to_right():
+    # compensated summation (Python 3.12's sum, math.fsum) gives 1.0 here
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert left_sum([]) == 0.0 and type(left_sum([])) is float
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 100, 1000):
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+        acc = 0.0
+        for v in values:
+            acc += v
+        assert left_sum(values) == acc
+        assert left_sum(np.array(values)) == acc    # NumPy scalars alike
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_integers_one_draws_nothing(seed):
+    """The joint model skips ``rng.integers(1)`` when one slot is active,
+    which leaves every later draw of the stream where it was."""
+    for kind, klass in (("packet", 0), ("packet", 2), ("attempt", 1)):
+        with_call, without = stream(seed, kind, klass, 3), stream(seed, kind, klass, 3)
+        for _ in range(5):
+            assert with_call.integers(1) == 0
+            assert with_call.random() == without.random()
+            assert with_call.standard_exponential() == without.standard_exponential()
+
+
+def test_add_accumulate_is_sequential_addition():
+    """``_tv_from_counts`` takes a left-to-right sum from np.add.accumulate,
+    which adds in order at every length (np.sum adds pairwise)."""
+    rng = np.random.default_rng(9)
+    for n in (1, 7, 8, 9, 127, 128, 129, 4097):
+        values = rng.random(n) * 10.0 ** rng.integers(-12, 1, n)
+        acc, prefix = 0.0, []
+        for v in values.tolist():
+            acc += v
+            prefix.append(acc)
+        assert np.add.accumulate(values).tolist() == prefix

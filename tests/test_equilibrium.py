@@ -416,3 +416,58 @@ def test_huge_flow_count_skips_the_table(monkeypatch):
             got = ev.log_weights(state)[1]
             assert np.all(np.isfinite(got)) and np.array_equal(got, logw)
         assert len(ev._log_factorial) == LOG_FACTORIAL_CAP
+
+
+def _cap_pattern_cases():
+    """Every bundled scenario under each of its policies, then random
+    instances, ad hoc and infrastructure."""
+    from mccsma.scenario import bundled_scenarios, load_scenario
+
+    for name in bundled_scenarios():
+        s = load_scenario(name)
+        for policy in policies_for(s.network):
+            yield s.network, s.csma, policy
+    rng = np.random.default_rng(31)
+    for i in range(12):
+        spec, params, _ = random_instance(rng, infrastructure=i % 2 == 1)
+        yield spec, params, policies_for(spec)[i // 2 % len(policies_for(spec))]
+
+
+def test_filtered_bundles_equal_per_pattern_enumeration():
+    """Each cap pattern's set, filtered from the uncapped one, holds the
+    rows that enumerating the pattern gives, in the same order."""
+    patterns = 0
+    for spec, params, policy in _cap_pattern_cases():
+        ev = PolicyEvaluator(spec, params, policy)
+        J = spec.num_channels
+        for caps in itertools.product(range(J + 1), repeat=spec.num_classes):
+            got = ev._bundle(caps)["schedules"]
+            want = enumerate_feasible(spec, caps)
+            assert got.active.dtype == want.active.dtype
+            assert np.array_equal(got.active, want.active), (spec, caps)
+            assert np.array_equal(got.per_class, want.per_class)
+            patterns += 1
+    assert patterns > 2000
+
+
+def test_small_caps_get_a_throughput_where_the_uncapped_set_is_too_large(monkeypatch):
+    """With the enumeration guard lowered to 1,000 schedules, as in
+    test_schedule_space_guard_holds_per_channel: 17 compatible classes on one
+    channel have 2^17 uncapped schedules, more than the evaluator lists, so a
+    state with flows in three classes is enumerated alone (8 schedules),
+    while a state with flows in ten classes (1,024) still trips the guard."""
+    from mccsma.equilibrium import UNCAPPED_MAX_SCHEDULES
+    from mccsma.schedule import ScheduleSpaceError
+
+    K = 17
+    assert 2 ** K > UNCAPPED_MAX_SCHEDULES
+    spec = NetworkSpec(K, 1, replicate_graph(1, range(K), []))
+    params = CsmaParams.from_alpha(spec, 1.0)
+    small = (2, 1, 5) + (0,) * (K - 3)
+    expected = PolicyEvaluator(spec, params, "adhoc").throughput(small)
+    monkeypatch.setitem(enumerate_feasible.__kwdefaults__, "max_schedules", 1000)
+    ev = PolicyEvaluator(spec, params, "adhoc")
+    assert np.array_equal(ev.throughput(small), expected)
+    assert len(ev.log_weights(small)[0]) == 8
+    with pytest.raises(ScheduleSpaceError):
+        ev.throughput((1,) * 10 + (0,) * (K - 10))

@@ -36,7 +36,7 @@ FLOW_MODELS_SMOKE_COUNTS = {
     "equilibrium.throughput_calls": 2076,   # 348 cache misses + 1,728 oracle states
     "dynamics.cache_lookups": 2745,
     "dynamics.cache_misses": 348,
-    "equilibrium.bundle_builds": 356,
+    "equilibrium.bundle_builds": 3,         # one uncapped enumeration per evaluator
     "dynamics.separated_events": 2735,
     "dynamics.joint_events": 456,
 }

@@ -143,6 +143,13 @@ def test_keys_that_would_be_ignored_together_are_rejected(old, new, match):
         load_scenario_text(MINIMAL.replace(old, new))
 
 
+def test_initial_state_above_the_guard_is_a_validation_error():
+    doc = MINIMAL.replace("horizon: 10.0", "horizon: 10.0\n  max_total_flows: 10")
+    assert load_scenario_text(doc + "  initial_state: [6, 4]\n").experiment.initial_state
+    with pytest.raises(ScenarioValidationError, match="max_total_flows = 10"):
+        load_scenario_text(doc + "  initial_state: [6, 5]\n")
+
+
 def test_numbers_written_as_dotless_exponents_are_read():
     # YAML reads 1e3, without a dot, as a string
     doc = MINIMAL.replace("horizon: 10.0", "horizon: 1e3\n  max_total_flows: 1e5")
