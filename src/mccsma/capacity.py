@@ -72,6 +72,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dynamics import left_sum
 from .schedule import Schedule, ScheduleSet, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec, detect_l_partite
 
@@ -372,22 +373,6 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     return CapacityVerdict(status_of(margin), margin, certificate)
 
 
-def full_support_certificate(verdict: CapacityVerdict,
-                             schedules: Sequence[Schedule]) -> dict[Schedule, float]:
-    """Mix an interior certificate with the uniform distribution so every
-    schedule carries positive mass, keeping feasibility.
-
-    The mixing weight min(margin/2, 1e-3) is small enough that the served rate
-    of each positive-load class stays above the load.
-    """
-    if verdict.status != "interior":
-        raise ValueError("full-support smoothing applies to interior verdicts only")
-    w = min(verdict.margin / 2.0, 1e-3)  # 1e-3 also at the zero load's infinite margin
-    uniform = 1.0 / len(schedules)
-    return {s: (1.0 - w) * verdict.certificate.get(s, 0.0) + w * uniform
-            for s in schedules}
-
-
 @dataclass
 class LPartiteVerdict:
     interior: bool
@@ -406,7 +391,7 @@ def lpartite_condition(rho: Sequence[float], spec: NetworkSpec,
         raise ValueError("conflict graph is not complete multipartite")
     rho = _loads(rho, spec.num_classes).tolist()
     phi = params.phi.tolist()
-    total = sum(max(rho[k] / phi[k] for k in block) for block in partition)
+    total = left_sum(max(rho[k] / phi[k] for k in block) for block in partition)
     J = spec.num_channels
     multiplier = math.inf if total == 0 else J / total
     return LPartiteVerdict(total < J, J - total, multiplier, partition)

@@ -1,6 +1,6 @@
 """Discrete-event simulation of the flow-level dynamics.
 
-Three models are simulated exactly (no time discretization):
+Two models are simulated exactly (no time discretization):
 
 * the separated model, where flow counts form a Markov process whose per-class
   departure rates come from the stationary packet-level throughput at the
@@ -8,11 +8,9 @@ Three models are simulated exactly (no time discretization):
 * the joint model at scaling parameter N, which tracks the schedule explicitly:
   flows carry geometric packet counts with mean sigma_k * N, packets have mean
   size 1/N, and attempt rates are scaled by N, so growing N accelerates the
-  packet level against the flow level at constant traffic intensity; and
-* the coupled pair, two separated chains with shared arrivals and coupled
-  departures, a pathwise check of stochastic domination (Lindvall, 1992).
+  packet level against the flow level at constant traffic intensity.
 
-All run on one event loop, ``_run``: the first-reaction method of Gillespie
+Both run on one event loop, ``_run``: the first-reaction method of Gillespie
 (1977), a race of exponential clocks. The loop owns the class-k Poisson
 arrival clocks, which are memoryless and so kept until they fire, and redraws
 every other clock after each event from its current rate. It fires the
@@ -38,9 +36,10 @@ departures and enforces the truncation guard. A model supplies what differs:
 * ``finish(traj)``: the model's own fields of the finished trajectory.
 
 ``_Separated`` has one departure clock per class; ``_Joint`` has an attempt
-clock and a packet clock per class and keeps the schedule; ``_Coupled`` has
-one coupling clock per class, whose uniform draw decides the departure in
-both chains of the pair.
+clock and a packet clock per class and keeps the schedule. The tests run a
+third model on the same loop, the coupled pair of ``tests/theory.py``, a
+pathwise check of stochastic domination (Lindvall, 1992); its ``"coupling"``
+stream kind stays here so that its draws do not change.
 
 No event pays for work that it leaves unchanged. The loop keeps a running
 flow total for the guard, calls the sampler only when a sample time has
@@ -62,10 +61,10 @@ the clock, then the slot (only where two or more are active, since
 gives only standard-exponential clock draws is drawn in blocks of
 ``EXP_BLOCK``, which yields the same values in the same order as one draw at
 a time: these are the arrival streams of every model and the service streams
-of the separated model, whose ``fire`` draws nothing. The joint model's attempt and packet
-streams and the coupling streams interleave a uniform or integer draw after
-each clock draw, so they are drawn one value at a time; a block would shift
-every later value. Rates and path integrals are Python floats, and the order
+of the separated model, whose ``fire`` draws nothing. The joint model's
+attempt and packet streams interleave a uniform or integer draw after each
+clock draw, so they are drawn one value at a time; a block would shift every
+later value. Rates and path integrals are Python floats, and the order
 of each floating-point operation is part of the trajectory: served bits add
 (phi_k * y_k) * dt, not phi_k * (y_k * dt).
 """
@@ -78,7 +77,7 @@ import itertools
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -714,10 +713,18 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     The default box reaches the 1 - 1e-12 Poisson quantile of each class's
     arrivals by ``t_probe``. A box of more than
     ``mccsma.oracles.MAX_ORACLE_STATES`` states raises ``OracleSpaceError``
-    before the generator is built.
+    before the generator is built. Raises ``ValueError`` naming the input
+    when ``t_probe`` is not finite and nonnegative, ``replications`` is
+    below 1 or an ``n_values`` entry is below 1.
     """
     from .oracles import flow_level_generator, poisson_quantile, transient_distribution
 
+    if not (math.isfinite(t_probe) and t_probe >= 0):
+        raise ValueError(f"t_probe must be finite and nonnegative, got {t_probe}")
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"n_values entries must be at least 1, got {list(n_values)}")
     policy = check_policy(spec, policy)
     K = spec.num_classes
     x0 = tuple(int(v) for v in initial_state)
@@ -762,88 +769,3 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         lo, hi = np.percentile(samples, [2.5, 97.5])
         rows.append(DistanceRow(int(n_val), distance, float(lo), float(hi)))
     return rows
-
-
-@dataclass
-class CoupledRun:
-    dominated: Trajectory            # run with the larger service rates
-    base: Trajectory
-    ordered: bool                    # componentwise dominated <= base throughout
-
-
-class _Coupled:
-    """Coupled pair: ``_run``'s own chain is the base chain, served at
-    ``throughput_lo``; the model carries the dominated chain, served at
-    ``throughput_hi``, which takes the same arrivals.
-
-    Class k has one coupling clock at the rate bound J * phi_k / sigma_k.
-    Its uniform u in [0, bound) decides the departure in both chains
-    (nested intervals): a chain holding class-k flows loses one when u falls
-    below its own class-k departure rate.
-    """
-
-    clocks = ("coupling",)
-    block_drawn = ()
-    schedule = None
-
-    def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                 cfg: SimConfig, throughput_hi: ThroughputFn, throughput_lo: ThroughputFn):
-        self.num_classes = K = spec.num_classes
-        self.sigma = [float(v) for v in traffic.mean_flow_size]
-        self.bound = [spec.num_channels * p / s
-                      for p, s in zip(params.phi.tolist(), self.sigma)]
-        self.throughput_hi = throughput_hi
-        self.throughput_lo = throughput_lo
-        self.y = [0] * K                  # the dominated chain's counts
-        self.departures = [0] * K
-        self.integral, self.busy, self.served = [0.0] * K, [0.0] * K, [0.0] * K
-        self.sampler = _Sampler(cfg.sample_times)
-        self.ordered = True
-
-    def rates(self, x: list[int]):
-        self.x = tuple(x)                 # the base chain's counts until the next event
-        self.phi_lo = self.throughput_lo(self.x).tolist()
-        self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
-        return self.bound, self.phi_lo
-
-    def arrive(self, k: int, t: float) -> None:
-        self.sampler.emit(t, self.y)
-        self.y[k] += 1
-
-    def fire(self, kind: int, k: int, rng, t: float) -> bool:
-        u = rng.random() * self.bound[k]
-        x, y = self.x, self.y
-        base = x[k] > 0 and u < self.phi_lo[k] / self.sigma[k]
-        if y[k] > 0 and u < self.phi_hi[k] / self.sigma[k]:
-            self.sampler.emit(t, y)
-            y[k] -= 1
-            self.departures[k] += 1
-        self.ordered &= y[k] <= x[k] - base
-        return base
-
-    def accrue(self, x: list[int], dt: float) -> None:
-        y = self.y
-        self.integral = [a + n * dt for a, n in zip(self.integral, y)]
-        self.busy = [b + dt if n > 0 else b for b, n in zip(self.busy, y)]
-        self.served = [s + r * dt for s, r in zip(self.served, self.phi_hi)]
-
-    def finish(self, traj: Trajectory) -> None:
-        self.sampler.emit(math.inf, self.y)
-        self.dominated = replace(
-            traj, samples=self.sampler.out, departures=tuple(self.departures),
-            final_state=tuple(self.y), time_integral_flows=tuple(self.integral),
-            busy_time=tuple(self.busy), served_bits=tuple(self.served))
-
-
-def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                          cfg: SimConfig, throughput_hi: ThroughputFn,
-                          throughput_lo: ThroughputFn) -> CoupledRun:
-    """Run the separated model under ``throughput_hi`` (the dominated chain)
-    and ``throughput_lo`` (the base chain), coupled as in ``_Coupled``: where
-    the first dominates the second pointwise on ordered states, the dominated
-    chain's flow counts stay below. Used for stochastic-domination spot checks.
-    """
-    check_policy(spec, cfg.policy)
-    model = _Coupled(spec, params, traffic, cfg, throughput_hi, throughput_lo)
-    base = _run(model, traffic, cfg)
-    return CoupledRun(model.dominated, base, model.ordered)

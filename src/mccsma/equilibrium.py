@@ -62,8 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .schedule import (Schedule, ScheduleSet, ScheduleSpaceError, enumerate_feasible,
-                       state_flows)
+from .schedule import Schedule, ScheduleSet, ScheduleSpaceError, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec
 
 POLICIES = ("adhoc", "standard_infra", "flow_aware")
@@ -119,7 +118,7 @@ class PolicyEvaluator:
     from the ``ScheduleSet``'s ``active`` and ``per_class`` arrays. Repeated
     evaluations along a simulation trajectory are then a few array
     operations; ``Schedule`` objects are built only where a result is keyed
-    by schedule (``equilibrium``'s distribution, ``stationary_log_weights``).
+    by schedule (``equilibrium``'s distribution).
     Every evaluation reads the state through ``throughput_key`` (see the
     module docstring).
     """
@@ -293,14 +292,6 @@ class PolicyEvaluator:
         return self._phi * (w @ b["per_class"])
 
 
-def stationary_log_weights(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> dict[Schedule, float]:
-    """Map each feasible schedule at x to its log stationary weight."""
-    ev = PolicyEvaluator(spec, params, policy)
-    schedules, logw = ev.log_weights(state)
-    return dict(zip(schedules, logw.tolist()))
-
-
 def equilibrium(state, params: CsmaParams, spec: NetworkSpec,
                 policy: str) -> EquilibriumResult:
     """Normalize the policy's measure at state x and compute throughputs.
@@ -327,71 +318,3 @@ def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
             return 0.0
         return params.attempt_rate[k] * (x_k / total) * beta
     return (x_k - y_k) * params.attempt_rate[k] * beta
-
-
-def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str, *,
-                           log_weights: Optional[dict[Schedule, float]] = None
-                           ) -> float:
-    """Largest relative local-balance residual over all activation transitions.
-
-    For every feasible pair (y, y + e_kj) the stationary measure must satisfy
-    w(y) * attempt_rate = w(y + e_kj) * phys_rate. A correctly constructed
-    measure gives residuals at floating-point noise level; ``log_weights`` may
-    override the measure (e.g. with a corrupted one) to gauge sensitivity.
-    """
-    policy = check_policy(spec, policy)
-    if log_weights is None:
-        log_weights = stationary_log_weights(state, params, spec, policy)
-    flows = state_flows(state)
-    log_z = logsumexp(np.fromiter(log_weights.values(), dtype=float))
-    prob = {s: np.exp(lw - log_z) for s, lw in log_weights.items()}
-    worst = 0.0
-    for sched in log_weights:
-        for k in range(spec.num_classes):
-            for j in range(spec.num_channels):
-                if sched.active[k][j]:
-                    continue
-                target = sched.with_slot(k, j)
-                if target not in log_weights:
-                    continue
-                up = prob[sched] * attempt_rate(spec, params, policy, flows, sched, k, j)
-                down = prob[target] * params.phys_rate[k]
-                scale = max(up, down)
-                if scale > 0:
-                    worst = max(worst, abs(up - down) / scale)
-    return worst
-
-
-@dataclass
-class Lemma1Report:
-    """Exact evaluation of the mean-log-weight concentration inequality."""
-
-    holds: bool
-    mean_log_u: float
-    max_log_u: float
-    epsilon: float
-    state: tuple[int, ...]
-
-
-def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
-                 policy: str = "auto") -> Lemma1Report:
-    """Check that the stationary mean of log u(x, y) is at least
-    (1 - epsilon) log u(x) at this state.
-
-    The inequality is guaranteed to hold at all sufficiently large states;
-    sweeping it over growing states locates the finite exception set.
-    """
-    from .schedule import log_weight_u
-
-    policy = check_policy(spec, policy)
-    if policy == "standard_infra":
-        raise ValueError("the concentration check applies to the per-flow policies")
-    ev = PolicyEvaluator(spec, params, policy)
-    schedules, logw = ev.log_weights(state)
-    probs = np.exp(logw - logsumexp(logw))
-    log_u = np.array([log_weight_u(state, s, params) for s in schedules])
-    mean = float(probs @ log_u)
-    best = float(log_u.max())
-    holds = mean >= (1.0 - epsilon) * best - 1e-12
-    return Lemma1Report(holds, mean, best, epsilon, state_flows(state))

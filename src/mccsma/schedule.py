@@ -11,22 +11,20 @@ one read-only (S, K, J) uint8 array, with the per-class activation counts
 alongside. The exact computations (product-form weights, the capacity LP)
 read those arrays. A ``Schedule`` is one matrix as a hashable tuple of rows;
 the set builds them on demand for the callers that key or print single
-schedules: certificates, distributions, CSV output, the weight maxima and the
-brute-force oracles.
+schedules: certificates, distributions, CSV output and the brute-force
+oracles.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .topology import CsmaParams, NetworkSpec
+from .topology import NetworkSpec
 
 DEFAULT_MAX_SCHEDULES = 10_000_000
 
@@ -240,122 +238,3 @@ def enumerate_feasible(spec: NetworkSpec, state=None, *,
 
     flat = active.reshape(len(active), K * J)
     return ScheduleSet(active[np.lexsort(flat.T[::-1])])
-
-
-def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
-    """Log of the uniform schedule weight: sum over flow-holding classes of
-    y_k * log(x_k * alpha_k).
-
-    Defined for any schedule, feasible at the state or not; classes without
-    flows contribute nothing. The empty schedule has weight one (log zero).
-    """
-    flows = state_flows(state)
-    alpha = params.alpha
-    total = 0.0
-    for k, y_k in enumerate(sched.per_class):
-        if y_k and flows[k] > 0:
-            total += y_k * math.log(flows[k] * alpha[k])
-    return total
-
-
-def max_weight(state, params: CsmaParams, spec: NetworkSpec,
-               over: str = "restricted") -> tuple[float, Schedule]:
-    """Maximum uniform weight and its arg-max schedule.
-
-    ``over="restricted"`` maximizes over the schedules feasible at the state;
-    ``over="unrestricted"`` maximizes over the union of feasible sets. Ties
-    break toward the lexicographically greatest activation matrix, so equal-
-    weight channels resolve to the lowest channel index.
-    """
-    if over not in ("restricted", "unrestricted"):
-        raise ValueError(f"over must be 'restricted' or 'unrestricted', got {over!r}")
-    schedules = enumerate_feasible(spec, state if over == "restricted" else None)
-    best: tuple[float, Schedule] | None = None
-    for sched in schedules:
-        lw = log_weight_u(state, sched, params)
-        if best is None or lw > best[0] or (lw == best[0] and sched.active > best[1].active):
-            best = (lw, sched)
-    assert best is not None  # the empty schedule is always present
-    return best
-
-
-def lemma_gap_bound(params: CsmaParams, num_channels: int) -> float:
-    """Constructive bound on log(max over all schedules) - log(max over the
-    state-feasible schedules) of the uniform weight.
-
-    The two maxima differ only through classes holding fewer than J flows.
-    For such a class the weight factor (x_k * alpha_k)^(y_k) ranges between
-    min(1, alpha_k)^J and max(1, (J-1) * alpha_k)^J, which yields a state-free
-    bound on the ratio. With one channel the bound is zero: both maxima agree.
-    """
-    J = num_channels
-    total = 0.0
-    for a in params.alpha:
-        hi = math.log(max(1.0, (J - 1) * a)) if J >= 2 else 0.0
-        lo = math.log(min(1.0, a)) if J >= 2 else 0.0
-        total += J * (hi - lo)
-    return total
-
-
-def _check_equal_alpha(params: CsmaParams) -> float:
-    alpha = params.alpha
-    if np.max(alpha) - np.min(alpha) > 1e-12 * max(np.max(alpha), 1.0):
-        raise ValueError("the infinite-attempt-rate limit is only defined here for "
-                         "equal attempt/transmission ratios across classes")
-    return float(alpha[0])
-
-
-def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
-                             policy: str = "auto") -> dict[Schedule, Fraction]:
-    """Limiting schedule distribution as the attempt rates grow without bound
-    (at fixed ratios, which must be equal across classes).
-
-    Every surviving schedule activates the maximum feasible number of links;
-    within that set the mass is proportional to the weight factors that do not
-    involve the attempt rate (flow-count falling factorials, channel-probing
-    probabilities and, under the shared-queue infrastructure policy, the
-    per-access-point flow-selection odds). Computed in exact rational
-    arithmetic so dyadic inputs give exact probabilities.
-    """
-    from .equilibrium import check_policy  # local import to avoid a cycle
-
-    policy = check_policy(spec, policy)
-    _check_equal_alpha(params)
-    flows = state_flows(state)
-    schedules = enumerate_feasible(spec, flows)
-    top = max(s.total for s in schedules)
-    support = [s for s in schedules if s.total == top]
-
-    ap_totals = [sum(flows[k] for k in ap.downlink) for ap in spec.access_points]
-    weights: list[Fraction] = []
-    for sched in support:
-        w = Fraction(1)
-        for k, j in sched.slots:
-            w *= Fraction(params.probe_prob[k][j])
-        for k, y_k in enumerate(sched.per_class):
-            if y_k:
-                # falling factorial x_k (x_k - 1) ... (x_k - y_k + 1)
-                f = 1
-                for r in range(y_k):
-                    f *= flows[k] - r
-                w *= f
-        if policy == "standard_infra":
-            for i, ap in enumerate(spec.access_points):
-                active = sum(sched.per_class[k] for k in ap.downlink)
-                if active:
-                    w /= Fraction(ap_totals[i]) ** active
-        weights.append(w)
-
-    z = sum(weights)
-    return {s: w / z for s, w in zip(support, weights)}
-
-
-def activity_marginals(dist: dict[Schedule, Fraction], num_classes: int
-                       ) -> tuple[Fraction, ...]:
-    """Expected number of active links per class under a schedule distribution."""
-    out = [Fraction(0)] * num_classes
-    for sched, p in dist.items():
-        for k, y_k in enumerate(sched.per_class):
-            if y_k:
-                out[k] += p * y_k
-    return tuple(out)

@@ -1,6 +1,5 @@
-"""Stability diagnostics: Lyapunov drift, fluid-slope estimation from
-replicated trajectories, the bow-tie instability boundary, and drain checks
-for complete multipartite networks.
+"""Stability diagnostics: fluid-slope estimation from replicated
+trajectories and the bow-tie instability boundary.
 
 Simulation cannot prove ergodicity, so verdicts here are calibrated evidence:
 "unstable-evidence" means the growth-slope confidence interval sits strictly
@@ -10,106 +9,16 @@ time-average queue stayed under a configurable bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (SimConfig, ThroughputCache, Trajectory, left_sum,
-                       simulate_separated, stream)
-from .equilibrium import PolicyEvaluator
-from .schedule import state_flows
+from .dynamics import Trajectory, left_sum, stream
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 FIT_WINDOW = 0.6          # final fraction of each run that the slope is fitted over
 MIN_REPLICATIONS = 5      # fewest runs a slope verdict accepts
-MM1_BATCHES = 10          # batch means behind the M/M/1 check's intervals
-DRAIN_FRACTION = 0.05     # share of its start below which the workload is drained
-
-
-@dataclass
-class DriftReport:
-    """Drift of the weighted entropy-like Lyapunov function at one state.
-
-    ``delta_f`` is the generator applied to
-    F(x) = sum over flow-holding classes of (x_k sigma_k / phi_k) log(x_k alpha_k),
-    and always equals ``g_part + h_part``: the g-part carries the load-vs-
-    throughput comparison that drives stability, the h-part is bounded.
-    """
-
-    state: tuple[int, ...]
-    delta_f: float
-    g_part: float
-    h_part: float
-
-
-def _lyapunov_f(x: Sequence[int], sigma: np.ndarray, phi: np.ndarray,
-                alpha: np.ndarray) -> float:
-    total = 0.0
-    for k, xk in enumerate(x):
-        if xk > 0:
-            total += xk * sigma[k] / phi[k] * math.log(xk * alpha[k])
-    return total
-
-
-def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
-                   spec: NetworkSpec, policy: str) -> DriftReport:
-    """Evaluate the Lyapunov drift and its bounded/unbounded decomposition.
-
-    Uses the convention 0 * log 0 = 0 throughout. At interior loads the drift
-    is negative outside a finite set of states; sweeping this over growing
-    states exhibits that threshold.
-    """
-    evaluator = PolicyEvaluator(spec, params, policy)
-    x = state_flows(state)
-    lam = np.asarray(traffic.arrival_rate, dtype=float)
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    rho = traffic.rho
-    phi = params.phi
-    alpha = params.alpha
-    phi_x = evaluator.throughput(x)
-
-    f0 = _lyapunov_f(x, sigma, phi, alpha)
-    delta = 0.0
-    for k in range(len(x)):
-        if lam[k] > 0:
-            up = list(x)
-            up[k] += 1
-            delta += lam[k] * (_lyapunov_f(up, sigma, phi, alpha) - f0)
-        if x[k] > 0 and phi_x[k] > 0:
-            down = list(x)
-            down[k] -= 1
-            delta += (phi_x[k] / sigma[k]) * (_lyapunov_f(down, sigma, phi, alpha) - f0)
-
-    g = 0.0
-    h = 0.0
-    for k in range(len(x)):
-        if x[k] > 0:
-            g += (rho[k] - phi_x[k]) / phi[k] * math.log(x[k] * alpha[k])
-            h += rho[k] / phi[k] * (x[k] + 1) * math.log(1.0 + 1.0 / x[k])
-            if x[k] > 1:
-                h += phi_x[k] / phi[k] * (x[k] - 1) * math.log(1.0 - 1.0 / x[k])
-            # at x_k = 1 the departure term is 0 * log 0 = 0
-        else:
-            h += rho[k] / phi[k] * math.log(alpha[k])
-    return DriftReport(tuple(x), delta, g, h)
-
-
-def h_part_bound(params: CsmaParams, traffic: TrafficSpec, spec: NetworkSpec) -> float:
-    """State-free bound on |h_part|.
-
-    Uses (x+1) log(1 + 1/x) <= 2 for x >= 1, |(x-1) log(1 - 1/x)| <= 1, and
-    throughput at most J * phi_k, plus the residual log(alpha) term at empty
-    classes.
-    """
-    rho = traffic.rho
-    phi = params.phi
-    alpha = params.alpha
-    J = spec.num_channels
-    K = spec.num_classes
-    per_class = sum(rho[k] / phi[k] * (2.0 + abs(math.log(alpha[k]))) for k in range(K))
-    return per_class + J * K
 
 
 @dataclass
@@ -118,7 +27,9 @@ class StabilityThresholds:
 
     ``min_horizon``: shortest acceptable run, in the same time unit as the
     trajectories. ``max_mean_total_flows``: cap on the time-average total flow
-    count. Both are deliberately config-exposed knobs, not constants.
+    count. No scenario key or CLI flag sets them: the runners call
+    ``fluid_slope`` without thresholds, so their verdicts are never
+    stable-evidence. ``from_margin`` derives a pair from a capacity margin.
     """
 
     min_horizon: float
@@ -281,194 +192,3 @@ def homogeneous_critical_load() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
-                            saturated: Sequence[int]
-                            ) -> Callable[[tuple[int, ...]], np.ndarray]:
-    """Service profile that serves the ``saturated`` classes at full physical
-    rate whenever they hold flows, leaving the other classes at the policy's
-    equilibrium throughput.
-
-    This dominates the true service of the saturated classes, so the modified
-    flow process is a pathwise lower bound for the true one; its transience
-    implies transience of the original.
-    """
-    throughput = ThroughputCache(PolicyEvaluator(spec, params, policy))
-    phi = params.phi
-    sat = np.zeros(spec.num_classes, dtype=bool)
-    for k in saturated:
-        sat[k] = True
-
-    def fn(x: tuple[int, ...]) -> np.ndarray:
-        # a copy, so the override never reaches the cached vector
-        base = throughput(x).copy()
-        xv = np.asarray(x)
-        base[sat] = np.where(xv[sat] > 0, phi[sat], 0.0)
-        return base
-
-    return fn
-
-
-def _merge_bins(observed: np.ndarray, expected: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge consecutive histogram bins until each expected count is at
-    least 5, the usual floor for a chi-square test."""
-    obs_out: list[float] = []
-    exp_out: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_out.append(acc_o)
-            exp_out.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0:
-        if exp_out:
-            obs_out[-1] += acc_o
-            exp_out[-1] += acc_e
-        else:
-            obs_out.append(acc_o)
-            exp_out.append(acc_e)
-    return np.array(obs_out), np.array(exp_out)
-
-
-@dataclass
-class MM1Report:
-    busy_fraction: tuple[float, ...]
-    busy_ci_halfwidth: tuple[float, ...]
-    target_load: float
-    gof_pvalues: tuple[float, ...]
-    max_abs_correlation: float
-    correlation_ci_halfwidth: float
-    passed: bool
-
-
-def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                        cfg: SimConfig) -> MM1Report:
-    """Check that under the dominating service profile the non-center queues
-    behave like independent single-server queues at their own load.
-
-    Runs the separated model with every class except the center (class 2)
-    served at full rate while occupied, then tests per-class busy fractions
-    against the load, the occupancy distribution against the geometric law
-    (chi-square, each p-value at least 0.01), and pairwise correlations
-    against zero (CI over ``MM1_BATCHES`` batch means). Raises
-    ``ValueError`` before simulating when ``cfg`` has fewer sample times
-    than batches.
-    """
-    from scipy.stats import chisquare
-
-    if len(cfg.sample_times) < MM1_BATCHES:
-        raise ValueError(f"need at least {MM1_BATCHES} sample times for the batch "
-                         f"means, got {len(cfg.sample_times)}")
-    K = spec.num_classes
-    edges = [k for k in range(K) if k != 2]
-    rho = traffic.rho / params.phi
-    target = float(rho[edges[0]])
-    fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
-    traj = simulate_separated(spec, params, traffic, cfg, throughput_fn=fn)
-
-    horizon = traj.final_time
-    busy = tuple(traj.busy_time[k] / horizon for k in edges)
-
-    samples = np.array([s.state for s in traj.samples], dtype=float)
-    n_samples = samples.shape[0]
-    batch_size = n_samples // MM1_BATCHES
-
-    busy_half = []
-    for idx, k in enumerate(edges):
-        per_batch = [
-            (samples[b * batch_size:(b + 1) * batch_size, k] > 0).mean()
-            for b in range(MM1_BATCHES)
-        ]
-        busy_half.append(2.0 * float(np.std(per_batch, ddof=1)) / math.sqrt(MM1_BATCHES))
-
-    pvalues = []
-    for k in edges:
-        occ = samples[:, k].astype(int)
-        if target == 0.0:
-            pvalues.append(1.0 if occ.max() == 0 else 0.0)
-            continue
-        top = int(occ.max()) + 1
-        observed = np.bincount(occ, minlength=top + 1).astype(float)
-        levels = np.arange(top + 1)
-        expected = (1 - target) * target**levels * n_samples
-        expected[-1] = n_samples - expected[:-1].sum()   # lump the geometric tail
-        obs, exp = _merge_bins(observed, expected)
-        if len(obs) < 2:
-            pvalues.append(1.0)
-            continue
-        _, p = chisquare(obs, exp * obs.sum() / exp.sum())
-        pvalues.append(float(p))
-
-    corr_vals = []
-    for b in range(MM1_BATCHES):
-        chunk = samples[b * batch_size:(b + 1) * batch_size]
-        for a_i, a in enumerate(edges):
-            for b_k in edges[a_i + 1:]:
-                ca = chunk[:, a]
-                cb = chunk[:, b_k]
-                if ca.std() == 0 or cb.std() == 0:
-                    continue
-                corr_vals.append(float(np.corrcoef(ca, cb)[0, 1]))
-    corr_mean = float(np.mean(corr_vals)) if corr_vals else 0.0
-    corr_half = (2.0 * float(np.std(corr_vals, ddof=1)) / math.sqrt(len(corr_vals))
-                 if len(corr_vals) > 1 else 0.0)
-
-    busy_ok = all(abs(b - target) <= max(h, 0.02) + 1e-12
-                  for b, h in zip(busy, busy_half))
-    gof_ok = all(p >= 0.01 for p in pvalues)
-    corr_ok = abs(corr_mean) <= corr_half + 0.05
-    return MM1Report(busy, tuple(busy_half), target, tuple(pvalues),
-                     corr_mean, corr_half,
-                     bool(busy_ok and gof_ok and corr_ok))
-
-
-@dataclass
-class FluidDrainReport:
-    ok: bool
-    bound_time: float
-    scaled_drain_times: tuple[float, ...]
-    tolerance: float
-
-
-def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
-                         partition: Sequence[Sequence[int]],
-                         params: CsmaParams, traffic: TrafficSpec,
-                         num_channels: int, *,
-                         time_tolerance: float = 0.2) -> FluidDrainReport:
-    """Check the fluid drain bound of complete multipartite networks.
-
-    The workload statistic W(t), the sum over blocks of the largest
-    x_k(t) * sigma_k / phi_k, scaled by its initial value, must fall below
-    ``DRAIN_FRACTION`` no later than (1 + tolerance) / (J - sum of block-maxima
-    of the loads). Applies to trajectories started from a large state.
-    """
-    rho = traffic.rho
-    phi = params.phi
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    load = sum(max(rho[k] / phi[k] for k in block) for block in partition)
-    if load >= num_channels:
-        raise ValueError("drain bound requires an interior load vector")
-    bound_time = 1.0 / (num_channels - load)
-
-    def w_of(state: Sequence[int]) -> float:
-        return sum(max(state[k] * sigma[k] / phi[k] for k in block)
-                   for block in partition)
-
-    drain_times = []
-    for tr in trajectories:
-        w0 = w_of(tr.samples[0].state)
-        if w0 <= 0:
-            drain_times.append(0.0)
-            continue
-        drained = math.inf
-        for s in tr.samples:
-            if w_of(s.state) <= DRAIN_FRACTION * w0:
-                drained = s.time / w0
-                break
-        drain_times.append(drained)
-    ok = all(d <= bound_time * (1.0 + time_tolerance) for d in drain_times)
-    return FluidDrainReport(ok, bound_time, tuple(drain_times), time_tolerance)

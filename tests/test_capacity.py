@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from conftest import (adhoc_path4, bipartite33, bowtie_spec, random_instance, star5,
                       tripartite221)
 from mccsma import capacity
-from mccsma.capacity import (BOUNDARY_TOL, SolverError, full_support_certificate,
-                             lpartite_condition, margins, membership)
+from mccsma.capacity import (BOUNDARY_TOL, SolverError, lpartite_condition, margins,
+                             membership)
 from mccsma.cli import main
 from mccsma.scenario import load_scenario
 from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              replicate_graph, validate_spec)
+from theory import full_support_certificate
 
 
 def test_single_link_region():
@@ -81,6 +82,14 @@ def test_multipartite_rejects_other_graphs(bowtie):
     params = CsmaParams.from_alpha(bowtie, 1.0)
     with pytest.raises(ValueError, match="multipartite"):
         lpartite_condition([0.1] * 5, bowtie, params)
+
+
+def test_multipartite_sum_adds_left_to_right():
+    # a compensated sum (builtin sum on Python 3.12 and later) gives 0.4
+    triangle = NetworkSpec(3, 1, replicate_graph(1, range(3), [(0, 1), (0, 2), (1, 2)]))
+    verdict = lpartite_condition([0.1, 0.2, 0.3], triangle,
+                                 CsmaParams.from_alpha(triangle, 1.0))
+    assert verdict.slack == 0.3999999999999999
 
 
 def test_lp_agrees_with_multipartite_closed_form():

@@ -11,14 +11,14 @@ from scipy.stats import kstest
 from conftest import bowtie_spec, random_instance
 from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, Trajectory, _run,
                              _Separated, _tv_from_counts, exponential_draws, left_sum,
-                             simulate_coupled_pair, simulate_joint, simulate_separated,
-                             stream, timescale_convergence, uniform_sample_times)
+                             simulate_joint, simulate_separated, stream,
+                             timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
-from mccsma.stability import dominated_throughput_fn
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
+from theory import dominated_throughput_fn, simulate_coupled_pair
 
 
 def two_conflicting_classes():
@@ -382,11 +382,33 @@ def test_timescale_absorbed_processes_agree():
         assert row.distance < 0.02
 
 
+@pytest.mark.parametrize("bad, name", [
+    ({"replications": 0}, "replications"),
+    ({"replications": -2}, "replications"),
+    ({"t_probe": -1.0}, "t_probe"),
+    ({"t_probe": math.nan}, "t_probe"),
+    ({"t_probe": math.inf}, "t_probe"),
+    ({"n_values": (1, 0)}, "n_values"),
+])
+def test_timescale_rejects_bad_inputs_up_front(bad, name, monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("built the generator before checking the inputs")
+
+    monkeypatch.setattr("mccsma.oracles.flow_level_generator", no_generator)
+    spec = two_conflicting_classes()
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.4, 1.0, 2)
+    kwargs = dict(n_values=(1, 4), t_probe=1.0, replications=10, seed=1,
+                  policy="adhoc", initial_state=(0, 0)) | bad
+    with pytest.raises(ValueError, match=name):
+        timescale_convergence(spec, params, traffic, **kwargs)
+
+
 def test_coupled_pair_shares_arrivals_and_orders_states():
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 3.0)
     traffic = TrafficSpec.of(0.4, 1.0, 2)
-    from mccsma.stability import dominated_throughput_fn
+    from theory import dominated_throughput_fn
     from mccsma.dynamics import ThroughputCache
     from mccsma.equilibrium import PolicyEvaluator
     cfg = SimConfig("adhoc", 800.0, 6, (2, 2),

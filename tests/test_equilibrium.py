@@ -8,11 +8,12 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from conftest import bowtie_spec, random_instance
-from mccsma.equilibrium import (LOG_FACTORIAL_CAP, PolicyEvaluator, detailed_balance_check,
-                                equilibrium, lemma1_check, stationary_log_weights)
+from mccsma.equilibrium import LOG_FACTORIAL_CAP, PolicyEvaluator, equilibrium
 from mccsma.oracles import packet_level_generator, stationary_distribution
-from mccsma.schedule import Schedule, alpha_limit_distribution, enumerate_feasible
+from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, replicate_graph)
+from theory import (alpha_limit_distribution, detailed_balance_check, lemma1_check,
+                    stationary_log_weights)
 
 
 def policies_for(spec):

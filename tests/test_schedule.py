@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite33, bowtie_spec, random_instance
-from mccsma.schedule import (Schedule, ScheduleSpaceError, activity_marginals,
-                             alpha_limit_distribution, enumerate_feasible,
-                             lemma_gap_bound, log_weight_u, max_weight)
+from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
+from theory import (activity_marginals, alpha_limit_distribution, lemma_gap_bound,
+                    log_weight_u, max_weight)
 
 
 def brute_force_feasible(spec: NetworkSpec, flows) -> set[Schedule]:

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite33, bowtie_spec, random_instance
-from mccsma import stability
 from mccsma.dynamics import SimConfig, simulate_joint, simulate_separated, uniform_sample_times
-from mccsma.stability import (MM1_BATCHES, StabilityThresholds, bowtie_boundary,
-                              center_rate_polynomial, dominated_throughput_fn,
-                              fluid_slope, h_part_bound, homogeneous_critical_load,
-                              lpartite_fluid_bound, lyapunov_drift,
-                              mm1_reduction_check, optimal_center_bound)
+from mccsma.stability import (StabilityThresholds, bowtie_boundary, center_rate_polynomial,
+                              fluid_slope, homogeneous_critical_load, optimal_center_bound)
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
+import theory
+from theory import (MM1_BATCHES, dominated_throughput_fn, h_part_bound,
+                    lpartite_fluid_bound, lyapunov_drift, mm1_reduction_check)
 
 
 # --- Lyapunov drift ---
@@ -195,7 +194,7 @@ def test_mm1_reduction_needs_a_sample_per_batch(bowtie, count, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the sample count")
 
-    monkeypatch.setattr(stability, "simulate_separated", no_simulation)
+    monkeypatch.setattr(theory, "simulate_separated", no_simulation)
     params = CsmaParams.from_alpha(bowtie, 1e6)
     traffic = TrafficSpec.of(0.5, 1.0, 5)
     cfg = SimConfig("standard_infra", 100.0, 13, (0,) * 5,

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports must be used in that module.
+"""Every name a module of the package, or the tests' ``theory`` helper,
+imports must be used in that module; and every top-level definition of the
+package must be read outside the tests.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by an import counts as used when it appears as a name anywhere
@@ -13,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mccsma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+THEORY = Path(__file__).resolve().parent / "theory.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -49,9 +52,68 @@ def _used(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [THEORY], ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+# Top-level definitions that no runner reads yet, each kept on purpose.
+UNREAD_ALLOWED = {
+    # the closed-form l-partite membership test, to be wired into a runner
+    # beside the LP margin (ROADMAP item 3)
+    "lpartite_condition",
+    # writes a scenario back out as YAML, the inverse of load_scenario_text
+    "dump_scenario",
+    # the constructor helper for networks with one graph on every channel
+    "replicate_graph",
+}
+READERS = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each function, class and assigned name at the top
+    level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each read by name: a bare name, an attribute, or a
+    string such as an attribute name passed to ``getattr``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_every_definition_is_read_outside_the_tests():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES + READERS}
+    reads = {p: _reads(tree) for p, tree in trees.items()}
+    unread = []
+    for path in MODULES:
+        if path.name == "oracles.py":      # the independent brute-force duplicate
+            continue
+        for name, node in _definitions(trees[path]):
+            if name in UNREAD_ALLOWED:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and (p != path or line not in own)
+                       for p, found in reads.items() for n, line in found):
+                unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"read only by the tests, or by nothing: {unread}"

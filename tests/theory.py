@@ -1,0 +1,618 @@
+"""The paper's proof steps as executable checks, for the tests.
+
+Each function here evaluates one step of an argument on a concrete instance:
+the uniform schedule weight and its maxima, the alpha -> infinity limit
+distribution, local balance and the Lemma 1 concentration inequality, the
+full-support smoothing of a capacity certificate, the Lyapunov drift and its
+split, the M/M/1 reduction under a dominating service profile, the drain
+bound of complete multipartite networks and the coupled pair behind
+stochastic domination.
+
+No runner reads these checks, so they live beside the tests rather than in
+the library. They go through ``mccsma``'s public API only, apart from the
+coupled pair, which plugs a third model into the event loop ``_run`` and
+samples its dominated chain with ``_Sampler``. Tests import this module as
+they import ``conftest``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+from scipy.special import logsumexp
+from scipy.stats import chisquare
+
+from mccsma.capacity import CapacityVerdict
+from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
+                             _run, _Sampler, simulate_separated)
+from mccsma.equilibrium import PolicyEvaluator, attempt_rate, check_policy
+from mccsma.schedule import Schedule, enumerate_feasible, state_flows
+from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
+
+MM1_BATCHES = 10          # batch means behind the M/M/1 check's intervals
+DRAIN_FRACTION = 0.05     # share of its start below which the workload is drained
+
+
+# --- uniform schedule weights and their limits ---
+
+def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
+    """Log of the uniform schedule weight: sum over flow-holding classes of
+    y_k * log(x_k * alpha_k).
+
+    Defined for any schedule, feasible at the state or not; classes without
+    flows contribute nothing. The empty schedule has weight one (log zero).
+    """
+    flows = state_flows(state)
+    alpha = params.alpha
+    total = 0.0
+    for k, y_k in enumerate(sched.per_class):
+        if y_k and flows[k] > 0:
+            total += y_k * math.log(flows[k] * alpha[k])
+    return total
+
+
+def max_weight(state, params: CsmaParams, spec: NetworkSpec,
+               over: str = "restricted") -> tuple[float, Schedule]:
+    """Maximum uniform weight and its arg-max schedule.
+
+    ``over="restricted"`` maximizes over the schedules feasible at the state;
+    ``over="unrestricted"`` maximizes over the union of feasible sets. Ties
+    break toward the lexicographically greatest activation matrix, so equal-
+    weight channels resolve to the lowest channel index.
+    """
+    if over not in ("restricted", "unrestricted"):
+        raise ValueError(f"over must be 'restricted' or 'unrestricted', got {over!r}")
+    schedules = enumerate_feasible(spec, state if over == "restricted" else None)
+    best: tuple[float, Schedule] | None = None
+    for sched in schedules:
+        lw = log_weight_u(state, sched, params)
+        if best is None or lw > best[0] or (lw == best[0] and sched.active > best[1].active):
+            best = (lw, sched)
+    assert best is not None  # the empty schedule is always present
+    return best
+
+
+def lemma_gap_bound(params: CsmaParams, num_channels: int) -> float:
+    """Constructive bound on log(max over all schedules) - log(max over the
+    state-feasible schedules) of the uniform weight.
+
+    The two maxima differ only through classes holding fewer than J flows.
+    For such a class the weight factor (x_k * alpha_k)^(y_k) ranges between
+    min(1, alpha_k)^J and max(1, (J-1) * alpha_k)^J, which yields a state-free
+    bound on the ratio. With one channel the bound is zero: both maxima agree.
+    """
+    J = num_channels
+    total = 0.0
+    for a in params.alpha:
+        hi = math.log(max(1.0, (J - 1) * a)) if J >= 2 else 0.0
+        lo = math.log(min(1.0, a)) if J >= 2 else 0.0
+        total += J * (hi - lo)
+    return total
+
+
+def _check_equal_alpha(params: CsmaParams) -> float:
+    alpha = params.alpha
+    if np.max(alpha) - np.min(alpha) > 1e-12 * max(np.max(alpha), 1.0):
+        raise ValueError("the infinite-attempt-rate limit is only defined here for "
+                         "equal attempt/transmission ratios across classes")
+    return float(alpha[0])
+
+
+def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
+                             policy: str = "auto") -> dict[Schedule, Fraction]:
+    """Limiting schedule distribution as the attempt rates grow without bound
+    (at fixed ratios, which must be equal across classes).
+
+    Every surviving schedule activates the maximum feasible number of links;
+    within that set the mass is proportional to the weight factors that do not
+    involve the attempt rate (flow-count falling factorials, channel-probing
+    probabilities and, under the shared-queue infrastructure policy, the
+    per-access-point flow-selection odds). Computed in exact rational
+    arithmetic so dyadic inputs give exact probabilities.
+    """
+    policy = check_policy(spec, policy)
+    _check_equal_alpha(params)
+    flows = state_flows(state)
+    schedules = enumerate_feasible(spec, flows)
+    top = max(s.total for s in schedules)
+    support = [s for s in schedules if s.total == top]
+
+    ap_totals = [sum(flows[k] for k in ap.downlink) for ap in spec.access_points]
+    weights: list[Fraction] = []
+    for sched in support:
+        w = Fraction(1)
+        for k, j in sched.slots:
+            w *= Fraction(params.probe_prob[k][j])
+        for k, y_k in enumerate(sched.per_class):
+            if y_k:
+                # falling factorial x_k (x_k - 1) ... (x_k - y_k + 1)
+                f = 1
+                for r in range(y_k):
+                    f *= flows[k] - r
+                w *= f
+        if policy == "standard_infra":
+            for i, ap in enumerate(spec.access_points):
+                active = sum(sched.per_class[k] for k in ap.downlink)
+                if active:
+                    w /= Fraction(ap_totals[i]) ** active
+        weights.append(w)
+
+    z = sum(weights)
+    return {s: w / z for s, w in zip(support, weights)}
+
+
+def activity_marginals(dist: dict[Schedule, Fraction], num_classes: int
+                       ) -> tuple[Fraction, ...]:
+    """Expected number of active links per class under a schedule distribution."""
+    out = [Fraction(0)] * num_classes
+    for sched, p in dist.items():
+        for k, y_k in enumerate(sched.per_class):
+            if y_k:
+                out[k] += p * y_k
+    return tuple(out)
+
+
+# --- local balance and Lemma 1 ---
+
+def stationary_log_weights(state, params: CsmaParams, spec: NetworkSpec,
+                           policy: str) -> dict[Schedule, float]:
+    """Map each feasible schedule at x to its log stationary weight."""
+    ev = PolicyEvaluator(spec, params, policy)
+    schedules, logw = ev.log_weights(state)
+    return dict(zip(schedules, logw.tolist()))
+
+
+def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
+                           policy: str, *,
+                           log_weights: Optional[dict[Schedule, float]] = None
+                           ) -> float:
+    """Largest relative local-balance residual over all activation transitions.
+
+    For every feasible pair (y, y + e_kj) the stationary measure must satisfy
+    w(y) * attempt_rate = w(y + e_kj) * phys_rate. A correctly constructed
+    measure gives residuals at floating-point noise level; ``log_weights`` may
+    override the measure (e.g. with a corrupted one) to gauge sensitivity.
+    """
+    policy = check_policy(spec, policy)
+    if log_weights is None:
+        log_weights = stationary_log_weights(state, params, spec, policy)
+    flows = state_flows(state)
+    log_z = logsumexp(np.fromiter(log_weights.values(), dtype=float))
+    prob = {s: np.exp(lw - log_z) for s, lw in log_weights.items()}
+    worst = 0.0
+    for sched in log_weights:
+        for k in range(spec.num_classes):
+            for j in range(spec.num_channels):
+                if sched.active[k][j]:
+                    continue
+                target = sched.with_slot(k, j)
+                if target not in log_weights:
+                    continue
+                up = prob[sched] * attempt_rate(spec, params, policy, flows, sched, k, j)
+                down = prob[target] * params.phys_rate[k]
+                scale = max(up, down)
+                if scale > 0:
+                    worst = max(worst, abs(up - down) / scale)
+    return worst
+
+
+@dataclass
+class Lemma1Report:
+    """Exact evaluation of the mean-log-weight concentration inequality."""
+
+    holds: bool
+    mean_log_u: float
+    max_log_u: float
+    epsilon: float
+    state: tuple[int, ...]
+
+
+def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
+                 policy: str = "auto") -> Lemma1Report:
+    """Check that the stationary mean of log u(x, y) is at least
+    (1 - epsilon) log u(x) at this state.
+
+    The inequality is guaranteed to hold at all sufficiently large states;
+    sweeping it over growing states locates the finite exception set.
+    """
+    policy = check_policy(spec, policy)
+    if policy == "standard_infra":
+        raise ValueError("the concentration check applies to the per-flow policies")
+    ev = PolicyEvaluator(spec, params, policy)
+    schedules, logw = ev.log_weights(state)
+    probs = np.exp(logw - logsumexp(logw))
+    log_u = np.array([log_weight_u(state, s, params) for s in schedules])
+    mean = float(probs @ log_u)
+    best = float(log_u.max())
+    holds = mean >= (1.0 - epsilon) * best - 1e-12
+    return Lemma1Report(holds, mean, best, epsilon, state_flows(state))
+
+
+# --- capacity certificates ---
+
+def full_support_certificate(verdict: CapacityVerdict,
+                             schedules: Sequence[Schedule]) -> dict[Schedule, float]:
+    """Mix an interior certificate with the uniform distribution so every
+    schedule carries positive mass, keeping feasibility.
+
+    The mixing weight min(margin/2, 1e-3) is small enough that the served rate
+    of each positive-load class stays above the load.
+    """
+    if verdict.status != "interior":
+        raise ValueError("full-support smoothing applies to interior verdicts only")
+    w = min(verdict.margin / 2.0, 1e-3)  # 1e-3 also at the zero load's infinite margin
+    uniform = 1.0 / len(schedules)
+    return {s: (1.0 - w) * verdict.certificate.get(s, 0.0) + w * uniform
+            for s in schedules}
+
+
+# --- Lyapunov drift ---
+
+@dataclass
+class DriftReport:
+    """Drift of the weighted entropy-like Lyapunov function at one state.
+
+    ``delta_f`` is the generator applied to
+    F(x) = sum over flow-holding classes of (x_k sigma_k / phi_k) log(x_k alpha_k),
+    and always equals ``g_part + h_part``: the g-part carries the load-vs-
+    throughput comparison that drives stability, the h-part is bounded.
+    """
+
+    state: tuple[int, ...]
+    delta_f: float
+    g_part: float
+    h_part: float
+
+
+def _lyapunov_f(x: Sequence[int], sigma: np.ndarray, phi: np.ndarray,
+                alpha: np.ndarray) -> float:
+    total = 0.0
+    for k, xk in enumerate(x):
+        if xk > 0:
+            total += xk * sigma[k] / phi[k] * math.log(xk * alpha[k])
+    return total
+
+
+def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
+                   spec: NetworkSpec, policy: str) -> DriftReport:
+    """Evaluate the Lyapunov drift and its bounded/unbounded decomposition.
+
+    Uses the convention 0 * log 0 = 0 throughout. At interior loads the drift
+    is negative outside a finite set of states; sweeping this over growing
+    states exhibits that threshold.
+    """
+    evaluator = PolicyEvaluator(spec, params, policy)
+    x = state_flows(state)
+    lam = np.asarray(traffic.arrival_rate, dtype=float)
+    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
+    rho = traffic.rho
+    phi = params.phi
+    alpha = params.alpha
+    phi_x = evaluator.throughput(x)
+
+    f0 = _lyapunov_f(x, sigma, phi, alpha)
+    delta = 0.0
+    for k in range(len(x)):
+        if lam[k] > 0:
+            up = list(x)
+            up[k] += 1
+            delta += lam[k] * (_lyapunov_f(up, sigma, phi, alpha) - f0)
+        if x[k] > 0 and phi_x[k] > 0:
+            down = list(x)
+            down[k] -= 1
+            delta += (phi_x[k] / sigma[k]) * (_lyapunov_f(down, sigma, phi, alpha) - f0)
+
+    g = 0.0
+    h = 0.0
+    for k in range(len(x)):
+        if x[k] > 0:
+            g += (rho[k] - phi_x[k]) / phi[k] * math.log(x[k] * alpha[k])
+            h += rho[k] / phi[k] * (x[k] + 1) * math.log(1.0 + 1.0 / x[k])
+            if x[k] > 1:
+                h += phi_x[k] / phi[k] * (x[k] - 1) * math.log(1.0 - 1.0 / x[k])
+            # at x_k = 1 the departure term is 0 * log 0 = 0
+        else:
+            h += rho[k] / phi[k] * math.log(alpha[k])
+    return DriftReport(tuple(x), delta, g, h)
+
+
+def h_part_bound(params: CsmaParams, traffic: TrafficSpec, spec: NetworkSpec) -> float:
+    """State-free bound on |h_part|.
+
+    Uses (x+1) log(1 + 1/x) <= 2 for x >= 1, |(x-1) log(1 - 1/x)| <= 1, and
+    throughput at most J * phi_k, plus the residual log(alpha) term at empty
+    classes.
+    """
+    rho = traffic.rho
+    phi = params.phi
+    alpha = params.alpha
+    J = spec.num_channels
+    K = spec.num_classes
+    per_class = sum(rho[k] / phi[k] * (2.0 + abs(math.log(alpha[k]))) for k in range(K))
+    return per_class + J * K
+
+
+# --- the M/M/1 reduction under a dominating service profile ---
+
+def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
+                            saturated: Sequence[int]
+                            ) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """Service profile that serves the ``saturated`` classes at full physical
+    rate whenever they hold flows, leaving the other classes at the policy's
+    equilibrium throughput.
+
+    This dominates the true service of the saturated classes, so the modified
+    flow process is a pathwise lower bound for the true one; its transience
+    implies transience of the original.
+    """
+    throughput = ThroughputCache(PolicyEvaluator(spec, params, policy))
+    phi = params.phi
+    sat = np.zeros(spec.num_classes, dtype=bool)
+    for k in saturated:
+        sat[k] = True
+
+    def fn(x: tuple[int, ...]) -> np.ndarray:
+        # a copy, so the override never reaches the cached vector
+        base = throughput(x).copy()
+        xv = np.asarray(x)
+        base[sat] = np.where(xv[sat] > 0, phi[sat], 0.0)
+        return base
+
+    return fn
+
+
+def _merge_bins(observed: np.ndarray, expected: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Merge consecutive histogram bins until each expected count is at
+    least 5, the usual floor for a chi-square test."""
+    obs_out: list[float] = []
+    exp_out: list[float] = []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs_out.append(acc_o)
+            exp_out.append(acc_e)
+            acc_o = acc_e = 0.0
+    if acc_e > 0:
+        if exp_out:
+            obs_out[-1] += acc_o
+            exp_out[-1] += acc_e
+        else:
+            obs_out.append(acc_o)
+            exp_out.append(acc_e)
+    return np.array(obs_out), np.array(exp_out)
+
+
+@dataclass
+class MM1Report:
+    busy_fraction: tuple[float, ...]
+    busy_ci_halfwidth: tuple[float, ...]
+    target_load: float
+    gof_pvalues: tuple[float, ...]
+    max_abs_correlation: float
+    correlation_ci_halfwidth: float
+    passed: bool
+
+
+def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                        cfg: SimConfig) -> MM1Report:
+    """Check that under the dominating service profile the non-center queues
+    behave like independent single-server queues at their own load.
+
+    Runs the separated model with every class except the center (class 2)
+    served at full rate while occupied, then tests per-class busy fractions
+    against the load, the occupancy distribution against the geometric law
+    (chi-square, each p-value at least 0.01), and pairwise correlations
+    against zero (CI over ``MM1_BATCHES`` batch means). Raises
+    ``ValueError`` before simulating when ``cfg`` has fewer sample times
+    than batches.
+    """
+    if len(cfg.sample_times) < MM1_BATCHES:
+        raise ValueError(f"need at least {MM1_BATCHES} sample times for the batch "
+                         f"means, got {len(cfg.sample_times)}")
+    K = spec.num_classes
+    edges = [k for k in range(K) if k != 2]
+    rho = traffic.rho / params.phi
+    target = float(rho[edges[0]])
+    fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
+    traj = simulate_separated(spec, params, traffic, cfg, throughput_fn=fn)
+
+    horizon = traj.final_time
+    busy = tuple(traj.busy_time[k] / horizon for k in edges)
+
+    samples = np.array([s.state for s in traj.samples], dtype=float)
+    n_samples = samples.shape[0]
+    batch_size = n_samples // MM1_BATCHES
+
+    busy_half = []
+    for idx, k in enumerate(edges):
+        per_batch = [
+            (samples[b * batch_size:(b + 1) * batch_size, k] > 0).mean()
+            for b in range(MM1_BATCHES)
+        ]
+        busy_half.append(2.0 * float(np.std(per_batch, ddof=1)) / math.sqrt(MM1_BATCHES))
+
+    pvalues = []
+    for k in edges:
+        occ = samples[:, k].astype(int)
+        if target == 0.0:
+            pvalues.append(1.0 if occ.max() == 0 else 0.0)
+            continue
+        top = int(occ.max()) + 1
+        observed = np.bincount(occ, minlength=top + 1).astype(float)
+        levels = np.arange(top + 1)
+        expected = (1 - target) * target**levels * n_samples
+        expected[-1] = n_samples - expected[:-1].sum()   # lump the geometric tail
+        obs, exp = _merge_bins(observed, expected)
+        if len(obs) < 2:
+            pvalues.append(1.0)
+            continue
+        _, p = chisquare(obs, exp * obs.sum() / exp.sum())
+        pvalues.append(float(p))
+
+    corr_vals = []
+    for b in range(MM1_BATCHES):
+        chunk = samples[b * batch_size:(b + 1) * batch_size]
+        for a_i, a in enumerate(edges):
+            for b_k in edges[a_i + 1:]:
+                ca = chunk[:, a]
+                cb = chunk[:, b_k]
+                if ca.std() == 0 or cb.std() == 0:
+                    continue
+                corr_vals.append(float(np.corrcoef(ca, cb)[0, 1]))
+    corr_mean = float(np.mean(corr_vals)) if corr_vals else 0.0
+    corr_half = (2.0 * float(np.std(corr_vals, ddof=1)) / math.sqrt(len(corr_vals))
+                 if len(corr_vals) > 1 else 0.0)
+
+    busy_ok = all(abs(b - target) <= max(h, 0.02) + 1e-12
+                  for b, h in zip(busy, busy_half))
+    gof_ok = all(p >= 0.01 for p in pvalues)
+    corr_ok = abs(corr_mean) <= corr_half + 0.05
+    return MM1Report(busy, tuple(busy_half), target, tuple(pvalues),
+                     corr_mean, corr_half,
+                     bool(busy_ok and gof_ok and corr_ok))
+
+
+# --- the drain bound of complete multipartite networks ---
+
+@dataclass
+class FluidDrainReport:
+    ok: bool
+    bound_time: float
+    scaled_drain_times: tuple[float, ...]
+    tolerance: float
+
+
+def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
+                         partition: Sequence[Sequence[int]],
+                         params: CsmaParams, traffic: TrafficSpec,
+                         num_channels: int, *,
+                         time_tolerance: float = 0.2) -> FluidDrainReport:
+    """Check the fluid drain bound of complete multipartite networks.
+
+    The workload statistic W(t), the sum over blocks of the largest
+    x_k(t) * sigma_k / phi_k, scaled by its initial value, must fall below
+    ``DRAIN_FRACTION`` no later than (1 + tolerance) / (J - sum of block-maxima
+    of the loads). Applies to trajectories started from a large state.
+    """
+    rho = traffic.rho
+    phi = params.phi
+    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
+    load = sum(max(rho[k] / phi[k] for k in block) for block in partition)
+    if load >= num_channels:
+        raise ValueError("drain bound requires an interior load vector")
+    bound_time = 1.0 / (num_channels - load)
+
+    def w_of(state: Sequence[int]) -> float:
+        return sum(max(state[k] * sigma[k] / phi[k] for k in block)
+                   for block in partition)
+
+    drain_times = []
+    for tr in trajectories:
+        w0 = w_of(tr.samples[0].state)
+        if w0 <= 0:
+            drain_times.append(0.0)
+            continue
+        drained = math.inf
+        for s in tr.samples:
+            if w_of(s.state) <= DRAIN_FRACTION * w0:
+                drained = s.time / w0
+                break
+        drain_times.append(drained)
+    ok = all(d <= bound_time * (1.0 + time_tolerance) for d in drain_times)
+    return FluidDrainReport(ok, bound_time, tuple(drain_times), time_tolerance)
+
+
+# --- the coupled pair: stochastic domination, pathwise ---
+
+@dataclass
+class CoupledRun:
+    dominated: Trajectory            # run with the larger service rates
+    base: Trajectory
+    ordered: bool                    # componentwise dominated <= base throughout
+
+
+class _Coupled:
+    """Coupled pair: ``_run``'s own chain is the base chain, served at
+    ``throughput_lo``; the model carries the dominated chain, served at
+    ``throughput_hi``, which takes the same arrivals.
+
+    Class k has one coupling clock at the rate bound J * phi_k / sigma_k.
+    Its uniform u in [0, bound) decides the departure in both chains
+    (nested intervals): a chain holding class-k flows loses one when u falls
+    below its own class-k departure rate. The coupling streams interleave
+    that uniform draw with the clock draws, so they are drawn one value at a
+    time.
+    """
+
+    clocks = ("coupling",)
+    block_drawn = ()
+    schedule = None
+
+    def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                 cfg: SimConfig, throughput_hi: ThroughputFn, throughput_lo: ThroughputFn):
+        self.num_classes = K = spec.num_classes
+        self.sigma = [float(v) for v in traffic.mean_flow_size]
+        self.bound = [spec.num_channels * p / s
+                      for p, s in zip(params.phi.tolist(), self.sigma)]
+        self.throughput_hi = throughput_hi
+        self.throughput_lo = throughput_lo
+        self.y = [0] * K                  # the dominated chain's counts
+        self.departures = [0] * K
+        self.integral, self.busy, self.served = [0.0] * K, [0.0] * K, [0.0] * K
+        self.sampler = _Sampler(cfg.sample_times)
+        self.ordered = True
+
+    def rates(self, x: list[int]):
+        self.x = tuple(x)                 # the base chain's counts until the next event
+        self.phi_lo = self.throughput_lo(self.x).tolist()
+        self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
+        return self.bound, self.phi_lo
+
+    def arrive(self, k: int, t: float) -> None:
+        self.sampler.emit(t, self.y)
+        self.y[k] += 1
+
+    def fire(self, kind: int, k: int, rng, t: float) -> bool:
+        u = rng.random() * self.bound[k]
+        x, y = self.x, self.y
+        base = x[k] > 0 and u < self.phi_lo[k] / self.sigma[k]
+        if y[k] > 0 and u < self.phi_hi[k] / self.sigma[k]:
+            self.sampler.emit(t, y)
+            y[k] -= 1
+            self.departures[k] += 1
+        self.ordered &= y[k] <= x[k] - base
+        return base
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        y = self.y
+        self.integral = [a + n * dt for a, n in zip(self.integral, y)]
+        self.busy = [b + dt if n > 0 else b for b, n in zip(self.busy, y)]
+        self.served = [s + r * dt for s, r in zip(self.served, self.phi_hi)]
+
+    def finish(self, traj: Trajectory) -> None:
+        self.sampler.emit(math.inf, self.y)
+        self.dominated = replace(
+            traj, samples=self.sampler.out, departures=tuple(self.departures),
+            final_state=tuple(self.y), time_integral_flows=tuple(self.integral),
+            busy_time=tuple(self.busy), served_bits=tuple(self.served))
+
+
+def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                          cfg: SimConfig, throughput_hi: ThroughputFn,
+                          throughput_lo: ThroughputFn) -> CoupledRun:
+    """Run the separated model under ``throughput_hi`` (the dominated chain)
+    and ``throughput_lo`` (the base chain), coupled as in ``_Coupled``: where
+    the first dominates the second pointwise on ordered states, the dominated
+    chain's flow counts stay below. Used for stochastic-domination spot checks.
+    """
+    check_policy(spec, cfg.policy)
+    model = _Coupled(spec, params, traffic, cfg, throughput_hi, throughput_lo)
+    base = _run(model, traffic, cfg)
+    return CoupledRun(model.dominated, base, model.ordered)
