@@ -14,40 +14,41 @@ Both run on one event loop, ``_run``: the first-reaction method of Gillespie
 (1977), a race of exponential clocks. The loop owns the class-k Poisson
 arrival clocks, which are memoryless and so kept until they fire, and redraws
 every other clock after each event from its current rate. It fires the
-earliest clock and accrues the exact path integrals (flow counts, busy time,
-served bits) up to it; it also samples the state, counts arrivals and
-departures and enforces the truncation guard. A model supplies what differs:
+earliest clock and accrues the exact time integral of the flow counts up to
+it; it also samples the state, counts arrivals and departures and enforces
+the truncation guard. A model supplies what differs:
 
 * ``clocks``: the stream kinds of its redrawn clocks, one clock per class each;
 * ``block_drawn``: those of its ``clocks`` whose streams give only the
   clock draws (see below);
 * ``rates(x)``: the rates of its clocks at flow counts ``x`` in one list,
-  kind by kind and class by class within a kind, plus the served-rate
-  vector, both valid until the next event;
+  kind by kind and class by class within a kind, valid until the next event;
 * ``arrive(k, t)``: flow bookkeeping for a new class-k flow at time t (the
   initial flows are added this way too, at t = 0);
 * ``fire(kind, k, rng, t)``: the event of clock ``kind`` of class k at time
   t, given that clock's stream; returns whether a class-k flow departed;
 * ``accrue(x, dt)``: its own path integrals over a stretch of length dt, or
-  None for a model with none (the separated model without flow tracking),
-  whose call the loop then skips;
+  None, whose call the loop then skips;
 * ``schedule``: a callable giving the current schedule, or None if the model
   keeps none;
 * ``finish(traj)``: the model's own fields of the finished trajectory.
 
 ``_Separated`` has one departure clock per class; ``_Joint`` has an attempt
-clock and a packet clock per class and keeps the schedule. The tests run a
-third model on the same loop, the coupled pair of ``tests/theory.py``, a
-pathwise check of stochastic domination (Lindvall, 1992); its ``"coupling"``
-stream kind stays here so that its draws do not change.
+clock and a packet clock per class and keeps the schedule. Both set
+``accrue`` to None: the runners read only the flow counts. The tests plug
+their own models into the same loop through the ``arrive`` and ``accrue``
+hooks: ``tests/theory.py`` wraps these two to accrue busy time, served bits
+and event rate-times, and runs the coupled pair, a pathwise check of
+stochastic domination (Lindvall, 1992). Their ``"flowpick"`` and
+``"coupling"`` stream kinds stay here so that their draws do not change.
 
 No event pays for work that it leaves unchanged. The loop keeps a running
 flow total for the guard, calls the sampler only when a sample time has
 passed or the run ends, and makes a clock's stream at its first draw, so a
-clock whose rate stays zero makes none. ``_Joint`` recomputes what reads only
-the schedule (the packet clock rates, the served rates and the packet
-rate-time increments) when ``fire`` changes the schedule; only its attempt
-rates, which read the flow counts, are recomputed at every event.
+clock whose rate stays zero makes none. ``_Joint`` recomputes its packet
+clock rates, which read only the schedule, when ``fire`` changes the
+schedule; only its attempt rates, which read the flow counts, are recomputed
+at every event.
 
 Randomness comes from counter-based Philox streams, one per (event kind,
 class, replication), all derived from the master seed. Identical configs give
@@ -65,8 +66,8 @@ of the separated model, whose ``fire`` draws nothing. The joint model's
 attempt and packet streams interleave a uniform or integer draw after each
 clock draw, so they are drawn one value at a time; a block would shift every
 later value. Rates and path integrals are Python floats, and the order
-of each floating-point operation is part of the trajectory: served bits add
-(phi_k * y_k) * dt, not phi_k * (y_k * dt).
+of each floating-point operation is part of the trajectory: a packet clock
+runs at (y_k * N) * phi_k, not y_k * (N * phi_k).
 """
 
 from __future__ import annotations
@@ -139,7 +140,6 @@ class SimConfig:
     sample_times: tuple[float, ...] = ()
     max_total_flows: int = 100_000
     replication: int = 0
-    track_flows: bool = False
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -165,7 +165,8 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
-    """Sampled path plus exact path integrals of one simulation run."""
+    """Sampled path, event counts and exact flow-count integrals of one
+    simulation run; ``event_counts_by_kind`` is set by the joint model."""
 
     samples: list[TrajectorySample]
     arrivals: tuple[int, ...]
@@ -174,12 +175,7 @@ class Trajectory:
     final_time: float
     final_state: tuple[int, ...]
     time_integral_flows: tuple[float, ...]
-    busy_time: tuple[float, ...]
-    served_bits: tuple[float, ...]
     abort_time: Optional[float] = None
-    completed_flow_sizes: Optional[tuple[tuple[float, ...], ...]] = None
-    residual_flow_bits: Optional[tuple[float, ...]] = None
-    rate_time: Optional[dict[str, tuple[float, ...]]] = None
     event_counts_by_kind: Optional[dict[str, tuple[int, ...]]] = None
 
 
@@ -292,8 +288,6 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
     arrivals = [0] * K
     departures = [0] * K
     integral = [0.0] * K
-    busy = [0.0] * K
-    served = [0.0] * K
     flows = sum(x)                      # the running flow total, for the guard
     sampler = _Sampler(cfg.sample_times)
     accrue = model.accrue
@@ -301,7 +295,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
     abort_time: Optional[float] = None
 
     while True:
-        clock_rates, served_rate = model.rates(x)
+        clock_rates = model.rates(x)
         # the race runs on Python floats; index() finds the first minimum
         times = next_arrival + [t + draw() / r if r > 0 else math.inf
                                 for draw, r in zip(clock_draws, clock_rates)]
@@ -314,8 +308,6 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             sampler.emit(until, x, model.schedule)
         dt = t_next - t
         integral = [a + n * dt for a, n in zip(integral, x)]
-        busy = [b + dt if n > 0 else b for b, n in zip(busy, x)]
-        served = [s + r * dt for s, r in zip(served, served_rate)]
         if accrue is not None:
             accrue(x, dt)
         t = t_next
@@ -348,8 +340,6 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         final_time=t,
         final_state=tuple(x),
         time_integral_flows=tuple(integral),
-        busy_time=tuple(busy),
-        served_bits=tuple(served),
         abort_time=abort_time,
     )
     model.finish(traj)
@@ -359,59 +349,31 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
 class _Separated:
     """Separated model: class-k flows depart at rate throughput_k(x) / sigma_k.
 
-    With ``track_flows`` each class shares its throughput equally among its
-    flows, and a departure removes a uniformly chosen one. Since every
-    class-k flow gets the same service, one counter per class holds the
-    service each of its flows has had since the class last emptied; a flow
-    stores the counter's value at its arrival, and its size is the
-    difference. Accrual is O(classes) per event, not O(flows).
-    """
+    It keeps no flow bookkeeping: a departure leaves one flow fewer, and the
+    departure rates read only the flow counts."""
 
     clocks = ("service",)
     block_drawn = ("service",)
     schedule = None
+    accrue = None
 
-    def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn,
-                 traffic: TrafficSpec, cfg: SimConfig):
-        self.num_classes = K = spec.num_classes
+    def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn, traffic: TrafficSpec):
+        self.num_classes = spec.num_classes
         self.throughput_fn = throughput_fn
         self.sigma = [float(v) for v in traffic.mean_flow_size]
-        self.track = cfg.track_flows
-        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
-        self.offsets: list[list[float]] = [[] for _ in range(K)]
-        self.service = [0.0] * K          # per-flow service counter per class
-        self.completed: list[list[float]] = [[] for _ in range(K)]
-        self.phi = [0.0] * K              # throughput at the current state
-        if not self.track:
-            self.accrue = None            # nothing to accrue: _run skips the hook
 
-    def rates(self, x: list[int]):
-        self.phi = phi = self.throughput_fn(tuple(x)).tolist()
-        return [p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)], phi
+    def rates(self, x: list[int]) -> list[float]:
+        phi = self.throughput_fn(tuple(x)).tolist()
+        return [p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)]
 
     def arrive(self, k: int, t: float) -> None:
-        if self.track:
-            if not self.offsets[k]:
-                self.service[k] = 0.0
-            self.offsets[k].append(self.service[k])
+        pass
 
     def fire(self, kind: int, k: int, rng, t: float) -> bool:
-        if self.track:
-            offsets = self.offsets[k]
-            offset = offsets.pop(int(self.pick.integers(len(offsets))))
-            self.completed[k].append(self.service[k] - offset)
         return True
 
-    def accrue(self, x: list[int], dt: float) -> None:
-        self.service = [c + p * dt / n if n > 0 and p > 0 else c
-                        for c, p, n in zip(self.service, self.phi, x)]
-
     def finish(self, traj: Trajectory) -> None:
-        if self.track:
-            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(left_sum([c - o for o in offsets])
-                                            for c, offsets in zip(self.service,
-                                                                  self.offsets))
+        pass
 
 
 def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -424,16 +386,11 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     comes from the policy's packet-level equilibrium (memoized per state)
     unless ``throughput_fn`` overrides it, e.g. with a dominating service
     profile for coupling arguments.
-
-    With ``track_flows`` the run also materializes per-flow service: each
-    class shares its throughput equally among its flows and a departure
-    removes a uniformly chosen flow, recording its accumulated bits as the
-    completed flow size.
     """
     policy = check_policy(spec, cfg.policy)
     if throughput_fn is None:
         throughput_fn = ThroughputCache(PolicyEvaluator(spec, params, policy))
-    return _run(_Separated(spec, throughput_fn, traffic, cfg), traffic, cfg)
+    return _run(_Separated(spec, throughput_fn, traffic), traffic, cfg)
 
 
 class _Joint:
@@ -442,28 +399,25 @@ class _Joint:
     incrementally.
 
     The attempt rates read the flow counts, so ``rates`` recomputes them at
-    every event. What reads only a class's active-slot count y_k (its packet
-    clock rate, its served rate and its two packet rate-time increments) is
-    recomputed by ``_slots_changed``, which ``fire`` calls whenever y_k
-    changes.
+    every event. A class's packet clock rate reads only its active-slot count
+    y_k and is recomputed by ``_slots_changed``, which ``fire`` calls
+    whenever y_k changes. Flows are not told apart: a packet completion ends
+    some flow of its class with probability 1 / (sigma_k N).
     """
 
     clocks = ("attempt", "packet")
     block_drawn = ()
+    accrue = None
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                  policy: str, cfg: SimConfig):
         self.num_classes = K = spec.num_classes
         self.num_channels = J = spec.num_channels
         N = self.N = cfg.scaling_n
-        self.phi_np = params.phi
         self.phi = params.phi.tolist()
         self.nu = params.nu.tolist()
         self.beta = params.beta.tolist()
-        self.lam = [float(v) for v in traffic.arrival_rate]
-        self.sigma = [float(v) for v in traffic.mean_flow_size]
-        self.flow_end_prob = [1.0 / (s * N) for s in self.sigma]
-        self.continue_prob = [1.0 - p for p in self.flow_end_prob]
+        self.flow_end_prob = [1.0 / (float(s) * N) for s in traffic.mean_flow_size]
         # a class's attempt total: fewer than 8 rates are added left to right,
         # 8 or more pairwise, as np.sum does (pinned by the 8- to 12-channel
         # runs of test_trajectories_match_recorded_digests). With one channel
@@ -487,33 +441,11 @@ class _Joint:
         self.attempt_total = [0.0] * K
         self.attempt_counts = [0] * K
         self.packet_counts = [0] * K
-        # rate-times of the arrival, attempt, packet_continue and
-        # packet_complete events, K entries each
-        self.rate_time = [0.0] * (4 * K)
         self.packet_total = [0.0] * K     # packet clock rates, (y_k N) phi_k
-        self.served = [0.0] * K           # phi_k y_k
-        self.packet_rt = [0.0] * (2 * K)  # packet_continue, then packet_complete
-        for k in range(K):
-            self._slots_changed(k)
-
-        self.track = cfg.track_flows
-        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication) if self.track else None
-        self.flows: list[dict[int, float]] = [dict() for _ in range(K)]
-        self.idle: list[list[int]] = [[] for _ in range(K)]
-        self.slot_flow: dict[tuple[int, int], int] = {}
-        self.slot_start: dict[tuple[int, int], float] = {}
-        self.completed: list[list[float]] = [[] for _ in range(K)]
-        self.next_fid = 0
 
     def _slots_changed(self, k: int) -> None:
-        """Recompute what reads class k's active-slot count. Each product is
-        the leading part of the expression it stands for: r * c * dt is
-        (r * c) * dt, and y * p / s * dt is ((y * p) / s) * dt."""
-        y, p = self.y_class[k], self.phi[k]
-        self.packet_total[k] = r = y * self.N * p
-        self.served[k] = p * y
-        self.packet_rt[k] = r * self.continue_prob[k]
-        self.packet_rt[self.num_classes + k] = y * p / self.sigma[k]
+        """Recompute class k's packet clock rate from its active-slot count."""
+        self.packet_total[k] = self.y_class[k] * self.N * self.phi[k]
 
     def _attempt_rates(self, x: list[int], k: int) -> Optional[list[float]]:
         """Per-channel rate of activating one more class-k link; None when
@@ -533,16 +465,13 @@ class _Joint:
             base = self.N * (x[k] - self.y_class[k]) * self.nu[k]
         return [base * b if f else 0.0 for f, b in zip(feas, self.beta[k])]
 
-    def rates(self, x: list[int]):
+    def rates(self, x: list[int]) -> list[float]:
         self.attempt = [self._attempt_rates(x, k) for k in range(self.num_classes)]
         self.attempt_total = [0.0 if r is None else self.total(r) for r in self.attempt]
-        return self.attempt_total + self.packet_total, self.served
+        return self.attempt_total + self.packet_total
 
     def arrive(self, k: int, t: float) -> None:
-        if self.track:
-            self.flows[k][self.next_fid] = 0.0
-            self.idle[k].append(self.next_fid)
-            self.next_fid += 1
+        pass
 
     def fire(self, kind: int, k: int, rng, t: float) -> bool:
         i = self.downlink_ap[k]
@@ -558,13 +487,6 @@ class _Joint:
             if i is not None:
                 self.ap_active[i] += 1
             self.attempt_counts[k] += 1
-            if self.track:
-                self.slot_start[(k, j)] = t
-                pool = sorted(self.flows[k]) if self.shared_queue[k] else self.idle[k]
-                fid = pool[int(self.pick.integers(len(pool)))]
-                if fid in self.idle[k]:
-                    self.idle[k].remove(fid)
-                self.slot_flow[(k, j)] = fid
             return False
         # packet completion, which ends its flow with probability 1 / (sigma_k N);
         # integers(1) would draw nothing, so one active slot is taken directly
@@ -582,41 +504,18 @@ class _Joint:
         if i is not None:
             self.ap_active[i] -= 1
         self.packet_counts[k] += 1
-        if self.track:
-            start = self.slot_start.pop((k, j))
-            fid = self.slot_flow.pop((k, j))
-            self.flows[k][fid] += self.phi_np[k] * (t - start)
-            if ends_flow:
-                self.completed[k].append(self.flows[k].pop(fid))
-            else:
-                self.idle[k].append(fid)
         return ends_flow
-
-    def accrue(self, x: list[int], dt: float) -> None:
-        self.rate_time = [a + r * dt for a, r in
-                          zip(self.rate_time, self.lam + self.attempt_total + self.packet_rt)]
 
     def schedule(self) -> Schedule:
         return Schedule(tuple(tuple(row) for row in self.y))
 
     def finish(self, traj: Trajectory) -> None:
-        K, rt = self.num_classes, self.rate_time
-        traj.rate_time = {name: tuple(rt[n * K:(n + 1) * K]) for n, name in
-                          enumerate(("arrival", "attempt", "packet_continue",
-                                     "packet_complete"))}
         traj.event_counts_by_kind = {
             "arrival": traj.arrivals,
             "attempt": tuple(self.attempt_counts),
             "packet": tuple(self.packet_counts),
             "flow_completion": traj.departures,
         }
-        if self.track:
-            # credit the in-flight fraction of each still-active packet
-            for (k, j), start in self.slot_start.items():
-                fid = self.slot_flow[(k, j)]
-                self.flows[k][fid] += self.phi_np[k] * (traj.final_time - start)
-            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(float(left_sum(f.values())) for f in self.flows)
 
 
 def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -695,9 +594,7 @@ def _tv_from_counts(counts: dict[tuple[int, ...], int], total: int,
 def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                           *, n_values: Sequence[int], t_probe: float,
                           replications: int, seed: int, policy: str,
-                          initial_state: Sequence[int],
-                          window: Optional[Sequence[int]] = None
-                          ) -> list[DistanceRow]:
+                          initial_state: Sequence[int]) -> list[DistanceRow]:
     """Total-variation distance between the joint model's flow counts at
     ``t_probe`` and the separated model's exact transient distribution, one
     row per value of ``n_values``.
@@ -710,8 +607,8 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     resamples. The distance is measured
     over the box, with all outside states lumped together.
 
-    The default box reaches the 1 - 1e-12 Poisson quantile of each class's
-    arrivals by ``t_probe``. A box of more than
+    The box reaches, beyond the initial state, the 1 - 1e-12 Poisson
+    quantile of each class's arrivals by ``t_probe``. A box of more than
     ``mccsma.oracles.MAX_ORACLE_STATES`` states raises ``OracleSpaceError``
     before the generator is built. Raises ``ValueError`` naming the input
     when ``t_probe`` is not finite and nonnegative, ``replications`` is
@@ -733,12 +630,11 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     if t_probe == 0.0:
         # both models sit at the common initial condition
         return [DistanceRow(int(n), 0.0, 0.0, 0.0) for n in n_values]
-    if window is None:
-        window = tuple(
-            x0[k] + poisson_quantile(1 - 1e-12, traffic.arrival_rate[k] * t_probe) + 2
-            if traffic.arrival_rate[k] > 0 else x0[k]
-            for k in range(K)
-        )
+    window = tuple(
+        x0[k] + poisson_quantile(1 - 1e-12, traffic.arrival_rate[k] * t_probe) + 2
+        if traffic.arrival_rate[k] > 0 else x0[k]
+        for k in range(K)
+    )
     states, q = flow_level_generator(spec, params, traffic, policy, window)
     index = {s: i for i, s in enumerate(states)}
     p0 = np.zeros(len(states))

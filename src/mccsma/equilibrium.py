@@ -104,7 +104,6 @@ class EquilibriumResult:
 
     distribution: dict[Schedule, float]
     throughput: np.ndarray
-    log_normalizer: float
 
 
 class PolicyEvaluator:
@@ -281,7 +280,7 @@ class PolicyEvaluator:
         log_z = float(logsumexp(logw))
         probs = np.exp(logw - log_z)
         throughput = self._phi * (probs @ b["per_class"])
-        return EquilibriumResult(dict(zip(b["schedules"], probs)), throughput, log_z)
+        return EquilibriumResult(dict(zip(b["schedules"], probs)), throughput)
 
     def throughput(self, state) -> np.ndarray:
         """Per-class throughput only; skips building the distribution map."""

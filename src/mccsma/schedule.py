@@ -82,15 +82,6 @@ class Schedule:
         """Row-major 0/1 string, one character per matrix entry."""
         return "".join(str(v) for row in self.active for v in row)
 
-    @staticmethod
-    def from_text(text: str, num_classes: int, num_channels: int) -> "Schedule":
-        if len(text) != num_classes * num_channels:
-            raise ValueError(f"expected {num_classes * num_channels} characters, "
-                             f"got {len(text)}")
-        it = iter(text)
-        return Schedule(tuple(tuple(int(next(it)) for _ in range(num_channels))
-                              for _ in range(num_classes)))
-
 
 class ScheduleSet(Sequence[Schedule]):
     """The feasible schedules of one enumeration, held as arrays.

@@ -62,7 +62,6 @@ class StabilityVerdict:
     per_class_slopes: tuple[float, ...]
     mean_total_flows: float
     horizon: float
-    aborted_runs: int
 
 
 def _ls_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -147,7 +146,7 @@ def fluid_slope(trajectories: Sequence[Trajectory],
     return StabilityVerdict(verdict, slope, ci_lo, ci_hi,
                             tuple(float(np.mean([c[k] for c in class_slopes]))
                                   for k in range(K)),
-                            mean_total, horizon, aborted)
+                            mean_total, horizon)
 
 
 # --- bow-tie network: two triangles sharing a center class, two channels ---

@@ -9,16 +9,16 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, Trajectory, _run,
-                             _Separated, _tv_from_counts, exponential_draws, left_sum,
-                             simulate_joint, simulate_separated, stream,
-                             timescale_convergence, uniform_sample_times)
+from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, _Joint, _Separated,
+                             _tv_from_counts, exponential_draws, left_sum, simulate_joint,
+                             simulate_separated, stream, timescale_convergence,
+                             uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.oracles import joint_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
-from theory import dominated_throughput_fn, simulate_coupled_pair
+from theory import dominated_throughput_fn, simulate_coupled_pair, with_integrals
 
 
 def two_conflicting_classes():
@@ -97,8 +97,7 @@ def test_reproducibility_and_replication_independence():
     a = simulate_separated(spec, params, traffic, cfg)
     b = simulate_separated(spec, params, traffic, cfg)
     assert a == b
-    from dataclasses import replace
-    c = simulate_separated(spec, params, traffic, replace(cfg, replication=1))
+    c = simulate_separated(spec, params, traffic, dataclasses.replace(cfg, replication=1))
     assert c != a
 
 
@@ -109,15 +108,21 @@ def test_truncation_guard_records_abort(simulate):
     traffic = TrafficSpec.of(5.0, 10.0, 1)     # heavily overloaded
     cfg = SimConfig("adhoc", 1000.0, 5, (0,), max_total_flows=30)
     tr = simulate(spec, params, traffic, cfg)
-    runs = [tr.dominated, tr.base] if simulate is simulate_coupled else [tr]
-    assert sum(runs[-1].final_state) == 31
-    for run in runs:
+    if simulate is simulate_coupled:
+        runs = [(tr.dominated, tr.dominated_integrals), (tr.base, tr.base_integrals)]
+    else:
+        fn = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
+        runs = [with_integrals(_Separated(spec, fn, traffic), traffic, cfg)]
+        assert runs[0][0] == tr                 # accruing leaves the path alone
+    base = runs[-1][0]
+    assert sum(base.final_state) == 31
+    for run, paths in runs:
         assert run.aborted and run.abort_time is not None
-        assert run.abort_time == runs[-1].abort_time < 1000.0
-        assert all(v > 0 for v in run.busy_time + run.served_bits)
+        assert run.abort_time == base.abort_time < 1000.0
+        assert all(v > 0 for v in paths.busy_time + paths.served_bits)
     if simulate is simulate_coupled:
         # the dominated chain serves its class at the full rate phi_0 = 1
-        assert tr.dominated.served_bits == tr.dominated.busy_time
+        assert tr.dominated_integrals.served_bits == tr.dominated_integrals.busy_time
 
 
 def test_mm1_mean_queue():
@@ -133,52 +138,54 @@ def test_mm1_mean_queue():
     assert abs(np.mean(means) - 1.0) < half + 0.08
 
 
+class _PerFlowTracking(_Separated):
+    """Per-flow service in the separated model: each class shares its
+    throughput equally among its flows, every stretch adds each flow's share
+    to its bit count, and a departure removes a flow drawn uniformly from
+    the ``"flowpick"`` stream; its bit count is the completed flow size."""
+
+    def __init__(self, spec, throughput_fn, traffic, cfg):
+        super().__init__(spec, throughput_fn, traffic)
+        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication)
+        self.flows = [[] for _ in range(self.num_classes)]
+        self.completed = [[] for _ in range(self.num_classes)]
+
+    def rates(self, x):
+        self.phi = self.throughput_fn(tuple(x)).tolist()    # until the next event
+        return super().rates(x)
+
+    def arrive(self, k, t):
+        self.flows[k].append(0.0)
+
+    def fire(self, kind, k, rng, t):
+        flows = self.flows[k]
+        self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
+        return True
+
+    def accrue(self, x, dt):
+        for k, n in enumerate(x):
+            if n > 0 and self.phi[k] > 0:
+                share = self.phi[k] * dt / n
+                self.flows[k] = [b + share for b in self.flows[k]]
+
+
 def test_separated_flow_sizes_are_exponential():
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 2.0)
     traffic = TrafficSpec((0.3, 0.3), (1.0, 2.0))
-    cfg = SimConfig("adhoc", 4000.0, 8, (0, 0), track_flows=True)
-    tr = simulate_separated(spec, params, traffic, cfg)
+    cfg = SimConfig("adhoc", 4000.0, 8, (0, 0))
+    fn = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
+    model = _PerFlowTracking(spec, fn, traffic, cfg)
+    tr, paths = with_integrals(model, traffic, cfg)
+    assert tr == simulate_separated(spec, params, traffic, cfg)
     # pathwise conservation: served bits = completed sizes + residual work
     for k in range(2):
-        total = sum(tr.completed_flow_sizes[k]) + tr.residual_flow_bits[k]
-        assert total == pytest.approx(tr.served_bits[k], rel=1e-9)
+        total = sum(model.completed[k]) + sum(model.flows[k])
+        assert total == pytest.approx(paths.served_bits[k], rel=1e-9)
     for k, sigma in enumerate((1.0, 2.0)):
-        sizes = np.array(tr.completed_flow_sizes[k])
+        sizes = np.array(model.completed[k])
         assert len(sizes) > 200
         assert kstest(sizes, "expon", args=(0, sigma)).pvalue >= 0.01
-
-
-class _PerFlowTracking(_Separated):
-    """The O(flows) flow tracking: every flow keeps its own bit count, and
-    each event adds the flow's share of its class's throughput to every
-    one of them."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.flows = [[] for _ in range(self.num_classes)]
-
-    def arrive(self, k, t):
-        if self.track:
-            self.flows[k].append(0.0)
-
-    def fire(self, kind, k, rng, t):
-        if self.track:
-            flows = self.flows[k]
-            self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
-        return True
-
-    def accrue(self, x, dt):
-        if self.track:
-            for k, n in enumerate(x):
-                if n > 0 and self.phi[k] > 0:
-                    share = self.phi[k] * dt / n
-                    self.flows[k] = [b + share for b in self.flows[k]]
-
-    def finish(self, traj):
-        if self.track:
-            traj.completed_flow_sizes = tuple(tuple(c) for c in self.completed)
-            traj.residual_flow_bits = tuple(float(sum(f)) for f in self.flows)
 
 
 def _tracked_cases():
@@ -187,30 +194,28 @@ def _tracked_cases():
         spec, params, state = random_instance(rng, infrastructure=i % 2 == 1)
         policy = ("flow_aware", "standard_infra")[(i // 2) % 2] if i % 2 else "adhoc"
         traffic = TrafficSpec.of((0.3, 0.9, 1.5)[i % 3], 1.0, spec.num_classes)
-        yield spec, params, traffic, SimConfig(policy, 300.0, 40 + i, state,
-                                               track_flows=True)
+        yield spec, params, traffic, SimConfig(policy, 300.0, 40 + i, state)
     spec = bowtie_spec()
     for load, horizon in ((0.45, 1000.0), (0.65, 1000.0)):
         yield (spec, CsmaParams.from_alpha(spec, 2.0), TrafficSpec.of(load, 1.0, 5),
-               SimConfig("standard_infra", horizon, 3, (0,) * 5, track_flows=True))
+               SimConfig("standard_infra", horizon, 3, (0,) * 5))
 
 
 def test_flow_tracking_counters_match_per_flow_accrual():
-    fields = [f.name for f in dataclasses.fields(Trajectory)
-              if f.name not in ("completed_flow_sizes", "residual_flow_bits")]
+    # the per-class served-bit counters equal the per-flow reference's
+    # completed sizes plus residual work, and neither moves the path
     completed = 0
     for spec, params, traffic, cfg in _tracked_cases():
         fn = ThroughputCache(PolicyEvaluator(spec, params, cfg.policy))
-        got = _run(_Separated(spec, fn, traffic, cfg), traffic, cfg)
-        want = _run(_PerFlowTracking(spec, fn, traffic, cfg), traffic, cfg)
-        for name in fields:
-            assert getattr(got, name) == getattr(want, name), name
-        for a, b in zip(got.completed_flow_sizes, want.completed_flow_sizes):
-            assert len(a) == len(b)
-            assert all(math.isclose(u, v, rel_tol=1e-9, abs_tol=0.0) for u, v in zip(a, b))
-            completed += len(a)
-        assert all(math.isclose(u, v, rel_tol=1e-9, abs_tol=0.0)
-                   for u, v in zip(got.residual_flow_bits, want.residual_flow_bits))
+        model = _PerFlowTracking(spec, fn, traffic, cfg)
+        tr, paths = with_integrals(model, traffic, cfg)
+        assert tr == simulate_separated(spec, params, traffic, cfg, throughput_fn=fn)
+        for k in range(spec.num_classes):
+            assert len(model.completed[k]) == tr.departures[k]
+            assert len(model.flows[k]) == tr.final_state[k]
+            total = sum(model.completed[k]) + sum(model.flows[k])
+            assert math.isclose(total, paths.served_bits[k], rel_tol=1e-9, abs_tol=0.0)
+            completed += len(model.completed[k])
     assert completed > 3000
 
 
@@ -252,7 +257,7 @@ def test_separated_runs_are_bit_identical_with_and_without_the_cache():
         spec, params, state = random_instance(rng, infrastructure=i % 2 == 1)
         for policy in (("standard_infra", "flow_aware") if i % 2 else ("adhoc",)):
             traffic = TrafficSpec.of((0.4, 1.2)[i % 2], 1.0, spec.num_classes)
-            cfg = SimConfig(policy, 200.0, 60 + i, state, track_flows=i % 3 == 0)
+            cfg = SimConfig(policy, 200.0, 60 + i, state)
             ev = PolicyEvaluator(spec, params, policy)
             cached = simulate_separated(spec, params, traffic, cfg,
                                         throughput_fn=ThroughputCache(ev))
@@ -263,19 +268,19 @@ def test_separated_runs_are_bit_identical_with_and_without_the_cache():
     assert runs == 18
 
 
-def test_joint_flow_sizes_are_exponential():
+def test_joint_flow_completions_match_their_compensator():
+    # at N = 3 a flow spans several packets, and each packet completion ends
+    # it with probability 1 / (sigma_k N): class k completes flows at rate
+    # y_k phi_k / sigma_k, whatever N is
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 2.0)
     traffic = TrafficSpec((0.3, 0.3), (1.0, 2.0))
-    cfg = SimConfig("adhoc", 4000.0, 8, (0, 0), scaling_n=3, track_flows=True)
-    tr = simulate_joint(spec, params, traffic, cfg)
+    cfg = SimConfig("adhoc", 4000.0, 8, (0, 0), scaling_n=3)
+    tr, paths = with_integrals(_Joint(spec, params, traffic, "adhoc", cfg), traffic, cfg)
     for k in range(2):
-        total = sum(tr.completed_flow_sizes[k]) + tr.residual_flow_bits[k]
-        assert total == pytest.approx(tr.served_bits[k], rel=1e-9)
-    for k, sigma in enumerate((1.0, 2.0)):
-        sizes = np.array(tr.completed_flow_sizes[k])
-        assert len(sizes) > 200
-        assert kstest(sizes, "expon", args=(0, sigma)).pvalue >= 0.01
+        integral = paths.rate_time["packet_complete"][k]
+        assert integral > 200
+        assert abs(tr.departures[k] - integral) <= 3.0 * math.sqrt(integral) + 3.0
 
 
 def test_joint_schedule_always_feasible():
@@ -301,9 +306,9 @@ def test_unit_packet_count_forces_flow_completion():
     params = CsmaParams.from_alpha(spec, 1.0)
     traffic = TrafficSpec.of(0.4, 1.0, 1)
     cfg = SimConfig("adhoc", 2000.0, 12, (0,), scaling_n=1)
-    tr = simulate_joint(spec, params, traffic, cfg)
+    tr, paths = with_integrals(_Joint(spec, params, traffic, "adhoc", cfg), traffic, cfg)
     assert tr.event_counts_by_kind["packet"] == tr.departures
-    assert tr.rate_time["packet_continue"][0] == pytest.approx(0.0)
+    assert paths.rate_time["packet_continue"][0] == pytest.approx(0.0)
 
 
 def test_joint_stationary_marginals_match_generator():
@@ -331,15 +336,16 @@ def test_empirical_rates_match_generator_rates():
     spec, params, state = random_instance(rng, infrastructure=False)
     traffic = TrafficSpec.of(0.4, 1.0, spec.num_classes)
     cfg = SimConfig("adhoc", 3000.0, 9, state, scaling_n=1)
-    tr = simulate_joint(spec, params, traffic, cfg)
+    tr, paths = with_integrals(_Joint(spec, params, traffic, "adhoc", cfg), traffic, cfg)
+    assert tr == simulate_joint(spec, params, traffic, cfg)    # accruing leaves the path alone
     for kind, expected_key in (("arrival", "arrival"), ("attempt", "attempt")):
         counts = np.asarray(tr.event_counts_by_kind[kind], dtype=float)
-        integral = np.asarray(tr.rate_time[expected_key])
+        integral = np.asarray(paths.rate_time[expected_key])
         for k in range(spec.num_classes):
             assert abs(counts[k] - integral[k]) <= 3.0 * math.sqrt(integral[k]) + 3.0
     pkt = np.asarray(tr.event_counts_by_kind["packet"], dtype=float)
-    pkt_integral = (np.asarray(tr.rate_time["packet_continue"])
-                    + np.asarray(tr.rate_time["packet_complete"]))
+    pkt_integral = (np.asarray(paths.rate_time["packet_continue"])
+                    + np.asarray(paths.rate_time["packet_complete"]))
     for k in range(spec.num_classes):
         assert abs(pkt[k] - pkt_integral[k]) <= 3.0 * math.sqrt(pkt_integral[k]) + 3.0
 
@@ -376,8 +382,7 @@ def test_timescale_absorbed_processes_agree():
     traffic = TrafficSpec.of(0.0, 1.0, 2)
     rows = timescale_convergence(spec, params, traffic, n_values=(1, 8),
                                  t_probe=40.0, replications=60, seed=2,
-                                 policy="adhoc", initial_state=(1, 1),
-                                 window=(2, 2))
+                                 policy="adhoc", initial_state=(1, 1))
     for row in rows:
         assert row.distance < 0.02
 
@@ -408,9 +413,6 @@ def test_coupled_pair_shares_arrivals_and_orders_states():
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 3.0)
     traffic = TrafficSpec.of(0.4, 1.0, 2)
-    from theory import dominated_throughput_fn
-    from mccsma.dynamics import ThroughputCache
-    from mccsma.equilibrium import PolicyEvaluator
     cfg = SimConfig("adhoc", 800.0, 6, (2, 2),
                     sample_times=uniform_sample_times(800.0, 100))
     hi = dominated_throughput_fn(spec, params, "adhoc", [0, 1])
@@ -434,11 +436,13 @@ def test_coupled_pair_with_equal_or_swapped_profiles():
     run = simulate_coupled_pair(spec, params, traffic, cfg, fn, fn)
     assert run.ordered and sum(run.base.departures) > 50
     assert run.dominated == run.base
+    assert run.dominated_integrals == run.base_integrals
     # the dominated chain serves the center class at the full rate phi_2 = 1;
     # the dominating profile on the base chain breaks the order
     hi = dominated_throughput_fn(spec, params, "standard_infra", [2])
     run = simulate_coupled_pair(spec, params, traffic, cfg, hi, fn)
-    assert run.dominated.served_bits[2] == run.dominated.busy_time[2] < run.base.busy_time[2]
+    hi_paths, lo_paths = run.dominated_integrals, run.base_integrals
+    assert hi_paths.served_bits[2] == hi_paths.busy_time[2] < lo_paths.busy_time[2]
     assert sum(run.dominated.time_integral_flows) < sum(run.base.time_integral_flows)
     assert not simulate_coupled_pair(spec, params, traffic, cfg, fn, hi).ordered
 
@@ -489,61 +493,60 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
 # as JSON, whose float format (the shortest repr) does not depend on the NumPy
 # version, as repr() of a NumPy scalar does.
 _TRAJECTORY_FIELDS = ("samples", "arrivals", "departures", "aborted", "final_time",
-                      "final_state", "time_integral_flows", "busy_time", "served_bits",
-                      "abort_time", "completed_flow_sizes", "residual_flow_bits",
-                      "rate_time", "event_counts_by_kind")
+                      "final_state", "time_integral_flows", "abort_time",
+                      "event_counts_by_kind")
 _TRAJECTORY_DIGESTS = [
-    "9106ea9e1265165ee8d3eac4b668887039623a77e1c8042bf7cd694ed4e49ccc",
-    "2c3595c8e2d0030767461cfff6e57828a9303cb14b8a6fb6c0863899599b2948",
-    "6015e0f7055feffcbad5f0c12261f76b98941f1d14739609f5cb56d5f9a09809",
-    "83b322be0dd7b24d0b6956f86e755ed93a0417971266904a7ece306fb4a0a678",
-    "a0a3b39c473721dc32d1ef17643edaee8ff9ba281c251f6f4dd40bf1b32c700b",
-    "9575a4bf15c7475824e4529d21a5e1fd09cce75c44343c05597c59ac08c99e12",
-    "e308018631d1316c7e2a80e03c9033c5c9fab4d23e147c52bc711560d068dbdc",
-    "b72a683a45e2419b04c68ccd30e889b742e343df64056e71b3e6f8d5eb6d434d",
-    "5eb9f8ef090e73fbd896f671666e7af73673bf4e500b443b7ca66634365cd4b9",
-    "d8ef22353772d4333da5ecc74afb1bc94a4fd5a6aef19fc5e7004fcfff4207fa",
-    "a62655fd7eb3c774e90809e87adc39c8b85848d337f4a51d7b6afc509087d943",
-    "d57bf610ea14aae86fddd969534f8b575c7a08b79da05515c0ff70ab36509950",
-    "c4b93d03d4c3bf17109ad0df5b56d982d8ef202084cbef9f82c731572bf2e55d",
-    "826cd220e7e80930c1f211abb8a48c7035ef455a2a1ee25604213fd2efdb45d0",
-    "42c06a65dbfa89811f57b132a62bd09956a645e272da3c89c76fb88eca2ffc13",
-    "182f9ca3ce43c559dc9a5ca1d9953b66deb049eb125e1b9dfa017e99984d42ad",
-    "7046459ae3d905bba2d441c92467815a7a3feb27553b49a720c1c2701b9f511d",
-    "17f21b4441ebf4b4d40e9edf39952390a035d77cdf75838eb61e9d1308e06442",
-    "19d571d73005f73fed1ce539fc3bee3cd0753ce42920fac7a661bb6824afefb1",
-    "0f0f8e61c354ec801b7de24130a2c34f7ea7963b5635279d83fba63f9536e5ad",
-    "97144e55bb3bd7ee4be834cac9879898e25743cd0689a69915d1a7ca304f6b03",
-    "87183bff303290f7069f8c47aba2b64e311f9aea407fee7f76870e5c40e21be4",
-    "7d9680e999fa44e69434c501d7f8b3305cabec527fb4392262b0f0a43b041b02",
-    "58d48c1aabe77bf9600bbb520de6a3e4904b4ca1a6fe7c5a539e16be93d29630",
-    "c80e5bebe2a503553c9367089291c612b317ac6252ea416fdb0f57fd232f66fe",
-    "22e62fd7aed35e5a1fc11ee42b619f6c8ebd0ad9c5b9df7a04ff74637c82cabf",
-    "a53d61487a9bfce027f6f1e3a034ee1c629897e3109ef7d1099969113857fa4e",
-    "5f32026428221ff62da40a21e0305fe9891b6c24b031c33356ede5b37434cacd",
-    "2f8c5c01e87818295e91a99a9553d24071a360a84c275e23dba50795e658f726",
-    "a6f4d4f02b37ee819a02ee714edb25fb226a27b24a013db7a3168a3e916be1d7",
-    "4aa0fa7d5e73ce70651699576c54d31f062a46c00fc63540369372192e8cffd4",
-    "87fae8cb32319feb5a3c8ef1de144ec849d69c822eb906a7b665d1d60709a2f0",
-    "366cb548df7934c6cf71b03c122267377b30f3d542b9cd8cb3927f1b66271d9c",
-    "b62d015717ecf656dde018298b6fb8170145685e617d011b209821ad188c9c52",
-    "c9745199f53338e87c3cb120604dd3e0051229dbc6cce691367b19bb1c7798f1",
-    "0a35478ace53e3632689a069cc7ba87160d57f6bd85ba1972d15af4ed4f81b88",
-    "409bf6541f517883bb127f22c7d58a5e4809b82c94311cb074c2b786978b2192",
-    "eaebf7f117f7d9bb3c7b5657e4afd8d68b51d1210fbd46d06caf28a1d0cdf10b",
-    "d9a1bad5ad1f707d1e0fa1287eba41995866436f78853d83c8f04f1dbc549e33",
-    "bf8d054eb309df9fdfed836c3ade2e2791fe5eadf18c9a32370eac1caa729cdb",
-    "df8ee685f916bb8b1a71ea3fb4c096c7d07abb5a6ce633dc8f7871668483c25d",
-    "2a72ba31049d968d0b47bd27c475a180f891406c125a82fc5156010cf55b9bef",
-    "14fc9938f972f7bb8292e719d2122940705e0a3987b7f5edd148948ef025c6d8",
-    "bbf37fdc6d5dbcfe00c9840ef6a6829a76289d6c53eabba395ca7002132237b8",
+    "b4c6cce33f2d392d8f972f7b66d93d7939b7b5e20c1ba7be62bef40e62ad89fd",
+    "d961ebd4f850e768ec2a601961b54074eca693faf2e944d086575295c97d77c5",
+    "7d325a4bb8a7898ad1aa8696b52fe32e9f141f8e6039f7069e03d09895e2aebe",
+    "5a73bb7851cccff1c3ac6b0b6e9fc922738bcace420c63b9d44e25e0641ce3f8",
+    "bad6ab9b4dd082eadcda9b65f78d45009768df533bacbdcb357c8ab2b681424b",
+    "daaf07ddbc7d0316ce6d805246da2a610f07df74b81258e45f8e967dc5d49e09",
+    "e301fdf73a8929eaf2e841f8c98fe3f0d61a87c2b2f421562c9f7173718167e7",
+    "f5e734c22b78091fda28c3d2e7f183411d6a423c1158f78f05459172b241d21a",
+    "9c8954f236978c243505371e33a84571d140805a3ee3a8266eb23bca899c32e2",
+    "6fba4e5713ffda5e68205ce1e644bc6fde9b0a1a38ee869ef6bf792cb27a2181",
+    "6189ed05b9aeecdec9b2503558643c655085bc01fd1af87939ff79327d294914",
+    "ad6348b1285c623ecaefd7c5b3d65506c533653edd8f3e1269146372cb8374cd",
+    "5dc2e4c302cbf6e656b0000a58fb88ebdb3a3dfb13b9a53943e94a1a1d472a6a",
+    "0efbdcbc51e0da935605bacdd0ff6bce571847e71aa066cdca0812ec35bd9274",
+    "751b4445e92e13d4b8a252767d52727175be62d4dbda720681c4e9b62b8f9708",
+    "753cb3ab01946b4b2914d001822fb92e561f74c5d097cffdb2a7f5da2ccf9665",
+    "26ff087ac1d451f83b22c7b3b2d17f21660d96394968d4103c3a40f9d3e4f2d9",
+    "441627eda0ea7782a8592a91c0499265744344597e2aab8ac47f6b0a7754ce77",
+    "3ac1a155e782e3b0c78cec518c442b5bc5bf2fadb168a1206b85f46534f9f6f6",
+    "f1b534f00c2570c9a279f346896ddbb03453214199770f5a0d2dd5b933968b6e",
+    "712e9b71605e620a2ac9519cdeea991146cdcbf3543676836922391e92b4d522",
+    "6767feb8c301225d321bb7eef7f6c9aa78f349564d016f8b049a75116ade244f",
+    "483404942c9e0794098e1bc96e963954fecb7173d6cf40415b2518a3d5cf8b0c",
+    "0af45ea6ed8ca0807bd5b89aef28a211aacc883cb70b4cf27d4627e7586f0607",
+    "2b891e849406813778ce49022e7b47a2cd703414a8110d41080d6af36ae2e77a",
+    "67592ba978666e6e28093fc885b1a5305d9449c03b4e05376c31568f24fb847c",
+    "09c0114c9a13b5a3b069f41fd75db304f0a467a19cfec22d541d2bf93d3259b1",
+    "1d825c3fdaa246a2e2725ebee0e4bae0b079bf3f13c024efc7d0e08835675a6c",
+    "d17bd0ab13da6569aa4e6c3e54dc642d83838bff3cd7fdc447c51477dc0e2bb6",
+    "16d39e4683ded8c241c9d59a06d57aea790aab1c9a1367ac42e19321a2c35f0c",
+    "3152f3d72bde52a8a19754f323f0c69d852f0234a49b55a007fb8f84c9bf3b24",
+    "d7fb7a0e4351b146a7918d618912ea747984dfd436293ce5e023cd198b9cda00",
+    "1935ed11ac0491f897e5303d639437e88e124674874a5a27450c5fcb694bbece",
+    "c6e6cfea2a51180f653f7ee88f5ec6cab0b673d633bdb1d6bf09464b416bd113",
+    "82ea9df7e1f0b8dbcfbd9240de8c45b3424611a5e5552a0a5832d08393d839b1",
+    "f136894183eaa233f4815db9054c74dd0431c96bcaf88388188da684d7e3281b",
+    "a63f09480e3eae2983093f04fb03f0a2b278c72527b7c8e5d28e90950afde295",
+    "be2d8969e2aaab4283e95d9e4d93177fa36fc76b43107209b771f4eefa431f61",
+    "e561184240b06f08bb878eeb73567d58ee8af1b664a497af0bf82da4872cfbe7",
+    "f92fe1f2a3174511c0b67662453266d37f49bb9272b93b22cc9c14f064dddbc5",
+    "d54c9ecbf5d6d8f193c72bace4bb6c219bd76b8c29a2ce91aa5aa8e79961b051",
+    "58b9c68f967ea6b164e6d3b9f9c6286519665d35c46cad4648a2975732d019bc",
+    "ff43b70e66bf064748ead98960177246c58d951fadfe1a0ade84c1ae7bda97b7",
+    "d0e87c0b64940d1e3d13f7023ac208355ec183e7b9e87e8ad6a1a4567b09e8b6",
 ]
 
 
 def _pinned_runs():
     """40 short runs over random instances: both models, the adhoc, flow_aware
-    and standard_infra policies, flow tracking on and off, with and without
-    sample times, and 14 runs that hit the truncation guard. Then joint runs
+    and standard_infra policies, with and without sample times, and 14 runs
+    that hit the truncation guard. Then joint runs
     on 8, 9 and 12 channels, where the attempt total of a class is summed
     pairwise, as np.sum does, not left to right."""
     rng = np.random.default_rng(2024)
@@ -557,8 +560,7 @@ def _pinned_runs():
                         scaling_n=1 + i % 3,
                         sample_times=(uniform_sample_times(60.0, 12) if i % 5 < 3 else ()),
                         max_total_flows=(sum(state) + 2 if i % 4 in (0, 3) else 100_000),
-                        replication=i % 2,
-                        track_flows=i % 3 != 2)
+                        replication=i % 2)
         simulate = simulate_joint if (i // 4) % 2 else simulate_separated
         yield simulate(spec, params, traffic, cfg)
     for i, J in enumerate((8, 8, 9, 12)):
@@ -570,7 +572,7 @@ def _pinned_runs():
                             tuple(float(v) for v in rng.uniform(0.3, 3.0, K)),
                             tuple(tuple(float(v) for v in row) for row in probe))
         cfg = SimConfig("adhoc", 50.0, 200 + i, (3, 5, 2, 4), scaling_n=2,
-                        sample_times=uniform_sample_times(50.0, 10), track_flows=i % 2 == 0)
+                        sample_times=uniform_sample_times(50.0, 10))
         yield simulate_joint(spec, params, TrafficSpec.of(0.8, 1.0, K), cfg)
 
 

@@ -252,4 +252,3 @@ def test_alpha_limit_support_independent_of_probing(bowtie):
 def test_schedule_text_round_trip():
     s = Schedule(((1, 0), (0, 1), (0, 0)))
     assert s.as_text() == "100100"
-    assert Schedule.from_text("100100", 3, 2) == s

@@ -194,7 +194,7 @@ def test_mm1_reduction_needs_a_sample_per_batch(bowtie, count, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the sample count")
 
-    monkeypatch.setattr(theory, "simulate_separated", no_simulation)
+    monkeypatch.setattr(theory, "with_integrals", no_simulation)
     params = CsmaParams.from_alpha(bowtie, 1e6)
     traffic = TrafficSpec.of(0.5, 1.0, 5)
     cfg = SimConfig("standard_infra", 100.0, 13, (0,) * 5,

@@ -6,13 +6,15 @@ distribution, local balance and the Lemma 1 concentration inequality, the
 full-support smoothing of a capacity certificate, the Lyapunov drift and its
 split, the M/M/1 reduction under a dominating service profile, the drain
 bound of complete multipartite networks and the coupled pair behind
-stochastic domination.
+stochastic domination. It also accrues the path integrals of a simulation
+run that no runner reads: busy time, served bits and event rate-times.
 
 No runner reads these checks, so they live beside the tests rather than in
 the library. They go through ``mccsma``'s public API only, apart from the
-coupled pair, which plugs a third model into the event loop ``_run`` and
-samples its dominated chain with ``_Sampler``. Tests import this module as
-they import ``conftest``.
+simulation models: ``_Accruing`` wraps the library's ``_Separated`` and
+``_Joint`` models, and the coupled pair is a third model; both run on the
+event loop ``_run``, and the coupled pair samples its dominated chain with
+``_Sampler``. Tests import this module as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.stats import chisquare
 
 from mccsma.capacity import CapacityVerdict
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
-                             _run, _Sampler, simulate_separated)
+                             _Joint, _run, _Sampler, _Separated)
 from mccsma.equilibrium import PolicyEvaluator, attempt_rate, check_policy
 from mccsma.schedule import Schedule, enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
@@ -336,6 +338,88 @@ def h_part_bound(params: CsmaParams, traffic: TrafficSpec, spec: NetworkSpec) ->
     return per_class + J * K
 
 
+# --- path integrals that no runner reads ---
+
+@dataclass
+class PathIntegrals:
+    """Exact path integrals of one run, per class: the time spent holding a
+    flow, the bits served and, in the joint model, the rate-time of each
+    event kind, which compensates that kind's event count."""
+
+    busy_time: tuple[float, ...]
+    served_bits: tuple[float, ...]
+    rate_time: Optional[dict[str, tuple[float, ...]]] = None
+
+
+def _busy_served(busy: list[float], served: list[float], x: Sequence[int],
+                 served_rate: Sequence[float], dt: float
+                 ) -> tuple[list[float], list[float]]:
+    """Busy time and served bits after a stretch of length ``dt`` at flow
+    counts ``x`` and per-class served rates ``served_rate``."""
+    return ([b + dt if n > 0 else b for b, n in zip(busy, x)],
+            [s + r * dt for s, r in zip(served, served_rate)])
+
+
+class _Accruing:
+    """A ``_Separated`` or ``_Joint`` model, or a subclass of one, that also
+    accrues its ``PathIntegrals`` through ``_run``'s ``accrue`` hook, after
+    the model's own ``accrue`` if it has one. Its trajectory is the model's.
+
+    The served rate of class k is its throughput at the state in the
+    separated model and phi_k y_k in the joint one. A joint packet clock,
+    at rate r = (y_k N) phi_k, splits into packet_continue events at rate
+    r (1 - 1/(sigma_k N)) and packet_complete events at rate
+    (y_k phi_k) / sigma_k; each product is rounded in the order written,
+    and a stretch adds rate * dt.
+    """
+
+    def __init__(self, model, traffic: TrafficSpec):
+        self.model = model
+        self.num_classes = K = model.num_classes
+        self.clocks, self.block_drawn = model.clocks, model.block_drawn
+        self.schedule = model.schedule
+        self.rates, self.arrive, self.fire = model.rates, model.arrive, model.fire
+        self.busy, self.served = [0.0] * K, [0.0] * K
+        self.joint = isinstance(model, _Joint)
+        if self.joint:
+            self.lam = [float(v) for v in traffic.arrival_rate]
+            self.sigma = [float(v) for v in traffic.mean_flow_size]
+            self.continue_prob = [1.0 - p for p in model.flow_end_prob]
+            self.rate_time = [0.0] * (4 * K)
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        m = self.model
+        if m.accrue is not None:
+            m.accrue(x, dt)
+        served_rate = ([p * y for p, y in zip(m.phi, m.y_class)] if self.joint
+                       else m.throughput_fn(tuple(x)).tolist())
+        self.busy, self.served = _busy_served(self.busy, self.served, x, served_rate, dt)
+        if not self.joint:
+            return
+        packet_rt = ([r * c for r, c in zip(m.packet_total, self.continue_prob)]
+                     + [y * p / s for y, p, s in zip(m.y_class, m.phi, self.sigma)])
+        self.rate_time = [a + r * dt for a, r in
+                          zip(self.rate_time, self.lam + m.attempt_total + packet_rt)]
+
+    def finish(self, traj: Trajectory) -> None:
+        self.model.finish(traj)
+        rate_time = None
+        if self.joint:
+            K, rt = self.num_classes, self.rate_time
+            rate_time = {name: tuple(rt[n * K:(n + 1) * K]) for n, name in
+                         enumerate(("arrival", "attempt", "packet_continue",
+                                    "packet_complete"))}
+        self.integrals = PathIntegrals(tuple(self.busy), tuple(self.served), rate_time)
+
+
+def with_integrals(model, traffic: TrafficSpec, cfg: SimConfig
+                   ) -> tuple[Trajectory, PathIntegrals]:
+    """Run ``model`` (see ``_Accruing``) on ``_run``: its trajectory and
+    path integrals."""
+    accruing = _Accruing(model, traffic)
+    return _run(accruing, traffic, cfg), accruing.integrals
+
+
 # --- the M/M/1 reduction under a dominating service profile ---
 
 def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
@@ -421,10 +505,10 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     rho = traffic.rho / params.phi
     target = float(rho[edges[0]])
     fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
-    traj = simulate_separated(spec, params, traffic, cfg, throughput_fn=fn)
+    traj, paths = with_integrals(_Separated(spec, fn, traffic), traffic, cfg)
 
     horizon = traj.final_time
-    busy = tuple(traj.busy_time[k] / horizon for k in edges)
+    busy = tuple(paths.busy_time[k] / horizon for k in edges)
 
     samples = np.array([s.state for s in traj.samples], dtype=float)
     n_samples = samples.shape[0]
@@ -536,6 +620,8 @@ class CoupledRun:
     dominated: Trajectory            # run with the larger service rates
     base: Trajectory
     ordered: bool                    # componentwise dominated <= base throughout
+    dominated_integrals: PathIntegrals
+    base_integrals: PathIntegrals
 
 
 class _Coupled:
@@ -548,7 +634,8 @@ class _Coupled:
     (nested intervals): a chain holding class-k flows loses one when u falls
     below its own class-k departure rate. The coupling streams interleave
     that uniform draw with the clock draws, so they are drawn one value at a
-    time.
+    time. ``accrue`` adds the dominated chain's flow integrals and both
+    chains' busy time and served bits.
     """
 
     clocks = ("coupling",)
@@ -566,6 +653,7 @@ class _Coupled:
         self.y = [0] * K                  # the dominated chain's counts
         self.departures = [0] * K
         self.integral, self.busy, self.served = [0.0] * K, [0.0] * K, [0.0] * K
+        self.base_busy, self.base_served = [0.0] * K, [0.0] * K
         self.sampler = _Sampler(cfg.sample_times)
         self.ordered = True
 
@@ -573,7 +661,7 @@ class _Coupled:
         self.x = tuple(x)                 # the base chain's counts until the next event
         self.phi_lo = self.throughput_lo(self.x).tolist()
         self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
-        return self.bound, self.phi_lo
+        return self.bound
 
     def arrive(self, k: int, t: float) -> None:
         self.sampler.emit(t, self.y)
@@ -593,15 +681,15 @@ class _Coupled:
     def accrue(self, x: list[int], dt: float) -> None:
         y = self.y
         self.integral = [a + n * dt for a, n in zip(self.integral, y)]
-        self.busy = [b + dt if n > 0 else b for b, n in zip(self.busy, y)]
-        self.served = [s + r * dt for s, r in zip(self.served, self.phi_hi)]
+        self.busy, self.served = _busy_served(self.busy, self.served, y, self.phi_hi, dt)
+        self.base_busy, self.base_served = _busy_served(
+            self.base_busy, self.base_served, x, self.phi_lo, dt)
 
     def finish(self, traj: Trajectory) -> None:
         self.sampler.emit(math.inf, self.y)
         self.dominated = replace(
             traj, samples=self.sampler.out, departures=tuple(self.departures),
-            final_state=tuple(self.y), time_integral_flows=tuple(self.integral),
-            busy_time=tuple(self.busy), served_bits=tuple(self.served))
+            final_state=tuple(self.y), time_integral_flows=tuple(self.integral))
 
 
 def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -615,4 +703,6 @@ def simulate_coupled_pair(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     check_policy(spec, cfg.policy)
     model = _Coupled(spec, params, traffic, cfg, throughput_hi, throughput_lo)
     base = _run(model, traffic, cfg)
-    return CoupledRun(model.dominated, base, model.ordered)
+    return CoupledRun(model.dominated, base, model.ordered,
+                      PathIntegrals(tuple(model.busy), tuple(model.served)),
+                      PathIntegrals(tuple(model.base_busy), tuple(model.base_served)))
