@@ -23,15 +23,9 @@ where y ranges over the feasible schedules of group g alone
 one convexity row per group and one load row per loaded class. t > 1 means
 rho is interior, t < 1 exterior, and t within the boundary band means no
 verdict: stability results do not cover critical loads and the artifact
-refuses to guess there. The certificate couples the groups' optimal
-distributions into one distribution over full schedules with those
-marginals (the north-west-corner rule, at most sum of supports - G + 1
-schedules, where the product distribution could have exponentially many):
-any combination of per-group schedules is feasible and service is linear in
-the distribution, so the coupling serves what the groups serve together. One
-group is the LP over the whole feasible set. With more groups
-the LP has the same optimum, reached by other pivots, so a margin agrees with
-the one of the LP over every schedule up to rounding.
+refuses to guess there. One group is the LP over the whole feasible set.
+With more groups the LP has the same optimum, reached by other pivots, so a
+margin agrees with the one of the LP over every schedule up to rounding.
 
 The LP holds one pi column per distinct per-class service vector of each
 group, the first schedule that has it (``ScheduleSet.distinct``): 25 of the
@@ -40,21 +34,20 @@ channels, whose product set has 15,129 schedules with 3,281 distinct service
 vectors. Dropping the duplicates does not change a single pivot. Identical
 columns stay identical under row operations, so a later copy has the same
 reduced cost as its first copy and Bland's rule always picks the first; once
-that one is basic, the copy's reduced cost is exactly zero. With each group's
-pi scattered back over the group's full schedule index before it is
-normalised, the optimum, the verdict and the certificate are bit for bit
-those of the LP over every schedule of the group.
+that one is basic, the copy's reduced cost is exactly zero. So the optimum
+and the verdict are bit for bit those of the LP over every schedule of the
+group.
 
 The LP is solved by a dense two-phase-free tableau simplex with Bland's rule:
 each group's empty schedule plus the slack variables form an immediately
 feasible basis, and Bland's rule guarantees termination despite degeneracy.
 
 The simplex works on a stack of tableaus of one shape and pivots them in
-lockstep; ``margins`` solves a whole sweep that way and ``membership`` is the
-same solve on a stack of one, plus its certificate. Load vectors with the same
-positive classes have LPs of the same shape that differ only in the t column,
-so they share one constraint block and are solved in stacks of at most
-``_STACK_ENTRIES`` entries. Each LP in a stack takes exactly the pivots it
+lockstep; ``margins`` solves a whole sweep that way and ``membership`` is
+``margins`` on one load vector. Load vectors with the same positive classes
+have LPs of the same shape that differ only in the t column, so they share
+one constraint block and are solved in stacks of at most ``_STACK_ENTRIES``
+entries. Each LP in a stack takes exactly the pivots it
 would take alone, with the same arithmetic: the entering column is its first
 reduced cost above the tolerance; the leaving row is its smallest ratio, ties
 within the tolerance going to the smallest basic variable, as in a scan of the
@@ -73,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import left_sum
-from .schedule import Schedule, ScheduleSet, enumerate_feasible
+from .schedule import ScheduleSet, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec, detect_l_partite
 
 BOUNDARY_TOL = 1e-9
@@ -91,7 +84,6 @@ class SolverError(RuntimeError):
 class CapacityVerdict:
     status: str                       # "interior" | "boundary" | "exterior"
     margin: float                     # t - 1, +inf for the zero load vector
-    certificate: dict[Schedule, float]
 
 
 def status_of(margin: float) -> str:
@@ -225,13 +217,13 @@ def _channel_groups(spec: NetworkSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def _group_sets(spec: NetworkSpec) -> list[tuple[tuple[int, ...], ScheduleSet]]:
-    """Each channel group with its feasible schedules, enumerated on the
+def _group_sets(spec: NetworkSpec) -> list[ScheduleSet]:
+    """The feasible schedules of each channel group, enumerated on the
     network restricted to the group's channels."""
-    return [(channels, enumerate_feasible(
+    return [enumerate_feasible(
                 replace(spec, num_channels=len(channels),
                         channel_graphs=tuple(spec.channel_graphs[j] for j in channels)),
-                None))
+                None)
             for channels in _channel_groups(spec)]
 
 
@@ -261,116 +253,50 @@ def _constraint_block(sets: Sequence[ScheduleSet], params: CsmaParams,
     return block, starts
 
 
-def _solve(block: np.ndarray, starts: np.ndarray, loads: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the LPs of the (B, p) positive loads ``loads`` over one
-    constraint block as one stack; returns the final tableaus, bases and the
-    optima t*."""
-    G, p = len(starts), loads.shape[1]
-    t_col = block.shape[1] - 2 - p
-    tableaus = np.repeat(block[None], len(loads), axis=0)
-    tableaus[:, G:G + p, t_col] = loads
-    # each group's empty schedule with the slacks is a feasible basis
-    basis = np.tile(np.r_[starts, t_col + 1:t_col + 1 + p], (len(loads), 1))
-    return tableaus, basis, _simplex_max(tableaus, basis)
-
-
 def margins(rhos, spec: NetworkSpec, params: CsmaParams) -> np.ndarray:
     """The margin t* - 1 of each row of the (L, K) load array ``rhos``, +inf
     for a zero row; ``status_of`` gives the verdicts.
 
-    The groups' schedules are enumerated once. Rows with the same positive
-    classes share one constraint block and are solved in stacks; each margin
-    equals ``membership``'s bit for bit.
+    The groups' schedules are enumerated once, and only if some row is
+    positive. Rows with the same positive classes share one constraint block
+    and are solved in stacks; each margin is bit for bit that of its LP
+    solved alone.
     """
     rhos = _loads(rhos, spec.num_classes, ndim=2)
-    sets = [s for _, s in _group_sets(spec)]
     out = np.full(len(rhos), math.inf)
     patterns, pattern_of = np.unique(rhos > 0, axis=0, return_inverse=True)
+    sets = _group_sets(spec) if patterns.any() else []
     for i, pattern in enumerate(patterns):
         positive = np.flatnonzero(pattern)
         if not len(positive):
             continue
         block, starts = _constraint_block(sets, params, positive)
+        G, p = len(starts), len(positive)
+        t_col = block.shape[1] - 2 - p
         rows = np.flatnonzero(pattern_of.reshape(-1) == i)
         cap = max(1, _STACK_ENTRIES // block.size)
         for start in range(0, len(rows), cap):
             chunk = rows[start:start + cap]
-            out[chunk] = _solve(block, starts, rhos[np.ix_(chunk, positive)])[2] - 1.0
+            tableaus = np.repeat(block[None], len(chunk), axis=0)
+            tableaus[:, G:G + p, t_col] = rhos[np.ix_(chunk, positive)]
+            # each group's empty schedule with the slacks is a feasible basis
+            basis = np.tile(np.r_[starts, t_col + 1:t_col + 1 + p], (len(chunk), 1))
+            out[chunk] = _simplex_max(tableaus, basis) - 1.0
     return out
-
-
-def _certificate(groups: Sequence[tuple[tuple[int, ...], ScheduleSet]],
-                 starts: np.ndarray, tableau: np.ndarray, basis: np.ndarray,
-                 spec: NetworkSpec) -> dict[Schedule, float]:
-    """A coupling of the groups' basic distributions, keyed by full
-    schedules, by the north-west-corner rule: the groups' supports are walked
-    in step, and each entry takes the least mass left on the current schedule
-    of any group. Its marginals are the groups' distributions, and it has at
-    most sum of supports - G + 1 entries. With one group it is that group's
-    distribution."""
-    rhs = tableau[:-1, -1]
-    basic = list(enumerate(basis.tolist()))
-    parts = []
-    for (channels, schedules), start in zip(groups, starts.tolist()):
-        # scatter over the group's full schedule index, so pi.sum() adds in
-        # the same order as an LP over every schedule of the group would
-        cols = schedules.distinct
-        pi = np.zeros(len(schedules))
-        for r, var in basic:
-            if start <= var < start + len(cols):
-                pi[cols[var - start]] = max(rhs[r], 0.0)
-        total = pi.sum()
-        if total > 0:
-            pi /= total
-        support = np.flatnonzero(pi > 0)
-        parts.append((list(channels), schedules.active[support], pi[support].tolist()))
-    # each group's convexity row puts mass on some schedule of its support
-    certificate: dict[Schedule, float] = {}
-    at = [0] * len(parts)
-    left = [masses[0] for _, _, masses in parts]
-    active = np.zeros((spec.num_classes, spec.num_channels), dtype=np.uint8)
-    while True:
-        mass = min(left)
-        for (channels, rows, _), i in zip(parts, at):
-            active[:, channels] = rows[i]
-        certificate[Schedule(tuple(map(tuple, active.tolist())))] = mass
-        for g, (_, _, masses) in enumerate(parts):
-            left[g] -= mass
-            if left[g] <= 0.0:
-                at[g] += 1
-                if at[g] == len(masses):
-                    # a group's mass is spent; what the others keep is rounding
-                    return certificate
-                left[g] = masses[at[g]]
 
 
 def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
                schedules: Optional[ScheduleSet] = None) -> CapacityVerdict:
-    """Classify a load vector against the capacity region.
-
-    A margin t* - 1 within ``BOUNDARY_TOL`` of zero is "boundary". The
-    certificate is the schedule distribution achieving the optimal load
-    multiplier; for an interior verdict it serves every positive-load class
-    with strict slack. Only the channel groups' own sets are enumerated: a
-    feasible set ``schedules`` is checked for its (K, J) shape and otherwise
-    unused (a benchmark still passes one).
+    """Classify a load vector against the capacity region: its ``margins``
+    row and that margin's ``status_of``. Only the channel groups' own sets
+    are enumerated: a feasible set ``schedules`` is checked for its (K, J)
+    shape and otherwise unused (a benchmark still passes one).
     """
     rho = _loads(rho, spec.num_classes)
     if schedules is not None:
         _check_schedules(spec, schedules)
-    positive = np.flatnonzero(rho > 0)
-    if not len(positive):
-        # the LP's starting basis: all mass on the empty schedule
-        return CapacityVerdict("interior", math.inf,
-                               {Schedule.empty(spec.num_classes, spec.num_channels): 1.0})
-
-    groups = _group_sets(spec)
-    block, starts = _constraint_block([s for _, s in groups], params, positive)
-    tableaus, basis, t_star = _solve(block, starts, rho[None, positive])
-    certificate = _certificate(groups, starts, tableaus[0], basis[0], spec)
-    margin = float(t_star[0] - 1.0)
-    return CapacityVerdict(status_of(margin), margin, certificate)
+    margin = float(margins(rho[None], spec, params)[0])
+    return CapacityVerdict(status_of(margin), margin)
 
 
 @dataclass

@@ -31,13 +31,13 @@ distribution has an explicit product form. Three policies are covered:
 Under every policy the empty schedule has log-weight exactly 0.
 
 The weights read the state only through its *throughput key*
-(``PolicyEvaluator.throughput_key``): the cap pattern min(x_k, J), the
-counts of the plain classes (every class under ``adhoc`` and ``flow_aware``;
-uplink and AP-less classes under ``standard_infra``) and the share
-x_k / S_i of each shared-queue downlink class (0.0 when S_i = 0, where the
-cap already rules the class out). A class alone at its access point has
+(``PolicyEvaluator.throughput_key``): the count of each plain class
+(every class under ``adhoc`` and ``flow_aware``; uplink and AP-less classes
+under ``standard_infra``), the cap min(x_k, J) of every other class, and the
+share x_k / S_i of each shared-queue downlink class (0.0 when S_i = 0, where
+the cap already rules the class out). A class alone at its access point has
 share x / x = 1.0 and term log 1.0 = 0.0 whether it holds 1 flow or 500, so
-it is left out of the key and of the share term; its cap is in the key. The
+it is left out of the share term; its cap is in the key. The
 log-weight is computed from the key alone, so two states with equal keys get
 bit-identical weights and throughputs by construction. This is what lets
 ``dynamics.ThroughputCache`` serve every state of one key from one
@@ -143,8 +143,8 @@ class PolicyEvaluator:
         # (falling-factorial weight)
         groups = [sorted(ap.downlink) for ap in spec.access_points
                   if ap.downlink] if self.policy == "standard_infra" else []
-        self._shared_queue = bool(groups)
         self._plain = [k for k in range(K) if not any(k in g for g in groups)]
+        self._capped = [k for k in range(K) if k not in self._plain]
         # a class alone at its access point has share 1.0, or 0.0 where its
         # cap rules it out, and so log-weight term 0: only access points with
         # two or more downlink classes enter the key and the share term
@@ -186,12 +186,9 @@ class PolicyEvaluator:
         const = const + np.einsum("skj,kj->s", schedules.active,
                                   np.where(np.isfinite(self._log_beta),
                                            self._log_beta, 0.0))
-        b = {"schedules": schedules, "per_class": per_class, "const": const}
-        if self._shared_queue:
-            b["plain"] = per_class[:, self._plain]
-            b["shared"] = per_class[:, self._shared].astype(np.float64)
-        else:
-            b["plain"] = per_class
+        b = {"schedules": schedules, "per_class": per_class, "const": const,
+             "plain": per_class[:, self._plain],
+             "shared": per_class[:, self._shared].astype(np.float64)}
         self._bundles[caps] = b
         return b
 
@@ -209,11 +206,11 @@ class PolicyEvaluator:
     def throughput_key(self, state) -> tuple:
         """Everything the weights at ``state`` read, as a hashable tuple.
 
-        Under ``adhoc`` and ``flow_aware`` that is the flow vector itself
-        (the caps are a function of it). Under ``standard_infra`` it is the
-        cap pattern min(x_k, J), then the plain classes' counts, then the
-        share x_k / S_i (0.0 when S_i = 0) of each downlink class of an
-        access point with two or more of them, grouped by access point.
+        That is the state with each count x_k of a class that is not plain
+        replaced by its cap min(x_k, J), then the share x_k / S_i (0.0 when
+        S_i = 0) of each downlink class of an access point with two or more
+        of them, grouped by access point. Under ``adhoc`` and ``flow_aware``
+        every class is plain, so the key is the flow vector.
         States with equal keys get bit-identical results from every method.
         Integral floats and NumPy integers count as their ints. Raises
         ``ValueError`` naming the state when it does not hold K nonnegative
@@ -230,11 +227,11 @@ class PolicyEvaluator:
         if len(flows) != self._K or min(flows) < 0:
             raise ValueError(f"state {flows} must hold {self._K} nonnegative "
                              f"flow counts")
-        if not self._shared_queue:
-            return flows
         J = self._J
-        key = [f if f < J else J for f in flows]
-        key += [flows[k] for k in self._plain]
+        key = list(flows)
+        for k in self._capped:
+            if key[k] > J:
+                key[k] = J
         for group in self._groups:
             total = sum([flows[k] for k in group])
             key += [flows[k] / total if total else 0.0 for k in group]
@@ -242,13 +239,9 @@ class PolicyEvaluator:
 
     def _logw(self, state) -> tuple[dict, np.ndarray]:
         key = self.throughput_key(state)
-        if self._shared_queue:
-            K, P = self._K, len(self._plain)
-            caps, counts, shares = key[:K], key[K:K + P], key[K + P:]
-        else:
-            J = self._J
-            caps, counts, shares = tuple([f if f < J else J for f in key]), key, ()
-        b = self._bundle(caps)
+        K, J = self._K, self._J
+        counts, shares = [key[k] for k in self._plain], key[K:]
+        b = self._bundle(tuple([c if c < J else J for c in key[:K]]))
         if counts:
             # every factorial below is of a count in [0, sum(counts)]
             lf = self._log_factorials(sum(counts))

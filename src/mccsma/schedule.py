@@ -11,8 +11,8 @@ one read-only (S, K, J) uint8 array, with the per-class activation counts
 alongside. The exact computations (product-form weights, the capacity LP)
 read those arrays. A ``Schedule`` is one matrix as a hashable tuple of rows;
 the set builds them on demand for the callers that key or print single
-schedules: certificates, distributions, CSV output and the brute-force
-oracles.
+schedules: equilibrium distributions and their CSV output, the joint model's
+sampled schedules and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class Schedule:
     """
 
     active: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def empty(num_classes: int, num_channels: int) -> "Schedule":
-        return Schedule(tuple((0,) * num_channels for _ in range(num_classes)))
 
     @property
     def per_class(self) -> tuple[int, ...]:

@@ -126,10 +126,8 @@ def fluid_slope(trajectories: Sequence[Trajectory],
 
     slopes_arr = np.array(slopes)
     rng = stream(0, "bootstrap", 0, 0)
-    resampled = np.array([
-        slopes_arr[rng.integers(0, len(slopes_arr), len(slopes_arr))].mean()
-        for _ in range(1000)
-    ])
+    n = len(slopes_arr)
+    resampled = slopes_arr[rng.integers(0, n, (1000, n))].mean(axis=1)
     ci_lo, ci_hi = (float(v) for v in np.percentile(resampled, [2.5, 97.5]))
     slope = float(slopes_arr.mean())
     mean_total = float(np.mean(means))

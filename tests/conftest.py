@@ -1,10 +1,12 @@
-"""Shared fixtures: reference networks and a random-instance generator."""
+"""Shared fixtures: reference networks, a random-instance generator and the
+empty schedule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from mccsma.schedule import Schedule
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              TrafficSpec, replicate_graph)
 
@@ -44,6 +46,11 @@ def tripartite221() -> NetworkSpec:
 def ap_line3() -> NetworkSpec:
     return NetworkSpec(3, 1, replicate_graph(1, range(3), [(0, 1), (1, 2)]),
                        tuple(AccessPoint.of([], [k]) for k in range(3)))
+
+
+def empty_schedule(num_classes: int, num_channels: int) -> Schedule:
+    """The schedule with no active link."""
+    return Schedule(tuple((0,) * num_channels for _ in range(num_classes)))
 
 
 @pytest.fixture

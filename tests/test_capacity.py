@@ -14,10 +14,9 @@ from mccsma.capacity import (BOUNDARY_TOL, SolverError, lpartite_condition, marg
                              membership)
 from mccsma.cli import main
 from mccsma.scenario import load_scenario
-from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
+from mccsma.schedule import ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              replicate_graph, validate_spec)
-from theory import full_support_certificate
 
 
 def test_single_link_region():
@@ -31,19 +30,20 @@ def test_single_link_region():
             assert verdict.margin == pytest.approx(1.0 / rho - 1.0, abs=1e-9)
 
 
-def test_zero_load_is_interior_with_infinite_margin():
+def test_zero_load_is_interior_with_infinite_margin(monkeypatch):
     spec = NetworkSpec(2, 1, replicate_graph(1, [0, 1], [(0, 1)]))
     params = CsmaParams.from_alpha(spec, 1.0)
     verdict = membership([0.0, 0.0], spec, params)
     assert verdict.status == "interior"
     assert math.isinf(verdict.margin)
-    schedules = enumerate_feasible(spec)
-    assert verdict.certificate == {Schedule.empty(2, 1): 1.0}
-    assert verdict.certificate == {schedules[0]: 1.0}
-    mixed = full_support_certificate(verdict, schedules)
-    assert set(mixed) == set(schedules)
-    assert all(p > 0 for p in mixed.values())
-    assert sum(mixed.values()) == pytest.approx(1.0)
+    # zero rows enumerate nothing: a network past the guard keeps its verdict
+    monkeypatch.setitem(enumerate_feasible.__kwdefaults__, "max_schedules", 1000)
+    large = NetworkSpec(10, 1, replicate_graph(1, range(10), []))
+    params = CsmaParams.from_alpha(large, 1.0)
+    assert membership([0.0] * 10, large, params) == membership([0.0, 0.0], spec, params)
+    assert margins(np.zeros((2, 10)), large, params).tolist() == [math.inf] * 2
+    with pytest.raises(ScheduleSpaceError):
+        margins([[0.0] * 10, [0.1] + [0.0] * 9], large, params)
 
 
 def test_bowtie_region_matches_closed_form(bowtie):
@@ -118,41 +118,12 @@ def test_margin_scales_inversely_with_load(seed, c):
     assert t2 == pytest.approx(t1 / c, rel=1e-7)
 
 
-def test_interior_certificate_has_strict_slack(bowtie):
-    params = CsmaParams.from_alpha(bowtie, 1.0)
-    rho = np.array([0.5, 0.5, 0.4, 0.5, 0.5])
-    verdict = membership(rho, bowtie, params)
-    assert verdict.status == "interior"
-    schedules = enumerate_feasible(bowtie)
-    served = np.zeros(5)
-    for s, p in verdict.certificate.items():
-        served += p * params.phi * np.asarray(s.per_class)
-    assert np.all(rho < served + 1e-12)
-    assert all(p >= 0 for p in verdict.certificate.values())
-    assert sum(verdict.certificate.values()) == pytest.approx(1.0)
-
-
-def test_full_support_mixing_preserves_feasibility(bowtie):
-    params = CsmaParams.from_alpha(bowtie, 1.0)
-    rho = np.array([0.4, 0.4, 0.3, 0.4, 0.4])
-    schedules = enumerate_feasible(bowtie)
-    verdict = membership(rho, bowtie, params, schedules=schedules)
-    mixed = full_support_certificate(verdict, schedules)
-    assert all(p > 0 for p in mixed.values())
-    assert sum(mixed.values()) == pytest.approx(1.0)
-    served = np.zeros(5)
-    for s, p in mixed.items():
-        served += p * params.phi * np.asarray(s.per_class)
-    assert np.all(rho < served)
-
-
 def test_membership_is_deterministic(bowtie):
     params = CsmaParams.from_alpha(bowtie, 1.0)
     rho = [0.6, 0.6, 0.2, 0.6, 0.6]
     a = membership(rho, bowtie, params)
     b = membership(rho, bowtie, params)
     assert a.status == b.status and a.margin == b.margin
-    assert a.certificate == b.certificate
 
 
 def test_load_shape_and_sign_validation(bowtie):
@@ -204,12 +175,12 @@ def _reference_simplex_max(tableau: np.ndarray, basis: list[int], *,
 
 
 def _reference_membership(rho, spec, params, schedules):
-    """(status, margin, certificate) from the full-column scalar LP."""
+    """(status, margin) from the full-column scalar LP."""
     rho = np.asarray(rho, dtype=float)
     n_sched = len(schedules)
     positive = [k for k in range(spec.num_classes) if rho[k] > 0]
     if not positive:
-        return "interior", math.inf, {schedules[0]: 1.0}
+        return "interior", math.inf
 
     per_class = schedules.per_class
     phi = params.phi
@@ -226,57 +197,29 @@ def _reference_membership(rho, spec, params, schedules):
     tableau[m, t_col] = 1.0
 
     basis = [0] + [n_sched + r for r in range(1, m)]
-    t_star = _reference_simplex_max(tableau, basis)
-
-    pi = np.zeros(n_sched)
-    for r, var in enumerate(basis):
-        if var < n_sched:
-            pi[var] = max(tableau[r, n], 0.0)
-    total = pi.sum()
-    if total > 0:
-        pi /= total
-    certificate = {schedules[i]: float(pi[i]) for i in range(n_sched) if pi[i] > 0}
-
-    margin = t_star - 1.0
+    margin = _reference_simplex_max(tableau, basis) - 1.0
     if abs(margin) <= BOUNDARY_TOL:
         status = "boundary"
     elif margin > 0:
         status = "interior"
     else:
         status = "exterior"
-    return status, margin, certificate
+    return status, margin
 
 
 def _assert_matches_reference(rho, spec, params, schedules):
     """``membership`` against the reference; returns the reference status and
     ``membership``'s margin. On a network whose channels form one group, the
     LP is the reference's and must match it bit for bit; with more groups the
-    status must match, the margin within 1e-12, and the certificate must be a
-    feasible distribution that serves the optimum."""
+    status must match and the margin within 1e-12."""
     verdict = membership(rho, spec, params, schedules=schedules)
-    status, margin, certificate = _reference_membership(rho, spec, params, schedules)
+    status, margin = _reference_membership(rho, spec, params, schedules)
     assert verdict.status == status
     if len(capacity._channel_groups(spec)) == 1:
         assert verdict.margin == margin
-        assert verdict.certificate == certificate
     else:
         assert verdict.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
-        _assert_certificate_serves(verdict, rho, spec, params, schedules)
     return status, verdict.margin
-
-
-def _assert_certificate_serves(verdict, rho, spec, params, schedules):
-    """The certificate is a distribution over feasible schedules whose
-    served rate reaches (margin + 1) rho."""
-    assert set(verdict.certificate) <= set(schedules)
-    masses = np.array(list(verdict.certificate.values()))
-    assert np.all(masses >= 0)
-    assert abs(masses.sum() - 1.0) <= 1e-12
-    served = np.zeros(spec.num_classes)
-    for s, p in verdict.certificate.items():
-        served += p * params.phi * np.asarray(s.per_class)
-    if math.isfinite(verdict.margin):
-        assert np.all(served >= (verdict.margin + 1.0) * np.asarray(rho) - 1e-12)
 
 
 def _assert_batch_matches(loads, expected, spec, params, rng):
@@ -334,8 +277,8 @@ def test_membership_matches_full_column_scalar_lp_on_rings(monkeypatch):
                     for rho in loads]
         # stacks of three LPs; full-load rows beyond one stack, and rows with
         # one idle class each (three positive-load patterns of the same size)
-        sets = [s for _, s in capacity._group_sets(spec)]
-        block = capacity._constraint_block(sets, params, np.arange(K))[0]
+        block = capacity._constraint_block(capacity._group_sets(spec), params,
+                                           np.arange(K))[0]
         monkeypatch.setattr(capacity, "_STACK_ENTRIES", 3 * block.size)
         full = rng.uniform(0.05, 0.6, (4, K))
         idle = rng.uniform(0.05, 0.6, (3, K))
@@ -469,7 +412,7 @@ def test_grouped_infrastructure_lp_matches_reference(linked):
     params = CsmaParams.from_alpha(spec, 1.0, phys_rate=[1.0, 0.5, 2.0, 1.0, 1.5, 0.8])
     schedules = enumerate_feasible(spec)
     # the product of the groups' sets is the feasible set
-    sizes = [len(s) for _, s in capacity._group_sets(spec)]
+    sizes = [len(s) for s in capacity._group_sets(spec)]
     assert len(schedules) == math.prod(sizes)
     rng = np.random.default_rng(8)
     loads = rng.uniform(0.0, 1.2, (40, 6)) * (rng.random((40, 6)) < 0.8)
@@ -479,27 +422,18 @@ def test_grouped_infrastructure_lp_matches_reference(linked):
     _assert_batch_matches(loads, expected, spec, params, rng)
 
 
-def test_multi_group_certificates_are_feasible_and_serve_the_load():
+def test_multi_group_margins_match_reference_on_random_instances():
     rng = np.random.default_rng(30)
     cases = []
     while len(cases) < 40:
         spec, params, _ = random_instance(rng, infrastructure=False)
         if spec.num_channels > 1:
             cases.append((spec, params, rng.uniform(0.0, 1.0, spec.num_classes)))
-    for K in range(5, 10):
-        spec = _ring(K, 2)
-        params = CsmaParams.from_alpha(spec, 1.0)
-        cases += [(spec, params, np.full(K, 0.3)), (spec, params, rng.uniform(0.0, 0.8, K))]
     interior = 0
     for spec, params, rho in cases:
         assert len(capacity._channel_groups(spec)) > 1
-        schedules = enumerate_feasible(spec)
-        verdict = membership(rho, spec, params)
-        _assert_certificate_serves(verdict, rho, spec, params, schedules)
-        if verdict.status == "interior":
-            interior += 1
-            mixed = full_support_certificate(verdict, schedules)
-            assert set(mixed) == set(schedules) and min(mixed.values()) > 0
+        status, _ = _assert_matches_reference(rho, spec, params, enumerate_feasible(spec))
+        interior += status == "interior"
     assert interior >= 20
 
 
@@ -549,10 +483,9 @@ experiment:
     assert set(built) == {2207}
 
 
-def test_certificate_of_many_groups_stays_small():
-    """Twenty channels, each with its own triangle of classes: the product of
-    the groups' optimal supports has about 3^20 schedules, the coupling at
-    most sum of supports - 19."""
+def test_margin_of_many_groups_has_closed_form():
+    """Twenty channels, each with its own triangle of classes: twenty groups
+    of four schedules each, where the product set has 4^20 schedules."""
     J = 20
     graphs = tuple(ChannelGraph.of([3 * j, 3 * j + 1, 3 * j + 2],
                                    [(3 * j, 3 * j + 1), (3 * j + 1, 3 * j + 2),
@@ -565,16 +498,6 @@ def test_certificate_of_many_groups_stays_small():
     # one class at a time per triangle: t* = 1 / (3 * 0.2)
     assert verdict.margin == pytest.approx(1.0 / 0.6 - 1.0, abs=1e-12)
     assert verdict.margin == margins([rho], spec, params)[0]
-    assert len(verdict.certificate) <= 4 * J - J + 1
-    masses = np.array(list(verdict.certificate.values()))
-    assert np.all(masses >= 0) and abs(masses.sum() - 1.0) <= 1e-12
-    served = np.zeros(3 * J)
-    for s, p in verdict.certificate.items():
-        for j, graph in enumerate(graphs):
-            on = [k for k in range(3 * J) if s.active[k][j]]
-            assert len(on) <= 1 and set(on) <= graph.eligible
-        served += p * params.phi * np.asarray(s.per_class)
-    assert np.all(served >= (verdict.margin + 1.0) * rho - 1e-12)
 
 
 def test_schedule_space_guard_holds_per_channel(monkeypatch, tmp_path, capsys):

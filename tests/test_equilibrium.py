@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from conftest import bowtie_spec, random_instance
+from conftest import bowtie_spec, empty_schedule, random_instance
 from mccsma.equilibrium import LOG_FACTORIAL_CAP, PolicyEvaluator, equilibrium
 from mccsma.oracles import packet_level_generator, stationary_distribution
 from mccsma.schedule import Schedule, enumerate_feasible
@@ -35,7 +35,7 @@ def test_empty_schedule_has_unit_weight():
     for infra in (False, True):
         for _ in range(10):
             spec, params, state = random_instance(rng, infrastructure=infra)
-            empty = Schedule.empty(spec.num_classes, spec.num_channels)
+            empty = empty_schedule(spec.num_classes, spec.num_channels)
             for policy in policies_for(spec):
                 assert stationary_log_weights(state, params, spec, policy)[empty] == 0.0
 
@@ -73,7 +73,7 @@ def test_all_empty_state_gives_point_mass():
     spec = bowtie_spec()
     params = CsmaParams.from_alpha(spec, 2.0)
     res = equilibrium((0,) * 5, params, spec, "standard_infra")
-    assert res.distribution == {Schedule.empty(5, 2): pytest.approx(1.0)}
+    assert res.distribution == {empty_schedule(5, 2): pytest.approx(1.0)}
     assert np.allclose(res.throughput, 0.0)
 
 
@@ -325,6 +325,9 @@ def test_equal_throughput_keys_give_bit_identical_throughput():
                 expected = params.phi * ((w / w.sum()) @ per_class)
                 assert np.array_equal(ev.throughput(x), expected)
                 by_key.setdefault(ev.throughput_key(x), []).append((x, expected))
+            if policy != "standard_infra":
+                # every class is plain: no two states share a key
+                assert len(by_key) == np.prod(np.add(box, 1))
             for members in by_key.values():
                 x0, first = members[0]
                 for x, value in members[1:]:

@@ -4,9 +4,9 @@
 ``ThroughputCache.__call__``, ``PolicyEvaluator.throughput`` and
 ``PolicyEvaluator._bundle`` and reads ``Trajectory.event_counts_by_kind``. A
 renamed or removed target either makes the traced run fail or changes its
-counter. The ``flow-models`` counts are pinned exactly, so a speed-up that
-changes the work done (states evaluated, cache hits, bundles built, events
-simulated) fails here as well.
+counter. The counts of both workloads are pinned exactly, so a speed-up that
+changes the work done (schedules enumerated, LPs solved, states evaluated,
+cache hits, bundles built, events simulated) fails here as well.
 """
 
 import json
@@ -31,6 +31,18 @@ def _smoke(workload: str) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+# the first traced unit of the capacity-lp smoke run at seed 7; the tracer's
+# capacity.lp_columns counts the schedule set passed to membership, not the
+# LP's columns, and is left out
+CAPACITY_LP_SMOKE_COUNTS = {
+    # the sweep's one enumeration, the ring's product set and its two channels
+    "schedule.enumerate_calls": 4,
+    "schedule.schedules_built": 427,
+    "capacity.lp_calls": 1,                 # the ring's membership call
+    "capacity.status_interior": 1,
+    "capacity.solver_errors": 0,
+}
+
 # the first traced unit of the flow-models smoke run at seed 7
 FLOW_MODELS_SMOKE_COUNTS = {
     "equilibrium.throughput_calls": 2076,   # 348 cache misses + 1,728 oracle states
@@ -45,6 +57,6 @@ FLOW_MODELS_SMOKE_COUNTS = {
 @pytest.mark.parametrize("workload", ["capacity-lp", "flow-models"])
 def test_benchmark_smoke_runs_correctly(workload):
     metrics = _smoke(workload)
-    if workload == "flow-models":
-        got = {name: metrics[name] for name in FLOW_MODELS_SMOKE_COUNTS}
-        assert got == FLOW_MODELS_SMOKE_COUNTS
+    pinned = {"capacity-lp": CAPACITY_LP_SMOKE_COUNTS,
+              "flow-models": FLOW_MODELS_SMOKE_COUNTS}[workload]
+    assert {name: metrics[name] for name in pinned} == pinned

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite33, bowtie_spec, random_instance
+from conftest import bipartite33, bowtie_spec, empty_schedule, random_instance
 from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
 from theory import (activity_marginals, alpha_limit_distribution, lemma_gap_bound,
@@ -56,7 +56,7 @@ def test_bowtie_schedule_count_matches_brute_force(bowtie):
     assert set(got) == expected
     assert len(got) == 67          # frozen regression constant
     assert list(got) == sorted(got)
-    assert Schedule.empty(5, 2) in got
+    assert empty_schedule(5, 2) in got
 
 
 def test_bipartite_schedules_are_one_sided_blocks():
@@ -114,7 +114,7 @@ def test_capacity_guard_raises():
 def test_weight_of_empty_schedule_is_zero():
     spec = NetworkSpec(2, 1, replicate_graph(1, [0, 1], []))
     params = CsmaParams.from_alpha(spec, 2.0)
-    assert log_weight_u((5, 7), Schedule.empty(2, 1), params) == 0.0
+    assert log_weight_u((5, 7), empty_schedule(2, 1), params) == 0.0
 
 
 def test_weight_single_factor():
@@ -134,7 +134,7 @@ def test_max_weight_empty_state():
     spec = NetworkSpec(2, 1, replicate_graph(1, [0, 1], []))
     params = CsmaParams.from_alpha(spec, 1.0)
     value, arg = max_weight((0, 0), params, spec)
-    assert value == 0.0 and arg == Schedule.empty(2, 1)
+    assert value == 0.0 and arg == empty_schedule(2, 1)
 
 
 def test_max_weight_channel_tie_breaks_to_first_channel():

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bipartite33, bowtie_spec, random_instance
-from mccsma.dynamics import SimConfig, simulate_joint, simulate_separated, uniform_sample_times
-from mccsma.stability import (StabilityThresholds, bowtie_boundary, center_rate_polynomial,
-                              fluid_slope, homogeneous_critical_load, optimal_center_bound)
+from mccsma.dynamics import (SimConfig, Trajectory, TrajectorySample, simulate_joint,
+                             simulate_separated, stream, uniform_sample_times)
+from mccsma.stability import (StabilityThresholds, _ls_slope, bowtie_boundary,
+                              center_rate_polynomial, fluid_slope, homogeneous_critical_load,
+                              optimal_center_bound)
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
 import theory
 from theory import (MM1_BATCHES, dominated_throughput_fn, h_part_bound,
@@ -152,6 +154,29 @@ def test_fluid_slope_requires_replications():
     trajs = _replicated(spec, params, traffic, "adhoc", 100.0, 3)
     with pytest.raises(ValueError, match="5 replications"):
         fluid_slope(trajs)
+
+
+@pytest.mark.parametrize("n", [5, 7, 20, 200])
+def test_bootstrap_ci_is_that_of_sequential_resamples(n):
+    rng = np.random.default_rng(n)
+    times = 90.0 + np.arange(10)
+    runs, slopes = [], []
+    for _ in range(n):
+        totals = rng.integers(0, 100, len(times))
+        runs.append(Trajectory([TrajectorySample(t, (int(v),), None)
+                                for t, v in zip(times, totals)],
+                               (0,), (0,), False, 100.0, (0,), (0.0,)))
+        slopes.append(_ls_slope(times, totals.astype(float)))
+    slopes = np.array(slopes)
+    verdict = fluid_slope(runs)
+    rng = stream(0, "bootstrap", 0, 0)
+    draws = [slopes[rng.integers(0, n, n)] for _ in range(1000)]
+    means = [d.mean() for d in draws]
+    # the slopes are not integral: the order of summation shows in the means
+    assert any(d[::-1].mean() != m for d, m in zip(draws, means))
+    assert verdict.slope == slopes.mean()
+    assert (verdict.ci_lo, verdict.ci_hi) == tuple(
+        float(v) for v in np.percentile(means, [2.5, 97.5]))
 
 
 def test_thresholds_from_margin():

@@ -1,7 +1,8 @@
 """Every name a module of the package, or the tests' ``theory`` helper,
 imports must be used in that module; and every top-level definition of the
 package, and every method, property and dataclass field of its classes, must
-be read outside the tests.
+be read outside the tests; a member counts as read only through an attribute
+or a string, not through a bare name that merely shares its spelling.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by an import counts as used when it appears as a name anywhere
@@ -75,10 +76,15 @@ UNREAD_ALLOWED = {
 UNREAD_MEMBERS_ALLOWED = {
     # the constructor helper for attempt rates given as ratios alpha
     "CsmaParams.from_alpha",
-    # thresholds from a capacity margin and the slack of the closed-form
-    # l-partite test, both for the runner of ROADMAP item 3
+    # thresholds from a capacity margin and the slack, load multiplier and
+    # block partition of the closed-form l-partite test, all for the runner
+    # of ROADMAP item 3
     "StabilityThresholds.from_margin",
     "LPartiteVerdict.slack",
+    "LPartiteVerdict.multiplier",
+    "LPartiteVerdict.partition",
+    # the time of a run's truncation, for the run telemetry of ROADMAP item 6
+    "Trajectory.abort_time",
     # the public view of the stationary weights, which the tests check
     # against independent references
     "PolicyEvaluator.log_weights",
@@ -120,18 +126,19 @@ def _members(tree: ast.Module):
             yield f"{cls.name}.{name}", name, node
 
 
-def _reads(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of each read by name: a bare name or an attribute that
-    is loaded, or a string such as an attribute name passed to ``getattr``.
-    A keyword argument or a store is not a read."""
+def _reads(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, bare) of each read by name: a bare name or an attribute
+    that is loaded, or a string such as an attribute name passed to
+    ``getattr``; ``bare`` marks the bare names. A keyword argument or a store
+    is not a read."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.value, node.lineno))
+            out.append((node.value, node.lineno, False))
     return out
 
 
@@ -143,13 +150,16 @@ def test_every_definition_is_read_outside_the_tests():
         if path.name == "oracles.py":      # the independent brute-force duplicate
             continue
         tree = trees[path]
-        checked = [(name, name, node) for name, node in _definitions(tree)
+        # a member is read through an attribute or a string, never as a bare
+        # name: a local variable of the same name does not read it
+        checked = [(name, name, node, True) for name, node in _definitions(tree)
                    if name not in UNREAD_ALLOWED]
-        checked += [member for member in _members(tree)
+        checked += [(*member, False) for member in _members(tree)
                     if member[0] not in UNREAD_MEMBERS_ALLOWED]
-        for label, name, node in checked:
+        for label, name, node, by_name in checked:
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(n == name and (p != path or line not in own)
-                       for p, found in reads.items() for n, line in found):
+            if not any(n == name and (by_name or not bare)
+                       and (p != path or line not in own)
+                       for p, found in reads.items() for n, line, bare in found):
                 unread.append(f"{path.name}:{node.lineno} {label}")
     assert not unread, f"read only by the tests, or by nothing: {unread}"

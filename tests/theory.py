@@ -3,11 +3,11 @@
 Each function here evaluates one step of an argument on a concrete instance:
 the uniform schedule weight and its maxima, the alpha -> infinity limit
 distribution, local balance and the Lemma 1 concentration inequality, the
-full-support smoothing of a capacity certificate, the Lyapunov drift and its
-split, the M/M/1 reduction under a dominating service profile, the drain
-bound of complete multipartite networks and the coupled pair behind
-stochastic domination. It also accrues the path integrals of a simulation
-run that no runner reads: busy time, served bits and event rate-times.
+Lyapunov drift and its split, the M/M/1 reduction under a dominating service
+profile, the drain bound of complete multipartite networks and the coupled
+pair behind stochastic domination. It also accrues the path integrals of a
+simulation run that no runner reads: busy time, served bits and event
+rate-times.
 
 No runner reads these checks, so they live beside the tests rather than in
 the library. They go through ``mccsma``'s public API only, apart from the
@@ -28,7 +28,6 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
-from mccsma.capacity import CapacityVerdict
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
                              _Joint, _run, _Sampler, _Separated)
 from mccsma.equilibrium import PolicyEvaluator, attempt_rate, check_policy
@@ -232,24 +231,6 @@ def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
     best = float(log_u.max())
     holds = mean >= (1.0 - epsilon) * best - 1e-12
     return Lemma1Report(holds, mean, best, epsilon, state_flows(state))
-
-
-# --- capacity certificates ---
-
-def full_support_certificate(verdict: CapacityVerdict,
-                             schedules: Sequence[Schedule]) -> dict[Schedule, float]:
-    """Mix an interior certificate with the uniform distribution so every
-    schedule carries positive mass, keeping feasibility.
-
-    The mixing weight min(margin/2, 1e-3) is small enough that the served rate
-    of each positive-load class stays above the load.
-    """
-    if verdict.status != "interior":
-        raise ValueError("full-support smoothing applies to interior verdicts only")
-    w = min(verdict.margin / 2.0, 1e-3)  # 1e-3 also at the zero load's infinite margin
-    uniform = 1.0 / len(schedules)
-    return {s: (1.0 - w) * verdict.certificate.get(s, 0.0) + w * uniform
-            for s in schedules}
 
 
 # --- Lyapunov drift ---
