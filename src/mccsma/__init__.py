@@ -5,9 +5,8 @@ from .capacity import (CapacityVerdict, LPartiteVerdict, SolverError,
                        lpartite_condition, margins, membership, status_of)
 from .dynamics import (SimConfig, Trajectory, simulate_joint, simulate_separated,
                        timescale_convergence, uniform_sample_times)
-from .equilibrium import EquilibriumResult, PolicyEvaluator, equilibrium
-from .schedule import (OracleSpaceError, Schedule, ScheduleSet, ScheduleSpaceError,
-                       enumerate_feasible)
+from .equilibrium import EquilibriumResult, PolicyEvaluator
+from .schedule import OracleSpaceError, ScheduleSet, ScheduleSpaceError, enumerate_feasible
 from .stability import (StabilityThresholds, StabilityVerdict, bowtie_boundary,
                         fluid_slope, homogeneous_critical_load)
 from .topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,

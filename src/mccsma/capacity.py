@@ -28,7 +28,7 @@ With more groups the LP has the same optimum, reached by other pivots, so a
 margin agrees with the one of the LP over every schedule up to rounding.
 
 The LP holds one pi column per distinct per-class service vector of each
-group, the first schedule that has it (``ScheduleSet.distinct``): 25 of the
+group, the first schedule that has it (see ``_constraint_block``): 25 of the
 bow-tie's 67 schedules, and 2 x 123 columns for the ring C_10 on two
 channels, whose product set has 15,129 schedules with 3,281 distinct service
 vectors. Dropping the duplicates does not change a single pivot. Identical
@@ -233,9 +233,11 @@ def _constraint_block(sets: Sequence[ScheduleSet], params: CsmaParams,
     positive-load classes are ``positive``, with a zero t column where each
     LP puts its loads, and the column of each group's empty schedule, the
     first of the group's columns."""
-    # one pi column per distinct service vector of each group: duplicates
-    # never enter
-    rows = [s.per_class[s.distinct] for s in sets]
+    # one pi column per distinct service vector of each group, that of its
+    # first schedule (np.unique's index is the first occurrence), in set
+    # order: duplicates never enter
+    rows = [s.per_class[np.sort(np.unique(s.per_class, axis=0, return_index=True)[1])]
+            for s in sets]
     sizes = [len(r) for r in rows]
     starts = np.cumsum([0] + sizes[:-1])
     n_cols = sum(sizes)

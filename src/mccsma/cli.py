@@ -37,7 +37,7 @@ from . import __version__
 from .capacity import SolverError, margins, status_of
 from .dynamics import (SimConfig, ThroughputCache, simulate_joint, simulate_separated,
                        timescale_convergence, uniform_sample_times)
-from .equilibrium import PolicyEvaluator, equilibrium
+from .equilibrium import PolicyEvaluator
 from .schedule import OracleSpaceError, ScheduleSpaceError
 from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAxis,
                        bundled_scenarios, load_scenario, parse_scenario,
@@ -134,8 +134,13 @@ def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
         raise ScenarioValidationError(
             f"state has {len(exp.state)} entries, expected "
             f"{scenario.network.num_classes}")
-    result = equilibrium(exp.state, scenario.csma, scenario.network, exp.policy)
-    dist_rows = [(s.as_text(), p) for s, p in sorted(result.distribution.items())]
+    result = PolicyEvaluator(scenario.network, scenario.csma,
+                             exp.policy).equilibrium(exp.state)
+    # one row per schedule, in the set's lexicographic order, named by its
+    # row-major 0/1 string
+    flat = result.schedules.active.reshape(len(result.schedules), -1).tolist()
+    dist_rows = [("".join(map(str, bits)), p)
+                 for bits, p in zip(flat, result.probabilities.tolist())]
     _write_csv(outdir / "distribution.csv", ["schedule", "probability"], dist_rows)
     _write_csv(outdir / "throughput.csv", ["class", "throughput"],
                [(k + 1, v) for k, v in enumerate(result.throughput)])
@@ -161,9 +166,8 @@ def _trajectory_csv(outdir: Path, name: str, traj, num_channels: int,
     for s in traj.samples:
         row = [s.time, *s.state]
         if with_schedule:
-            flat = (tuple(v for r in s.schedule.active for v in r)
-                    if s.schedule is not None else (0,) * (K * num_channels))
-            row += list(flat)
+            row += ([v for r in s.schedule for v in r] if s.schedule is not None
+                    else [0] * (K * num_channels))
         rows.append(row)
     _write_csv(outdir / name, header, rows)
     return name

@@ -29,8 +29,8 @@ the truncation guard. A model supplies what differs:
   t, given that clock's stream; returns whether a class-k flow departed;
 * ``accrue(x, dt)``: its own path integrals over a stretch of length dt, or
   None, whose call the loop then skips;
-* ``schedule``: a callable giving the current schedule, or None if the model
-  keeps none;
+* ``schedule``: a callable giving the current schedule as a tuple of rows,
+  or None if the model keeps none;
 * ``finish(traj)``: the model's own fields of the finished trajectory.
 
 ``_Separated`` has one departure clock per class; ``_Joint`` has an attempt
@@ -84,7 +84,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_rates
-from .schedule import Schedule
+from .schedule import state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 _STREAM_KINDS = {
@@ -160,7 +160,7 @@ class SimConfig:
 class TrajectorySample:
     time: float
     state: tuple[int, ...]
-    schedule: Optional[Schedule]
+    schedule: Optional[tuple[tuple[int, ...], ...]]   # the joint model's, as rows
 
 
 @dataclass
@@ -258,11 +258,9 @@ class _Sampler:
 def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
     """The event loop shared by every model (see the module docstring)."""
     K = model.num_classes
-    x = [int(v) for v in cfg.initial_state]
+    x = list(state_flows(cfg.initial_state))
     if len(x) != K:
         raise ValueError(f"initial_state has {len(x)} entries, expected {K}")
-    if any(v < 0 for v in x):
-        raise ValueError(f"initial_state must be nonnegative, got {tuple(x)}")
     for k in range(K):                  # the initial flows enter as arrivals
         for _ in range(x[k]):
             model.arrive(k, 0.0)
@@ -506,8 +504,8 @@ class _Joint:
         self.packet_counts[k] += 1
         return ends_flow
 
-    def schedule(self) -> Schedule:
-        return Schedule(tuple(tuple(row) for row in self.y))
+    def schedule(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(row) for row in self.y)
 
     def finish(self, traj: Trajectory) -> None:
         traj.event_counts_by_kind = {
@@ -612,7 +610,8 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     ``mccsma.oracles.MAX_ORACLE_STATES`` states raises ``OracleSpaceError``
     before the generator is built. Raises ``ValueError`` naming the input
     when ``t_probe`` is not finite and nonnegative, ``replications`` is
-    below 1 or an ``n_values`` entry is below 1.
+    below 1, an ``n_values`` entry is below 1 or ``initial_state`` does not
+    hold K nonnegative integral counts.
     """
     from .oracles import flow_level_generator, poisson_quantile, transient_distribution
 
@@ -624,8 +623,8 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         raise ValueError(f"n_values entries must be at least 1, got {list(n_values)}")
     policy = check_policy(spec, policy)
     K = spec.num_classes
-    x0 = tuple(int(v) for v in initial_state)
-    if len(x0) != K or min(x0, default=0) < 0:
+    x0 = state_flows(initial_state)
+    if len(x0) != K:
         raise ValueError(f"initial_state must hold {K} nonnegative flow counts, got {x0}")
     if t_probe == 0.0:
         # both models sit at the common initial condition

@@ -29,6 +29,10 @@ distribution has an explicit product form. Three policies are covered:
     removes.
 
 Under every policy the empty schedule has log-weight exactly 0.
+``PolicyEvaluator.equilibrium`` gives the distribution as one probability
+per row of the feasible ``ScheduleSet``, in the set's lexicographic order.
+The raw transition rates that the weights balance are the brute-force
+oracles' (:mod:`mccsma.oracles`), which check these weights independently.
 
 The weights read the state only through its *throughput key*
 (``PolicyEvaluator.throughput_key``): the count of each plain class
@@ -55,14 +59,13 @@ The table holds exactly lgamma's values, so both ways give the same floats.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .schedule import Schedule, ScheduleSet, ScheduleSpaceError, enumerate_feasible
+from .schedule import ScheduleSet, ScheduleSpaceError, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec
 
 POLICIES = ("adhoc", "standard_infra", "flow_aware")
@@ -100,9 +103,12 @@ def check_standard_attempt_rates(spec: NetworkSpec, params: CsmaParams) -> None:
 
 @dataclass
 class EquilibriumResult:
-    """Stationary schedule distribution and the induced per-class throughput."""
+    """Stationary schedule distribution and the induced per-class throughput:
+    ``probabilities[i]`` is the probability of schedule ``schedules.active[i]``,
+    in the set's lexicographic order."""
 
-    distribution: dict[Schedule, float]
+    schedules: ScheduleSet
+    probabilities: np.ndarray
     throughput: np.ndarray
 
 
@@ -116,8 +122,7 @@ class PolicyEvaluator:
     cached together with the state-independent log-weight terms, computed
     from the ``ScheduleSet``'s ``active`` and ``per_class`` arrays. Repeated
     evaluations along a simulation trajectory are then a few array
-    operations; ``Schedule`` objects are built only where a result is keyed
-    by schedule (``equilibrium``'s distribution).
+    operations.
     Every evaluation reads the state through ``throughput_key`` (see the
     module docstring).
     """
@@ -129,10 +134,9 @@ class PolicyEvaluator:
         if self.policy == "standard_infra":
             check_standard_attempt_rates(spec, params)
         self._log_alpha = np.log(params.alpha)
-        beta = params.beta
-        with np.errstate(divide="ignore"):
-            self._log_beta = np.where(beta > 0, np.log(np.where(beta > 0, beta, 1.0)),
-                                      -np.inf)
+        # 0 where beta_kj = 0, a channel that class k is not eligible for
+        # and so never activates
+        self._log_beta = np.log(np.where(params.beta > 0, params.beta, 1.0))
         self._bundles: dict[tuple[int, ...], dict] = {}
         self._uncapped: Optional[ScheduleSet | bool] = None   # see _feasible
         self._log_factorial = gammaln(np.arange(64) + 1.0)
@@ -183,9 +187,7 @@ class PolicyEvaluator:
         per_class = schedules.per_class
         # state-independent part: y_k log alpha_k + sum_kj y_kj log beta_kj
         const = per_class @ self._log_alpha
-        const = const + np.einsum("skj,kj->s", schedules.active,
-                                  np.where(np.isfinite(self._log_beta),
-                                           self._log_beta, 0.0))
+        const = const + np.einsum("skj,kj->s", schedules.active, self._log_beta)
         b = {"schedules": schedules, "per_class": per_class, "const": const,
              "plain": per_class[:, self._plain],
              "shared": per_class[:, self._shared].astype(np.float64)}
@@ -219,14 +221,11 @@ class PolicyEvaluator:
         flows = state
         if type(state) is not tuple or type(sum(state)) is not int:
             # a tuple of Python ints skips this; anything else is converted
-            flows = tuple(state)
-            if not all(isinstance(v, numbers.Real) and float(v).is_integer()
-                       for v in flows):
-                raise ValueError(f"state {flows} must hold integral flow counts")
-            flows = tuple([int(v) for v in flows])
+            # and checked
+            flows = state_flows(state)
         if len(flows) != self._K or min(flows) < 0:
             raise ValueError(f"state {flows} must hold {self._K} nonnegative "
-                             f"flow counts")
+                             f"integral flow counts")
         J = self._J
         key = list(flows)
         for k in self._capped:
@@ -269,44 +268,19 @@ class PolicyEvaluator:
         return b["schedules"], logw
 
     def equilibrium(self, state) -> EquilibriumResult:
+        """The normalized distribution at ``state`` and the throughputs
+        phys_rate_k * E[number of active class-k links]."""
         b, logw = self._logw(state)
         log_z = float(logsumexp(logw))
         probs = np.exp(logw - log_z)
         throughput = self._phi * (probs @ b["per_class"])
-        return EquilibriumResult(dict(zip(b["schedules"], probs)), throughput)
+        return EquilibriumResult(b["schedules"], probs, throughput)
 
     def throughput(self, state) -> np.ndarray:
-        """Per-class throughput only; skips building the distribution map."""
+        """Per-class throughput only, without the distribution."""
         b, w = self._logw(state)
         w -= w.max()
         np.exp(w, out=w)
         w /= w.sum()
         return self._phi * (w @ b["per_class"])
 
-
-def equilibrium(state, params: CsmaParams, spec: NetworkSpec,
-                policy: str) -> EquilibriumResult:
-    """Normalize the policy's measure at state x and compute throughputs.
-
-    throughput[k] = phys_rate[k] * E[number of active class-k links].
-    """
-    return PolicyEvaluator(spec, params, policy).equilibrium(state)
-
-
-def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
-                 flows: Sequence[int], sched: Schedule, k: int, j: int) -> float:
-    """Transition rate for activating slot (k, j) from the given schedule.
-
-    Feasibility of the target schedule is the caller's concern; this is the
-    raw attempt rate of the policy's dynamics.
-    """
-    x_k = flows[k]
-    y_k = sched.per_class[k]
-    beta = params.probe_prob[k][j]
-    i = spec.downlink_ap(k)
-    if policy == "standard_infra" and i is not None:
-        total = sum(flows[m] for m in spec.access_points[i].downlink)
-        if total == 0:
-            return 0.0
-        return params.attempt_rate[k] * (x_k / total) * beta
-    return (x_k - y_k) * params.attempt_rate[k] * beta

@@ -5,7 +5,11 @@ numerically. They are deliberately independent of the closed-form weights in
 :mod:`mccsma.equilibrium`: every product-form expression in this package is
 tested against a null-space solve of the matching generator, and transient
 distributions for convergence studies come from uniformization rather than
-from simulation.
+from simulation. They also keep their own representation of a schedule,
+apart from the ``ScheduleSet`` arrays that the closed form reads: its
+activation matrix as a hashable tuple of rows (``Rows``, listed from a set by
+``schedule_rows``), on which the generators key their states.
+``attempt_rate`` gives each policy's raw activation rates.
 
 Every generator is a ``scipy.sparse.csr_array`` assembled from (row, column,
 rate) triplets: a state has a handful of transitions, so a dense matrix would
@@ -26,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from .equilibrium import PolicyEvaluator, attempt_rate, check_policy
-from .schedule import OracleSpaceError, Schedule, enumerate_feasible, state_flows
+from .equilibrium import PolicyEvaluator, check_policy
+from .schedule import OracleSpaceError, ScheduleSet, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 # Largest box (number of flow-count vectors) the flow-level and joint
@@ -41,6 +45,45 @@ MAX_ORACLE_STATES = 100_000
 
 # Poisson mass that uniformization may leave out of a transient distribution
 UNIFORMIZATION_TOL = 1e-12
+
+# A schedule: its K x J activation matrix as a tuple of rows. Tuple order is
+# the row-major lexicographic order of the flattened matrix.
+Rows = tuple[tuple[int, ...], ...]
+
+
+def schedule_rows(schedules: ScheduleSet) -> list[Rows]:
+    """Each schedule of the set as a tuple of rows, in the set's order."""
+    return [tuple(map(tuple, m)) for m in schedules.active.tolist()]
+
+
+def _toggled(sched: Rows, k: int, j: int) -> Rows:
+    """``sched`` with slot (k, j) switched on if it is off, off if it is on."""
+    rows = [list(r) for r in sched]
+    rows[k][j] = 1 - rows[k][j]
+    return tuple(tuple(r) for r in rows)
+
+
+def _active_slots(sched: Rows) -> list[tuple[int, int]]:
+    return [(k, j) for k, row in enumerate(sched) for j, v in enumerate(row) if v]
+
+
+def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
+                 flows: Sequence[int], sched: Rows, k: int, j: int) -> float:
+    """Transition rate for activating slot (k, j) from the given schedule.
+
+    Feasibility of the target schedule is the caller's concern; this is the
+    raw attempt rate of the policy's dynamics.
+    """
+    x_k = flows[k]
+    y_k = sum(sched[k])
+    beta = params.probe_prob[k][j]
+    i = spec.downlink_ap(k)
+    if policy == "standard_infra" and i is not None:
+        total = sum(flows[m] for m in spec.access_points[i].downlink)
+        if total == 0:
+            return 0.0
+        return params.attempt_rate[k] * (x_k / total) * beta
+    return (x_k - y_k) * params.attempt_rate[k] * beta
 
 
 def poisson_quantile(q: float, mu: float) -> int:
@@ -68,7 +111,7 @@ def _csr_generator(n: int, triplets: list[tuple[int, int, float]]) -> sp.csr_arr
 
 
 def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> tuple[list[Schedule], sp.csr_array]:
+                           policy: str) -> tuple[list[Rows], sp.csr_array]:
     """Generator of the schedule process at a fixed network state.
 
     Activation transitions carry the policy's attempt rates (attempts whose
@@ -77,24 +120,21 @@ def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
     """
     policy = check_policy(spec, policy)
     flows = state_flows(state)
-    schedules = list(enumerate_feasible(spec, flows))
+    schedules = schedule_rows(enumerate_feasible(spec, flows))
     index = {s: i for i, s in enumerate(schedules)}
     triplets: list[tuple[int, int, float]] = []
     for sched, si in index.items():
         for k in range(spec.num_classes):
             for j in range(spec.num_channels):
-                if sched.active[k][j]:
+                if sched[k][j]:
                     continue
-                ti = index.get(sched.with_slot(k, j))
+                ti = index.get(_toggled(sched, k, j))
                 if ti is None:
                     continue
                 rate = attempt_rate(spec, params, policy, flows, sched, k, j)
                 triplets.append((si, ti, rate))
-        for k, j in sched.slots:
-            rows = [list(r) for r in sched.active]
-            rows[k][j] -= 1
-            target = Schedule(tuple(tuple(r) for r in rows))
-            triplets.append((si, index[target], params.phys_rate[k]))
+        for k, j in _active_slots(sched):
+            triplets.append((si, index[_toggled(sched, k, j)], params.phys_rate[k]))
     return schedules, _csr_generator(len(schedules), triplets)
 
 
@@ -208,7 +248,7 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
     return states, _csr_generator(len(states), triplets)
 
 
-JointState = tuple[tuple[int, ...], Schedule]
+JointState = tuple[tuple[int, ...], Rows]
 
 
 def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -229,7 +269,7 @@ def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                              f"is below one packet per flow")
     states: list[JointState] = []
     for x in _box_states(box):
-        for y in enumerate_feasible(spec, x):
+        for y in schedule_rows(enumerate_feasible(spec, x)):
             states.append((x, y))
     index = {s: i for i, s in enumerate(states)}
     triplets: list[tuple[int, int, float]] = []
@@ -245,15 +285,13 @@ def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                 up[k] += 1
                 triplets.append((si, index[(tuple(up), y)], lam[k]))
             for j in range(spec.num_channels):
-                if not y.active[k][j]:
-                    ti = index.get((x, y.with_slot(k, j)))
+                if not y[k][j]:
+                    ti = index.get((x, _toggled(y, k, j)))
                     if ti is not None:
                         rate = big_n * attempt_rate(spec, params, policy, x, y, k, j)
                         triplets.append((si, ti, rate))
-        for k, j in y.slots:
-            rows = [list(r) for r in y.active]
-            rows[k][j] -= 1
-            y_down = Schedule(tuple(tuple(r) for r in rows))
+        for k, j in _active_slots(y):
+            y_down = _toggled(y, k, j)
             triplets.append((si, index[(x, y_down)],
                              big_n * phi[k] * (1.0 - 1.0 / (sigma[k] * big_n))))
             x_down = list(x)

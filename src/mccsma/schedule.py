@@ -1,4 +1,4 @@
-"""Feasible schedules and schedule weights.
+"""Feasible schedules.
 
 A schedule is a K x J binary activation matrix: entry (k, j) says that a
 class-k link transmits on channel j. Feasibility requires channel
@@ -7,20 +7,17 @@ class (when a network state x is given), and in infrastructure mode at most
 one active downlink transmission per access point.
 
 ``enumerate_feasible`` returns a ``ScheduleSet``: every feasible matrix in
-one read-only (S, K, J) uint8 array, with the per-class activation counts
-alongside. The exact computations (product-form weights, the capacity LP)
-read those arrays. A ``Schedule`` is one matrix as a hashable tuple of rows;
-the set builds them on demand for the callers that key or print single
-schedules: equilibrium distributions and their CSV output, the joint model's
-sampled schedules and the brute-force oracles.
+one read-only (S, K, J) uint8 array, in lexicographic order, with the
+per-class activation counts alongside. The exact computations
+(product-form weights, the capacity LP) read those arrays, and an
+equilibrium distribution is one probability per row. A single schedule
+outside a set, such as a sample of the joint simulator or a state of the
+brute-force oracles (:mod:`mccsma.oracles`), is a plain tuple of rows.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from typing import Optional
+import numbers
 
 import numpy as np
 
@@ -44,89 +41,36 @@ class OracleSpaceError(RuntimeError):
     (``mccsma.oracles.MAX_ORACLE_STATES``)."""
 
 
-@dataclass(frozen=True, order=True)
-class Schedule:
-    """Binary K x J activation matrix, stored as a tuple of rows.
-
-    Tuple ordering of ``active`` is exactly the row-major lexicographic order
-    of the flattened matrix, which the package uses everywhere ties must be
-    broken deterministically.
-    """
-
-    active: tuple[tuple[int, ...], ...]
-
-    @property
-    def per_class(self) -> tuple[int, ...]:
-        """Number of active links of each class (row sums)."""
-        return tuple(sum(row) for row in self.active)
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_class)
-
-    @property
-    def slots(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, j) for k, row in enumerate(self.active)
-                     for j, v in enumerate(row) if v)
-
-    def with_slot(self, k: int, j: int) -> "Schedule":
-        rows = [list(r) for r in self.active]
-        rows[k][j] += 1
-        return Schedule(tuple(tuple(r) for r in rows))
-
-    def as_text(self) -> str:
-        """Row-major 0/1 string, one character per matrix entry."""
-        return "".join(str(v) for row in self.active for v in row)
-
-
-class ScheduleSet(Sequence[Schedule]):
+class ScheduleSet:
     """The feasible schedules of one enumeration, held as arrays.
 
     ``active`` is the read-only (S, K, J) uint8 stack of activation matrices
-    in lexicographic order, so row 0 is the empty schedule; ``per_class`` is
-    the read-only (S, K) int64 array of per-class activation counts (row
-    sums). Indexing and iteration build ``Schedule`` objects on demand.
+    in the row-major lexicographic order of the flattened matrices, so row 0
+    is the empty schedule; ``per_class`` is the read-only (S, K) int64 array
+    of per-class activation counts (row sums).
     """
 
-    __slots__ = ("active", "per_class", "_distinct")
+    __slots__ = ("active", "per_class")
 
     def __init__(self, active: np.ndarray):
         self.active = active
         self.per_class = active.sum(axis=2, dtype=np.int64)
         self.active.flags.writeable = False
         self.per_class.flags.writeable = False
-        self._distinct: Optional[np.ndarray] = None
-
-    @property
-    def distinct(self) -> np.ndarray:
-        """Ascending indices of the first schedule with each distinct
-        ``per_class`` row; index 0, the empty schedule, comes first.
-        Computed on first use, so sets that never need it pay nothing."""
-        if self._distinct is None:
-            # lexsort is stable: each run of equal rows starts at its first
-            # occurrence
-            order = np.lexsort(self.per_class.T)
-            rows = self.per_class[order]
-            starts = np.ones(len(order), dtype=bool)
-            starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            first = np.sort(order[starts])
-            first.flags.writeable = False
-            self._distinct = first
-        return self._distinct
 
     def __len__(self) -> int:
         return len(self.active)
 
-    def __getitem__(self, i: int) -> Schedule:
-        return Schedule(tuple(map(tuple, self.active[operator.index(i)].tolist())))
-
-    def __iter__(self) -> Iterator[Schedule]:
-        for rows in self.active.tolist():
-            yield Schedule(tuple(map(tuple, rows)))
-
 
 def state_flows(state) -> tuple[int, ...]:
-    return tuple(int(v) for v in state)
+    """The flow counts of ``state`` as a tuple of ints; integral floats and
+    NumPy integers count as their ints. Raises ``ValueError`` naming the
+    state when a count is negative or not integral."""
+    flows = tuple(state)
+    if not all(isinstance(v, numbers.Real) and float(v).is_integer() and v >= 0
+               for v in flows):
+        raise ValueError(f"state {flows} must hold nonnegative integral flow counts")
+    return tuple([int(v) for v in flows])
 
 
 def _space_error(max_schedules: int) -> ScheduleSpaceError:

@@ -181,11 +181,6 @@ class TrafficSpec:
     arrival_rate: tuple[float, ...]
     mean_flow_size: tuple[float, ...]
 
-    @property
-    def rho(self) -> np.ndarray:
-        """Traffic intensity: arrival rate times mean flow size, in bit/s."""
-        return np.asarray(self.arrival_rate) * np.asarray(self.mean_flow_size)
-
     @staticmethod
     def of(arrival_rate: float | Sequence[float], mean_flow_size: float | Sequence[float],
            num_classes: int) -> "TrafficSpec":

@@ -3,10 +3,11 @@ empty schedule."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from mccsma.schedule import Schedule
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              TrafficSpec, replicate_graph)
 
@@ -48,9 +49,16 @@ def ap_line3() -> NetworkSpec:
                        tuple(AccessPoint.of([], [k]) for k in range(3)))
 
 
-def empty_schedule(num_classes: int, num_channels: int) -> Schedule:
-    """The schedule with no active link."""
-    return Schedule(tuple((0,) * num_channels for _ in range(num_classes)))
+def empty_schedule(num_classes: int, num_channels: int) -> tuple[tuple[int, ...], ...]:
+    """The schedule with no active link, as a tuple of rows."""
+    return tuple((0,) * num_channels for _ in range(num_classes))
+
+
+def bad_state_message(state) -> str:
+    """The pattern of the error that rejects ``state`` for a negative or
+    fractional flow count; the state is named as a tuple."""
+    return (rf"state {re.escape(str(tuple(state)))} must hold (\d+ )?nonnegative "
+            rf"integral flow counts")
 
 
 @pytest.fixture

@@ -235,14 +235,15 @@ def _assert_batch_matches(loads, expected, spec, params, rng):
 def test_membership_matches_full_column_scalar_lp_on_bowtie_sweep(bowtie):
     params = CsmaParams.from_alpha(bowtie, 1.0)
     schedules = enumerate_feasible(bowtie)
-    assert (len(schedules), len(schedules.distinct)) == (67, 25)
+    # 25 pi columns, one per distinct service vector, then t and 5 slacks
+    block = capacity._constraint_block([schedules], params, np.arange(5))[0]
+    assert (len(schedules), block.shape[1] - 1 - 1 - 5) == (67, 25)
     loads = [[r1, r1, r3, r1, r1]
              for r1 in np.linspace(0.0, 1.0, 20) for r3 in np.linspace(0.0, 1.0, 20)]
     statuses, expected = zip(*(_assert_matches_reference(rho, bowtie, params, schedules)
                                for rho in loads))
     assert set(statuses) == {"interior", "boundary", "exterior"}
     # the 361 rows that load every class need two stacks
-    block = capacity._constraint_block([schedules], params, np.arange(5))[0]
     assert 361 > capacity._STACK_ENTRIES // block.size
     _assert_batch_matches(loads, expected, bowtie, params, np.random.default_rng(1))
 
@@ -271,7 +272,7 @@ def test_membership_matches_full_column_scalar_lp_on_rings(monkeypatch):
         spec = NetworkSpec(K, 2, replicate_graph(2, range(K), edges))
         params = CsmaParams.from_alpha(spec, 1.0)
         schedules = enumerate_feasible(spec)
-        assert schedules.distinct[0] == 0 and len(schedules.distinct) < len(schedules)
+        assert len(np.unique(schedules.per_class, axis=0)) < len(schedules)
         loads = [[0.3] * K, rng.uniform(0.0, 0.6, K)]
         expected = [_assert_matches_reference(rho, spec, params, schedules)[1]
                     for rho in loads]
@@ -291,10 +292,16 @@ def test_membership_matches_full_column_scalar_lp_on_rings(monkeypatch):
 
 def test_distinct_columns_are_first_occurrences(bowtie):
     schedules = enumerate_feasible(bowtie)
+    params = CsmaParams.from_alpha(bowtie, 1.0, phys_rate=[1.0, 2.0, 0.5, 1.5, 3.0])
     first = {}
     for i, row in enumerate(map(tuple, schedules.per_class.tolist())):
         first.setdefault(row, i)
-    assert schedules.distinct.tolist() == sorted(first.values())
+    cols = sorted(first.values())
+    block = capacity._constraint_block([schedules], params, np.arange(5))[0]
+    # the convexity row, then per class -phi_k y_k over the columns, t, slacks
+    assert block.shape == (1 + 5 + 1, len(cols) + 1 + 5 + 1)
+    assert np.array_equal(block[1:6, :len(cols)],
+                          -params.phi[:, None] * schedules.per_class[cols].T)
 
 
 def test_non_finite_loads_are_rejected(bowtie):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mccsma.cli import main
+from mccsma.equilibrium import PolicyEvaluator
+from mccsma.scenario import load_scenario
 from mccsma.stability import homogeneous_critical_load
 
 
@@ -29,6 +31,22 @@ def test_equilibrium_run_reproduces_limit_throughput(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"]["overrides"]["alpha"] == 1e6
     assert set(manifest["outputs"]) == {"distribution.csv", "throughput.csv"}
+
+
+def test_distribution_names_each_schedule_by_its_row_major_bits(tmp_path):
+    out = tmp_path / "eq"
+    assert main(["run", "equilibrium", "--scenario", "bowtie", "--state", "1,0,2,0,1",
+                 "--output", str(out)]) == 0
+    dist = read_csv(out / "distribution.csv")
+    sc = load_scenario("bowtie")
+    result = PolicyEvaluator(sc.network, sc.csma,
+                             sc.experiment.policy).equilibrium((1, 0, 2, 0, 1))
+    # class by class, channel by channel: row 1 is class 5 alone on channel 2
+    assert [r["schedule"] for r in dist[:2]] == ["0" * 10, "0000000001"]
+    assert [r["schedule"] for r in dist] == sorted(r["schedule"] for r in dist)
+    assert [r["schedule"] for r in dist] == [
+        "".join(map(str, m)) for m in result.schedules.active.reshape(len(dist), -1).tolist()]
+    assert [float(r["probability"]) for r in dist] == result.probabilities.tolist()
 
 
 def test_empty_scenario_file_is_parse_error(tmp_path):

@@ -9,13 +9,13 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, _Joint, _Separated,
-                             _tv_from_counts, exponential_draws, left_sum, simulate_joint,
-                             simulate_separated, stream, timescale_convergence,
-                             uniform_sample_times)
+from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, TrajectorySample,
+                             _Joint, _Separated, _tv_from_counts, exponential_draws,
+                             left_sum, simulate_joint, simulate_separated, stream,
+                             timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
-from mccsma.oracles import joint_generator, stationary_distribution
-from mccsma.schedule import Schedule, enumerate_feasible
+from mccsma.oracles import joint_generator, schedule_rows, stationary_distribution
+from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
 from theory import dominated_throughput_fn, simulate_coupled_pair, with_integrals
@@ -50,7 +50,8 @@ def simulate_coupled(spec, params, traffic, cfg):
 @pytest.mark.parametrize("simulate", [simulate_separated, simulate_joint,
                                       simulate_coupled])
 @pytest.mark.parametrize("initial_state, message", [
-    ((1,), "entries"), ((1, 0, 0), "entries"), ((-1, 0), "nonnegative")])
+    ((1,), "entries"), ((1, 0, 0), "entries"), ((-1, 0), "nonnegative"),
+    ((1.7, 0), "integral"), ((0, 2.5), "integral")])
 def test_bad_initial_state_is_rejected(simulate, initial_state, message):
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 1.0)
@@ -292,12 +293,10 @@ def test_joint_schedule_always_feasible():
         cfg = SimConfig(policy, 150.0, 4, state, scaling_n=2,
                         sample_times=uniform_sample_times(150.0, 150))
         tr = simulate_joint(spec, params, traffic, cfg)
-        feasible = set(enumerate_feasible(spec, None))
+        feasible = set(schedule_rows(enumerate_feasible(spec, None)))
         for s in tr.samples:
-            assert all(s.schedule.per_class[k] <= s.state[k]
-                       for k in range(spec.num_classes))
-            capped = Schedule(s.schedule.active)
-            assert capped in feasible or s.schedule.total == 0
+            assert all(sum(s.schedule[k]) <= s.state[k] for k in range(spec.num_classes))
+            assert s.schedule in feasible
 
 
 def test_unit_packet_count_forces_flow_completion():
@@ -491,7 +490,8 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
 # digest: re-record them only with a change that alters random-number
 # consumption or the rounding of a result on purpose. The fields are written
 # as JSON, whose float format (the shortest repr) does not depend on the NumPy
-# version, as repr() of a NumPy scalar does.
+# version, as repr() of a NumPy scalar does. A sampled schedule, a tuple of
+# rows, is written as {"active": rows}, the form it had when they were recorded.
 _TRAJECTORY_FIELDS = ("samples", "arrivals", "departures", "aborted", "final_time",
                       "final_state", "time_integral_flows", "abort_time",
                       "event_counts_by_kind")
@@ -576,11 +576,18 @@ def _pinned_runs():
         yield simulate_joint(spec, params, TrafficSpec.of(0.8, 1.0, K), cfg)
 
 
+def _sample_json(sample: TrajectorySample) -> dict:
+    out = dataclasses.asdict(sample)
+    if sample.schedule is not None:
+        out["schedule"] = {"active": sample.schedule}
+    return out
+
+
 def test_trajectories_match_recorded_digests():
     digests, aborts = [], 0
     for traj in _pinned_runs():
         text = json.dumps([getattr(traj, name) for name in _TRAJECTORY_FIELDS],
-                          default=dataclasses.asdict)
+                          default=_sample_json)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
         aborts += traj.aborted
     assert aborts == 14

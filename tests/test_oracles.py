@@ -66,9 +66,7 @@ def test_joint_generator_rates_respect_flow_end_probability():
     # sigma * N = 1: all packet completions end their flow
     states, q = joint_generator(spec, params, traffic, "adhoc", 1, box=(3,))
     idx = {s: i for i, s in enumerate(states)}
-    from mccsma.schedule import Schedule
-    active = Schedule(((1,),))
-    idle = Schedule(((0,),))
+    active, idle = ((1,),), ((0,),)
     si = idx[((2,), active)]
     assert q[si, idx[((2,), idle)]] == 0.0          # no release without departure
     assert q[si, idx[((1,), idle)]] == pytest.approx(1.0)

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bipartite33, bowtie_spec, empty_schedule, random_instance
-from mccsma.schedule import Schedule, ScheduleSpaceError, enumerate_feasible
+from conftest import (ap_line3, bad_state_message, bipartite33, bowtie_spec,
+                      empty_schedule, random_instance)
+from mccsma.oracles import schedule_rows
+from mccsma.schedule import ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
 from theory import (activity_marginals, alpha_limit_distribution, lemma_gap_bound,
                     log_weight_u, max_weight)
 
 
-def brute_force_feasible(spec: NetworkSpec, flows) -> set[Schedule]:
+def brute_force_feasible(spec: NetworkSpec, flows) -> set[tuple[tuple[int, ...], ...]]:
     """Oracle: filter every binary matrix by the feasibility definition."""
     K, J = spec.num_classes, spec.num_channels
     out = set()
@@ -37,33 +39,32 @@ def brute_force_feasible(spec: NetworkSpec, flows) -> set[Schedule]:
             if sum(per_class[k] for k in ap.downlink) > 1:
                 ok = False
         if ok:
-            out.add(Schedule(rows))
+            out.add(rows)
     return out
 
 
 def test_single_class_two_channels_one_flow():
     spec = NetworkSpec(1, 2, replicate_graph(2, [0], []))
     scheds = enumerate_feasible(spec, (1,))
-    assert list(scheds) == sorted([Schedule(((0, 0),)), Schedule(((0, 1),)),
-                                   Schedule(((1, 0),))])
+    assert schedule_rows(scheds) == [((0, 0),), ((0, 1),), ((1, 0),)]
     # with two flows both channels may be used at once
     assert len(enumerate_feasible(spec, (2,))) == 4
 
 
 def test_bowtie_schedule_count_matches_brute_force(bowtie):
     expected = brute_force_feasible(bowtie, None)
-    got = enumerate_feasible(bowtie)
+    got = schedule_rows(enumerate_feasible(bowtie))
     assert set(got) == expected
     assert len(got) == 67          # frozen regression constant
-    assert list(got) == sorted(got)
-    assert empty_schedule(5, 2) in got
+    assert got == sorted(got)
+    assert got[0] == empty_schedule(5, 2)
 
 
 def test_bipartite_schedules_are_one_sided_blocks():
     spec = bipartite33()
     scheds = enumerate_feasible(spec, (9,) * 6)
-    for s in scheds:
-        active = {k for k, _ in s.slots}
+    for s in schedule_rows(scheds):
+        active = {k for k, row in enumerate(s) if any(row)}
         assert active <= {0, 1, 2} or active <= {3, 4, 5}
     assert len(scheds) == 2 ** 3 + 2 ** 3 - 1
 
@@ -75,11 +76,9 @@ def test_enumeration_matches_brute_force(seed, infra):
     spec, _, flows = random_instance(rng, infrastructure=infra)
     ss = enumerate_feasible(spec, flows)
     # the row order is part of the contract: every sum over schedules follows it
-    assert list(ss) == sorted(brute_force_feasible(spec, flows))
+    assert schedule_rows(ss) == sorted(brute_force_feasible(spec, flows))
     assert np.array_equal(ss.per_class, ss.active.sum(axis=2))
     assert not ss.active[0].any()
-    for i in range(len(ss)):
-        assert np.array_equal(np.array(ss[i].active), ss.active[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,13 +87,21 @@ def test_state_monotonicity(seed):
     rng = np.random.default_rng(seed)
     spec, _, flows = random_instance(rng, infrastructure=False)
     bigger = tuple(f + int(rng.integers(0, 3)) for f in flows)
-    small = set(enumerate_feasible(spec, flows))
-    large = set(enumerate_feasible(spec, bigger))
+    small = set(schedule_rows(enumerate_feasible(spec, flows)))
+    large = set(schedule_rows(enumerate_feasible(spec, bigger)))
     assert small <= large
-    unbounded = set(enumerate_feasible(spec, None))
+    unbounded = set(schedule_rows(enumerate_feasible(spec, None)))
     assert large <= unbounded
     saturated = tuple(spec.num_channels for _ in flows)
-    assert set(enumerate_feasible(spec, saturated)) == unbounded
+    assert set(schedule_rows(enumerate_feasible(spec, saturated))) == unbounded
+
+
+@pytest.mark.parametrize("spec, state", [
+    (bowtie_spec(), (-1, 0, 0, 0, 0)), (ap_line3(), (-1, 0, 0)), (ap_line3(), (1.7, 0, 0)),
+    (ap_line3(), [0, 2, 0.5])])
+def test_enumeration_rejects_negative_and_fractional_counts(spec, state):
+    with pytest.raises(ValueError, match=bad_state_message(state)):
+        enumerate_feasible(spec, state)
 
 
 def test_capacity_guard_raises():
@@ -120,13 +127,13 @@ def test_weight_of_empty_schedule_is_zero():
 def test_weight_single_factor():
     spec = NetworkSpec(1, 1, replicate_graph(1, [0], []))
     params = CsmaParams.from_alpha(spec, 3.0)
-    assert log_weight_u((2,), Schedule(((1,),)), params) == pytest.approx(math.log(6))
+    assert log_weight_u((2,), ((1,),), params) == pytest.approx(math.log(6))
 
 
 def test_weight_two_classes_two_channels():
     spec = NetworkSpec(2, 2, replicate_graph(2, [0, 1], []))
     params = CsmaParams.from_alpha(spec, 1.0)
-    sched = Schedule(((1, 0), (1, 1)))       # class 1 once, class 2 on both channels
+    sched = ((1, 0), (1, 1))                 # class 1 once, class 2 on both channels
     assert log_weight_u((2, 5), sched, params) == pytest.approx(math.log(50))
 
 
@@ -144,7 +151,7 @@ def test_max_weight_channel_tie_breaks_to_first_channel():
     params = CsmaParams.from_alpha(spec, 10.0)
     value, arg = max_weight((1,), params, spec)
     assert value == pytest.approx(math.log(10))
-    assert arg == Schedule(((1, 0),))
+    assert arg == ((1, 0),)
 
 
 def test_max_weight_uses_both_channels_when_flows_allow():
@@ -152,7 +159,7 @@ def test_max_weight_uses_both_channels_when_flows_allow():
     params = CsmaParams.from_alpha(spec, 2.0)
     value, arg = max_weight((5,), params, spec)
     assert value == pytest.approx(2 * math.log(10))
-    assert arg == Schedule(((1, 1),))
+    assert arg == ((1, 1),)
 
 
 def test_restricted_equals_unrestricted_at_saturated_states():
@@ -176,16 +183,17 @@ def test_maximizers_per_cardinality_invariant_under_alpha_scaling(seed, factor):
     scaled = CsmaParams(params.phys_rate,
                         tuple(factor * v for v in params.attempt_rate),
                         params.probe_prob)
-    schedules = enumerate_feasible(spec, flows)
+    schedules = schedule_rows(enumerate_feasible(spec, flows))
     # scaling shifts every log-weight by (total links) * log(factor), so the
     # maximizer set within each cardinality group is unchanged
     for s in schedules:
         base = log_weight_u(flows, s, params)
         shifted = log_weight_u(flows, s, scaled)
-        assert shifted - base == pytest.approx(s.total * math.log(factor), abs=1e-9)
+        total = sum(map(sum, s))
+        assert shifted - base == pytest.approx(total * math.log(factor), abs=1e-9)
     by_total: dict[int, list] = {}
     for s in schedules:
-        by_total.setdefault(s.total, []).append(s)
+        by_total.setdefault(sum(map(sum, s)), []).append(s)
     for group in by_total.values():
         w_base = {s: log_weight_u(flows, s, params) for s in group}
         w_scaled = {s: log_weight_u(flows, s, scaled) for s in group}
@@ -219,7 +227,7 @@ def test_alpha_limit_single_class_point_mass():
     spec = NetworkSpec(1, 1, replicate_graph(1, [0], []))
     params = CsmaParams.from_alpha(spec, 5.0)
     dist = alpha_limit_distribution(spec, (3,), params)
-    assert dist == {Schedule(((1,),)): Fraction(1)}
+    assert dist == {((1,),): Fraction(1)}
 
 
 def test_alpha_limit_requires_equal_ratios():
@@ -248,7 +256,3 @@ def test_alpha_limit_support_independent_of_probing(bowtie):
                                              "standard_infra"))
     assert support_u == support_s
 
-
-def test_schedule_text_round_trip():
-    s = Schedule(((1, 0), (0, 1), (0, 0)))
-    assert s.as_text() == "100100"

@@ -24,7 +24,7 @@ def test_drift_at_origin_is_pure_offset_term():
     params = CsmaParams.from_alpha(spec, [2.0, 0.5], phys_rate=[1.0, 2.0])
     traffic = TrafficSpec((0.3, 0.4), (1.0, 1.5))
     rep = lyapunov_drift((0, 0), params, traffic, spec, "adhoc")
-    rho = traffic.rho
+    rho = theory.traffic_load(traffic)
     expect = sum(rho[k] / params.phys_rate[k] * math.log(params.alpha[k])
                  for k in range(2))
     assert rep.g_part == 0.0

@@ -9,6 +9,7 @@ from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              TrafficSpec, canonical_edges, detect_l_partite,
                              replicate_graph, validate_params, validate_spec,
                              validate_traffic)
+from theory import traffic_load
 
 
 def test_bowtie_spec_is_valid(bowtie):
@@ -81,7 +82,7 @@ def test_alpha_and_rho_derivations():
     params = CsmaParams((2.0, 4.0), (1.0, 1.0), ((1.0,), (1.0,)))
     assert np.allclose(params.alpha, [0.5, 0.25])
     traffic = TrafficSpec((2.0, 3.0), (0.5, 2.0))
-    assert np.allclose(traffic.rho, [1.0, 6.0])
+    assert np.allclose(traffic_load(traffic), [1.0, 6.0])
 
 
 # --- complete multipartite detection ---

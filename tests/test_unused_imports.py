@@ -1,8 +1,10 @@
 """Every name a module of the package, or the tests' ``theory`` helper,
 imports must be used in that module; and every top-level definition of the
 package, and every method, property and dataclass field of its classes, must
-be read outside the tests; a member counts as read only through an attribute
-or a string, not through a bare name that merely shares its spelling.
+be read outside the tests. A member counts as read only through an attribute
+or a string passed to a call (as an attribute name is to ``getattr``), not
+through a bare name that merely shares its spelling; ``self.x`` inside class
+C, and ``C.x`` for a class C of the package, read only C's member.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by an import counts as used when it appears as a name anywhere
@@ -12,6 +14,7 @@ names on purpose and is skipped.
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -74,12 +77,15 @@ UNREAD_ALLOWED = {
 }
 # Class members that no runner reads yet, each kept on purpose.
 UNREAD_MEMBERS_ALLOWED = {
-    # the constructor helper for attempt rates given as ratios alpha
+    # the constructor helpers for attempt rates given as ratios alpha and for
+    # traffic given per class or as one value for every class
     "CsmaParams.from_alpha",
-    # thresholds from a capacity margin and the slack, load multiplier and
-    # block partition of the closed-form l-partite test, all for the runner
-    # of ROADMAP item 3
+    "TrafficSpec.of",
+    # thresholds from a capacity margin and the verdict, slack, load
+    # multiplier and block partition of the closed-form l-partite test, all
+    # for the runner of ROADMAP item 3
     "StabilityThresholds.from_margin",
+    "LPartiteVerdict.interior",
     "LPartiteVerdict.slack",
     "LPartiteVerdict.multiplier",
     "LPartiteVerdict.partition",
@@ -126,40 +132,59 @@ def _members(tree: ast.Module):
             yield f"{cls.name}.{name}", name, node
 
 
-def _reads(tree: ast.Module) -> list[tuple[str, int, bool]]:
-    """(name, line, bare) of each read by name: a bare name or an attribute
-    that is loaded, or a string such as an attribute name passed to
-    ``getattr``; ``bare`` marks the bare names. A keyword argument or a store
-    is not a read."""
+def _reads(tree: ast.Module, classes: set[str]
+           ) -> list[tuple[str, int, bool, Optional[str]]]:
+    """(name, line, bare, owner) of each read by name: a bare name or an
+    attribute that is loaded, or a string passed to a call, such as an
+    attribute name passed to ``getattr``; ``bare`` marks the bare names.
+    ``owner`` is the class whose member an attribute read must be: C for
+    ``C.x`` where C is one of ``classes``, and the enclosing class for
+    ``self.x``; it is None for every other read. A keyword argument or a
+    store is not a read."""
     out = []
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, cls: Optional[str]) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno, True))
+            out.append((node.id, node.lineno, True, None))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, node.lineno, False))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.value, node.lineno, False))
+            owner = getattr(node.value, "id", None)
+            owner = cls if owner == "self" else owner if owner in classes else None
+            out.append((node.attr, node.lineno, False, owner))
+        elif isinstance(node, ast.Call):
+            out.extend((arg.value, arg.lineno, False, None) for arg in node.args
+                       if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
     return out
 
 
 def test_every_definition_is_read_outside_the_tests():
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES + READERS}
-    reads = {p: _reads(tree) for p, tree in trees.items()}
+    classes = {node.name for p in MODULES for node in trees[p].body
+               if isinstance(node, ast.ClassDef)}
+    reads = {p: _reads(tree, classes) for p, tree in trees.items()}
     unread = []
     for path in MODULES:
         if path.name == "oracles.py":      # the independent brute-force duplicate
             continue
         tree = trees[path]
-        # a member is read through an attribute or a string, never as a bare
-        # name: a local variable of the same name does not read it
-        checked = [(name, name, node, True) for name, node in _definitions(tree)
+        # a top-level definition is read by any read of its name that no
+        # class owns; a member of class C through an attribute or a string,
+        # never as a bare name (a local variable of the same name does not
+        # read it), and only by the reads that C or no class owns
+        checked = [(name, name, node, None) for name, node in _definitions(tree)
                    if name not in UNREAD_ALLOWED]
-        checked += [(*member, False) for member in _members(tree)
-                    if member[0] not in UNREAD_MEMBERS_ALLOWED]
-        for label, name, node, by_name in checked:
+        checked += [(label, name, node, label.split(".")[0])
+                    for label, name, node in _members(tree)
+                    if label not in UNREAD_MEMBERS_ALLOWED]
+        for label, name, node, cls in checked:
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(n == name and (by_name or not bare)
+            if not any(n == name and owner in (None, cls) and (cls is None or not bare)
                        and (p != path or line not in own)
-                       for p, found in reads.items() for n, line, bare in found):
+                       for p, found in reads.items() for n, line, bare, owner in found):
                 unread.append(f"{path.name}:{node.lineno} {label}")
     assert not unread, f"read only by the tests, or by nothing: {unread}"

@@ -9,11 +9,16 @@ pair behind stochastic domination. It also accrues the path integrals of a
 simulation run that no runner reads: busy time, served bits and event
 rate-times.
 
+A single schedule is a tuple of rows, as in :mod:`mccsma.oracles`, whose
+``schedule_rows`` lists a ``ScheduleSet`` that way; local balance is checked
+against the oracles' raw ``attempt_rate``.
+
 No runner reads these checks, so they live beside the tests rather than in
 the library. They go through ``mccsma``'s public API only, apart from the
-simulation models: ``_Accruing`` wraps the library's ``_Separated`` and
-``_Joint`` models, and the coupled pair is a third model; both run on the
-event loop ``_run``, and the coupled pair samples its dominated chain with
+oracles' slot helpers ``_toggled`` and ``_active_slots`` and the simulation
+models: ``_Accruing`` wraps the library's ``_Separated`` and ``_Joint``
+models, and the coupled pair is a third model; both run on the event loop
+``_run``, and the coupled pair samples its dominated chain with
 ``_Sampler``. Tests import this module as they import ``conftest``.
 """
 
@@ -30,17 +35,23 @@ from scipy.stats import chisquare
 
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
                              _Joint, _run, _Sampler, _Separated)
-from mccsma.equilibrium import PolicyEvaluator, attempt_rate, check_policy
-from mccsma.schedule import Schedule, enumerate_feasible, state_flows
+from mccsma.equilibrium import PolicyEvaluator, check_policy
+from mccsma.oracles import Rows, _active_slots, _toggled, attempt_rate, schedule_rows
+from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
 
 MM1_BATCHES = 10          # batch means behind the M/M/1 check's intervals
 DRAIN_FRACTION = 0.05     # share of its start below which the workload is drained
 
 
+def traffic_load(traffic: TrafficSpec) -> np.ndarray:
+    """Traffic intensity rho: arrival rate times mean flow size, in bit/s."""
+    return np.asarray(traffic.arrival_rate) * np.asarray(traffic.mean_flow_size)
+
+
 # --- uniform schedule weights and their limits ---
 
-def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
+def log_weight_u(state, sched: Rows, params: CsmaParams) -> float:
     """Log of the uniform schedule weight: sum over flow-holding classes of
     y_k * log(x_k * alpha_k).
 
@@ -50,14 +61,14 @@ def log_weight_u(state, sched: Schedule, params: CsmaParams) -> float:
     flows = state_flows(state)
     alpha = params.alpha
     total = 0.0
-    for k, y_k in enumerate(sched.per_class):
+    for k, y_k in enumerate(map(sum, sched)):
         if y_k and flows[k] > 0:
             total += y_k * math.log(flows[k] * alpha[k])
     return total
 
 
 def max_weight(state, params: CsmaParams, spec: NetworkSpec,
-               over: str = "restricted") -> tuple[float, Schedule]:
+               over: str = "restricted") -> tuple[float, Rows]:
     """Maximum uniform weight and its arg-max schedule.
 
     ``over="restricted"`` maximizes over the schedules feasible at the state;
@@ -68,10 +79,10 @@ def max_weight(state, params: CsmaParams, spec: NetworkSpec,
     if over not in ("restricted", "unrestricted"):
         raise ValueError(f"over must be 'restricted' or 'unrestricted', got {over!r}")
     schedules = enumerate_feasible(spec, state if over == "restricted" else None)
-    best: tuple[float, Schedule] | None = None
-    for sched in schedules:
+    best: tuple[float, Rows] | None = None
+    for sched in schedule_rows(schedules):
         lw = log_weight_u(state, sched, params)
-        if best is None or lw > best[0] or (lw == best[0] and sched.active > best[1].active):
+        if best is None or lw > best[0] or (lw == best[0] and sched > best[1]):
             best = (lw, sched)
     assert best is not None  # the empty schedule is always present
     return best
@@ -104,7 +115,7 @@ def _check_equal_alpha(params: CsmaParams) -> float:
 
 
 def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
-                             policy: str = "auto") -> dict[Schedule, Fraction]:
+                             policy: str = "auto") -> dict[Rows, Fraction]:
     """Limiting schedule distribution as the attempt rates grow without bound
     (at fixed ratios, which must be equal across classes).
 
@@ -118,17 +129,18 @@ def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
     policy = check_policy(spec, policy)
     _check_equal_alpha(params)
     flows = state_flows(state)
-    schedules = enumerate_feasible(spec, flows)
-    top = max(s.total for s in schedules)
-    support = [s for s in schedules if s.total == top]
+    schedules = schedule_rows(enumerate_feasible(spec, flows))
+    top = max(sum(map(sum, s)) for s in schedules)
+    support = [s for s in schedules if sum(map(sum, s)) == top]
 
     ap_totals = [sum(flows[k] for k in ap.downlink) for ap in spec.access_points]
     weights: list[Fraction] = []
     for sched in support:
         w = Fraction(1)
-        for k, j in sched.slots:
+        for k, j in _active_slots(sched):
             w *= Fraction(params.probe_prob[k][j])
-        for k, y_k in enumerate(sched.per_class):
+        per_class = [sum(row) for row in sched]
+        for k, y_k in enumerate(per_class):
             if y_k:
                 # falling factorial x_k (x_k - 1) ... (x_k - y_k + 1)
                 f = 1
@@ -137,7 +149,7 @@ def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
                 w *= f
         if policy == "standard_infra":
             for i, ap in enumerate(spec.access_points):
-                active = sum(sched.per_class[k] for k in ap.downlink)
+                active = sum(per_class[k] for k in ap.downlink)
                 if active:
                     w /= Fraction(ap_totals[i]) ** active
         weights.append(w)
@@ -146,12 +158,12 @@ def alpha_limit_distribution(spec: NetworkSpec, state, params: CsmaParams,
     return {s: w / z for s, w in zip(support, weights)}
 
 
-def activity_marginals(dist: dict[Schedule, Fraction], num_classes: int
+def activity_marginals(dist: dict[Rows, Fraction], num_classes: int
                        ) -> tuple[Fraction, ...]:
     """Expected number of active links per class under a schedule distribution."""
     out = [Fraction(0)] * num_classes
     for sched, p in dist.items():
-        for k, y_k in enumerate(sched.per_class):
+        for k, y_k in enumerate(map(sum, sched)):
             if y_k:
                 out[k] += p * y_k
     return tuple(out)
@@ -160,16 +172,16 @@ def activity_marginals(dist: dict[Schedule, Fraction], num_classes: int
 # --- local balance and Lemma 1 ---
 
 def stationary_log_weights(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> dict[Schedule, float]:
+                           policy: str) -> dict[Rows, float]:
     """Map each feasible schedule at x to its log stationary weight."""
     ev = PolicyEvaluator(spec, params, policy)
     schedules, logw = ev.log_weights(state)
-    return dict(zip(schedules, logw.tolist()))
+    return dict(zip(schedule_rows(schedules), logw.tolist()))
 
 
 def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
                            policy: str, *,
-                           log_weights: Optional[dict[Schedule, float]] = None
+                           log_weights: Optional[dict[Rows, float]] = None
                            ) -> float:
     """Largest relative local-balance residual over all activation transitions.
 
@@ -188,9 +200,9 @@ def detailed_balance_check(state, params: CsmaParams, spec: NetworkSpec,
     for sched in log_weights:
         for k in range(spec.num_classes):
             for j in range(spec.num_channels):
-                if sched.active[k][j]:
+                if sched[k][j]:
                     continue
-                target = sched.with_slot(k, j)
+                target = _toggled(sched, k, j)
                 if target not in log_weights:
                     continue
                 up = prob[sched] * attempt_rate(spec, params, policy, flows, sched, k, j)
@@ -226,7 +238,7 @@ def lemma1_check(state, params: CsmaParams, spec: NetworkSpec, epsilon: float,
     ev = PolicyEvaluator(spec, params, policy)
     schedules, logw = ev.log_weights(state)
     probs = np.exp(logw - logsumexp(logw))
-    log_u = np.array([log_weight_u(state, s, params) for s in schedules])
+    log_u = np.array([log_weight_u(state, s, params) for s in schedule_rows(schedules)])
     mean = float(probs @ log_u)
     best = float(log_u.max())
     holds = mean >= (1.0 - epsilon) * best - 1e-12
@@ -272,7 +284,7 @@ def lyapunov_drift(state, params: CsmaParams, traffic: TrafficSpec,
     x = state_flows(state)
     lam = np.asarray(traffic.arrival_rate, dtype=float)
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    rho = traffic.rho
+    rho = traffic_load(traffic)
     phi = params.phi
     alpha = params.alpha
     phi_x = evaluator.throughput(x)
@@ -310,7 +322,7 @@ def h_part_bound(params: CsmaParams, traffic: TrafficSpec, spec: NetworkSpec) ->
     throughput at most J * phi_k, plus the residual log(alpha) term at empty
     classes.
     """
-    rho = traffic.rho
+    rho = traffic_load(traffic)
     phi = params.phi
     alpha = params.alpha
     J = spec.num_channels
@@ -483,7 +495,7 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
                          f"means, got {len(cfg.sample_times)}")
     K = spec.num_classes
     edges = [k for k in range(K) if k != 2]
-    rho = traffic.rho / params.phi
+    rho = traffic_load(traffic) / params.phi
     target = float(rho[edges[0]])
     fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
     traj, paths = with_integrals(_Separated(spec, fn, traffic), traffic, cfg)
@@ -566,7 +578,7 @@ def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
     ``DRAIN_FRACTION`` no later than (1 + tolerance) / (J - sum of block-maxima
     of the loads). Applies to trajectories started from a large state.
     """
-    rho = traffic.rho
+    rho = traffic_load(traffic)
     phi = params.phi
     sigma = np.asarray(traffic.mean_flow_size, dtype=float)
     load = sum(max(rho[k] / phi[k] for k in block) for block in partition)
