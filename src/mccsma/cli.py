@@ -44,7 +44,6 @@ from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAx
                        scenario_to_document)
 from .stability import (MIN_REPLICATIONS, bowtie_boundary, check_slope_inputs,
                         fluid_slope, homogeneous_critical_load)
-from .topology import CsmaParams
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,28 +76,29 @@ def _config_hash(inputs: dict) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def apply_overrides(scenario: Scenario, args: argparse.Namespace) -> tuple[Scenario, dict]:
-    """Command-line values beat scenario-file values, field by field."""
+def apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
+    """Write the command-line values into the scenario document ``doc``,
+    where they beat the scenario file's, field by field, and return them as
+    the manifest records them. ``--alpha`` replaces ``csma.attempt_rate``
+    with ``csma.alpha``; the kind and every other flag go into
+    ``experiment``. ``parse_scenario`` then checks each value as it checks
+    a scenario file's."""
     overrides: dict = {}
-    exp = scenario.experiment
-    csma = scenario.csma
     if getattr(args, "alpha", None) is not None:
         overrides["alpha"] = args.alpha
-        nu = tuple(args.alpha * p for p in csma.phys_rate)
-        csma = CsmaParams(csma.phys_rate, nu, csma.probe_prob)
+        del doc["csma"]["attempt_rate"]
+        doc["csma"]["alpha"] = args.alpha
     if getattr(args, "policy", None):
         overrides["policy"] = args.policy
-        exp = replace(exp, policy=args.policy)
     if getattr(args, "state", None):
-        state = tuple(int(v) for v in args.state.split(","))
-        overrides["state"] = list(state)
-        exp = replace(exp, state=state)
+        overrides["state"] = [int(v) for v in args.state.split(",")]
     for name in ("grid", "horizon", "replications", "scaling_n"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-            exp = replace(exp, **{name: value})
-    return replace(scenario, csma=csma, experiment=exp), overrides
+    doc["experiment"].update({k: v for k, v in overrides.items() if k != "alpha"},
+                             kind=args.kind)
+    return overrides
 
 
 def _sweep_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,8 +166,7 @@ def _trajectory_csv(outdir: Path, name: str, traj, num_channels: int,
     for s in traj.samples:
         row = [s.time, *s.state]
         if with_schedule:
-            row += ([v for r in s.schedule for v in r] if s.schedule is not None
-                    else [0] * (K * num_channels))
+            row += [v for r in s.schedule for v in r]
         rows.append(row)
     _write_csv(outdir / name, header, rows)
     return name
@@ -402,10 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(outdir)
             return EXIT_OK
         # run
-        scenario = load_scenario(args.scenario)
-        scenario, overrides = apply_overrides(scenario, args)
-        scenario = replace(scenario,
-                           experiment=replace(scenario.experiment, kind=args.kind))
+        doc = scenario_to_document(load_scenario(args.scenario))
+        overrides = apply_overrides(doc, args)
+        scenario = parse_scenario(doc)
         outdir = (Path(args.output) if args.output
                   else _default_outdir(scenario.name, args.kind, args.seed))
         execute(scenario, args.kind, args.seed, outdir, overrides)

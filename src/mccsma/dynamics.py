@@ -142,8 +142,8 @@ class SimConfig:
     replication: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.scaling_n < 1:
             raise ValueError(f"scaling_n must be at least 1, got {self.scaling_n}")
         times = self.sample_times
@@ -151,8 +151,9 @@ class SimConfig:
             raise ValueError("sample_times must lie within [0, horizon]")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample_times must be strictly increasing")
-        if sum(self.initial_state) > self.max_total_flows:
-            raise ValueError(f"initial_state holds {sum(self.initial_state)} flows, "
+        total = sum(state_flows(self.initial_state))
+        if total > self.max_total_flows:
+            raise ValueError(f"initial_state holds {total} flows, "
                              f"above max_total_flows = {self.max_total_flows}")
 
 

@@ -64,7 +64,7 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"unknown experiment kind {self.kind!r}; "
                                 f"expected one of {EXPERIMENT_KINDS}")
-        # runs through replace() too, so command-line overrides are checked
+        # command-line overrides reach here through parse_scenario too
         problems = [f"{name} must be at least {low}, got {getattr(self, name)}"
                     for name, low in (("grid", 1), ("replications", 1),
                                       ("sample_count", 1), ("max_total_flows", 1),

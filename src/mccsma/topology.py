@@ -15,6 +15,7 @@ use 1-based indices and the conversion lives in the scenario parser only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -262,10 +263,10 @@ def validate_params(spec: NetworkSpec, params: CsmaParams) -> list[str]:
         out.append(f"expected {K} per-class parameter entries, got {params.num_classes}")
         return out
     for k in range(K):
-        if params.phys_rate[k] <= 0:
-            out.append(f"class {k}: phys_rate must be positive, got {params.phys_rate[k]}")
-        if params.attempt_rate[k] <= 0:
-            out.append(f"class {k}: attempt_rate must be positive, got {params.attempt_rate[k]}")
+        for name in ("phys_rate", "attempt_rate"):
+            value = getattr(params, name)[k]
+            if not 0 < value < math.inf:
+                out.append(f"class {k}: {name} must be finite and positive, got {value}")
         row = params.probe_prob[k]
         if len(row) != J:
             out.append(f"class {k}: probe_prob row has {len(row)} entries, expected {J}")
@@ -274,8 +275,8 @@ def validate_params(spec: NetworkSpec, params: CsmaParams) -> list[str]:
             out.append(f"class {k}: probe probabilities sum to {sum(row)!r}, expected 1")
         for j in range(J):
             eligible = k in spec.channel_graphs[j].eligible
-            if eligible and row[j] <= 0:
-                out.append(f"class {k}: probe_prob[{j}] must be positive "
+            if eligible and not 0 < row[j] < math.inf:
+                out.append(f"class {k}: probe_prob[{j}] must be finite and positive "
                            f"(class is eligible on channel {j})")
             if not eligible and row[j] != 0:
                 out.append(f"class {k}: probe_prob[{j}] must be zero "
@@ -286,10 +287,10 @@ def validate_params(spec: NetworkSpec, params: CsmaParams) -> list[str]:
 def validate_traffic(traffic: TrafficSpec) -> list[str]:
     out = []
     for k, (lam, sigma) in enumerate(zip(traffic.arrival_rate, traffic.mean_flow_size)):
-        if lam < 0:
-            out.append(f"class {k}: arrival_rate must be nonnegative, got {lam}")
-        if sigma <= 0:
-            out.append(f"class {k}: mean_flow_size must be positive, got {sigma}")
+        if not 0 <= lam < math.inf:
+            out.append(f"class {k}: arrival_rate must be finite and nonnegative, got {lam}")
+        if not 0 < sigma < math.inf:
+            out.append(f"class {k}: mean_flow_size must be finite and positive, got {sigma}")
     return out
 
 
@@ -310,36 +311,11 @@ def detect_l_partite(spec: NetworkSpec) -> Optional[tuple[tuple[int, ...], ...]]
                          "on every channel")
 
     K = spec.num_classes
-    edges = g.edges
-    # blocks are the connected components of the complement graph
-    parent = list(range(K))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(K):
-        for b in range(a + 1, K):
-            if (a, b) not in edges:
-                parent[find(a)] = find(b)
-
-    blocks: dict[int, list[int]] = {}
-    for k in range(K):
-        blocks.setdefault(find(k), []).append(k)
-    partition = tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=lambda b: min(b)))
-
-    # verify the complete multipartite condition by direct edge scan
-    for block in partition:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                if (a, b) in edges:
-                    return None
-    for bi, block_a in enumerate(partition):
-        for block_b in partition[bi + 1:]:
-            for a in block_a:
-                for b in block_b:
-                    if (min(a, b), max(a, b)) not in edges:
-                        return None
-    return partition
+    # a class's block is the class itself plus every class it does not
+    # conflict with; the graph is complete multipartite exactly when every
+    # member of a block has that same block
+    blocks = [frozenset([a, *(b for b in range(K) if not g.conflicts(a, b))])
+              for a in range(K)]
+    if any(blocks[b] != block for block in blocks for b in block):
+        return None
+    return tuple(sorted({tuple(sorted(block)) for block in blocks}))

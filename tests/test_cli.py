@@ -474,3 +474,99 @@ def test_mistyped_scenario_value_is_parse_error_naming_its_key(network, experime
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "parse" and diag["message"].startswith(f"{key} must be ")
     assert not out.exists()
+
+
+def _written_scenario(path: Path, **sections) -> str:
+    """two-ap with a short run and unequal physical rates (equal within each
+    access point's downlink classes), written to ``path`` after each block
+    of ``sections`` is updated into the document's block of that name. An
+    ``alpha`` entry replaces ``csma.attempt_rate``."""
+    import yaml
+
+    from mccsma.scenario import scenario_to_document
+
+    doc = scenario_to_document(load_scenario("two-ap"))
+    doc["csma"]["phys_rate"] = [0.7, 2.0, 0.7, 3.0, 1.3, 3.0]
+    doc["experiment"].update(state=[2, 0, 1, 1, 3, 0], grid=2, horizon=10.0,
+                             replications=1)
+    for name, values in sections.items():
+        doc[name].update(values)
+    if "alpha" in doc["csma"]:
+        del doc["csma"]["attempt_rate"]
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def _result_digests(outdir: Path) -> dict[str, str]:
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+# each flag, the run it overrides and the same value written into the
+# scenario file
+_FLAGS = [
+    ("equilibrium", ["--alpha", "2.5"], {"csma": {"alpha": 2.5}}),
+    ("equilibrium", ["--policy", "flow_aware"], {"experiment": {"policy": "flow_aware"}}),
+    ("equilibrium", ["--state", "0,3,1,2,0,1"],
+     {"experiment": {"state": [0, 3, 1, 2, 0, 1]}}),
+    ("capacity-sweep", ["--grid", "3"], {"experiment": {"grid": 3}}),
+    ("simulate", ["--horizon", "15.5"], {"experiment": {"horizon": 15.5}}),
+    ("simulate", ["--replications", "2"], {"experiment": {"replications": 2}}),
+    ("simulate", ["--scaling-n", "2"], {"experiment": {"scaling_n": 2}}),
+]
+
+
+@pytest.mark.parametrize("kind, flag, written", _FLAGS, ids=[f[0] for _, f, _ in _FLAGS])
+def test_override_equals_the_value_written_in_the_scenario_file(kind, flag, written,
+                                                                 tmp_path):
+    base = _written_scenario(tmp_path / "base.yaml")
+    same = _written_scenario(tmp_path / "same.yaml", **written)
+    runs = {}
+    for name, argv in (("flag", ["--scenario", base, *flag]),
+                       ("file", ["--scenario", same])):
+        out = tmp_path / name
+        assert main(["run", kind, *argv, "--output", str(out), "--seed", "4"]) == 0
+        runs[name] = (_result_digests(out),
+                      json.loads((out / "manifest.json").read_text())["inputs"])
+    (flag_digests, flag_inputs), (file_digests, file_inputs) = runs["flag"], runs["file"]
+    assert flag_digests and flag_digests == file_digests
+    assert flag_inputs["scenario"] == file_inputs["scenario"]
+    assert len(flag_inputs["overrides"]) == 1 and file_inputs["overrides"] == {}
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan", "inf", "0"])
+def test_bad_alpha_override_is_validation_error(alpha, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "equilibrium", "--scenario", "two-ap", "--alpha", alpha,
+                 "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation" and "attempt_rate" in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, csma, traffic, field", [
+    ("capacity-sweep", "{phys_rate: .nan, alpha: 1.0}",
+     "{arrival_rate: 0.4, mean_flow_size: 1.0}", "phys_rate"),
+    ("simulate", "{phys_rate: 1.0, alpha: 1.0}",
+     "{arrival_rate: [0.3, .inf], mean_flow_size: 1.0}", "arrival_rate"),
+    ("simulate", "{phys_rate: 1.0, alpha: 1.0}",
+     "{arrival_rate: 0.3, mean_flow_size: [.inf, 1.0]}", "mean_flow_size"),
+])
+def test_non_finite_rate_is_validation_error(kind, csma, traffic, field, tmp_path,
+                                             capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"""
+name: bad
+network: {{classes: 2, channels: 1, conflict_edges: [[1, 2]]}}
+csma: {csma}
+traffic: {traffic}
+experiment: {{kind: {kind}, grid: 2, horizon: 5.0, replications: 1}}
+""")
+    out = tmp_path / "o"
+    assert main(["run", kind, "--scenario", str(bad), "--output", str(out)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "validation"
+    assert f"{field} must be finite and" in diag["message"]
+    assert not out.exists()

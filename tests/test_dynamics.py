@@ -26,8 +26,10 @@ def two_conflicting_classes():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="horizon"):
-        SimConfig("adhoc", 0.0, 1, (0,))
+    # a NaN or infinite horizon never ends the event loop
+    for horizon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            SimConfig("adhoc", horizon, 1, (0, 0))
     with pytest.raises(ValueError, match="within"):
         SimConfig("adhoc", 1.0, 1, (0,), sample_times=(2.0,))
     with pytest.raises(ValueError, match="increasing"):
@@ -51,7 +53,7 @@ def simulate_coupled(spec, params, traffic, cfg):
                                       simulate_coupled])
 @pytest.mark.parametrize("initial_state, message", [
     ((1,), "entries"), ((1, 0, 0), "entries"), ((-1, 0), "nonnegative"),
-    ((1.7, 0), "integral"), ((0, 2.5), "integral")])
+    ((1.7, 0), "integral"), ((0, 2.5), "integral"), (("a", 0), "integral")])
 def test_bad_initial_state_is_rejected(simulate, initial_state, message):
     spec = two_conflicting_classes()
     params = CsmaParams.from_alpha(spec, 1.0)

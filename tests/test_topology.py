@@ -66,7 +66,18 @@ def test_params_validation_catches_probe_errors():
     on_wrong_channel = CsmaParams((1.0, 1.0), (1.0, 1.0), ((0.5, 0.5), (0.5, 0.5)))
     assert any("must be zero" in p for p in validate_params(spec, on_wrong_channel))
     missing = CsmaParams((1.0, 1.0), (1.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
-    assert any("must be positive" in p for p in validate_params(spec, missing))
+    assert any("must be finite and positive" in p for p in validate_params(spec, missing))
+    # NaN fails every comparison, so each check asks for a finite value
+    nan, inf = float("nan"), float("inf")
+    for params, field in (
+            (CsmaParams((nan, 1.0), (1.0, 1.0), ((0.5, 0.5), (1.0, 0.0))), "phys_rate"),
+            (CsmaParams((inf, 1.0), (1.0, 1.0), ((0.5, 0.5), (1.0, 0.0))), "phys_rate"),
+            (CsmaParams((1.0, 1.0), (1.0, nan), ((0.5, 0.5), (1.0, 0.0))), "attempt_rate"),
+            (CsmaParams((1.0, 1.0), (inf, 1.0), ((0.5, 0.5), (1.0, 0.0))), "attempt_rate"),
+            (CsmaParams((1.0, 1.0), (1.0, 1.0), ((nan, 1.0), (1.0, 0.0))), "probe_prob[0]"),
+            (CsmaParams((1.0, 1.0), (1.0, 1.0), ((0.5, 0.5), (inf, 0.0))), "probe_prob[0]")):
+        assert any(f"{field} must be finite and positive" in p
+                   for p in validate_params(spec, params)), (params, field)
 
 
 def test_traffic_validation():
@@ -75,6 +86,13 @@ def test_traffic_validation():
                for p in validate_traffic(TrafficSpec((-1.0,), (1.0,))))
     assert any("positive" in p
                for p in validate_traffic(TrafficSpec((1.0,), (0.0,))))
+    nan, inf = float("nan"), float("inf")
+    for traffic, message in (
+            (TrafficSpec((0.3, nan), (1.0, 1.0)), "arrival_rate must be finite and nonnegative"),
+            (TrafficSpec((0.3, inf), (1.0, 1.0)), "arrival_rate must be finite and nonnegative"),
+            (TrafficSpec((0.3, 0.3), (nan, 1.0)), "mean_flow_size must be finite and positive"),
+            (TrafficSpec((0.3, 0.3), (1.0, inf)), "mean_flow_size must be finite and positive")):
+        assert any(message in p for p in validate_traffic(traffic)), traffic
 
 
 def test_alpha_and_rho_derivations():
