@@ -45,10 +45,14 @@ stochastic domination (Lindvall, 1992). Their ``"flowpick"`` and
 No event pays for work that it leaves unchanged. The loop keeps a running
 flow total for the guard, calls the sampler only when a sample time has
 passed or the run ends, and makes a clock's stream at its first draw, so a
-clock whose rate stays zero makes none. ``_Joint`` recomputes its packet
-clock rates, which read only the schedule, when ``fire`` changes the
-schedule; only its attempt rates, which read the flow counts, are recomputed
-at every event.
+clock whose rate stays zero makes none. ``_Joint`` recomputes a class's
+packet clock rate, which reads only its slots, when ``fire`` changes them,
+and its attempt rates only when the event touched what they read: the
+class's own flows or slots, a neighbour's slot on a shared channel, its
+access point's downlink slots or, under the shared queue, that access
+point's flow counts (see ``_Joint``). A stream's Philox key, which depends
+only on (seed, kind, class, replication), is kept in a bounded cache, so the
+streams of a study that recur for every scaling value N are keyed once.
 
 Randomness comes from counter-based Philox streams, one per (event kind,
 class, replication), all derived from the master seed. Identical configs give
@@ -82,6 +86,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_rates
 from .schedule import state_flows
@@ -98,10 +103,39 @@ _STREAM_KINDS = {
 }
 
 
+class _PhiloxKey(ISeedSequence):
+    """The Philox key words of one stream's ``SeedSequence``, computed once.
+
+    ``Philox(seed_seq)`` reads its key as ``seed_seq.generate_state(2,
+    np.uint64)`` and nothing else, so a seed sequence that hands out those
+    two stored words gives the same generator. ``Philox(key=...)`` would
+    too, but it first draws OS entropy for a seed sequence it then drops.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, entropy: tuple[int, ...]):
+        self.words = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+        self.words.flags.writeable = False
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+# the stream keys kept: a study's streams do not depend on its scaling
+# values, so the same (kind, class, replication) streams recur for every N
+_STREAM_KEYS = 4096
+
+
+@functools.lru_cache(maxsize=_STREAM_KEYS)
+def _philox_key(entropy: tuple[int, ...]) -> _PhiloxKey:
+    return _PhiloxKey(entropy)
+
+
 def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> np.random.Generator:
     """Counter-based generator for one (kind, class, replication) stream."""
-    entropy = [seed % 2**64, _STREAM_KINDS[kind], klass, replication]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    entropy = (seed % 2**64, _STREAM_KINDS[kind], klass, replication)
+    return np.random.Generator(np.random.Philox(_philox_key(entropy)))
 
 
 EXP_BLOCK = 64
@@ -397,8 +431,17 @@ class _Joint:
     and a packet clock over its active slots; keeps the schedule feasible
     incrementally.
 
-    The attempt rates read the flow counts, so ``rates`` recomputes them at
-    every event. A class's packet clock rate reads only its active-slot count
+    ``rates`` recomputes the attempt rates only of the classes in
+    ``stale``, which ``arrive`` and ``fire`` fill with the classes whose
+    attempt rates read what they changed. Class k's attempt rate reads its
+    own flow count and slots, the slots of its neighbours on each channel,
+    whether its access point has a downlink slot and, under the shared
+    queue, the flow counts of that access point's downlink classes. So a
+    class-k arrival marks k and, under the shared queue, its access point's
+    downlink classes (``flow_readers``), and a slot that class k takes or
+    frees on channel j marks k, its neighbours on j and its access point's
+    downlink classes (``slot_readers``); a departure frees a slot in the
+    same event. A class's packet clock rate reads only its active-slot count
     y_k and is recomputed by ``_slots_changed``, which ``fire`` calls
     whenever y_k changes. Flows are not told apart: a packet completion ends
     some flow of its class with probability 1 / (sigma_k N).
@@ -432,6 +475,14 @@ class _Joint:
         self.ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
         self.eligible = [[k in g.eligible for g in spec.channel_graphs] for k in range(K)]
         self.neighbors = [{k: g.neighbors(k) for k in g.eligible} for g in spec.channel_graphs]
+        # the downlink classes of class k's access point, if k is one of them
+        ap_peers = [set() if i is None else set(self.ap_downlink[i])
+                    for i in self.downlink_ap]
+        self.flow_readers = [{k} | ap_peers[k] if self.shared_queue[k] else {k}
+                             for k in range(K)]
+        self.slot_readers = [{j: {k} | self.neighbors[j][k] | ap_peers[k]
+                              for j in range(J) if self.eligible[k][j]} for k in range(K)]
+        self.stale = set(range(K))
         self.y = [[0] * J for _ in range(K)]
         self.y_class = [0] * K
         self.channel_active: list[set[int]] = [set() for _ in range(J)]
@@ -465,20 +516,27 @@ class _Joint:
         return [base * b if f else 0.0 for f, b in zip(feas, self.beta[k])]
 
     def rates(self, x: list[int]) -> list[float]:
-        self.attempt = [self._attempt_rates(x, k) for k in range(self.num_classes)]
-        self.attempt_total = [0.0 if r is None else self.total(r) for r in self.attempt]
+        for k in self.stale:
+            r = self.attempt[k] = self._attempt_rates(x, k)
+            self.attempt_total[k] = 0.0 if r is None else self.total(r)
+        self.stale.clear()
         return self.attempt_total + self.packet_total
 
     def arrive(self, k: int, t: float) -> None:
-        pass
+        self.stale |= self.flow_readers[k]
 
     def fire(self, kind: int, k: int, rng, t: float) -> bool:
         i = self.downlink_ap[k]
         J = self.num_channels
         if kind == 0:                       # successful channel access
+            attempt = self.attempt[k]
             u = rng.random() * self.attempt_total[k]    # drawn even with one channel
-            j = 0 if J == 1 else min(bisect.bisect_right(
-                list(itertools.accumulate(self.attempt[k])), u), J - 1)
+            j = 0 if J == 1 else bisect.bisect_right(list(itertools.accumulate(attempt)), u)
+            if j == J:
+                # u passed the running sum, which a pairwise total (J >= 8)
+                # can exceed: take the last channel with a positive rate
+                j = max(c for c, r in enumerate(attempt) if r > 0)
+            self.stale |= self.slot_readers[k][j]
             self.y[k][j] = 1
             self.y_class[k] += 1
             self._slots_changed(k)
@@ -496,6 +554,7 @@ class _Joint:
             js = [j for j in range(J) if y_k[j]]
             j = js[int(rng.integers(len(js)))]
         ends_flow = bool(rng.random() < self.flow_end_prob[k])
+        self.stale |= self.slot_readers[k][j]
         y_k[j] = 0
         self.y_class[k] -= 1
         self._slots_changed(k)
@@ -562,31 +621,43 @@ def _tv_from_counts(counts: dict[tuple[int, ...], int], total: int,
     """Total-variation distance between empirical counts and a reference
     distribution over the states of ``index`` (state -> position in
     ``reference``), with every state outside lumped into one atom of mass
-    ``outside_ref``.
+    ``outside_ref``: ``_tv_of_resamples`` of the one row of counts."""
+    keys = list(counts)
+    row = np.array([[counts[s] for s in keys]])
+    return float(_tv_of_resamples(row, keys, total, index, reference, outside_ref)[0])
 
-    Only visited states are looked up. The unvisited states' mass is the
-    left-to-right sum of a copy of the reference with the visited entries
-    zeroed: adding an exact zero leaves a float sum unchanged, so this is
-    the sum over the unvisited states alone, in reference order. The copy
-    starts with a 0.0, so its running sum (``np.add.accumulate``, which adds
-    in order) is ``left_sum`` of the reference's entries.
+
+def _tv_of_resamples(resampled: np.ndarray, keys: Sequence[tuple[int, ...]], total: int,
+                     index: dict[tuple[int, ...], int], reference: np.ndarray,
+                     outside_ref: float) -> np.ndarray:
+    """``_tv_from_counts`` of each row of ``resampled``, a count per state of
+    ``keys``.
+
+    Only visited states are looked up. Their ``|c / total - q|`` terms are
+    added one key at a time, in key order; a zero count adds an exact 0.0,
+    which leaves a float sum unchanged, in place of being skipped. A row's
+    unvisited mass is the running sum (``np.add.accumulate``, which adds in
+    order) of one reused buffer that holds a 0.0 and then the reference with
+    the row's visited entries zeroed: ``left_sum`` over the unvisited states
+    alone, in reference order. The entries are restored after each row, so
+    no array spans rows by box states.
     """
-    seen_outside = 0
-    visited, freq = [], []
-    for state, c in counts.items():
-        i = index.get(state)
-        if i is None:
-            seen_outside += c
-        else:
-            visited.append(i)
-            freq.append(c / total)
-    tv = 0.0
-    for f, q in zip(freq, reference[visited].tolist()):
-        tv += abs(f - q)
+    pos = [index.get(s) for s in keys]
+    inside = [c for c, i in enumerate(pos) if i is not None]
+    outside = [c for c, i in enumerate(pos) if i is None]
+    box = np.array([pos[c] for c in inside], dtype=np.intp)
+    tv = np.zeros(len(resampled))
+    for c, q in zip(inside, reference[box].tolist()):
+        counts = resampled[:, c]
+        tv += np.where(counts > 0, np.abs(counts / total - q), 0.0)
     unvisited = np.concatenate(([0.0], reference))
-    unvisited[1:][visited] = 0.0
-    tv += float(np.add.accumulate(unvisited, out=unvisited)[-1])
-    tv += abs(seen_outside / total - outside_ref)
+    running = np.empty_like(unvisited)
+    for b, row in enumerate((resampled > 0)[:, inside]):
+        visited = box[row] + 1
+        unvisited[visited] = 0.0
+        tv[b] += np.add.accumulate(unvisited, out=running)[-1]
+        unvisited[visited] = reference[visited - 1]
+    tv += np.abs(resampled[:, outside].sum(axis=1) / total - outside_ref)
     return 0.5 * tv
 
 
@@ -603,8 +674,11 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
     flow-level generator of :mod:`mccsma.oracles`; the joint side is
     estimated from ``replications`` independent runs per scaling value, with
     a multinomial bootstrap confidence interval over ``TIMESCALE_BOOTSTRAP``
-    resamples. The distance is measured
-    over the box, with all outside states lumped together.
+    resamples. The resamples of one scaling value are drawn in one
+    ``multinomial`` call, which gives the draws of one call per resample,
+    and their distances are taken together by ``_tv_of_resamples``. The
+    distance is measured over the box, with all outside states lumped
+    together.
 
     The box reaches, beyond the initial state, the 1 - 1e-12 Poisson
     quantile of each class's arrivals by ``t_probe``. A box of more than
@@ -656,12 +730,9 @@ def timescale_convergence(spec: NetworkSpec, params: CsmaParams, traffic: Traffi
         keys = list(counts.keys())
         weights = np.array([counts[s] for s in keys], dtype=float)
         probs = weights / weights.sum()
-        samples = np.zeros(TIMESCALE_BOOTSTRAP)
-        for b in range(TIMESCALE_BOOTSTRAP):
-            resampled = boot_rng.multinomial(replications, probs)
-            boot_counts = {s: int(c) for s, c in zip(keys, resampled) if c > 0}
-            samples[b] = _tv_from_counts(boot_counts, replications, index, p_ref,
-                                         outside_ref)
+        # one call draws what TIMESCALE_BOOTSTRAP calls of size 1 would
+        resampled = boot_rng.multinomial(replications, probs, size=TIMESCALE_BOOTSTRAP)
+        samples = _tv_of_resamples(resampled, keys, replications, index, p_ref, outside_ref)
         lo, hi = np.percentile(samples, [2.5, 97.5])
         rows.append(DistanceRow(int(n_val), distance, float(lo), float(hi)))
     return rows

@@ -3,22 +3,25 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
-from conftest import bowtie_spec, random_instance
-from mccsma.dynamics import (EXP_BLOCK, SimConfig, ThroughputCache, TrajectorySample,
-                             _Joint, _Separated, _tv_from_counts, exponential_draws,
-                             left_sum, simulate_joint, simulate_separated, stream,
+from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
+from mccsma.dynamics import (_STREAM_KINDS, EXP_BLOCK, TIMESCALE_BOOTSTRAP, SimConfig,
+                             ThroughputCache, TrajectorySample, _Joint, _run, _Separated,
+                             _tv_from_counts, _tv_of_resamples, exponential_draws, left_sum,
+                             simulate_joint, simulate_separated, stream,
                              timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
-from mccsma.oracles import joint_generator, schedule_rows, stationary_distribution
+from mccsma.oracles import (joint_generator, schedule_rows, stationary_distribution,
+                            transient_distribution)
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
-from theory import dominated_throughput_fn, simulate_coupled_pair, with_integrals
+from theory import _merge_bins, dominated_throughput_fn, simulate_coupled_pair, with_integrals
 
 
 def two_conflicting_classes():
@@ -332,6 +335,119 @@ def test_joint_stationary_marginals_match_generator():
     assert 0.5 * np.abs(empirical - exact_x).sum() < 0.03
 
 
+@pytest.mark.parametrize("scaling_n", [1, 4])
+def test_joint_transient_marginal_matches_generator_on_ap_line3(scaling_n):
+    """The joint model's flow counts at a probe time, on three access points
+    in a line under the shared queue, against the exact transient
+    distribution of the truncated joint generator (chi-square, fixed seed).
+    The bins follow the exact probabilities, largest first; the merged tail
+    also takes the runs that ended outside the box (exact mass about 1e-4).
+    Checked against the other N's exact distribution instead, the same runs
+    give p-values of 1e-11 and 1e-23."""
+    spec = ap_line3()
+    params = CsmaParams.from_alpha(spec, 0.5)
+    traffic = TrafficSpec.of(0.4, 1.0, 3)
+    x0, t_probe, box, reps = (1, 2, 1), 1.0, (5, 6, 5), 2000
+    states, q = joint_generator(spec, params, traffic, "standard_infra", scaling_n, box)
+    p0 = np.zeros(len(states))
+    p0[states.index((x0, empty_schedule(3, 1)))] = 1.0
+    exact: Counter = Counter()
+    for (x, _), p in zip(states, transient_distribution(q, p0, t_probe).tolist()):
+        exact[x] += p
+    finals = Counter(
+        simulate_joint(spec, params, traffic,
+                       SimConfig("standard_infra", t_probe, 3, x0, scaling_n=scaling_n,
+                                 replication=rep)).final_state
+        for rep in range(reps))
+    order = sorted(exact, key=exact.get, reverse=True)
+    observed = np.array([finals[x] for x in order], dtype=float)
+    observed[-1] += sum(c for x, c in finals.items() if x not in exact)
+    obs, exp = _merge_bins(observed, reps * np.array([exact[x] for x in order]))
+    assert len(obs) >= 40
+    assert chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-3
+
+
+class _CheckedJoint(_Joint):
+    """The joint model, checking before every race that each class's attempt
+    rates equal a fresh ``_attempt_rates``, and its total their total."""
+
+    checks = 0
+
+    def rates(self, x):
+        out = super().rates(x)
+        for k in range(self.num_classes):
+            full = self._attempt_rates(x, k)
+            assert self.attempt[k] == full
+            assert self.attempt_total[k] == (0.0 if full is None else self.total(full))
+        self.checks += 1
+        return out
+
+
+def _incremental_cases():
+    """Seeded random instances under each policy (J = 1, 2), and a
+    three-channel network with one access point of three downlink classes,
+    which the shared-queue share couples."""
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        policy = ("adhoc", "standard_infra", "flow_aware")[i % 3]
+        spec, params, state = random_instance(rng, infrastructure=policy != "adhoc")
+        yield spec, params, state, policy
+    spec = NetworkSpec(4, 3, replicate_graph(3, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                       (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
+    params = CsmaParams.from_alpha(spec, 2.0)
+    for policy in ("standard_infra", "flow_aware"):
+        yield spec, params, (2, 1, 3, 1), policy
+
+
+def test_incremental_attempt_rates_equal_a_full_recompute():
+    seen_channels, shared_ap, checks = set(), False, 0
+    for i, (spec, params, state, policy) in enumerate(_incremental_cases()):
+        seen_channels.add(spec.num_channels)
+        shared_ap |= policy == "standard_infra" and any(
+            len(ap.downlink) >= 2 for ap in spec.access_points)
+        traffic = TrafficSpec.of(0.5, 1.0, spec.num_classes)
+        for n in (1, 2):
+            cfg = SimConfig(policy, 20.0, 40 + i, state, scaling_n=n)
+            model = _CheckedJoint(spec, params, traffic, policy, cfg)
+            assert _run(model, traffic, cfg) == simulate_joint(spec, params, traffic, cfg)
+            checks += model.checks
+    assert seen_channels == {1, 2, 3} and shared_ap and checks > 5000
+
+
+class _StubRng:
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_channel_pick_never_lands_on_a_zero_rate_channel():
+    """With 8 or more channels a class's attempt total is summed pairwise,
+    which can exceed the running sum the pick bisects. A uniform that passes
+    the running sum takes the last channel with a positive rate, not the
+    last channel."""
+    J = 8
+    spec = NetworkSpec(1, J, replicate_graph(J, [0], []))
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.5, 1.0, 1)
+    cfg = SimConfig("adhoc", 1.0, 1, (1,))
+    u = 1.0 - 2.0**-53                    # the largest value random() returns
+    rng = np.random.default_rng(6)
+    picks = 0
+    while picks < 20:
+        rates = rng.random(J).tolist()
+        rates[-1] = 0.0                   # the last channel is infeasible
+        total = float(np.sum(rates))
+        if u * total < list(itertools.accumulate(rates))[-1]:
+            continue
+        model = _Joint(spec, params, traffic, "adhoc", cfg)
+        model.attempt, model.attempt_total = [rates], [total]
+        model.fire(0, 0, _StubRng(u), 0.0)
+        assert model.y[0] == [0] * (J - 2) + [1, 0]
+        picks += 1
+
+
 def test_empirical_rates_match_generator_rates():
     rng = np.random.default_rng(3)
     spec, params, state = random_instance(rng, infrastructure=False)
@@ -487,6 +603,37 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
         assert got == expected
 
 
+def test_batched_bootstrap_matches_one_tv_call_per_resample():
+    """``_tv_of_resamples`` over a bootstrap batch gives, bit for bit, the
+    distances of one ``_tv_from_counts`` call per resample. The counts
+    include states outside the box, and the resamples zero counts."""
+    rng = np.random.default_rng(17)
+    outside = zeros = 0
+    for case in range(30):
+        box = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+        states = [tuple(int(v) for v in x)
+                  for x in itertools.product(*(range(b + 1) for b in box))]
+        p_ref = rng.random(len(states))
+        p_ref *= (1.0 - 0.01 * rng.random()) / p_ref.sum()
+        outside_ref = max(0.0, 1.0 - float(p_ref.sum()))
+        total = int(rng.integers(20, 200))
+        counts: Counter = Counter(tuple(int(v) for v in rng.integers(0, box + 2))
+                                  for _ in range(total))
+        index = {s: i for i, s in enumerate(states)}
+        keys = list(counts)
+        probs = np.array([counts[s] for s in keys], dtype=float) / total
+        resampled = stream(case, "bootstrap").multinomial(total, probs,
+                                                          size=TIMESCALE_BOOTSTRAP)
+        outside += any(s not in index for s in keys)
+        zeros += bool((resampled == 0).any())
+        got = _tv_of_resamples(resampled, keys, total, index, p_ref, outside_ref)
+        expected = [_tv_from_counts({s: int(c) for s, c in zip(keys, row) if c > 0},
+                                    total, index, p_ref, outside_ref)
+                    for row in resampled]
+        assert got.tolist() == expected
+    assert outside > 20 and zeros > 20
+
+
 # SHA-256 of every trajectory field below, one per pinned run. Any change to a
 # random draw, to the rounding of an accrual or to the bookkeeping moves a
 # digest: re-record them only with a change that alters random-number
@@ -608,6 +755,26 @@ def test_block_exponential_draws_equal_scalar_draws(seed):
             assert got == expected and all(type(v) is float for v in got)
 
 
+def test_stream_equals_a_seed_sequence_generator():
+    """``stream`` keys Philox from a cached copy of the stream's seed
+    sequence state: the same generator as ``Philox(SeedSequence(...))``,
+    and a new one on every call, so two runs never share one."""
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        seed = int(rng.integers(0, 2**63)) * int(rng.integers(1, 3))
+        kind = ("arrival", "service", "attempt", "packet", "bootstrap")[int(rng.integers(5))]
+        klass, rep = int(rng.integers(0, 50)), int(rng.integers(0, 1000))
+        plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            [seed % 2**64, _STREAM_KINDS[kind], klass, rep])))
+        first, second = stream(seed, kind, klass, rep), stream(seed, kind, klass, rep)
+        assert (json.dumps(first.bit_generator.state, default=np.ndarray.tolist)
+                == json.dumps(plain.bit_generator.state, default=np.ndarray.tolist))
+        assert first is not second and first.bit_generator is not second.bit_generator
+        expected = plain.random(3).tolist()
+        assert first.random(3).tolist() == expected
+        assert second.random(3).tolist() == expected
+
+
 def test_left_sum_adds_left_to_right():
     # compensated summation (Python 3.12's sum, math.fsum) gives 1.0 here
     assert left_sum([1e16, 1.0, -1e16]) == 0.0
@@ -633,6 +800,20 @@ def test_integers_one_draws_nothing(seed):
             assert with_call.integers(1) == 0
             assert with_call.random() == without.random()
             assert with_call.standard_exponential() == without.standard_exponential()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_batched_multinomial_equals_sequential_calls(seed):
+    """The bootstrap draws its resamples with one ``multinomial(n, p,
+    size=B)`` call, which gives the rows of B calls of size 1 in order and
+    leaves the stream where they would."""
+    probs = np.random.default_rng(seed % 1000).random(37)
+    probs /= probs.sum()
+    batched, sequential = stream(seed, "bootstrap"), stream(seed, "bootstrap")
+    rows = batched.multinomial(200, probs, size=TIMESCALE_BOOTSTRAP).tolist()
+    assert rows == [sequential.multinomial(200, probs).tolist()
+                    for _ in range(TIMESCALE_BOOTSTRAP)]
+    assert batched.random() == sequential.random()
 
 
 def test_add_accumulate_is_sequential_addition():
