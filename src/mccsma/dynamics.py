@@ -10,23 +10,25 @@ Two models are simulated exactly (no time discretization):
   size 1/N, and attempt rates are scaled by N, so growing N accelerates the
   packet level against the flow level at constant traffic intensity.
 
-Both run on one event loop, ``_run``: the first-reaction method of Gillespie
-(1977), a race of exponential clocks. The loop owns the class-k Poisson
-arrival clocks, which are memoryless and so kept until they fire, and redraws
-every other clock after each event from its current rate. It fires the
-earliest clock and accrues the exact time integral of the flow counts up to
-it; it also samples the state, counts arrivals and departures and enforces
-the truncation guard. A model supplies what differs:
+Both run on one event loop, ``_run``. It owns the class-k Poisson arrival
+clocks, which are memoryless and so kept until they fire, and races them
+against the model's clocks by Gillespie's direct method (1977): the model's
+clocks together fire after an exponential holding time at their total rate
+R, and the one that fires is clock c with probability r_c / R. So an event
+draws one exponential and, if the model's clocks win, one uniform, however
+many clocks the model has. The loop accrues the exact time integral of the
+flow counts up to each event; it also samples the state, counts arrivals
+and departures and enforces the truncation guard. A model supplies what
+differs:
 
-* ``clocks``: the stream kinds of its redrawn clocks, one clock per class each;
-* ``block_drawn``: those of its ``clocks`` whose streams give only the
-  clock draws (see below);
 * ``rates(x)``: the rates of its clocks at flow counts ``x`` in one list,
-  kind by kind and class by class within a kind, valid until the next event;
+  kind by kind and class by class within a kind, so that entry c is clock
+  kind c // K of class c % K; valid until the next event;
 * ``arrive(k, t)``: flow bookkeeping for a new class-k flow at time t (the
   initial flows are added this way too, at t = 0);
-* ``fire(kind, k, rng, t)``: the event of clock ``kind`` of class k at time
-  t, given that clock's stream; returns whether a class-k flow departed;
+* ``fire(kind, k, uniform, t)``: the event of clock ``kind`` of class k at
+  time t; ``uniform`` gives the run's next uniform in [0, 1) on each call.
+  Returns whether a class-k flow departed;
 * ``accrue(x, dt)``: its own path integrals over a stretch of length dt, or
   None, whose call the loop then skips;
 * ``schedule``: a callable giving the current schedule as a tuple of rows,
@@ -39,39 +41,39 @@ clock and a packet clock per class and keeps the schedule. Both set
 their own models into the same loop through the ``arrive`` and ``accrue``
 hooks: ``tests/theory.py`` wraps these two to accrue busy time, served bits
 and event rate-times, and runs the coupled pair, a pathwise check of
-stochastic domination (Lindvall, 1992). Their ``"flowpick"`` and
-``"coupling"`` stream kinds stay here so that their draws do not change.
+stochastic domination (Lindvall, 1992). The ``"flowpick"`` stream kind
+stays here for a test model that picks departing flows from a stream of its
+own, so that the path stays the separated model's.
 
 No event pays for work that it leaves unchanged. The loop keeps a running
-flow total for the guard, calls the sampler only when a sample time has
-passed or the run ends, and makes a clock's stream at its first draw, so a
-clock whose rate stays zero makes none. ``_Joint`` recomputes a class's
-packet clock rate, which reads only its slots, when ``fire`` changes them,
-and its attempt rates only when the event touched what they read: the
-class's own flows or slots, a neighbour's slot on a shared channel, its
-access point's downlink slots or, under the shared queue, that access
-point's flow counts (see ``_Joint``). A stream's Philox key, which depends
-only on (seed, kind, class, replication), is kept in a bounded cache, so the
-streams of a study that recur for every scaling value N are keyed once.
+flow total for the guard and calls the sampler only when a sample time has
+passed or the run ends. ``_Joint`` recomputes a class's packet clock rate,
+which reads only its slots, when ``fire`` changes them, and its attempt
+rates only when the event touched what they read: the class's own flows or
+slots, a neighbour's slot on a shared channel, its access point's downlink
+slots or, under the shared queue, that access point's flow counts (see
+``_Joint``). A stream's Philox key, which depends only on (seed, kind,
+class, replication), is kept in a bounded cache, so the streams of a study
+that recur for every scaling value N are keyed once.
 
-Randomness comes from counter-based Philox streams, one per (event kind,
-class, replication), all derived from the master seed. Identical configs give
-bit-identical trajectories, replications are independent, and comparisons
-across policies share arrival randomness (common random numbers). Since every
-clock has its own stream, the order in which different streams are drawn from
-does not matter; within one stream it does, and an event draws after its
-clock: the attempt stream draws the clock, then the channel; the packet stream
-the clock, then the slot (only where two or more are active, since
-``integers(1)`` draws nothing), then whether the flow ends. A stream that
-gives only standard-exponential clock draws is drawn in blocks of
-``EXP_BLOCK``, which yields the same values in the same order as one draw at
-a time: these are the arrival streams of every model and the service streams
-of the separated model, whose ``fire`` draws nothing. The joint model's
-attempt and packet streams interleave a uniform or integer draw after each
-clock draw, so they are drawn one value at a time; a block would shift every
-later value. Rates and path integrals are Python floats, and the order
-of each floating-point operation is part of the trajectory: a packet clock
-runs at (y_k * N) * phi_k, not y_k * (N * phi_k).
+Randomness comes from counter-based Philox streams derived from the master
+seed, K + 2 per run: one arrival stream per class, the ``"holding"`` stream
+of the model's holding times and the ``"uniform"`` stream. Identical configs
+give bit-identical trajectories, replications are independent, and
+comparisons across policies share arrival randomness (common random
+numbers). Every stream is drawn in blocks of ``BLOCK`` values, which gives
+the same values in the same order as one draw at a time. The arrival and
+holding streams give only standard exponentials, one per clock draw; the
+holding stream draws only while R > 0. The uniform stream gives, per model
+event, first the clock pick, then ``fire``'s own draws in order: the joint
+model's attempt draws the channel (only with two or more channels), and its
+packet completion the slot (only where two or more are active), then
+whether the flow ends; the coupled pair of the tests draws its coupling
+uniform. Rates and path integrals are Python floats, and the order of each
+floating-point operation is part of the trajectory: a packet clock runs at
+(y_k * N) * phi_k, not y_k * (N * phi_k), and R is the last entry of the
+running (left-to-right) sum that the pick bisects, so a pick always lands
+on a clock of positive rate.
 """
 
 from __future__ import annotations
@@ -92,14 +94,13 @@ from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_r
 from .schedule import state_flows
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
+# retired kinds leave their ids unused, so a surviving kind keeps its streams
 _STREAM_KINDS = {
     "arrival": 0,
-    "service": 1,
-    "attempt": 2,
-    "packet": 3,
     "flowpick": 4,
-    "coupling": 5,
     "bootstrap": 6,
+    "holding": 7,
+    "uniform": 8,
 }
 
 
@@ -138,20 +139,18 @@ def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> np.ran
     return np.random.Generator(np.random.Philox(_philox_key(entropy)))
 
 
-EXP_BLOCK = 64
+BLOCK = 64
 
 
-def exponential_draws(rng: np.random.Generator, *, block: bool) -> Callable[[], float]:
-    """A no-argument callable giving ``rng``'s standard-exponential draws in
-    order. With ``block`` it takes them ``EXP_BLOCK`` at a time, which gives
-    the same values but advances ``rng`` ahead of the draws handed out, so
-    nothing else may draw from ``rng``."""
-    if not block:
-        return rng.standard_exponential
-
+def block_draws(sample: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """A no-argument callable giving the values of ``sample``, a generator
+    method such as ``rng.random``, one at a time as Python floats. It takes
+    them ``BLOCK`` at a time, which gives the same values as one call each
+    but advances the generator ahead of the values handed out, so nothing
+    else may draw from it."""
     def blocks():
         while True:
-            yield from rng.standard_exponential(EXP_BLOCK).tolist()
+            yield from sample(BLOCK).tolist()
 
     return blocks().__next__
 
@@ -300,23 +299,12 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         for _ in range(x[k]):
             model.arrive(k, 0.0)
 
+    seed, rep = cfg.seed, cfg.replication
     lam = [float(v) for v in traffic.arrival_rate]
-    arr_draws = [exponential_draws(stream(cfg.seed, "arrival", k, cfg.replication),
-                                   block=True) for k in range(K)]
-    # the redrawn clocks, kind by kind, one per class within a kind. A
-    # clock's stream is made at its first draw, and a clock whose rate stays
-    # zero never draws, so a short run makes only the streams it uses.
-    clock_rngs: list[Optional[np.random.Generator]] = [None] * (len(model.clocks) * K)
-
-    def first_draw(i: int) -> Callable[[], float]:
-        def draw() -> float:
-            kind = model.clocks[i // K]
-            rng = clock_rngs[i] = stream(cfg.seed, kind, i % K, cfg.replication)
-            clock_draws[i] = exponential_draws(rng, block=kind in model.block_drawn)
-            return clock_draws[i]()
-        return draw
-
-    clock_draws = [first_draw(i) for i in range(len(clock_rngs))]
+    arr_draws = [block_draws(stream(seed, "arrival", k, rep).standard_exponential)
+                 for k in range(K)]
+    holding = block_draws(stream(seed, "holding", 0, rep).standard_exponential)
+    uniform = block_draws(stream(seed, "uniform", 0, rep).random)
     next_arrival = [draw() / r if r > 0 else math.inf for draw, r in zip(arr_draws, lam)]
     arrivals = [0] * K
     departures = [0] * K
@@ -328,11 +316,11 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
     abort_time: Optional[float] = None
 
     while True:
-        clock_rates = model.rates(x)
-        # the race runs on Python floats; index() finds the first minimum
-        times = next_arrival + [t + draw() / r if r > 0 else math.inf
-                                for draw, r in zip(clock_draws, clock_rates)]
-        t_next = min(times)
+        acc = list(itertools.accumulate(model.rates(x)))
+        total = acc[-1]
+        t_clock = t + holding() / total if total > 0 else math.inf
+        t_arrival = min(next_arrival)
+        t_next = t_clock if t_clock < t_arrival else t_arrival
         done = t_next >= cfg.horizon
         if done:
             t_next = cfg.horizon
@@ -347,8 +335,8 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         if done:
             break
 
-        i = times.index(t_next)
-        if i < K:
+        if t_arrival <= t_clock:
+            i = next_arrival.index(t_arrival)
             x[i] += 1
             arrivals[i] += 1
             next_arrival[i] = t + arr_draws[i]() / lam[i]
@@ -359,8 +347,10 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
                 sampler.emit(math.inf, x, model.schedule)
                 break
         else:
-            kind, k = divmod(i - K, K)
-            if model.fire(kind, k, clock_rngs[i - K], t):
+            # u * total < total = acc[-1], so the pick passes every clock
+            # of rate zero, whose running sum equals the previous one
+            kind, k = divmod(bisect.bisect_right(acc, uniform() * total), K)
+            if model.fire(kind, k, uniform, t):
                 x[k] -= 1
                 departures[k] += 1
                 flows -= 1
@@ -385,8 +375,6 @@ class _Separated:
     It keeps no flow bookkeeping: a departure leaves one flow fewer, and the
     departure rates read only the flow counts."""
 
-    clocks = ("service",)
-    block_drawn = ("service",)
     schedule = None
     accrue = None
 
@@ -402,7 +390,7 @@ class _Separated:
     def arrive(self, k: int, t: float) -> None:
         pass
 
-    def fire(self, kind: int, k: int, rng, t: float) -> bool:
+    def fire(self, kind: int, k: int, uniform: Callable[[], float], t: float) -> bool:
         return True
 
     def finish(self, traj: Trajectory) -> None:
@@ -447,8 +435,6 @@ class _Joint:
     some flow of its class with probability 1 / (sigma_k N).
     """
 
-    clocks = ("attempt", "packet")
-    block_drawn = ()
     accrue = None
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -460,14 +446,9 @@ class _Joint:
         self.nu = params.nu.tolist()
         self.beta = params.beta.tolist()
         self.flow_end_prob = [1.0 / (float(s) * N) for s in traffic.mean_flow_size]
-        # a class's attempt total: fewer than 8 rates are added left to right,
-        # 8 or more pairwise, as np.sum does (pinned by the 8- to 12-channel
-        # runs of test_trajectories_match_recorded_digests). With one channel
-        # the total is the one rate, which is never -0.0, so 0.0 + r == r.
-        if J == 1:
-            self.total = operator.itemgetter(0)
-        else:
-            self.total = left_sum if J < 8 else (lambda v: float(np.sum(v)))
+        # a class's attempt total, added left to right. With one channel the
+        # total is the one rate, which is never -0.0, so 0.0 + r == r.
+        self.total = operator.itemgetter(0) if J == 1 else left_sum
 
         self.downlink_ap = [spec.downlink_ap(k) for k in range(K)]
         self.shared_queue = [policy == "standard_infra" and i is not None
@@ -525,17 +506,17 @@ class _Joint:
     def arrive(self, k: int, t: float) -> None:
         self.stale |= self.flow_readers[k]
 
-    def fire(self, kind: int, k: int, rng, t: float) -> bool:
+    def fire(self, kind: int, k: int, uniform: Callable[[], float], t: float) -> bool:
         i = self.downlink_ap[k]
         J = self.num_channels
         if kind == 0:                       # successful channel access
-            attempt = self.attempt[k]
-            u = rng.random() * self.attempt_total[k]    # drawn even with one channel
-            j = 0 if J == 1 else bisect.bisect_right(list(itertools.accumulate(attempt)), u)
-            if j == J:
-                # u passed the running sum, which a pairwise total (J >= 8)
-                # can exceed: take the last channel with a positive rate
-                j = max(c for c, r in enumerate(attempt) if r > 0)
+            if J == 1:
+                j = 0
+            else:
+                # the pick scales by the running sum it bisects, so it
+                # never passes it onto a trailing channel of rate zero
+                acc = list(itertools.accumulate(self.attempt[k]))
+                j = bisect.bisect_right(acc, uniform() * acc[-1])
             self.stale |= self.slot_readers[k][j]
             self.y[k][j] = 1
             self.y_class[k] += 1
@@ -546,14 +527,14 @@ class _Joint:
             self.attempt_counts[k] += 1
             return False
         # packet completion, which ends its flow with probability 1 / (sigma_k N);
-        # integers(1) would draw nothing, so one active slot is taken directly
+        # a single active slot is taken without a draw
         y_k = self.y[k]
         if self.y_class[k] == 1:
             j = y_k.index(1)
         else:
             js = [j for j in range(J) if y_k[j]]
-            j = js[int(rng.integers(len(js)))]
-        ends_flow = bool(rng.random() < self.flow_end_prob[k])
+            j = js[int(uniform() * len(js))]
+        ends_flow = uniform() < self.flow_end_prob[k]
         self.stale |= self.slot_readers[k][j]
         y_k[j] = 0
         self.y_class[k] -= 1

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mccsma
 from mccsma.cli import main
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.scenario import load_scenario
@@ -15,6 +17,18 @@ def read_csv(path: Path) -> list[dict]:
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:] if ln]
+
+
+def test_package_version_matches_pyproject(tmp_path):
+    """The version a manifest records is the one ``pyproject.toml`` declares
+    (read with a regex: ``tomllib`` needs Python 3.11)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    declared = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project, re.M).group(1)
+    assert mccsma.__version__ == declared
+    out = tmp_path / "eq"
+    assert main(["run", "equilibrium", "--scenario", "two-ap", "--output", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["versions"]["mccsma"] == declared
 
 
 def test_equilibrium_run_reproduces_limit_throughput(tmp_path):

@@ -49,19 +49,19 @@ GOLDEN = {
          "--horizon", "50", "--replications", "5"],
         {
             "summary.csv":
-                "22afa43ca93d9a05246fe4b3427d14577ba0657eae4a8a244358d3c6bf70cda0",
+                "96634774abb990274c330006f4b223050939b58ad248208aa6eda842b4634cbd",
             "trajectory_0.csv":
-                "ff14ef4553a7064974c989e94a62b705cd53f285d1843f9014cbc7941163723f",
+                "ba3af286eca0cb83731e8488a2f6fb19ad5a44d1f0c043ec07d7073b9368d80b",
             "trajectory_1.csv":
-                "f218cc500594408d90a1751506c5faf5c66ff388be81341cd423c3f6057af9ca",
+                "2f786488422d355b605afea52b6f7f67677ddf5e4897b5f02704dca5a235558d",
             "trajectory_2.csv":
-                "96f373832d4b614e16e1a612d44bc7541408c0e6ae08c913563a2b5fe9ea0e68",
+                "9f5cf117917ba9910d8687e39f093a82c20769700b3d4f69a3c2e2722a06a65e",
             "trajectory_3.csv":
-                "fe0a29fc5bb51580689fcfb66e5d284d5f18ea9ff244b0bfcec102e5f3bf807d",
+                "9b4ee190f91928be16c9fb87201dca17db1d74bbae4c6295f71c3ec2214ed1a1",
             "trajectory_4.csv":
-                "9cc97c05f53a8daa717f79b6b4ccf1b6ee7a2d1fe9da404e4d2d5912758e3130",
+                "d214d5ca9ec11f6edf37d8ce0f54f590f1de2ffbce4bb86c2d34492a9ce8c4da",
             "verdict.json":
-                "14134e6394f4d9de17756a8e3aee36ea36ec0d6f2d0a4aa4c1acf5d923ad26c8",
+                "8e5c88ef7ebfe96687d78fd7dc43025bdaf7260c3eeb6744368fc81012da671a",
         },
     ),
     "simulate-ap-line3-joint": (
@@ -69,19 +69,19 @@ GOLDEN = {
          "--replications", "5", "--scaling-n", "4"],
         {
             "summary.csv":
-                "39a89f0dae6faec312e69575e44e4cef5a757804129d2a77e16f330248e0fb47",
+                "cec9241a8cf78b25233f2009b7d3a2a2e83c46cb4dbfd3d32f79b278fa7d7795",
             "trajectory_0.csv":
-                "629b54ecfcf075913c266a024e8667532db66268df1b18fda511390969b8cc22",
+                "113e2de3035230a7abeda93c71e1929d309b34617878fe78d5ce75de9b763375",
             "trajectory_1.csv":
-                "ca044104bbc7bc96f8950bab644ffa2bba0520332e14fe8f4a0900351043ab01",
+                "b60a948871843ff1afe9e2ece3160d0c83b44be9183e8bc7980fc03f2e4a9e16",
             "trajectory_2.csv":
-                "03c7a27981aace6e606eed53d3d8c5134702f1206f2c9f426f53e724b8c43f0d",
+                "bf6a7ebd2e568939c77ddc43ead68ab0070acb70da0bad2bc2195c8ea3e576aa",
             "trajectory_3.csv":
-                "0d42e4169ca78d67c8e0aacab2d78a547a9b0979cc1862d34d998bde6383e150",
+                "f54eb02866ed0c0edefee190696dbd6a608d26d18f59b06cd83e462e8f88d3cb",
             "trajectory_4.csv":
-                "f72229707495680ba93e8e22836bb4b478bad8d562ae70206683a98d90bfd7fe",
+                "467864528a7c15382e15367e8157cb959e95bc32134679808d76f9e832fe166a",
             "verdict.json":
-                "c71123a8a476fe9fd2ec93afdab242cbf19947ae0922592922d1990ab03be2e5",
+                "989ab2cddda70d3f489189f2d9a9e913a047e5bd18191de7d3055a7b39a89600",
         },
     ),
     "stability-sweep-adhoc4": (
@@ -89,14 +89,14 @@ GOLDEN = {
          "--replications", "5", "--horizon", "100"],
         {
             "stability.csv":
-                "eef4b9492effe2cf0fb0bd493fbe9046093ae190d7d740de7af81913222b305a",
+                "922276d41adfbeeda3307f4664305c5cbd5917937cf19345eaf042d062b39a59",
         },
     ),
     "timescale-ap-line3": (
         ["run", "timescale", "--scenario", "ap-line3", "--replications", "20"],
         {
             "distances.csv":
-                "1ee57e2c3060172df00357a3fe0d2e2a0086f5b2a3685348272f0c33f3f91b94",
+                "5b6b9a1edec148a84c7f423c94d68acee17134ba4a3aa762de9a4f8ce5d9db41",
         },
     ),
 }

@@ -43,14 +43,16 @@ CAPACITY_LP_SMOKE_COUNTS = {
     "capacity.solver_errors": 0,
 }
 
-# the first traced unit of the flow-models smoke run at seed 7
+# the first traced unit of the flow-models smoke run at seed 7; the event
+# and cache counts follow the random paths, so they move with any change to
+# how the kernel draws its random numbers
 FLOW_MODELS_SMOKE_COUNTS = {
-    "equilibrium.throughput_calls": 2076,   # 348 cache misses + 1,728 oracle states
-    "dynamics.cache_lookups": 2745,
-    "dynamics.cache_misses": 348,
+    "equilibrium.throughput_calls": 2111,   # 383 cache misses + 1,728 oracle states
+    "dynamics.cache_lookups": 2766,
+    "dynamics.cache_misses": 383,
     "equilibrium.bundle_builds": 3,         # one uncapped enumeration per evaluator
-    "dynamics.separated_events": 2735,
-    "dynamics.joint_events": 456,
+    "dynamics.separated_events": 2756,
+    "dynamics.joint_events": 473,
 }
 
 

@@ -13,7 +13,7 @@ from mccsma.stability import (StabilityThresholds, _ls_slope, bowtie_boundary,
                               optimal_center_bound)
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
 import theory
-from theory import (MM1_BATCHES, dominated_throughput_fn, h_part_bound,
+from theory import (MM1_BATCHES, MM1_LEVEL, dominated_throughput_fn, h_part_bound,
                     lpartite_fluid_bound, lyapunov_drift, mm1_reduction_check)
 
 
@@ -202,6 +202,21 @@ def test_mm1_reduction_busy_fraction_and_independence(bowtie):
     assert report.passed, report
     for b in report.busy_fraction:
         assert abs(b - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("target", [0.45, 0.55])
+def test_mm1_reduction_rejects_a_wrong_load(bowtie, target):
+    """The same run as above, tested against a load 0.05 off the true one:
+    both the busy fractions and the occupancy law reject it."""
+    params = CsmaParams.from_alpha(bowtie, 1e6)
+    traffic = TrafficSpec.of(0.5, 1.0, 5)
+    cfg = SimConfig("standard_infra", 8000.0, 13, (0,) * 5,
+                    sample_times=uniform_sample_times(8000.0, 1600))
+    report = mm1_reduction_check(bowtie, params, traffic, cfg, target=target)
+    assert report.target_load == target and not report.passed
+    assert any(abs(b - target) > h for b, h in
+               zip(report.busy_fraction, report.busy_ci_halfwidth))
+    assert min(report.gof_pvalues) < MM1_LEVEL / 4
 
 
 def test_mm1_reduction_zero_load(bowtie):

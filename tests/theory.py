@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import chisquare
+from scipy.stats import f as f_dist
+from scipy.stats import t as t_dist
 
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
                              _Joint, _run, _Sampler, _Separated)
@@ -41,6 +42,7 @@ from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
 
 MM1_BATCHES = 10          # batch means behind the M/M/1 check's intervals
+MM1_LEVEL = 0.01          # the M/M/1 check's false-failure rate per test family
 DRAIN_FRACTION = 0.05     # share of its start below which the workload is drained
 
 
@@ -369,7 +371,6 @@ class _Accruing:
     def __init__(self, model, traffic: TrafficSpec):
         self.model = model
         self.num_classes = K = model.num_classes
-        self.clocks, self.block_drawn = model.clocks, model.block_drawn
         self.schedule = model.schedule
         self.rates, self.arrive, self.fire = model.rates, model.arrive, model.fire
         self.busy, self.served = [0.0] * K, [0.0] * K
@@ -466,6 +467,57 @@ def _merge_bins(observed: np.ndarray, expected: np.ndarray
     return np.array(obs_out), np.array(exp_out)
 
 
+def _geometric_bins(load: float, n: int) -> list[int]:
+    """The first occupancy level of each chi-square bin for ``n`` samples
+    of the geometric law P(X = l) = (1 - load) load^l: consecutive levels
+    are merged until a bin expects at least 5 samples, and the last bin,
+    from its first level up, takes the tail."""
+    cuts, mass, level = [0], 0.0, 0
+    while n * load ** (level + 1) >= 5.0:     # the tail still fills a bin
+        mass += (1.0 - load) * load ** level
+        level += 1
+        if n * mass >= 5.0:
+            cuts.append(level)
+            mass = 0.0
+    return cuts
+
+
+def geometric_gof_pvalues(occupancy: np.ndarray, load: float) -> list[float]:
+    """p-values of each column of ``occupancy`` (one queue per column, its
+    samples in time order) against the geometric law of ``load``.
+
+    Successive samples of a queue are correlated, so the plain chi-square
+    statistic X^2, which takes them as independent, rejects a true law far
+    more often than its level says. The statistic is corrected as Rao and
+    Scott (1981) correct it for clustered samples: X^2 / (m - 1) is divided
+    by the mean design effect of the m bins, each bin's design effect being
+    the variance of its frequency estimated from ``MM1_BATCHES`` batch means
+    over that of independent samples. The batch variances are pooled over
+    the columns, which under the null are independent copies of one queue,
+    and the corrected statistic is referred to F(m - 1, nu), nu being the
+    pooled batch degrees of freedom. The last samples that fill no batch
+    are left out.
+    """
+    B = MM1_BATCHES
+    size = occupancy.shape[0] // B
+    n = B * size
+    cuts = _geometric_bins(load, n)
+    m = len(cuts)
+    if m < 2:
+        return [1.0] * occupancy.shape[1]
+    prob = np.array([load ** a for a in cuts] + [0.0])
+    prob = prob[:-1] - prob[1:]                   # P(bin) = load^a - load^b
+    bins = np.searchsorted(cuts, occupancy[:n], side="right") - 1
+    # each batch's bin frequencies: (batch, column, bin)
+    freq = (bins.reshape(B, size, -1)[..., None] == np.arange(m)).mean(axis=1)
+    pooled = freq.var(axis=0, ddof=1).mean(axis=0) / B
+    design = pooled / (prob * (1.0 - prob) / n)
+    mean_design = float(((1.0 - prob) * design).sum()) / (m - 1)
+    x2 = n * (((freq.mean(axis=0) - prob) ** 2) / prob).sum(axis=1)
+    nu = occupancy.shape[1] * (B - 1)
+    return f_dist.sf(x2 / ((m - 1) * mean_design), m - 1, nu).tolist()
+
+
 @dataclass
 class MM1Report:
     busy_fraction: tuple[float, ...]
@@ -478,17 +530,22 @@ class MM1Report:
 
 
 def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                        cfg: SimConfig) -> MM1Report:
+                        cfg: SimConfig, target: Optional[float] = None) -> MM1Report:
     """Check that under the dominating service profile the non-center queues
     behave like independent single-server queues at their own load.
 
     Runs the separated model with every class except the center (class 2)
-    served at full rate while occupied, then tests per-class busy fractions
-    against the load, the occupancy distribution against the geometric law
-    (chi-square, each p-value at least 0.01), and pairwise correlations
-    against zero (CI over ``MM1_BATCHES`` batch means). Raises
-    ``ValueError`` before simulating when ``cfg`` has fewer sample times
-    than batches.
+    served at full rate while occupied, then tests each edge class's exact
+    busy fraction against the load (a t interval whose standard error comes
+    from ``MM1_BATCHES`` batch means of the sampled busy indicator, pooled
+    over the edge classes), its sampled occupancy against the geometric law
+    (``geometric_gof_pvalues``), and pairwise correlations against zero (CI
+    over the batch means). The samples of one run are correlated in time,
+    which is why both tests read their variances off batch means; each
+    family of tests fails a true law with probability at most
+    ``MM1_LEVEL``. ``target`` replaces the edge classes' load as the law
+    tested against, to measure the check's power. Raises ``ValueError``
+    before simulating when ``cfg`` has fewer sample times than batches.
     """
     if len(cfg.sample_times) < MM1_BATCHES:
         raise ValueError(f"need at least {MM1_BATCHES} sample times for the batch "
@@ -496,7 +553,8 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     K = spec.num_classes
     edges = [k for k in range(K) if k != 2]
     rho = traffic_load(traffic) / params.phi
-    target = float(rho[edges[0]])
+    if target is None:
+        target = float(rho[edges[0]])
     fn = dominated_throughput_fn(spec, params, cfg.policy, edges)
     traj, paths = with_integrals(_Separated(spec, fn, traffic), traffic, cfg)
 
@@ -506,32 +564,22 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     samples = np.array([s.state for s in traj.samples], dtype=float)
     n_samples = samples.shape[0]
     batch_size = n_samples // MM1_BATCHES
+    occupancy = samples[:, edges].astype(int)
 
-    busy_half = []
-    for idx, k in enumerate(edges):
-        per_batch = [
-            (samples[b * batch_size:(b + 1) * batch_size, k] > 0).mean()
-            for b in range(MM1_BATCHES)
-        ]
-        busy_half.append(2.0 * float(np.std(per_batch, ddof=1)) / math.sqrt(MM1_BATCHES))
+    # each family (busy fractions, occupancy laws) tests the len(edges)
+    # queues at MM1_LEVEL / len(edges) each (Bonferroni), so a true law
+    # fails a family at most at MM1_LEVEL
+    level = MM1_LEVEL / len(edges)
+    per_batch = (occupancy[:MM1_BATCHES * batch_size] > 0).reshape(
+        MM1_BATCHES, batch_size, len(edges)).mean(axis=1)
+    nu = len(edges) * (MM1_BATCHES - 1)
+    busy_se = math.sqrt(float(per_batch.var(axis=0, ddof=1).mean()) / MM1_BATCHES)
+    busy_half = (float(t_dist.isf(level / 2, nu)) * busy_se,) * len(edges)
 
-    pvalues = []
-    for k in edges:
-        occ = samples[:, k].astype(int)
-        if target == 0.0:
-            pvalues.append(1.0 if occ.max() == 0 else 0.0)
-            continue
-        top = int(occ.max()) + 1
-        observed = np.bincount(occ, minlength=top + 1).astype(float)
-        levels = np.arange(top + 1)
-        expected = (1 - target) * target**levels * n_samples
-        expected[-1] = n_samples - expected[:-1].sum()   # lump the geometric tail
-        obs, exp = _merge_bins(observed, expected)
-        if len(obs) < 2:
-            pvalues.append(1.0)
-            continue
-        _, p = chisquare(obs, exp * obs.sum() / exp.sum())
-        pvalues.append(float(p))
+    if target == 0.0:
+        pvalues = [1.0 if occ.max() == 0 else 0.0 for occ in occupancy.T]
+    else:
+        pvalues = geometric_gof_pvalues(occupancy, target)
 
     corr_vals = []
     for b in range(MM1_BATCHES):
@@ -547,11 +595,10 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     corr_half = (2.0 * float(np.std(corr_vals, ddof=1)) / math.sqrt(len(corr_vals))
                  if len(corr_vals) > 1 else 0.0)
 
-    busy_ok = all(abs(b - target) <= max(h, 0.02) + 1e-12
-                  for b, h in zip(busy, busy_half))
-    gof_ok = all(p >= 0.01 for p in pvalues)
+    busy_ok = all(abs(b - target) <= h for b, h in zip(busy, busy_half))
+    gof_ok = all(p >= level for p in pvalues)
     corr_ok = abs(corr_mean) <= corr_half + 0.05
-    return MM1Report(busy, tuple(busy_half), target, tuple(pvalues),
+    return MM1Report(busy, busy_half, target, tuple(pvalues),
                      corr_mean, corr_half,
                      bool(busy_ok and gof_ok and corr_ok))
 
@@ -622,17 +669,16 @@ class _Coupled:
     ``throughput_lo``; the model carries the dominated chain, served at
     ``throughput_hi``, which takes the same arrivals.
 
-    Class k has one coupling clock at the rate bound J * phi_k / sigma_k.
-    Its uniform u in [0, bound) decides the departure in both chains
-    (nested intervals): a chain holding class-k flows loses one when u falls
-    below its own class-k departure rate. The coupling streams interleave
-    that uniform draw with the clock draws, so they are drawn one value at a
-    time. ``accrue`` adds the dominated chain's flow integrals and both
-    chains' busy time and served bits.
+    Class k has one coupling clock at the rate bound J * phi_k / sigma_k,
+    so the clocks' total rate is constant and ``_run`` picks class k with
+    probability bound_k / total. The next uniform of the run's uniform
+    stream, scaled to u in [0, bound_k), then decides the departure in both
+    chains (nested intervals): a chain holding class-k flows loses one when
+    u falls below its own class-k departure rate. ``accrue`` adds the
+    dominated chain's flow integrals and both chains' busy time and served
+    bits.
     """
 
-    clocks = ("coupling",)
-    block_drawn = ()
     schedule = None
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
@@ -660,8 +706,8 @@ class _Coupled:
         self.sampler.emit(t, self.y)
         self.y[k] += 1
 
-    def fire(self, kind: int, k: int, rng, t: float) -> bool:
-        u = rng.random() * self.bound[k]
+    def fire(self, kind: int, k: int, uniform: Callable[[], float], t: float) -> bool:
+        u = uniform() * self.bound[k]
         x, y = self.x, self.y
         base = x[k] > 0 and u < self.phi_lo[k] / self.sigma[k]
         if y[k] > 0 and u < self.phi_hi[k] / self.sigma[k]:
