@@ -13,4 +13,4 @@ from .topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                        TrafficSpec, detect_l_partite, replicate_graph,
                        validate_params, validate_spec, validate_traffic)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -252,8 +252,8 @@ def run_timescale(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
         n_values=exp.n_values, t_probe=exp.t_probe,
         replications=exp.replications, seed=seed, policy=exp.policy,
         initial_state=_initial_state(scenario))
-    _write_csv(outdir / "distances.csv", ["scaling_n", "distance", "ci_lo", "ci_hi"],
-               [(r.scaling_n, r.distance, r.ci_lo, r.ci_hi) for r in rows])
+    _write_csv(outdir / "distances.csv", ["scaling_n", "distance"],
+               [(r.scaling_n, r.distance) for r in rows])
     return ["distances.csv"]
 
 

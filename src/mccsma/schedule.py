@@ -78,16 +78,17 @@ def _space_error(max_schedules: int) -> ScheduleSpaceError:
                               f"too large for exact enumeration")
 
 
-def _independent_rows(members: list[int], graph, spec: NetworkSpec,
+def _independent_rows(members: list[int], graph, num_classes: int,
                       max_schedules: int) -> np.ndarray:
-    """Indicator rows of the conflict-free subsets of ``members`` that hold
-    at most one downlink class of each access point, the empty one included.
+    """Indicator rows of the conflict-free subsets of ``members``, the empty
+    one included.
 
     Every row, with the other channels idle, is a distinct feasible schedule
     (members are the classes whose cap allows an activation), so more than
     ``max_schedules`` rows raise ScheduleSpaceError while they are listed.
+    On a spec where two classes of one access point do not conflict, which
+    ``validate_spec`` rejects, the guard may count rows the budget drops.
     """
-    ap_of = [spec.downlink_ap(k) for k in range(spec.num_classes)]
     subsets: list[list[int]] = []
 
     def extend(prefix: list[int], start: int) -> None:
@@ -96,14 +97,13 @@ def _independent_rows(members: list[int], graph, spec: NetworkSpec,
             raise _space_error(max_schedules)
         for idx in range(start, len(members)):
             k = members[idx]
-            if all(not graph.conflicts(k, m) and (ap_of[k] is None or ap_of[k] != ap_of[m])
-                   for m in prefix):
+            if all(not graph.conflicts(k, m) for m in prefix):
                 prefix.append(k)
                 extend(prefix, idx + 1)
                 prefix.pop()
 
     extend([], 0)
-    rows = np.zeros((len(subsets), spec.num_classes), dtype=np.uint8)
+    rows = np.zeros((len(subsets), num_classes), dtype=np.uint8)
     for i, subset in enumerate(subsets):
         rows[i, subset] = 1
     return rows
@@ -150,7 +150,7 @@ def enumerate_feasible(spec: NetworkSpec, state=None, *,
     active = np.zeros((1, K, 0), dtype=np.uint8)   # partial schedules
     spent = np.zeros((1, K + A), dtype=np.int64)   # their use of each budget
     for g in spec.channel_graphs:
-        rows = _independent_rows([k for k in sorted(g.eligible) if caps[k] > 0], g, spec,
+        rows = _independent_rows([k for k in sorted(g.eligible) if caps[k] > 0], g, K,
                                  max_schedules)
         row_spends = rows @ spends
         step = max(1, _PAIR_BLOCK // len(rows))

@@ -7,12 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, kstest
+from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
-from mccsma.dynamics import (_STREAM_KINDS, BLOCK, TIMESCALE_BOOTSTRAP, SimConfig,
-                             ThroughputCache, TrajectorySample, _Joint, _run, _Separated,
-                             _tv_from_counts, _tv_of_resamples, block_draws, left_sum,
+from mccsma.dynamics import (_STREAM_KINDS, BLOCK, SimConfig, ThroughputCache,
+                             TrajectorySample, _Joint, _run, _Separated,
+                             _tv_from_counts, block_draws, left_sum,
                              simulate_joint, simulate_separated, stream,
                              timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
@@ -539,22 +539,26 @@ def test_each_run_makes_k_plus_two_streams(simulate, monkeypatch):
 
 
 def test_empirical_rates_match_generator_rates():
+    """Each of the 3K event counts (arrivals, attempts, packets per class)
+    stays within z standard deviations of its compensator, the rate-time
+    integral of the generator's rate, plus 3. The z of a Bonferroni family
+    level of 0.001 over the 3K counts (3.93 at K = 4) keeps false failures
+    rare over seeds. The horizon gives power: race attempt rates 1.05 times
+    the generator's fail it at 38 of the 40 seeds 9 + 7919 i."""
     rng = np.random.default_rng(3)
     spec, params, state = random_instance(rng, infrastructure=False)
-    traffic = TrafficSpec.of(0.4, 1.0, spec.num_classes)
-    cfg = SimConfig("adhoc", 3000.0, 9, state, scaling_n=1)
+    K = spec.num_classes
+    traffic = TrafficSpec.of(0.4, 1.0, K)
+    cfg = SimConfig("adhoc", 20_000.0, 9, state, scaling_n=1)
     tr, paths = with_integrals(_Joint(spec, params, traffic, "adhoc", cfg), traffic, cfg)
     assert tr == simulate_joint(spec, params, traffic, cfg)    # accruing leaves the path alone
-    for kind, expected_key in (("arrival", "arrival"), ("attempt", "attempt")):
-        counts = np.asarray(tr.event_counts_by_kind[kind], dtype=float)
-        integral = np.asarray(paths.rate_time[expected_key])
-        for k in range(spec.num_classes):
-            assert abs(counts[k] - integral[k]) <= 3.0 * math.sqrt(integral[k]) + 3.0
-    pkt = np.asarray(tr.event_counts_by_kind["packet"], dtype=float)
-    pkt_integral = (np.asarray(paths.rate_time["packet_continue"])
-                    + np.asarray(paths.rate_time["packet_complete"]))
-    for k in range(spec.num_classes):
-        assert abs(pkt[k] - pkt_integral[k]) <= 3.0 * math.sqrt(pkt_integral[k]) + 3.0
+    z = norm.isf(0.001 / (2 * 3 * K))
+    rt = paths.rate_time
+    for kind, integral in (("arrival", rt["arrival"]), ("attempt", rt["attempt"]),
+                           ("packet", np.add(rt["packet_continue"], rt["packet_complete"]))):
+        counts = tr.event_counts_by_kind[kind]
+        for k in range(K):
+            assert abs(counts[k] - integral[k]) <= z * math.sqrt(integral[k]) + 3.0
 
 
 def test_arrival_counts_match_poisson_intensity():
@@ -592,6 +596,26 @@ def test_timescale_absorbed_processes_agree():
                                  policy="adhoc", initial_state=(1, 1))
     for row in rows:
         assert row.distance < 0.02
+
+
+def test_timescale_draws_only_its_joint_runs_streams(monkeypatch):
+    """The study makes the K + 2 streams of each joint run and no others."""
+    made = []
+
+    def counting_stream(seed, kind, klass=0, replication=0):
+        made.append(kind)
+        return stream(seed, kind, klass, replication)
+
+    monkeypatch.setattr("mccsma.dynamics.stream", counting_stream)
+    spec = two_conflicting_classes()
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.4, 1.0, 2)
+    n_values, replications = (1, 4, 16), 5
+    timescale_convergence(spec, params, traffic, n_values=n_values, t_probe=1.0,
+                          replications=replications, seed=3, policy="adhoc",
+                          initial_state=(1, 0))
+    assert len(made) == replications * len(n_values) * (spec.num_classes + 2)
+    assert set(made) == {"arrival", "holding", "uniform"}
 
 
 @pytest.mark.parametrize("bad, name", [
@@ -691,37 +715,6 @@ def test_tv_from_counts_matches_full_scan_bit_for_bit():
         expected = _tv_full_scan(counts, total, {s: float(q) for s, q in zip(states, p_ref)},
                                  outside_ref)
         assert got == expected
-
-
-def test_batched_bootstrap_matches_one_tv_call_per_resample():
-    """``_tv_of_resamples`` over a bootstrap batch gives, bit for bit, the
-    distances of one ``_tv_from_counts`` call per resample. The counts
-    include states outside the box, and the resamples zero counts."""
-    rng = np.random.default_rng(17)
-    outside = zeros = 0
-    for case in range(30):
-        box = rng.integers(1, 6, size=int(rng.integers(1, 4)))
-        states = [tuple(int(v) for v in x)
-                  for x in itertools.product(*(range(b + 1) for b in box))]
-        p_ref = rng.random(len(states))
-        p_ref *= (1.0 - 0.01 * rng.random()) / p_ref.sum()
-        outside_ref = max(0.0, 1.0 - float(p_ref.sum()))
-        total = int(rng.integers(20, 200))
-        counts: Counter = Counter(tuple(int(v) for v in rng.integers(0, box + 2))
-                                  for _ in range(total))
-        index = {s: i for i, s in enumerate(states)}
-        keys = list(counts)
-        probs = np.array([counts[s] for s in keys], dtype=float) / total
-        resampled = stream(case, "bootstrap").multinomial(total, probs,
-                                                          size=TIMESCALE_BOOTSTRAP)
-        outside += any(s not in index for s in keys)
-        zeros += bool((resampled == 0).any())
-        got = _tv_of_resamples(resampled, keys, total, index, p_ref, outside_ref)
-        expected = [_tv_from_counts({s: int(c) for s, c in zip(keys, row) if c > 0},
-                                    total, index, p_ref, outside_ref)
-                    for row in resampled]
-        assert got.tolist() == expected
-    assert outside > 20 and zeros > 20
 
 
 # SHA-256 of every trajectory field below, one per pinned run. Any change to a
@@ -878,30 +871,3 @@ def test_left_sum_adds_left_to_right():
             acc += v
         assert left_sum(values) == acc
         assert left_sum(np.array(values)) == acc    # NumPy scalars alike
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
-def test_batched_multinomial_equals_sequential_calls(seed):
-    """The bootstrap draws its resamples with one ``multinomial(n, p,
-    size=B)`` call, which gives the rows of B calls of size 1 in order and
-    leaves the stream where they would."""
-    probs = np.random.default_rng(seed % 1000).random(37)
-    probs /= probs.sum()
-    batched, sequential = stream(seed, "bootstrap"), stream(seed, "bootstrap")
-    rows = batched.multinomial(200, probs, size=TIMESCALE_BOOTSTRAP).tolist()
-    assert rows == [sequential.multinomial(200, probs).tolist()
-                    for _ in range(TIMESCALE_BOOTSTRAP)]
-    assert batched.random() == sequential.random()
-
-
-def test_add_accumulate_is_sequential_addition():
-    """``_tv_from_counts`` takes a left-to-right sum from np.add.accumulate,
-    which adds in order at every length (np.sum adds pairwise)."""
-    rng = np.random.default_rng(9)
-    for n in (1, 7, 8, 9, 127, 128, 129, 4097):
-        values = rng.random(n) * 10.0 ** rng.integers(-12, 1, n)
-        acc, prefix = 0.0, []
-        for v in values.tolist():
-            acc += v
-            prefix.append(acc)
-        assert np.add.accumulate(values).tolist() == prefix

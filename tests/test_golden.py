@@ -96,7 +96,7 @@ GOLDEN = {
         ["run", "timescale", "--scenario", "ap-line3", "--replications", "20"],
         {
             "distances.csv":
-                "5b6b9a1edec148a84c7f423c94d68acee17134ba4a3aa762de9a4f8ce5d9db41",
+                "53fa7e9d6012fc456821aa076c82cfc001e63d4377c0dfc1eef5553799c3c2b8",
         },
     ),
 }

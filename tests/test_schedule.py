@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from conftest import (ap_line3, bad_state_message, bipartite33, bowtie_spec,
                       empty_schedule, random_instance)
 from mccsma.oracles import schedule_rows
 from mccsma.schedule import ScheduleSpaceError, enumerate_feasible
-from mccsma.topology import CsmaParams, NetworkSpec, replicate_graph
+from mccsma.topology import ChannelGraph, CsmaParams, NetworkSpec, replicate_graph
 from theory import (activity_marginals, alpha_limit_distribution, lemma_gap_bound,
                     log_weight_u, max_weight)
 
@@ -69,11 +70,24 @@ def test_bipartite_schedules_are_one_sided_blocks():
     assert len(scheds) == 2 ** 3 + 2 ** 3 - 1
 
 
+def without_intra_ap_edges(spec: NetworkSpec) -> NetworkSpec:
+    """``spec`` with no conflict between two classes of one access point, a
+    spec that ``validate_spec`` rejects: only the access-point budget then
+    keeps two downlinks of one access point apart."""
+    ap_of = {k: i for i, ap in enumerate(spec.access_points) for k in ap.classes}
+    graphs = tuple(ChannelGraph.of(g.eligible, [(a, b) for a, b in g.edges
+                                                if a not in ap_of or ap_of[a] != ap_of.get(b)])
+                   for g in spec.channel_graphs)
+    return dataclasses.replace(spec, channel_graphs=graphs)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_enumeration_matches_brute_force(seed, infra):
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_enumeration_matches_brute_force(seed, infra, drop_intra_ap):
     rng = np.random.default_rng(seed)
     spec, _, flows = random_instance(rng, infrastructure=infra)
+    if drop_intra_ap:
+        spec = without_intra_ap_edges(spec)
     ss = enumerate_feasible(spec, flows)
     # the row order is part of the contract: every sum over schedules follows it
     assert schedule_rows(ss) == sorted(brute_force_feasible(spec, flows))

@@ -1,7 +1,8 @@
 """Every name a module of the package, or the tests' ``theory`` helper,
-imports must be used in that module; and every top-level definition of the
-package, and every method, property and dataclass field of its classes, must
-be read outside the tests. A member counts as read only through an attribute
+imports must be used in that module; no module of the package but the CLI
+names ``print``; and every top-level definition of the package, and every
+method, property and dataclass field of its classes, must be read outside
+the tests. A member counts as read only through an attribute
 or a string passed to a call (as an attribute name is to ``getattr``), not
 through a bare name that merely shares its spelling; ``self.x`` inside class
 C, and ``C.x`` for a class C of the package, read only C's member.
@@ -63,6 +64,17 @@ def test_module_has_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_prints(path):
+    """The library reports through return values, exceptions and logging;
+    only the command line writes to the terminal."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "print"]
+    assert not lines, f"{path.name}: print at lines {lines}"
 
 
 # Top-level definitions that no runner reads yet, each kept on purpose.
