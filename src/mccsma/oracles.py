@@ -36,11 +36,14 @@ from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 # Largest box (number of flow-count vectors) the flow-level and joint
 # generators accept. The flow-level build solves one packet-level equilibrium
-# per state: on a 2-CPU Xeon, about 18,000 states/s on adhoc4 and 10,000 on
-# the bow-tie, so this bound keeps a build within about 10 s. It admits
-# adhoc4's default timescale box (28,561 states, built in 1.6 s) and refuses
-# those of bow-tie (759,375, over a minute), two-ap (2,985,984) and
-# bipartite33 (4,826,809).
+# per throughput key. That is one per state where every state is its own
+# key, as under adhoc and flow_aware: on a 2-CPU Xeon, about 23,000 states/s
+# on adhoc4. Under standard_infra with one downlink class per access point
+# the keys are the cap patterns (8 for ap-line3's 4,096 states, 243 for the
+# bow-tie), and assembly dominates: about 58,000 states/s on the bow-tie. So
+# this bound keeps a build within about 5 s. It admits adhoc4's default
+# timescale box (28,561 states, built in 1.3 s) and refuses those of bow-tie
+# (759,375), two-ap (2,985,984) and bipartite33 (4,826,809).
 MAX_ORACLE_STATES = 100_000
 
 # Poisson mass that uniformization may leave out of a transient distribution
@@ -224,7 +227,8 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
 
     Arrivals that would leave the box are dropped, so the result is exact only
     up to the probability mass the untruncated process puts outside the box.
-    Raises ``OracleSpaceError`` when the box holds more than
+    States of one ``throughput_key`` share one packet-level solve, whose
+    throughputs they would all get bit for bit. Raises ``OracleSpaceError`` when the box holds more than
     ``MAX_ORACLE_STATES`` states.
     """
     policy = check_policy(spec, policy)
@@ -234,8 +238,12 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
     triplets: list[tuple[int, int, float]] = []
     lam = traffic.arrival_rate
     sigma = traffic.mean_flow_size
+    throughput: dict[tuple, list[float]] = {}     # one solve per throughput key
     for x, xi in index.items():
-        phi_x = ev.throughput(x)
+        key = ev.throughput_key(x)
+        if key not in throughput:
+            throughput[key] = ev.throughput(x).tolist()
+        phi_x = throughput[key]
         for k in range(spec.num_classes):
             if lam[k] > 0 and x[k] < box[k]:
                 up = list(x)

@@ -21,7 +21,8 @@ from mccsma.oracles import (joint_generator, schedule_rows, stationary_distribut
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
-from theory import _merge_bins, dominated_throughput_fn, simulate_coupled_pair, with_integrals
+from theory import (_merge_bins, dominated_throughput_fn, generator_compensators,
+                    simulate_coupled_pair, with_integrals)
 
 
 def two_conflicting_classes():
@@ -274,6 +275,46 @@ def test_separated_runs_are_bit_identical_with_and_without_the_cache():
     assert runs == 18
 
 
+class _CheckedSeparated(_Separated):
+    """The separated model, checking before every race that the running
+    sums it hands the loop, read from its key table on a hit, equal a fresh
+    computation from ``throughput_fn``."""
+
+    checks = 0
+
+    def rates(self, x):
+        out = super().rates(x)
+        phi = self.throughput_fn(tuple(x)).tolist()
+        assert out == list(itertools.accumulate(
+            [p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)]))
+        self.checks += 1
+        return out
+
+
+def test_key_table_hits_equal_a_fresh_computation():
+    """On the instances of ``_incremental_cases`` (adhoc, standard_infra and
+    flow_aware, J = 1, 2 and 3, shares in the key of an access point with
+    three downlink classes), every race sees the running sums a fresh
+    computation gives, and the run equals one on the bare evaluator, which
+    keeps no table."""
+    seen_channels, shares, checks, hits = set(), False, 0, 0
+    for i, (spec, params, state, policy) in enumerate(_incremental_cases()):
+        seen_channels.add(spec.num_channels)
+        ev = PolicyEvaluator(spec, params, policy)
+        cache = ThroughputCache(ev)
+        for sigma in (1.0, 2.0):          # one cache, a table per run and sigma
+            traffic = TrafficSpec.of(0.5 / sigma, sigma, spec.num_classes)
+            cfg = SimConfig(policy, 100.0, 70 + i, state)
+            model = _CheckedSeparated(spec, cache, traffic)
+            assert _run(model, traffic, cfg) == simulate_separated(
+                spec, params, traffic, cfg, throughput_fn=ev.throughput)
+            shares |= any(len(key) > spec.num_classes for key in model.table)
+            checks += model.checks
+            hits += model.checks - len(model.table)
+    assert seen_channels == {1, 2, 3} and shares
+    assert checks > 10_000 and hits > checks // 3
+
+
 def test_joint_flow_completions_match_their_compensator():
     # at N = 3 a flow spans several packets, and each packet completion ends
     # it with probability 1 / (sigma_k N): class k completes flows at rate
@@ -445,12 +486,12 @@ class _FixedRates:
 
     def __init__(self, rates):
         self.num_classes = 2
-        self.fixed = list(rates)
+        self.acc = list(itertools.accumulate(rates))
         self.fired = [0] * len(rates)
         self.times = [0.0]
 
     def rates(self, x):
-        return self.fixed
+        return self.acc
 
     def arrive(self, k, t):
         self.times.append(t)
@@ -559,6 +600,47 @@ def test_empirical_rates_match_generator_rates():
         counts = tr.event_counts_by_kind[kind]
         for k in range(K):
             assert abs(counts[k] - integral[k]) <= z * math.sqrt(integral[k]) + 3.0
+
+
+def _compensated_cases():
+    """Two conflicting classes on two channels under adhoc, and an access
+    point whose two downlink classes share its queue under standard_infra,
+    at N = 16; each path stays inside its box."""
+    spec = NetworkSpec(2, 2, replicate_graph(2, [0, 1], [(0, 1)]))
+    yield spec, CsmaParams.from_alpha(spec, 2.0), TrafficSpec.of(0.5, 1.0, 2), "adhoc", (12, 12)
+    spec = NetworkSpec(3, 1, replicate_graph(1, range(3), [(0, 1), (1, 2)]),
+                       (AccessPoint.of([], [0, 1]), AccessPoint.of([2], [])))
+    yield (spec, CsmaParams.from_alpha(spec, 4.0), TrafficSpec((0.3, 0.15, 0.3), (1.0,) * 3),
+           "standard_infra", (12, 12, 12))
+
+
+@pytest.mark.parametrize("case", list(_compensated_cases()), ids=["adhoc", "shared-queue"])
+def test_joint_event_counts_match_generator_compensators(case):
+    """Each of the 4K event counts (arrivals, attempts, packets that
+    continue their flow and flow completions, per class) stays within z
+    standard deviations of its compensator, plus 3: the rate-time integral
+    of the out-rates that ``oracles.joint_generator`` gives the visited
+    states, which reads none of the joint model's own rates. z is that of a
+    Bonferroni family level of 0.001 over the 4K counts. Race attempt rates
+    1.05 times the generator's fail both cases at this seed, which
+    ``test_empirical_rates_match_generator_rates`` cannot see: its
+    compensators read the model's rates."""
+    spec, params, traffic, policy, box = case
+    K = spec.num_classes
+    cfg = SimConfig(policy, 3000.0, 9, (0,) * K, scaling_n=16)
+    tr, compensators, inside = generator_compensators(spec, params, traffic, cfg, box)
+    assert inside
+    assert tr == simulate_joint(spec, params, traffic, cfg)    # accruing leaves the path alone
+    by_kind = tr.event_counts_by_kind
+    counts = {"arrival": by_kind["arrival"], "attempt": by_kind["attempt"],
+              "packet_continue": np.subtract(by_kind["packet"], by_kind["flow_completion"]),
+              "flow_completion": by_kind["flow_completion"]}
+    assert set(counts) == set(compensators)
+    z = norm.isf(0.001 / (2 * 4 * K))
+    for kind, integral in compensators.items():
+        for k in range(K):
+            assert abs(counts[kind][k] - integral[k]) <= z * math.sqrt(integral[k]) + 3.0
+    assert min(compensators["attempt"]) > 5000
 
 
 def test_arrival_counts_match_poisson_intensity():

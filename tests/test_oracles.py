@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import ap_line3, random_instance
 from mccsma.oracles import (MAX_ORACLE_STATES, flow_level_generator, joint_generator,
                             packet_level_generator, poisson_quantile,
                             stationary_distribution, transient_distribution)
 from mccsma.schedule import OracleSpaceError
-from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
+from mccsma.equilibrium import PolicyEvaluator
+from mccsma.topology import AccessPoint, CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
+from theory import flow_level_generator_per_state
 
 
 def test_two_state_chain_analytic_transient():
@@ -93,3 +95,30 @@ def test_oracle_guard_refuses_large_boxes():
         flow_level_generator(spec, params, traffic, "adhoc", box=(side,) * 3)
     with pytest.raises(OracleSpaceError):
         joint_generator(spec, params, traffic, "adhoc", 1, box=(side,) * 3)
+
+
+def test_flow_level_generator_equals_its_per_state_reference():
+    """One packet-level solve per throughput key gives the states and the
+    CSR arrays of one solve per state, bit for bit: on the ap-line3 box of
+    the benchmark's smoke time-scale study (1,728 states, 8 keys), and on an
+    access point whose three downlink classes put shares in the key under
+    the shared queue (480 states, 436 keys) and not under flow_aware, where
+    every state is its own key."""
+    line = ap_line3()
+    shared = NetworkSpec(4, 2, replicate_graph(2, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                         (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
+    cases = [(line, CsmaParams.from_alpha(line, 1e6), TrafficSpec.of(0.4, 1.0, 3),
+              "standard_infra", (11, 11, 11), 8)]
+    for policy, n_keys in (("standard_infra", 436), ("flow_aware", 480)):
+        cases.append((shared, CsmaParams.from_alpha(shared, 2.0),
+                      TrafficSpec((0.3, 0.2, 0.4, 0.5), (1.0, 2.0, 0.5, 1.0)), policy,
+                      (4, 3, 5, 3), n_keys))
+    for spec, params, traffic, policy, box, n_keys in cases:
+        states, q = flow_level_generator(spec, params, traffic, policy, box)
+        ref_states, ref = flow_level_generator_per_state(spec, params, traffic, policy, box)
+        assert states == ref_states
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(q, name), getattr(ref, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        ev = PolicyEvaluator(spec, params, policy)
+        assert len({ev.throughput_key(x) for x in states}) == n_keys

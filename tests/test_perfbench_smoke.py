@@ -47,8 +47,9 @@ CAPACITY_LP_SMOKE_COUNTS = {
 # and cache counts follow the random paths, so they move with any change to
 # how the kernel draws its random numbers
 FLOW_MODELS_SMOKE_COUNTS = {
-    "equilibrium.throughput_calls": 2111,   # 383 cache misses + 1,728 oracle states
-    "dynamics.cache_lookups": 2766,
+    "equilibrium.throughput_calls": 391,    # 383 cache misses + 8 oracle keys (1,728 states)
+    # the separated runs' key-table misses: a table hit calls no cache
+    "dynamics.cache_lookups": 781,
     "dynamics.cache_misses": 383,
     "equilibrium.bundle_builds": 3,         # one uncapped enumeration per evaluator
     "dynamics.separated_events": 2756,

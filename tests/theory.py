@@ -6,8 +6,10 @@ distribution, local balance and the Lemma 1 concentration inequality, the
 Lyapunov drift and its split, the M/M/1 reduction under a dominating service
 profile, the drain bound of complete multipartite networks and the coupled
 pair behind stochastic domination. It also accrues the path integrals of a
-simulation run that no runner reads: busy time, served bits and event
-rate-times.
+simulation run that no runner reads: busy time, served bits, event
+rate-times and the joint generator's compensators of the event counts. And
+it builds the flow-level generator with one packet-level solve per state,
+the reference for the oracle's build of one solve per throughput key.
 
 A single schedule is a tuple of rows, as in :mod:`mccsma.oracles`, whose
 ``schedule_rows`` lists a ``ScheduleSet`` that way; local balance is checked
@@ -15,21 +17,25 @@ against the oracles' raw ``attempt_rate``.
 
 No runner reads these checks, so they live beside the tests rather than in
 the library. They go through ``mccsma``'s public API only, apart from the
-oracles' slot helpers ``_toggled`` and ``_active_slots`` and the simulation
-models: ``_Accruing`` wraps the library's ``_Separated`` and ``_Joint``
-models, and the coupled pair is a third model; both run on the event loop
-``_run``, and the coupled pair samples its dominated chain with
-``_Sampler``. Tests import this module as they import ``conftest``.
+oracles' slot helpers ``_toggled`` and ``_active_slots``, their box and
+generator helpers ``_box_states`` and ``_csr_generator``, and the
+simulation models: ``_Accruing`` wraps the library's ``_Separated`` and
+``_Joint`` models, ``_GeneratorCompensated`` wraps ``_Joint``, and the
+coupled pair is a third model; all run on the event loop ``_run``, and the
+coupled pair samples its dominated chain with ``_Sampler``. Tests import
+this module as they import ``conftest``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
@@ -37,7 +43,8 @@ from scipy.stats import t as t_dist
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
                              _Joint, _run, _Sampler, _Separated)
 from mccsma.equilibrium import PolicyEvaluator, check_policy
-from mccsma.oracles import Rows, _active_slots, _toggled, attempt_rate, schedule_rows
+from mccsma.oracles import (Rows, _active_slots, _box_states, _csr_generator, _toggled,
+                            attempt_rate, joint_generator, schedule_rows)
 from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
 
@@ -414,6 +421,108 @@ def with_integrals(model, traffic: TrafficSpec, cfg: SimConfig
     return _run(accruing, traffic, cfg), accruing.integrals
 
 
+# the joint event kinds that the generator's out-rates are summed by: each
+# is told apart by how the target state's flow count and active-slot count
+# of the one class that changes differ from the source's
+GENERATOR_KINDS = {(1, 0): "arrival", (0, 1): "attempt", (0, -1): "packet_continue",
+                   (-1, -1): "flow_completion"}
+_KIND_INDEX = {step: n for n, step in enumerate(GENERATOR_KINDS)}
+
+
+class _GeneratorCompensated:
+    """A ``_Joint`` model that accrues, through ``_run``'s ``accrue`` hook,
+    the compensator of each event kind from ``oracles.joint_generator``
+    alone: each stretch adds, per kind and class, the generator's out-rates
+    at the visited (flow counts, schedule) state times the stretch's length.
+    The model's own rates never enter, so a fault in them shows as event
+    counts off their compensators. The box must hold every visited state
+    strictly inside, where no arrival is dropped; ``accrue`` raises
+    ``KeyError`` on a state outside it. Its trajectory is the model's.
+    """
+
+    def __init__(self, model: _Joint, spec: NetworkSpec, params: CsmaParams,
+                 traffic: TrafficSpec, policy: str, box: Sequence[int]):
+        self.model = model
+        self.num_classes = K = model.num_classes
+        self.schedule = model.schedule
+        self.rates, self.arrive, self.fire = model.rates, model.arrive, model.fire
+        self.states, self.q = joint_generator(spec, params, traffic, policy, model.N, box)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.out: dict[int, list[float]] = {}        # per visited state, kind-major
+        self.rate_time = [0.0] * (len(GENERATOR_KINDS) * K)
+        self.box = tuple(box)
+        self.inside = True
+
+    def _out_rates(self, i: int) -> list[float]:
+        K, (x, y) = self.num_classes, self.states[i]
+        out = [0.0] * len(self.rate_time)
+        q = self.q
+        for c in range(q.indptr[i], q.indptr[i + 1]):
+            j = int(q.indices[c])
+            if j == i:
+                continue
+            x2, y2 = self.states[j]
+            k, step = next((k, (x2[k] - x[k], sum(y2[k]) - sum(y[k]))) for k in range(K)
+                           if x2[k] != x[k] or y2[k] != y[k])
+            out[_KIND_INDEX[step] * K + k] += float(q.data[c])
+        return out
+
+    def accrue(self, x: list[int], dt: float) -> None:
+        self.inside &= all(n < b for n, b in zip(x, self.box))
+        i = self.index[(tuple(x), self.schedule())]
+        out = self.out.get(i)
+        if out is None:
+            out = self.out[i] = self._out_rates(i)
+        self.rate_time = [a + r * dt for a, r in zip(self.rate_time, out)]
+
+    def finish(self, traj: Trajectory) -> None:
+        self.model.finish(traj)
+
+
+def generator_compensators(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                           cfg: SimConfig, box: Sequence[int]
+                           ) -> tuple[Trajectory, dict[str, tuple[float, ...]], bool]:
+    """Run the joint model (see ``_GeneratorCompensated``): its trajectory,
+    the compensator of each kind of ``GENERATOR_KINDS`` per class, and
+    whether the path stayed strictly inside ``box``."""
+    policy = check_policy(spec, cfg.policy)
+    model = _GeneratorCompensated(_Joint(spec, params, traffic, policy, cfg), spec, params,
+                                  traffic, policy, box)
+    traj = _run(model, traffic, cfg)
+    K, rt = spec.num_classes, model.rate_time
+    return traj, {name: tuple(rt[n * K:(n + 1) * K])
+                  for n, name in enumerate(GENERATOR_KINDS.values())}, model.inside
+
+
+# --- the flow-level generator, one packet-level solve per state ---
+
+def flow_level_generator_per_state(spec: NetworkSpec, params: CsmaParams,
+                                   traffic: TrafficSpec, policy: str, box: Sequence[int]
+                                   ) -> tuple[list[tuple[int, ...]], sp.csr_array]:
+    """``oracles.flow_level_generator`` with one ``PolicyEvaluator.throughput``
+    per state of the box instead of one per throughput key: the reference
+    that the per-key build must equal bit for bit."""
+    policy = check_policy(spec, policy)
+    states = _box_states(box)
+    ev = PolicyEvaluator(spec, params, policy)
+    index = {x: i for i, x in enumerate(states)}
+    triplets: list[tuple[int, int, float]] = []
+    lam = traffic.arrival_rate
+    sigma = traffic.mean_flow_size
+    for x, xi in index.items():
+        phi_x = ev.throughput(x)
+        for k in range(spec.num_classes):
+            if lam[k] > 0 and x[k] < box[k]:
+                up = list(x)
+                up[k] += 1
+                triplets.append((xi, index[tuple(up)], lam[k]))
+            if x[k] > 0 and phi_x[k] > 0:
+                down = list(x)
+                down[k] -= 1
+                triplets.append((xi, index[tuple(down)], phi_x[k] / sigma[k]))
+    return states, _csr_generator(len(states), triplets)
+
+
 # --- the M/M/1 reduction under a dominating service profile ---
 
 def dominated_throughput_fn(spec: NetworkSpec, params: CsmaParams, policy: str,
@@ -687,6 +796,7 @@ class _Coupled:
         self.sigma = [float(v) for v in traffic.mean_flow_size]
         self.bound = [spec.num_channels * p / s
                       for p, s in zip(params.phi.tolist(), self.sigma)]
+        self.acc = list(itertools.accumulate(self.bound))
         self.throughput_hi = throughput_hi
         self.throughput_lo = throughput_lo
         self.y = [0] * K                  # the dominated chain's counts
@@ -700,7 +810,7 @@ class _Coupled:
         self.x = tuple(x)                 # the base chain's counts until the next event
         self.phi_lo = self.throughput_lo(self.x).tolist()
         self.phi_hi = self.throughput_hi(tuple(self.y)).tolist()
-        return self.bound
+        return self.acc
 
     def arrive(self, k: int, t: float) -> None:
         self.sampler.emit(t, self.y)
