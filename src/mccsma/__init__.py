@@ -1,16 +1,15 @@
 """Multi-channel CSMA networks: exact packet-level equilibria, capacity-region
 membership, flow-level simulation and stability diagnostics."""
 
-from .capacity import (CapacityVerdict, LPartiteVerdict, SolverError,
-                       lpartite_condition, margins, membership, status_of)
+from .capacity import CapacityVerdict, SolverError, margins, membership, status_of
 from .dynamics import (SimConfig, Trajectory, simulate_joint, simulate_separated,
                        timescale_convergence, uniform_sample_times)
 from .equilibrium import EquilibriumResult, PolicyEvaluator
 from .schedule import OracleSpaceError, ScheduleSet, ScheduleSpaceError, enumerate_feasible
-from .stability import (StabilityThresholds, StabilityVerdict, bowtie_boundary,
-                        fluid_slope, homogeneous_critical_load)
+from .stability import (StabilityVerdict, bowtie_boundary, fluid_slope,
+                        homogeneous_critical_load)
 from .topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
-                       TrafficSpec, detect_l_partite, replicate_graph,
-                       validate_params, validate_spec, validate_traffic)
+                       TrafficSpec, replicate_graph, validate_params, validate_spec,
+                       validate_traffic)
 
 __version__ = "0.5.0"

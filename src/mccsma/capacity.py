@@ -65,9 +65,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import left_sum
 from .schedule import ScheduleSet, enumerate_feasible
-from .topology import CsmaParams, NetworkSpec, detect_l_partite
+from .topology import CsmaParams, NetworkSpec
 
 BOUNDARY_TOL = 1e-9
 # a reduced cost or pivot-column entry at or below this counts as zero
@@ -300,26 +299,3 @@ def membership(rho: Sequence[float], spec: NetworkSpec, params: CsmaParams, *,
     margin = float(margins(rho[None], spec, params)[0])
     return CapacityVerdict(status_of(margin), margin)
 
-
-@dataclass
-class LPartiteVerdict:
-    interior: bool
-    slack: float                      # J - sum of block maxima of rho/phi
-    multiplier: float                 # largest load multiplier, +inf at zero load
-    partition: tuple[tuple[int, ...], ...]
-
-
-def lpartite_condition(rho: Sequence[float], spec: NetworkSpec,
-                       params: CsmaParams) -> LPartiteVerdict:
-    """Closed-form membership test for complete multipartite conflict graphs:
-    the load is interior iff the per-block maxima of rho_k / phys_rate_k sum
-    to less than the number of channels."""
-    partition = detect_l_partite(spec)
-    if partition is None:
-        raise ValueError("conflict graph is not complete multipartite")
-    rho = _loads(rho, spec.num_classes).tolist()
-    phi = params.phi.tolist()
-    total = left_sum(max(rho[k] / phi[k] for k in block) for block in partition)
-    J = spec.num_channels
-    multiplier = math.inf if total == 0 else J / total
-    return LPartiteVerdict(total < J, J - total, multiplier, partition)

@@ -13,9 +13,9 @@ those inputs, library versions and wall time. Re-running from the manifest
 reproduces the result files byte for byte; the manifest itself differs only
 in wall time.
 
-Exit codes: 0 success, 2 scenario parse error, 3 validation error,
-4 schedule-space or oracle state-space guard tripped, 5 LP solver failure.
-Errors also emit a JSON diagnostic on stderr.
+Exit codes: 0 success, 2 scenario or manifest parse error, 3 validation
+error, 4 schedule-space or oracle state-space guard tripped, 5 LP solver
+failure. Errors also emit a JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -302,6 +302,25 @@ def execute(scenario: Scenario, kind: str, seed: int, outdir: Path,
     return outdir
 
 
+def _manifest_inputs(manifest, path: str) -> dict:
+    """The ``inputs`` of a parsed manifest; raises ``ScenarioError`` unless
+    they are a mapping with a scenario, a known kind and an integer seed
+    (``parse_scenario`` checks the scenario)."""
+    inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
+    if not isinstance(inputs, dict):
+        raise ScenarioError(f"{path}: manifest must be a mapping with an inputs mapping")
+    missing = [key for key in ("kind", "seed", "scenario") if key not in inputs]
+    if missing:
+        raise ScenarioError(f"{path}: manifest inputs lack {', '.join(missing)}")
+    kind, seed = inputs["kind"], inputs["seed"]
+    if not isinstance(kind, str) or kind not in _RUNNERS:
+        raise ScenarioError(f"{path}: unknown experiment kind {kind!r}; "
+                            f"expected one of {', '.join(sorted(_RUNNERS))}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ScenarioError(f"{path}: seed must be an integer, got {seed!r}")
+    return inputs
+
+
 def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
     """Emit plot-ready boundary polylines and per-point simulation verdicts.
 
@@ -393,10 +412,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("\n".join(files))
             return EXIT_OK
         if args.command == "rerun":
-            manifest = json.loads(Path(args.manifest).read_text())
-            inputs = manifest["inputs"]
+            inputs = _manifest_inputs(json.loads(Path(args.manifest).read_text()),
+                                      args.manifest)
             scenario = parse_scenario(inputs["scenario"])
-            outdir = execute(scenario, inputs["kind"], int(inputs["seed"]),
+            outdir = execute(scenario, inputs["kind"], inputs["seed"],
                              Path(args.output), inputs.get("overrides", {}))
             print(outdir)
             return EXIT_OK

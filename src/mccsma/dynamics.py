@@ -93,7 +93,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -241,8 +240,17 @@ def uniform_sample_times(horizon: float, count: int) -> tuple[float, ...]:
 _CACHE_SIZE = 100_000
 
 
+def _bounded_insert(table: dict, key, value):
+    """Store ``value`` under ``key`` and return it; past ``_CACHE_SIZE``
+    entries the oldest one goes (dicts keep insertion order)."""
+    table[key] = value
+    if len(table) > _CACHE_SIZE:
+        del table[next(iter(table))]
+    return value
+
+
 class ThroughputCache:
-    """Bounded LRU cache of stationary throughput vectors, keyed on the
+    """Bounded cache of stationary throughput vectors, keyed on the
     evaluator's ``throughput_key``, which it exposes as ``key``.
 
     States with equal keys have bit-identical throughputs (see
@@ -252,26 +260,23 @@ class ThroughputCache:
     ``evaluator.throughput`` on the state itself. The vectors handed out are
     read-only, since one of them may serve thousands of states; copy one
     before changing it. A separated run keys its own table of departure
-    rates on ``key`` and calls the cache only on a table miss.
+    rates on ``key`` and calls the cache only on a table miss; both drop
+    their oldest entry when full (``_bounded_insert``).
     """
 
     def __init__(self, evaluator: PolicyEvaluator):
         self._evaluator = evaluator
         self.key = evaluator.throughput_key
-        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._cache: dict[tuple, np.ndarray] = {}
 
     def __call__(self, x: tuple[int, ...]) -> np.ndarray:
         key = self.key(x)
         hit = self._cache.get(key)
         if hit is not None:
-            self._cache.move_to_end(key)
             return hit
         value = self._evaluator.throughput(x)
         value.flags.writeable = False
-        self._cache[key] = value
-        if len(self._cache) > _CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return value
+        return _bounded_insert(self._cache, key, value)
 
 
 ThroughputFn = Callable[[tuple[int, ...]], np.ndarray]
@@ -410,9 +415,7 @@ class _Separated:
         key = self.key(tuple(x))
         acc = self.table.get(key)
         if acc is None:
-            acc = self.table[key] = self._running_sums(x)
-            if len(self.table) > _CACHE_SIZE:
-                del self.table[next(iter(self.table))]     # the oldest entry
+            acc = _bounded_insert(self.table, key, self._running_sums(x))
         return acc
 
     def _running_sums(self, x: list[int]) -> list[float]:

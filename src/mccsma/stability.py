@@ -3,65 +3,30 @@ trajectories and the bow-tie instability boundary.
 
 Simulation cannot prove ergodicity, so verdicts here are calibrated evidence:
 "unstable-evidence" means the growth-slope confidence interval sits strictly
-above zero, "stable-evidence" means the run was long enough and the
-time-average queue stayed under a configurable bound.
+above zero; anything else is "inconclusive".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory, left_sum, stream
-from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 FIT_WINDOW = 0.6          # final fraction of each run that the slope is fitted over
 MIN_REPLICATIONS = 5      # fewest runs a slope verdict accepts
 
 
 @dataclass
-class StabilityThresholds:
-    """Calibration for declaring stable-evidence.
-
-    ``min_horizon``: shortest acceptable run, in the same time unit as the
-    trajectories. ``max_mean_total_flows``: cap on the time-average total flow
-    count. No scenario key or CLI flag sets them: the runners call
-    ``fluid_slope`` without thresholds, so their verdicts are never
-    stable-evidence. ``from_margin`` derives a pair from a capacity margin.
-    """
-
-    min_horizon: float
-    max_mean_total_flows: float
-
-    @staticmethod
-    def from_margin(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                    margin: float, *, horizon_services: float = 1e4,
-                    queue_factor: float = 50.0) -> "StabilityThresholds":
-        """Heuristic single-queue-style calibration at a capacity margin.
-
-        The horizon must cover ``horizon_services`` mean flow-service times;
-        the queue cap scales like utilization/(1 - utilization) per class at
-        utilization 1/(1 + margin), with a floor of one flow per class.
-        """
-        sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-        service = float(np.max(sigma / params.phi))
-        util = 1.0 / (1.0 + margin)
-        per_class = util / max(1.0 - util, 1e-12)
-        cap = queue_factor * max(1.0, spec.num_classes * per_class)
-        return StabilityThresholds(horizon_services * service, cap)
-
-
-@dataclass
 class StabilityVerdict:
-    verdict: str                       # stable-evidence | unstable-evidence | inconclusive
+    verdict: str                       # unstable-evidence | inconclusive
     slope: float                       # total flow-count growth, flows per second
     ci_lo: float
     ci_hi: float
     per_class_slopes: tuple[float, ...]
     mean_total_flows: float
-    horizon: float
 
 
 def _ls_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -92,16 +57,13 @@ def check_slope_inputs(replications: int, sample_times: Sequence[float],
                          f"{len(sample_times)}, need 3")
 
 
-def fluid_slope(trajectories: Sequence[Trajectory],
-                thresholds: Optional[StabilityThresholds] = None) -> StabilityVerdict:
+def fluid_slope(trajectories: Sequence[Trajectory]) -> StabilityVerdict:
     """Estimate the linear growth rate of the total flow count.
 
     Fits a least-squares line to each replication's total flow count over the
-    final ``FIT_WINDOW`` fraction of the horizon and bootstraps a 95%
-    confidence interval over replications. A CI strictly above zero is
-    unstable-evidence. Otherwise the verdict is stable-evidence when the run
-    satisfies the thresholds (long enough, bounded time-average queue, no
-    aborts); anything else is inconclusive.
+    final ``FIT_WINDOW`` fraction of its run and bootstraps a 95% confidence
+    interval over replications. A CI strictly above zero is
+    unstable-evidence; anything else is inconclusive.
     """
     if len(trajectories) < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications for a "
@@ -110,11 +72,7 @@ def fluid_slope(trajectories: Sequence[Trajectory],
     slopes = []
     class_slopes = []
     means = []
-    aborted = 0
-    horizon = min(tr.final_time for tr in trajectories)
     for tr in trajectories:
-        if tr.aborted:
-            aborted += 1
         pts = [(s.time, s.state) for s in tr.samples if in_fit_window(s.time, tr.final_time)]
         if len(pts) < 3:
             raise ValueError("trajectories carry too few samples in the fit window")
@@ -129,22 +87,11 @@ def fluid_slope(trajectories: Sequence[Trajectory],
     n = len(slopes_arr)
     resampled = slopes_arr[rng.integers(0, n, (1000, n))].mean(axis=1)
     ci_lo, ci_hi = (float(v) for v in np.percentile(resampled, [2.5, 97.5]))
-    slope = float(slopes_arr.mean())
-    mean_total = float(np.mean(means))
-
-    if ci_lo > 0.0:
-        verdict = "unstable-evidence"
-    elif (thresholds is not None and aborted == 0
-            and horizon >= thresholds.min_horizon
-            and mean_total <= thresholds.max_mean_total_flows
-            and ci_lo <= 0.0):
-        verdict = "stable-evidence"
-    else:
-        verdict = "inconclusive"
-    return StabilityVerdict(verdict, slope, ci_lo, ci_hi,
+    verdict = "unstable-evidence" if ci_lo > 0.0 else "inconclusive"
+    return StabilityVerdict(verdict, float(slopes_arr.mean()), ci_lo, ci_hi,
                             tuple(float(np.mean([c[k] for c in class_slopes]))
                                   for k in range(K)),
-                            mean_total, horizon)
+                            float(np.mean(means)))
 
 
 # --- bow-tie network: two triangles sharing a center class, two channels ---

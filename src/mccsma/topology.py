@@ -106,9 +106,6 @@ class NetworkSpec:
     def eligible_channels(self, k: int) -> tuple[int, ...]:
         return tuple(j for j, g in enumerate(self.channel_graphs) if k in g.eligible)
 
-    def identical_graphs(self) -> bool:
-        return all(g == self.channel_graphs[0] for g in self.channel_graphs)
-
 
 def replicate_graph(num_channels: int, eligible: Iterable[int],
                     edges: Iterable[Sequence[int]]) -> tuple[ChannelGraph, ...]:
@@ -293,29 +290,3 @@ def validate_traffic(traffic: TrafficSpec) -> list[str]:
             out.append(f"class {k}: mean_flow_size must be finite and positive, got {sigma}")
     return out
 
-
-def detect_l_partite(spec: NetworkSpec) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Partition the classes of a complete multipartite conflict graph.
-
-    Returns blocks (C_1, ..., C_L) such that classes inside one block never
-    conflict while classes of different blocks always conflict, or None when
-    the graph has no such structure. Requires identical conflict graphs on all
-    channels with every class eligible everywhere.
-    """
-    if not spec.identical_graphs():
-        raise ValueError("channel graphs differ; the multipartite test requires "
-                         "the same conflict graph on every channel")
-    g = spec.channel_graphs[0]
-    if g.eligible != frozenset(range(spec.num_classes)):
-        raise ValueError("the multipartite test requires every class to be eligible "
-                         "on every channel")
-
-    K = spec.num_classes
-    # a class's block is the class itself plus every class it does not
-    # conflict with; the graph is complete multipartite exactly when every
-    # member of a block has that same block
-    blocks = [frozenset([a, *(b for b in range(K) if not g.conflicts(a, b))])
-              for a in range(K)]
-    if any(blocks[b] != block for block in blocks for b in block):
-        return None
-    return tuple(sorted({tuple(sorted(block)) for block in blocks}))

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from conftest import (adhoc_path4, bipartite33, bowtie_spec, random_instance, star5,
                       tripartite221)
 from mccsma import capacity
-from mccsma.capacity import (BOUNDARY_TOL, SolverError, lpartite_condition, margins,
-                             membership)
+from mccsma.capacity import BOUNDARY_TOL, SolverError, margins, membership
 from mccsma.cli import main
 from mccsma.scenario import load_scenario
 from mccsma.schedule import ScheduleSpaceError, enumerate_feasible
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              replicate_graph, validate_spec)
+from theory import lpartite_condition
 
 
 def test_single_link_region():
@@ -358,8 +358,7 @@ def test_unbounded_lp_in_a_stack_raises():
 @pytest.mark.parametrize("check", [
     lambda rho, spec, params: membership(rho, spec, params),
     lambda rho, spec, params: margins([rho], spec, params),
-    lambda rho, spec, params: lpartite_condition(rho, spec, params),
-], ids=["membership", "margins", "lpartite_condition"])
+], ids=["membership", "margins"])
 @pytest.mark.parametrize("rho, match", [
     ([math.nan, 0.1, 0.1, 0.1, 0.1], "finite and nonnegative"),
     ([-5.0, 0.1, 0.1, 0.1, 0.1], "finite and nonnegative"),
@@ -369,13 +368,6 @@ def test_every_entry_checks_its_loads(check, rho, match):
     spec = tripartite221()
     with pytest.raises(ValueError, match=match):
         check(rho, spec, CsmaParams.from_alpha(spec, 1.0))
-
-
-def test_multipartite_verdict_holds_python_scalars():
-    spec = tripartite221()
-    verdict = lpartite_condition(np.full(5, 0.2), spec, CsmaParams.from_alpha(spec, 1.0))
-    assert type(verdict.interior) is bool
-    assert type(verdict.slack) is float and type(verdict.multiplier) is float
 
 
 def test_schedules_of_another_shape_are_rejected(bowtie):

@@ -179,6 +179,32 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
     assert m1["config_hash"] == m2["config_hash"]
 
 
+def _bogus_kind(real: dict) -> dict:
+    real["inputs"]["kind"] = "bogus"
+    return real
+
+
+@pytest.mark.parametrize("malformed, message", [
+    (lambda real: {}, "inputs mapping"),
+    (lambda real: [1, 2], "inputs mapping"),
+    (lambda real: {"inputs": {"kind": "simulate"}}, "lack seed, scenario"),
+    (_bogus_kind, "unknown experiment kind 'bogus'"),
+], ids=["empty", "list", "no-scenario", "unknown-kind"])
+def test_malformed_manifest_is_parse_error(malformed, message, tmp_path, capsys):
+    real = tmp_path / "real"
+    assert main(["run", "simulate", "--scenario", "adhoc4", "--horizon", "20",
+                 "--replications", "1", "--output", str(real)]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(malformed(json.loads(
+        (real / "manifest.json").read_text()))))
+    assert main(["rerun", "--manifest", str(manifest),
+                 "--output", str(tmp_path / "again")]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse" and message in diag["message"]
+    assert not (tmp_path / "again").exists()
+
+
 def test_override_precedence_per_field(tmp_path):
     out = tmp_path / "o"
     code = main(["run", "simulate", "--scenario", "adhoc4",

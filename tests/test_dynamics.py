@@ -315,6 +315,37 @@ def test_key_table_hits_equal_a_fresh_computation():
     assert checks > 10_000 and hits > checks // 3
 
 
+class _SizeTracked(_Separated):
+    """The separated model, recording every key it races at and the most
+    entries that its key table and its cache hold after a race."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.keys, self.most = set(), 0
+
+    def rates(self, x):
+        out = super().rates(x)
+        self.keys.add(self.key(tuple(x)))
+        self.most = max(self.most, len(self.table), len(self.throughput_fn._cache))
+        return out
+
+
+def test_key_caches_keep_their_bound(monkeypatch):
+    """With the bound patched to 8, a bow-tie run that visits more keys keeps
+    the cache and its key table at 8 entries or fewer, and runs as with the
+    full bound: an evicted key's entry is computed again, bit for bit."""
+    spec = bowtie_spec()
+    params = CsmaParams.from_alpha(spec, 2.0)
+    traffic = TrafficSpec.of(0.6, 1.0, 5)
+    cfg = SimConfig("standard_infra", 300.0, 21, (0,) * 5)
+    ev = PolicyEvaluator(spec, params, "standard_infra")
+    full = simulate_separated(spec, params, traffic, cfg, throughput_fn=ThroughputCache(ev))
+    monkeypatch.setattr("mccsma.dynamics._CACHE_SIZE", 8)
+    model = _SizeTracked(spec, ThroughputCache(ev), traffic)
+    assert _run(model, traffic, cfg) == full
+    assert len(model.keys) > 8 and model.most == 8
+
+
 def test_joint_flow_completions_match_their_compensator():
     # at N = 3 a flow spans several packets, and each packet completion ends
     # it with probability 1 / (sigma_k N): class k completes flows at rate

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from conftest import (BOWTIE_EDGES, adhoc_path4, bipartite33, bowtie_spec,
                       random_instance, star5, tripartite221)
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
-                             TrafficSpec, canonical_edges, detect_l_partite,
-                             replicate_graph, validate_params, validate_spec,
-                             validate_traffic)
-from theory import traffic_load
+                             TrafficSpec, canonical_edges, replicate_graph,
+                             validate_params, validate_spec, validate_traffic)
+from theory import detect_l_partite, traffic_load
 
 
 def test_bowtie_spec_is_valid(bowtie):

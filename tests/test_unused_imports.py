@@ -79,9 +79,6 @@ def test_only_the_cli_prints(path):
 
 # Top-level definitions that no runner reads yet, each kept on purpose.
 UNREAD_ALLOWED = {
-    # the closed-form l-partite membership test, to be wired into a runner
-    # beside the LP margin (ROADMAP item 3)
-    "lpartite_condition",
     # writes a scenario back out as YAML, the inverse of load_scenario_text
     "dump_scenario",
     # the constructor helper for networks with one graph on every channel
@@ -93,15 +90,7 @@ UNREAD_MEMBERS_ALLOWED = {
     # traffic given per class or as one value for every class
     "CsmaParams.from_alpha",
     "TrafficSpec.of",
-    # thresholds from a capacity margin and the verdict, slack, load
-    # multiplier and block partition of the closed-form l-partite test, all
-    # for the runner of ROADMAP item 3
-    "StabilityThresholds.from_margin",
-    "LPartiteVerdict.interior",
-    "LPartiteVerdict.slack",
-    "LPartiteVerdict.multiplier",
-    "LPartiteVerdict.partition",
-    # the time of a run's truncation, for the run telemetry of ROADMAP item 6
+    # the time of a run's truncation, for the run telemetry of ROADMAP item 7
     "Trajectory.abort_time",
     # the public view of the stationary weights, which the tests check
     # against independent references
@@ -179,6 +168,11 @@ def test_every_definition_is_read_outside_the_tests():
     classes = {node.name for p in MODULES for node in trees[p].body
                if isinstance(node, ast.ClassDef)}
     reads = {p: _reads(tree, classes) for p, tree in trees.items()}
+    # an allow-list entry must name something the package still defines
+    stale = (UNREAD_ALLOWED - {name for p in MODULES for name, _ in _definitions(trees[p])}
+             | UNREAD_MEMBERS_ALLOWED - {label for p in MODULES
+                                         for label, _, _ in _members(trees[p])})
+    assert not stale, f"allow-list entries that name no definition: {sorted(stale)}"
     unread = []
     for path in MODULES:
         if path.name == "oracles.py":      # the independent brute-force duplicate
@@ -200,3 +194,18 @@ def test_every_definition_is_read_outside_the_tests():
                        for p, found in reads.items() for n, line, bare, owner in found):
                 unread.append(f"{path.name}:{node.lineno} {label}")
     assert not unread, f"read only by the tests, or by nothing: {unread}"
+
+
+def test_capacity_imports_only_schedule_and_topology():
+    """The LP layer stays off the simulator, and through it off scipy."""
+    tree = ast.parse((PACKAGE / "capacity.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:     # from .x import y
+            imported |= ({node.module.split(".")[0]} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            imported |= {n for n in names if n.split(".")[0] == "mccsma"}
+    assert imported <= {"schedule", "topology"}, sorted(imported)

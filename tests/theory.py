@@ -4,12 +4,14 @@ Each function here evaluates one step of an argument on a concrete instance:
 the uniform schedule weight and its maxima, the alpha -> infinity limit
 distribution, local balance and the Lemma 1 concentration inequality, the
 Lyapunov drift and its split, the M/M/1 reduction under a dominating service
-profile, the drain bound of complete multipartite networks and the coupled
-pair behind stochastic domination. It also accrues the path integrals of a
-simulation run that no runner reads: busy time, served bits, event
-rate-times and the joint generator's compensators of the event counts. And
-it builds the flow-level generator with one packet-level solve per state,
-the reference for the oracle's build of one solve per throughput key.
+profile, the block partition of a complete multipartite conflict graph with
+its closed-form capacity test (the capacity LP's cross-check) and drain
+bound, and the coupled pair behind stochastic domination. It also accrues
+the path integrals of a simulation run that no runner reads: busy time,
+served bits, event rate-times and the joint generator's compensators of the
+event counts. And it builds the flow-level generator with one packet-level
+solve per state, the reference for the oracle's build of one solve per
+throughput key.
 
 A single schedule is a tuple of rows, as in :mod:`mccsma.oracles`, whose
 ``schedule_rows`` lists a ``ScheduleSet`` that way; local balance is checked
@@ -41,7 +43,7 @@ from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
-                             _Joint, _run, _Sampler, _Separated)
+                             _Joint, _run, _Sampler, _Separated, left_sum)
 from mccsma.equilibrium import PolicyEvaluator, check_policy
 from mccsma.oracles import (Rows, _active_slots, _box_states, _csr_generator, _toggled,
                             attempt_rate, joint_generator, schedule_rows)
@@ -712,7 +714,57 @@ def mm1_reduction_check(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
                      bool(busy_ok and gof_ok and corr_ok))
 
 
-# --- the drain bound of complete multipartite networks ---
+# --- complete multipartite networks: the partition, the closed form and
+# the drain bound ---
+
+def detect_l_partite(spec: NetworkSpec) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Partition the classes of a complete multipartite conflict graph.
+
+    Returns blocks (C_1, ..., C_L) such that classes inside one block never
+    conflict while classes of different blocks always conflict, or None when
+    the graph has no such structure. Requires identical conflict graphs on all
+    channels with every class eligible everywhere.
+    """
+    g = spec.channel_graphs[0]
+    if any(other != g for other in spec.channel_graphs):
+        raise ValueError("channel graphs differ; the multipartite test requires "
+                         "the same conflict graph on every channel")
+    if g.eligible != frozenset(range(spec.num_classes)):
+        raise ValueError("the multipartite test requires every class to be eligible "
+                         "on every channel")
+
+    K = spec.num_classes
+    # a class's block is the class itself plus every class it does not
+    # conflict with; the graph is complete multipartite exactly when every
+    # member of a block has that same block
+    blocks = [frozenset([a, *(b for b in range(K) if not g.conflicts(a, b))])
+              for a in range(K)]
+    if any(blocks[b] != block for block in blocks for b in block):
+        return None
+    return tuple(sorted({tuple(sorted(block)) for block in blocks}))
+
+
+@dataclass
+class LPartiteVerdict:
+    interior: bool
+    slack: float                      # J - sum of block maxima of rho/phi
+    multiplier: float                 # largest load multiplier, +inf at zero load
+
+
+def lpartite_condition(rho: Sequence[float], spec: NetworkSpec,
+                       params: CsmaParams) -> LPartiteVerdict:
+    """Closed-form membership test for complete multipartite conflict graphs:
+    the load is interior iff the per-block maxima of rho_k / phys_rate_k sum
+    to less than the number of channels; the capacity LP's margin is then
+    the multiplier minus one."""
+    partition = detect_l_partite(spec)
+    if partition is None:
+        raise ValueError("conflict graph is not complete multipartite")
+    phi = params.phys_rate
+    total = left_sum(max(rho[k] / phi[k] for k in block) for block in partition)
+    J = spec.num_channels
+    return LPartiteVerdict(total < J, J - total, math.inf if total == 0 else J / total)
+
 
 @dataclass
 class FluidDrainReport:
