@@ -6,10 +6,9 @@ from .dynamics import (SimConfig, Trajectory, simulate_joint, simulate_separated
                        timescale_convergence, uniform_sample_times)
 from .equilibrium import EquilibriumResult, PolicyEvaluator
 from .schedule import OracleSpaceError, ScheduleSet, ScheduleSpaceError, enumerate_feasible
-from .stability import (StabilityVerdict, bowtie_boundary, fluid_slope,
-                        homogeneous_critical_load)
+from .stability import StabilityVerdict, fluid_slope
 from .topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                        TrafficSpec, replicate_graph, validate_params, validate_spec,
                        validate_traffic)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

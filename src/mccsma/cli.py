@@ -4,14 +4,19 @@ Subcommands
 -----------
 run <kind>        run an experiment from a scenario (bundled name or path)
 rerun             re-execute an experiment from a manifest, bit-identically
-export-plot       turn a sweep CSV into plot-ready boundary/verdict files
+export-plot       turn a sweep CSV into plot data: its scenario's capacity
+                  boundary and the sweep's per-point results
 scenarios         list the bundled scenario library
 
 Every run writes its result files plus ``manifest.json`` recording the fully
 resolved inputs (scenario document after overrides, kind, seed), a hash of
 those inputs, library versions and wall time. Re-running from the manifest
 reproduces the result files byte for byte; the manifest itself differs only
-in wall time.
+in wall time. ``export-plot`` reads the swept scenario from the
+``manifest.json`` beside the sweep CSV and draws that scenario's capacity
+region in the sweep's load plane, with the sweep's per-point results. The
+region is the stability region under the adhoc and flow_aware policies and
+an upper bound of it under standard_infra.
 
 Exit codes: 0 success, 2 scenario or manifest parse error, 3 validation
 error, 4 schedule-space or oracle state-space guard tripped, 5 LP solver
@@ -42,8 +47,7 @@ from .schedule import OracleSpaceError, ScheduleSpaceError
 from .scenario import (Scenario, ScenarioError, ScenarioValidationError, SweepAxis,
                        bundled_scenarios, load_scenario, parse_scenario,
                        scenario_to_document)
-from .stability import (MIN_REPLICATIONS, bowtie_boundary, check_slope_inputs,
-                        fluid_slope, homogeneous_critical_load)
+from .stability import MIN_REPLICATIONS, check_slope_inputs, fluid_slope
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,6 +56,7 @@ EXIT_GUARD = 4
 EXIT_SOLVER = 5
 
 OUTPUT_ROOT_ENV = "MCCSMA_OUTPUT_ROOT"
+BOUNDARY_RAYS = 401       # rays along which export-plot traces the capacity boundary
 
 
 def _fmt(value) -> str:
@@ -101,23 +106,34 @@ def apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _sweep_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep grid in row order: the axis-1 loads, the axis-2 loads and the
-    per-class loads, one entry or row per grid point.
-
-    By default axis 1 loads every class and axis 2 the last one, which then
-    carries the axis-2 load.
-    """
+def _sweep_axes(scenario: Scenario) -> tuple[SweepAxis, SweepAxis]:
+    """The sweep's two axes; by default axis 1 loads every class and axis 2
+    the last one."""
     exp = scenario.experiment
     K = scenario.network.num_classes
-    axis1 = exp.axis1 if exp.axis1 is not None else SweepAxis(tuple(range(K)))
-    axis2 = exp.axis2 if exp.axis2 is not None else SweepAxis((K - 1,))
-    load1 = np.repeat(np.linspace(0.0, axis1.maximum, exp.grid), exp.grid)
-    load2 = np.tile(np.linspace(0.0, axis2.maximum, exp.grid), exp.grid)
-    rhos = np.zeros((len(load1), K))
+    return (exp.axis1 if exp.axis1 is not None else SweepAxis(tuple(range(K))),
+            exp.axis2 if exp.axis2 is not None else SweepAxis((K - 1,)))
+
+
+def _class_loads(scenario: Scenario, load1: np.ndarray, load2: np.ndarray) -> np.ndarray:
+    """The per-class loads of the sweep's load plane, one row per entry of
+    the axis loads ``load1`` and ``load2``: axis 1's classes carry load1 and
+    axis 2's classes load2, which wins on a class that both axes hold."""
+    axis1, axis2 = _sweep_axes(scenario)
+    rhos = np.zeros((len(load1), scenario.network.num_classes))
     rhos[:, list(axis1.classes)] = load1[:, None]
     rhos[:, list(axis2.classes)] = load2[:, None]
-    return load1, load2, rhos
+    return rhos
+
+
+def _sweep_grid(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep grid in row order: the axis-1 loads, the axis-2 loads and the
+    per-class loads, one entry or row per grid point."""
+    exp = scenario.experiment
+    axis1, axis2 = _sweep_axes(scenario)
+    load1 = np.repeat(np.linspace(0.0, axis1.maximum, exp.grid), exp.grid)
+    load2 = np.tile(np.linspace(0.0, axis2.maximum, exp.grid), exp.grid)
+    return load1, load2, _class_loads(scenario, load1, load2)
 
 
 def _initial_state(scenario: Scenario) -> tuple[int, ...]:
@@ -321,13 +337,32 @@ def _manifest_inputs(manifest, path: str) -> dict:
     return inputs
 
 
-def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
-    """Emit plot-ready boundary polylines and per-point simulation verdicts.
+def _read_manifest(path: Path) -> tuple[Scenario, dict]:
+    """The scenario and the ``inputs`` of the manifest at ``path``; raises
+    ``ScenarioError`` naming the path when the file is no JSON that it can
+    read or ``_manifest_inputs`` refuses it."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{path}: cannot read the manifest: {exc}") from None
+    inputs = _manifest_inputs(manifest, str(path))
+    return parse_scenario(inputs["scenario"]), inputs
 
-    The two closed-form boundaries describe the bow-tie network: the capacity
-    limit of the center-class load against the edge-class load, and the load
-    above which the shared-queue policy provably diverges.
+
+def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
+    """Emit the swept scenario's capacity boundary and the sweep's per-point
+    results as plot-ready CSV files.
+
+    The scenario is read from the ``manifest.json`` beside ``sweep_csv``. Its
+    capacity region, cut by the sweep's load plane (``_class_loads``), is
+    traced along ``BOUNDARY_RAYS`` rays from the origin in one ``margins``
+    call: the ray that loads the axis-1 classes at cos(theta) and the axis-2
+    classes at sin(theta) meets the boundary at that direction times
+    1 + margin. A ray that loads no class has no boundary point and is left
+    out. The region is the stability region under the adhoc and flow_aware
+    policies and an upper bound of it under standard_infra.
     """
+    scenario, _ = _read_manifest(sweep_csv.parent / "manifest.json")
     lines = sweep_csv.read_text().splitlines()
     if not lines:
         raise ScenarioError(f"{sweep_csv}: empty file")
@@ -345,21 +380,22 @@ def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
             raise ScenarioError(f"{sweep_csv}: line {number}: expected numeric load1,load2 "
                                 f"and a third field, got {ln!r}") from None
 
+    theta = np.linspace(0.0, np.pi / 2, BOUNDARY_RAYS)
+    # cos(theta) as the sine of the reversed angles: cos(pi / 2) is 6e-17, so
+    # the last ray would load axis 1 too
+    load1, load2 = np.sin(theta[::-1]), np.sin(theta)
+    scale = 1.0 + margins(_class_loads(scenario, load1, load2), scenario.network,
+                          scenario.csma)
+    loaded = np.isfinite(scale)
+    boundary = list(zip((load1 * scale)[loaded].tolist(), (load2 * scale)[loaded].tolist()))
+
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = sorted(set(np.linspace(0.0, 1.0, 101)) | {0.5, 2.0 / 3.0,
-                                                     homogeneous_critical_load()})
-    boundary = bowtie_boundary(grid)
-    _write_csv(outdir / "boundary_optimal.csv", ["load1", "load2"],
-               [(b.rho1, b.optimal_limit) for b in boundary])
-    _write_csv(outdir / "boundary_instability.csv", ["load1", "load2"],
-               [(b.rho1, b.unstable_above) for b in boundary])
+    _write_csv(outdir / "boundary_optimal.csv", ["load1", "load2"], boundary)
     _write_csv(outdir / "simulation_points.csv", ["load1", "load2", "verdict"], points)
-    combined = ([(b.rho1, b.optimal_limit, "optimal") for b in boundary]
-                + [(b.rho1, b.unstable_above, "instability") for b in boundary]
-                + [(a, b, f"simulation:{v}") for a, b, v in points])
-    _write_csv(outdir / "region_plot.csv", ["load1", "load2", "source"], combined)
-    return ["boundary_optimal.csv", "boundary_instability.csv",
-            "simulation_points.csv", "region_plot.csv"]
+    _write_csv(outdir / "region_plot.csv", ["load1", "load2", "source"],
+               [(a, b, "optimal") for a, b in boundary]
+               + [(a, b, f"simulation:{v}") for a, b, v in points])
+    return ["boundary_optimal.csv", "simulation_points.csv", "region_plot.csv"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,8 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rerunp.add_argument("--manifest", required=True)
     rerunp.add_argument("--output", required=True)
 
-    plotp = sub.add_parser("export-plot", help="emit plot data from a sweep CSV")
-    plotp.add_argument("--sweep", required=True)
+    plotp = sub.add_parser(
+        "export-plot", help="emit plot data from a sweep CSV: its points and the capacity "
+                            "region of the scenario in the manifest.json beside it (the "
+                            "stability region under adhoc and flow_aware, an upper bound "
+                            "of it under standard_infra)")
+    plotp.add_argument("--sweep", required=True,
+                       help="sweep.csv or stability.csv of a run, beside its manifest.json")
     plotp.add_argument("--output", required=True)
 
     sub.add_parser("scenarios", help="list bundled scenarios")
@@ -412,9 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("\n".join(files))
             return EXIT_OK
         if args.command == "rerun":
-            inputs = _manifest_inputs(json.loads(Path(args.manifest).read_text()),
-                                      args.manifest)
-            scenario = parse_scenario(inputs["scenario"])
+            scenario, inputs = _read_manifest(Path(args.manifest))
             outdir = execute(scenario, inputs["kind"], inputs["seed"],
                              Path(args.output), inputs.get("overrides", {}))
             print(outdir)

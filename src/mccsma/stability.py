@@ -1,5 +1,5 @@
 """Stability diagnostics: fluid-slope estimation from replicated
-trajectories and the bow-tie instability boundary.
+trajectories.
 
 Simulation cannot prove ergodicity, so verdicts here are calibrated evidence:
 "unstable-evidence" means the growth-slope confidence interval sits strictly
@@ -93,46 +93,3 @@ def fluid_slope(trajectories: Sequence[Trajectory]) -> StabilityVerdict:
                                   for k in range(K)),
                             float(np.mean(means)))
 
-
-# --- bow-tie network: two triangles sharing a center class, two channels ---
-
-def center_rate_polynomial(rho1: float) -> float:
-    """Long-run service rate of the center class when each of the four edge
-    classes is independently active with probability rho1 (unit physical
-    rates, infinite attempt-rate limit)."""
-    return rho1**4 / 3.0 - 2.0 * rho1**3 / 3.0 - 2.0 * rho1**2 / 3.0 + 1.0
-
-
-def optimal_center_bound(rho1: float) -> float:
-    """Center-class load boundary of the capacity region at edge load rho1."""
-    return min(1.0, 2.0 - 2.0 * rho1)
-
-
-@dataclass
-class BoundaryRow:
-    rho1: float
-    unstable_above: float     # center load above which the shared-queue policy diverges
-    optimal_limit: float      # capacity-region limit for the center load
-
-
-def bowtie_boundary(rho1_grid: Sequence[float]) -> list[BoundaryRow]:
-    """Tabulate both center-load boundaries over a grid of edge loads."""
-    return [BoundaryRow(float(r), center_rate_polynomial(float(r)),
-                        optimal_center_bound(float(r))) for r in rho1_grid]
-
-
-def homogeneous_critical_load() -> float:
-    """Fixed point rho = center_rate_polynomial(rho), found by bisection to
-    an interval of width 1e-9.
-
-    Above this load the homogeneous bow-tie network (all five classes equally
-    loaded) is unstable under the shared-queue policy.
-    """
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if mid - center_rate_polynomial(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import mccsma
+import theory
+from mccsma import cli
 from mccsma.cli import main
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.scenario import load_scenario
-from mccsma.stability import homogeneous_critical_load
+from mccsma.schedule import enumerate_feasible
+from test_capacity import _reference_membership
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -109,20 +112,73 @@ def test_capacity_sweep_and_plot_export(tmp_path):
     code = main(["export-plot", "--sweep", str(out / "sweep.csv"),
                  "--output", str(plot)])
     assert code == 0
-    inst = [(float(r["load1"]), float(r["load2"]))
-            for r in read_csv(plot / "boundary_instability.csv")]
-    assert any(abs(a) < 1e-9 and abs(b - 1.0) < 1e-9 for a, b in inst)
-    crit = homogeneous_critical_load()
-    assert any(abs(a - crit) < 1e-9 and abs(b - crit) < 1e-6 for a, b in inst)
-    opt = [(float(r["load1"]), float(r["load2"]))
-           for r in read_csv(plot / "boundary_optimal.csv")]
-    assert any(abs(a - 2 / 3) < 1e-9 and abs(b - 2 / 3) < 1e-9 for a, b in opt)
+    assert sorted(p.name for p in plot.iterdir()) == [
+        "boundary_optimal.csv", "region_plot.csv", "simulation_points.csv"]
+    assert not (plot / "boundary_instability.csv").exists()
+    assert len(read_csv(plot / "boundary_optimal.csv")) == cli.BOUNDARY_RAYS
     sim = read_csv(plot / "simulation_points.csv")
     assert len(sim) == 81
+    sources = [r["source"] for r in read_csv(plot / "region_plot.csv")]
+    assert sources == ["optimal"] * cli.BOUNDARY_RAYS + [f"simulation:{r['verdict']}"
+                                                         for r in sim]
+
+
+def _exported_boundary(scenario: str, tmp_path: Path) -> list[tuple[float, float]]:
+    """The boundary points export-plot writes for a grid-2 capacity sweep of
+    ``scenario``."""
+    sweep, plot = tmp_path / f"{scenario}-sweep", tmp_path / f"{scenario}-plot"
+    assert main(["run", "capacity-sweep", "--scenario", scenario, "--grid", "2",
+                 "--output", str(sweep)]) == 0
+    assert main(["export-plot", "--sweep", str(sweep / "sweep.csv"),
+                 "--output", str(plot)]) == 0
+    points = [(float(r["load1"]), float(r["load2"]))
+              for r in read_csv(plot / "boundary_optimal.csv")]
+    assert len(points) == cli.BOUNDARY_RAYS
+    return points
+
+
+def _point_loads(scenario, x: float, y: float) -> np.ndarray:
+    return cli._class_loads(scenario, np.array([x]), np.array([y]))[0]
+
+
+def test_export_plot_boundary_is_the_bowtie_closed_form(tmp_path):
+    for x, y in _exported_boundary("bowtie", tmp_path):
+        assert abs(y - theory.optimal_center_bound(x)) <= 1e-12, (x, y)
+
+
+@pytest.mark.parametrize("scenario", ["ap-line3", "star5", "bipartite33", "tripartite221"])
+def test_export_plot_boundary_meets_the_multipartite_closed_form(scenario, tmp_path):
+    """Each written point lies on the boundary of the closed-form region: its
+    load multiplier is 1, so its ray's margin is the closed form's."""
+    sc = load_scenario(scenario)
+    for x, y in _exported_boundary(scenario, tmp_path):
+        verdict = theory.lpartite_condition(_point_loads(sc, x, y), sc.network, sc.csma)
+        assert abs(verdict.multiplier - 1.0) <= 1e-12, (x, y)
+
+
+@pytest.mark.parametrize("scenario", ["adhoc4", "two-ap"])
+def test_export_plot_boundary_splits_the_full_column_lp(scenario, tmp_path):
+    """Each written point, scaled by 1 - 1e-6, is interior and, by 1 + 1e-6,
+    exterior under the LP over every feasible schedule."""
+    sc = load_scenario(scenario)
+    schedules = enumerate_feasible(sc.network)
+    for x, y in _exported_boundary(scenario, tmp_path):
+        rho = _point_loads(sc, x, y)
+        for factor, status in ((1 - 1e-6, "interior"), (1 + 1e-6, "exterior")):
+            got = _reference_membership(factor * rho, sc.network, sc.csma, schedules)[0]
+            assert got == status, (x, y, factor)
+
+
+def _capacity_sweep_dir(tmp_path: Path) -> Path:
+    """A directory holding a real grid-2 capacity sweep and its manifest."""
+    sweep = tmp_path / "sweep"
+    assert main(["run", "capacity-sweep", "--scenario", "bowtie", "--grid", "2",
+                 "--output", str(sweep)]) == 0
+    return sweep
 
 
 def test_export_plot_empty_sweep(tmp_path):
-    sweep = tmp_path / "sweep.csv"
+    sweep = _capacity_sweep_dir(tmp_path) / "sweep.csv"
     sweep.write_text("load1,load2,status,margin\n")
     out = tmp_path / "plot"
     assert main(["export-plot", "--sweep", str(sweep), "--output", str(out)]) == 0
@@ -130,7 +186,7 @@ def test_export_plot_empty_sweep(tmp_path):
 
 
 def test_export_plot_schema_mismatch(tmp_path):
-    sweep = tmp_path / "sweep.csv"
+    sweep = _capacity_sweep_dir(tmp_path) / "sweep.csv"
     sweep.write_text("a,b\n1,2\n")
     assert main(["export-plot", "--sweep", str(sweep),
                  "--output", str(tmp_path / "p")]) == 2
@@ -138,13 +194,29 @@ def test_export_plot_schema_mismatch(tmp_path):
 
 @pytest.mark.parametrize("row", ["0.5,0.5", "0.5,high,interior"])
 def test_export_plot_bad_row_is_parse_error(row, tmp_path, capsys):
-    sweep = tmp_path / "sweep.csv"
+    sweep = _capacity_sweep_dir(tmp_path) / "sweep.csv"
     sweep.write_text(f"load1,load2,status\n0.1,0.2,interior\n{row}\n")
     assert main(["export-plot", "--sweep", str(sweep),
                  "--output", str(tmp_path / "p")]) == 2
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "parse" and "line 3" in diag["message"]
     assert row in diag["message"]
+
+
+@pytest.mark.parametrize("manifest", [None, "{not json", '{"inputs": {"kind": "simulate"}}'],
+                         ids=["missing", "not-json", "no-scenario"])
+def test_export_plot_without_a_manifest_is_parse_error(manifest, tmp_path, capsys):
+    sweep = _capacity_sweep_dir(tmp_path)
+    if manifest is None:
+        (sweep / "manifest.json").unlink()
+    else:
+        (sweep / "manifest.json").write_text(manifest)
+    out = tmp_path / "deep" / "plot"
+    assert main(["export-plot", "--sweep", str(sweep / "sweep.csv"),
+                 "--output", str(out)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse" and str(sweep / "manifest.json") in diag["message"]
+    assert not (tmp_path / "deep").exists()
 
 
 def test_simulate_writes_trajectories_and_verdict(tmp_path):

@@ -115,23 +115,44 @@ def test_result_files_match_golden_digests(case, tmp_path):
     assert result_digests(out) == expected
 
 
+# export-plot of the adhoc4 stability sweep: adhoc4's capacity boundary and
+# the sweep's verdicts
 EXPORT_PLOT_GOLDEN = {
-    "boundary_instability.csv":
-        "8e4eb52d3747837ec12d5d2f66aa8719aa5f0cb0793b3de226a31cd26f9abea8",
     "boundary_optimal.csv":
-        "906b6819039a8956ee53943603227a589ba398e8d0452a741653817ca00d3723",
+        "0a4d2539fcb5cfac314994572227e2d88d23f8ad4c545f18a4953d3d5f673306",
     "region_plot.csv":
-        "d81b3176efbd0d5dba3f8535d269e75f7d829f8cc8b9d03da67c7c45f0b688a4",
+        "26fea7ff5e3c1b317ce0ccdc0e1fddb91d7cae1f04834af0c3c1d35ea9dc0b95",
     "simulation_points.csv":
         "6cee28806196c2c5fad4a2e282f131b61e7aff91279b1286010585825792013b",
 }
+# the same on the bow-tie, whose boundary has a closed form
+EXPORT_PLOT_BOWTIE_GOLDEN = {
+    "boundary_optimal.csv":
+        "ca8ed6936703155252eb4092cbe0dc88e7e828fa017db2055d7ba7bae6614f7a",
+    "region_plot.csv":
+        "b26d686a9dabd72f93108d10154016207dced49ed95a7c6fd61ac5f34e5d2744",
+    "simulation_points.csv":
+        "b5614d77356bed51480e2f7960492a714906726e80d9b617a32327b556ea1c30",
+}
 
 
-def test_export_plot_of_stability_sweep_matches_golden_digests(tmp_path):
-    argv, _ = GOLDEN["stability-sweep-adhoc4"]
+def _export_plot_digests(case: str, result: str, tmp_path) -> dict[str, str]:
+    """The digests of export-plot's files for the golden run ``case``, whose
+    result file ``result`` it reads."""
+    argv, _ = GOLDEN[case]
     sweep = tmp_path / "sweep"
     assert main([*argv, "--seed", "0", "--output", str(sweep)]) == 0
     plot = tmp_path / "plot"
-    assert main(["export-plot", "--sweep", str(sweep / "stability.csv"),
+    assert main(["export-plot", "--sweep", str(sweep / result),
                  "--output", str(plot)]) == 0
-    assert result_digests(plot) == EXPORT_PLOT_GOLDEN
+    return result_digests(plot)
+
+
+def test_export_plot_of_stability_sweep_matches_golden_digests(tmp_path):
+    assert (_export_plot_digests("stability-sweep-adhoc4", "stability.csv", tmp_path)
+            == EXPORT_PLOT_GOLDEN)
+
+
+def test_export_plot_of_bowtie_capacity_sweep_matches_golden_digests(tmp_path):
+    assert (_export_plot_digests("capacity-sweep-bowtie", "sweep.csv", tmp_path)
+            == EXPORT_PLOT_BOWTIE_GOLDEN)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from conftest import bipartite33, random_instance
 from mccsma.dynamics import (SimConfig, Trajectory, TrajectorySample, simulate_joint,
                              simulate_separated, stream, uniform_sample_times)
-from mccsma.stability import (_ls_slope, bowtie_boundary, center_rate_polynomial,
-                              fluid_slope, homogeneous_critical_load, optimal_center_bound)
+from mccsma.stability import _ls_slope, fluid_slope
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
 import theory
-from theory import (MM1_BATCHES, MM1_LEVEL, dominated_throughput_fn, h_part_bound,
-                    lpartite_fluid_bound, lyapunov_drift, mm1_reduction_check)
+from theory import (MM1_BATCHES, MM1_LEVEL, center_rate_polynomial, dominated_throughput_fn,
+                    h_part_bound, homogeneous_critical_load, lpartite_fluid_bound,
+                    lyapunov_drift, mm1_reduction_check, optimal_center_bound)
 
 
 # --- Lyapunov drift ---
@@ -90,14 +90,6 @@ def test_instability_bound_below_capacity_bound():
         hi = optimal_center_bound(r)
         if lo > 0 and hi > 0:
             assert lo < hi + 1e-12
-
-
-def test_boundary_table_columns():
-    rows = bowtie_boundary([0.0, 0.5, 1.0])
-    assert [r.rho1 for r in rows] == [0.0, 0.5, 1.0]
-    assert rows[0].unstable_above == pytest.approx(1.0)
-    assert rows[2].unstable_above == pytest.approx(0.0, abs=1e-12)
-    assert rows[1].optimal_limit == pytest.approx(1.0)
 
 
 # --- slope verdicts ---

@@ -6,7 +6,9 @@ distribution, local balance and the Lemma 1 concentration inequality, the
 Lyapunov drift and its split, the M/M/1 reduction under a dominating service
 profile, the block partition of a complete multipartite conflict graph with
 its closed-form capacity test (the capacity LP's cross-check) and drain
-bound, and the coupled pair behind stochastic domination. It also accrues
+bound, the bow-tie's closed forms (its capacity boundary min(1, 2 - 2 rho1),
+the center-class service polynomial and that polynomial's fixed point), and
+the coupled pair behind stochastic domination. It also accrues
 the path integrals of a simulation run that no runner reads: busy time,
 served bits, event rate-times and the joint generator's compensators of the
 event counts. And it builds the flow-level generator with one packet-level
@@ -812,6 +814,39 @@ def lpartite_fluid_bound(trajectories: Sequence[Trajectory],
         drain_times.append(drained)
     ok = all(d <= bound_time * (1.0 + time_tolerance) for d in drain_times)
     return FluidDrainReport(ok, bound_time, tuple(drain_times), time_tolerance)
+
+
+# --- the bow-tie network: two triangles sharing a center class, two channels ---
+
+def center_rate_polynomial(rho1: float) -> float:
+    """Long-run service rate of the center class when each of the four edge
+    classes is independently active with probability rho1 (unit physical
+    rates, infinite attempt-rate limit)."""
+    return rho1**4 / 3.0 - 2.0 * rho1**3 / 3.0 - 2.0 * rho1**2 / 3.0 + 1.0
+
+
+def optimal_center_bound(rho1: float) -> float:
+    """Center-class load boundary of the capacity region at edge load rho1."""
+    return min(1.0, 2.0 - 2.0 * rho1)
+
+
+def homogeneous_critical_load() -> float:
+    """Fixed point rho = center_rate_polynomial(rho), found by bisection to
+    an interval of width 1e-9.
+
+    Above this load the homogeneous bow-tie network (all five classes equally
+    loaded) diverges under the shared-queue policy if each edge class is an
+    independent M/M/1 queue served at full rate. The edge classes share the
+    channels, so this is an approximation: the exact boundary lies lower.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if mid - center_rate_polynomial(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # --- the coupled pair: stochastic domination, pathwise ---
