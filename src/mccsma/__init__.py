@@ -11,4 +11,4 @@ from .topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                        TrafficSpec, replicate_graph, validate_params, validate_spec,
                        validate_traffic)
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"

@@ -60,16 +60,24 @@ BOUNDARY_RAYS = 401       # rays along which export-plot traces the capacity bou
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+# the types whose str is _fmt's text (a Python float's str is its repr); a
+# bool, a NumPy scalar or a subclass goes through _fmt
+_STR_IS_FMT = frozenset((str, int, float))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+            fh.write(",".join([str(v) if type(v) in _STR_IS_FMT else _fmt(v) for v in row])
+                     + "\n")
 
 
 def _diag(kind: str, message: str) -> None:
@@ -360,9 +368,12 @@ def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
     classes at sin(theta) meets the boundary at that direction times
     1 + margin. A ray that loads no class has no boundary point and is left
     out. The region is the stability region under the adhoc and flow_aware
-    policies and an upper bound of it under standard_infra.
+    policies and an upper bound of it under standard_infra. In
+    ``region_plot.csv`` the sweep's points are tagged ``capacity:<status>``
+    for a capacity sweep and ``simulation:<verdict>`` otherwise.
     """
-    scenario, _ = _read_manifest(sweep_csv.parent / "manifest.json")
+    scenario, inputs = _read_manifest(sweep_csv.parent / "manifest.json")
+    source = "capacity" if inputs["kind"] == "capacity-sweep" else "simulation"
     lines = sweep_csv.read_text().splitlines()
     if not lines:
         raise ScenarioError(f"{sweep_csv}: empty file")
@@ -394,7 +405,7 @@ def export_region_plot(sweep_csv: Path, outdir: Path) -> list[str]:
     _write_csv(outdir / "simulation_points.csv", ["load1", "load2", "verdict"], points)
     _write_csv(outdir / "region_plot.csv", ["load1", "load2", "source"],
                [(a, b, "optimal") for a, b in boundary]
-               + [(a, b, f"simulation:{v}") for a, b, v in points])
+               + [(a, b, f"{source}:{v}") for a, b, v in points])
     return ["boundary_optimal.csv", "simulation_points.csv", "region_plot.csv"]
 
 

@@ -52,19 +52,23 @@ model's.
 ``timescale_convergence``'s distance is a plug-in estimate, biased upward by
 about 0.1 at 200 replications; no interval until an exact error bound exists.
 
-No event pays for work that it leaves unchanged. The loop keeps a running
-flow total for the guard and calls the sampler only when a sample time has
-passed or the run ends. ``_Separated`` on a ``ThroughputCache`` keeps a
-per-run table from throughput key to the running sums it races, so an
-event at a key the run has seen costs one key and one dict lookup (see
-``_Separated``). ``_Joint`` recomputes a class's packet clock rate,
-which reads only its slots, when ``fire`` changes them, and its attempt
-rates only when the event touched what they read: the class's own flows or
-slots, a neighbour's slot on a shared channel, its access point's downlink
-slots or, under the shared queue, that access point's flow counts (see
-``_Joint``). A stream's Philox key, which depends only on (seed, kind,
-class, replication), is kept in a bounded cache, so the streams of a study
-that recur for every scaling value N are keyed once.
+No event pays for work that it leaves unchanged, and no run for work that
+its network's other runs have done. The loop keeps a running flow total for
+the guard and calls the sampler only when a sample time has passed or the
+run ends. ``_Separated`` on a ``ThroughputCache`` keeps the run's throughput
+key itself, updated by its ``arrive`` and ``fire`` hooks, and a per-run
+table from that key to the running sums it races: an event that leaves the
+key unchanged races the same sums again, and one at a key the run has seen
+costs one dict lookup (see ``_Separated``). ``_Joint`` recomputes a
+class's packet clock rate, which reads only its slots, when ``fire``
+changes them, and its attempt rates only when the event touched what they
+read: the class's own flows or slots, a neighbour's slot on a shared
+channel, its access point's downlink slots or, under the shared queue, that
+access point's flow counts (see ``_Joint``). Two bounded caches serve
+every run of a study: ``_joint_tables`` builds a network's joint tables and
+runs ``simulate_joint``'s checks once per scaling value N, and a stream's
+Philox key, which depends only on (seed, kind, class, replication), is
+computed once, so the streams that recur for every N are keyed once.
 
 Randomness comes from counter-based Philox streams derived from the master
 seed, K + 2 per run: one arrival stream per class, the ``"holding"`` stream
@@ -260,12 +264,13 @@ class ThroughputCache:
     ``evaluator.throughput`` on the state itself. The vectors handed out are
     read-only, since one of them may serve thousands of states; copy one
     before changing it. A separated run keys its own table of departure
-    rates on ``key`` and calls the cache only on a table miss; both drop
-    their oldest entry when full (``_bounded_insert``).
+    rates on ``key``, whose layout it reads off ``evaluator``, and calls the
+    cache only on a table miss; both drop their oldest entry when full
+    (``_bounded_insert``).
     """
 
     def __init__(self, evaluator: PolicyEvaluator):
-        self._evaluator = evaluator
+        self.evaluator = evaluator
         self.key = evaluator.throughput_key
         self._cache: dict[tuple, np.ndarray] = {}
 
@@ -274,7 +279,7 @@ class ThroughputCache:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        value = self._evaluator.throughput(x)
+        value = self.evaluator.throughput(x)
         value.flags.writeable = False
         return _bounded_insert(self._cache, key, value)
 
@@ -388,34 +393,60 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
 class _Separated:
     """Separated model: class-k flows depart at rate throughput_k(x) / sigma_k.
 
-    It keeps no flow bookkeeping: a departure leaves one flow fewer, and the
-    departure rates read only the flow counts. On a ``ThroughputCache`` it
-    keeps a table from the cache's ``key`` to the running sums of those
-    rates, computed on a miss as without it. Equal keys give equal sums:
-    the key holds each x_k or its cap min(x_k, J) with J >= 1, so x_k > 0
-    exactly when the key's entry k is. The table belongs to the run, whose
-    sigma it holds, and is bounded like the cache; under adhoc and
-    flow_aware the key is the state itself. A bare throughput function is called on every event:
-    keyed on the state, a table would not pay (5 runs of 1,000 s at load
-    0.65 on the bow-tie visit about 25,000 states in 31,000 events)."""
+    A departure leaves one flow fewer, and the departure rates read only the
+    flow counts. On a ``ThroughputCache`` it keeps a table from the cache's
+    ``key`` to the running sums of those rates, computed on a miss as
+    without it. Equal keys give equal sums: the key holds each x_k or its
+    cap min(x_k, J) with J >= 1, so x_k > 0 exactly when the key's entry k
+    is. The table belongs to the run, whose sigma it holds, and is bounded
+    like the cache; under adhoc and flow_aware the key is the state itself.
+
+    It also keeps the run's flow counts and the key's first K entries,
+    updated by ``arrive`` and ``fire``. An event that leaves the key as it
+    was, at a capped class outside every share group whose count stays at
+    or above J, leaves the running sums raced last in place, and the next
+    ``rates`` hands them out again. Any other event makes ``rates`` look up
+    the table on the kept entries, or, where the key holds shares, on
+    ``key`` of the loop's state. So a model that overrides ``arrive`` or
+    ``fire`` chains to it, or it races stale sums. A bare throughput
+    function is called on every event: keyed on the state, a table would
+    not pay (5 runs of 1,000 s at load 0.65 on the bow-tie visit about
+    25,000 states in 31,000 events)."""
 
     schedule = None
     accrue = None
 
     def __init__(self, spec: NetworkSpec, throughput_fn: ThroughputFn, traffic: TrafficSpec):
-        self.num_classes = spec.num_classes
+        K = self.num_classes = spec.num_classes
         self.throughput_fn = throughput_fn
         self.sigma = [float(v) for v in traffic.mean_flow_size]
-        self.key = throughput_fn.key if isinstance(throughput_fn, ThroughputCache) else None
+        self.key = None
         self.table: dict[tuple, list[float]] = {}
+        # from which count on each class's key entry stays put: J for a
+        # capped class outside every share group, never for the others
+        self.steady = [math.inf] * K
+        self.shares = False
+        if isinstance(throughput_fn, ThroughputCache):
+            evaluator = throughput_fn.evaluator
+            self.key = throughput_fn.key
+            self.shares = bool(evaluator.shared)
+            for k in set(evaluator.capped) - set(evaluator.shared):
+                self.steady[k] = spec.num_channels
+        self.counts = [0] * K
+        self.kx = [0] * K        # the key's first K entries, where it holds no shares
+        self.acc: Optional[list[float]] = None     # the sums raced last; None if stale
 
     def rates(self, x: list[int]) -> list[float]:
+        acc = self.acc
+        if acc is not None:
+            return acc
         if self.key is None:
             return self._running_sums(x)
-        key = self.key(tuple(x))
+        key = self.key(tuple(x)) if self.shares else tuple(self.kx)
         acc = self.table.get(key)
         if acc is None:
             acc = _bounded_insert(self.table, key, self._running_sums(x))
+        self.acc = acc
         return acc
 
     def _running_sums(self, x: list[int]) -> list[float]:
@@ -424,9 +455,16 @@ class _Separated:
             [p / s if n > 0 else 0.0 for p, s, n in zip(phi, self.sigma, x)]))
 
     def arrive(self, k: int, t: float) -> None:
-        pass
+        n = self.counts[k] = self.counts[k] + 1
+        if n <= self.steady[k]:
+            self.kx[k] = n
+            self.acc = None
 
     def fire(self, kind: int, k: int, uniform: Callable[[], float], t: float) -> bool:
+        n = self.counts[k] = self.counts[k] - 1
+        if n < self.steady[k]:
+            self.kx[k] = n
+            self.acc = None
         return True
 
     def finish(self, traj: Trajectory) -> None:
@@ -450,6 +488,55 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     return _run(_Separated(spec, throughput_fn, traffic), traffic, cfg)
 
 
+# the networks whose joint tables are kept: a study runs one network at a
+# few scaling values N, each for every replication
+_JOINT_NETWORKS = 64
+
+
+@functools.lru_cache(maxsize=_JOINT_NETWORKS)
+def _joint_tables(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
+                  policy: str, N: int) -> tuple:
+    """``simulate_joint``'s checks, then the tables that ``_Joint`` reads and
+    never changes, in the order of its attributes. A failing check raises,
+    and so is not kept: it raises again on the next call."""
+    policy = check_policy(spec, policy)
+    if policy == "standard_infra":
+        check_standard_attempt_rates(spec, params)
+    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
+    if np.any(sigma * N < 1.0):
+        raise ValueError("mean packet count sigma_k * N must be at least one")
+    K, J = spec.num_classes, spec.num_channels
+    nu = tuple(params.nu.tolist())
+    downlink_ap = tuple(spec.downlink_ap(k) for k in range(K))
+    shared_queue = tuple(policy == "standard_infra" and i is not None for i in downlink_ap)
+    ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
+    eligible = tuple(tuple(k in g.eligible for g in spec.channel_graphs) for k in range(K))
+    neighbors = tuple(tuple(frozenset(g.neighbors(k)) for k in range(K))
+                      for g in spec.channel_graphs)
+    # the downlink classes of class k's access point, if k is one of them
+    ap_peers = [frozenset() if i is None else frozenset(ap_downlink[i]) for i in downlink_ap]
+    # every run of the network shares these, so all of them are immutable
+    return (
+        tuple(params.phi.tolist()), nu, tuple(map(tuple, params.beta.tolist())),
+        tuple(1.0 / (float(s) * N) for s in traffic.mean_flow_size),
+        # a class's attempt total, added left to right. With one channel the
+        # total is the one rate, which is never -0.0, so 0.0 + r == r.
+        operator.itemgetter(0) if J == 1 else left_sum,
+        downlink_ap, shared_queue,
+        # N nu_k, and the classes that share its access point's attempt rate
+        # with class k: none where k is alone there, whose share is then
+        # x_k / x_k = 1.0 exactly
+        tuple(N * v for v in nu),
+        tuple(ap_downlink[i] if q and len(ap_downlink[i]) > 1 else ()
+              for i, q in zip(downlink_ap, shared_queue)),
+        eligible, neighbors,
+        tuple(frozenset({k}) | ap_peers[k] if shared_queue[k] else frozenset({k})
+              for k in range(K)),
+        tuple(tuple(frozenset({k}) | neighbors[j][k] | ap_peers[k] if eligible[k][j]
+                    else None for j in range(J)) for k in range(K)),
+    )
+
+
 class _Joint:
     """Joint model: per class an attempt clock over its feasible idle slots
     and a packet clock over its active slots; keeps the schedule feasible
@@ -469,6 +556,11 @@ class _Joint:
     y_k and is recomputed by ``_slots_changed``, which ``fire`` calls
     whenever y_k changes. Flows are not told apart: a packet completion ends
     some flow of its class with probability 1 / (sigma_k N).
+
+    What the run reads and never changes, the tables above, the rates and
+    the flow-end probabilities, is built once per network and N by
+    ``_joint_tables``, which also runs ``simulate_joint``'s checks; a model
+    builds only its own schedule and clocks.
     """
 
     accrue = None
@@ -477,28 +569,11 @@ class _Joint:
                  policy: str, cfg: SimConfig):
         self.num_classes = K = spec.num_classes
         self.num_channels = J = spec.num_channels
-        N = self.N = cfg.scaling_n
-        self.phi = params.phi.tolist()
-        self.nu = params.nu.tolist()
-        self.beta = params.beta.tolist()
-        self.flow_end_prob = [1.0 / (float(s) * N) for s in traffic.mean_flow_size]
-        # a class's attempt total, added left to right. With one channel the
-        # total is the one rate, which is never -0.0, so 0.0 + r == r.
-        self.total = operator.itemgetter(0) if J == 1 else left_sum
-
-        self.downlink_ap = [spec.downlink_ap(k) for k in range(K)]
-        self.shared_queue = [policy == "standard_infra" and i is not None
-                             for i in self.downlink_ap]
-        self.ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
-        self.eligible = [[k in g.eligible for g in spec.channel_graphs] for k in range(K)]
-        self.neighbors = [{k: g.neighbors(k) for k in g.eligible} for g in spec.channel_graphs]
-        # the downlink classes of class k's access point, if k is one of them
-        ap_peers = [set() if i is None else set(self.ap_downlink[i])
-                    for i in self.downlink_ap]
-        self.flow_readers = [{k} | ap_peers[k] if self.shared_queue[k] else {k}
-                             for k in range(K)]
-        self.slot_readers = [{j: {k} | self.neighbors[j][k] | ap_peers[k]
-                              for j in range(J) if self.eligible[k][j]} for k in range(K)]
+        self.N = cfg.scaling_n
+        (self.phi, self.nu, self.beta, self.flow_end_prob, self.total,
+         self.downlink_ap, self.shared_queue, self.queue_rate, self.share_peers,
+         self.eligible, self.neighbors, self.flow_readers, self.slot_readers,
+         ) = _joint_tables(spec, params, traffic, policy, self.N)
         self.stale = set(range(K))
         self.y = [[0] * J for _ in range(K)]
         self.y_class = [0] * K
@@ -521,13 +596,15 @@ class _Joint:
         if (i is not None and self.ap_active[i] >= 1) or self.y_class[k] >= x[k]:
             return None
         y_k, active = self.y[k], self.channel_active
-        feas = [ok and not y_k[j] and not (self.neighbors[j][k] & active[j])
+        feas = [ok and not y_k[j] and self.neighbors[j][k].isdisjoint(active[j])
                 for j, ok in enumerate(self.eligible[k])]
         if not any(feas):
             return None
         if self.shared_queue[k]:
-            total = sum(x[m] for m in self.ap_downlink[i])
-            base = self.N * self.nu[k] * (x[k] / total)
+            base = self.queue_rate[k]
+            peers = self.share_peers[k]
+            if peers:
+                base = base * (x[k] / sum(x[m] for m in peers))
         else:
             base = self.N * (x[k] - self.y_class[k]) * self.nu[k]
         return [base * b if f else 0.0 for f, b in zip(feas, self.beta[k])]
@@ -611,13 +688,7 @@ def simulate_joint(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
     The schedule starts empty and always stays feasible for the current flow
     vector because a departing flow frees its slot in the same transition.
     """
-    policy = check_policy(spec, cfg.policy)
-    if policy == "standard_infra":
-        check_standard_attempt_rates(spec, params)
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    if np.any(sigma * cfg.scaling_n < 1.0):
-        raise ValueError("mean packet count sigma_k * N must be at least one")
-    return _run(_Joint(spec, params, traffic, policy, cfg), traffic, cfg)
+    return _run(_Joint(spec, params, traffic, cfg.policy, cfg), traffic, cfg)
 
 
 @dataclass

@@ -124,7 +124,9 @@ class PolicyEvaluator:
     evaluations along a simulation trajectory are then a few array
     operations.
     Every evaluation reads the state through ``throughput_key`` (see the
-    module docstring).
+    module docstring), whose layout the evaluator exposes: ``capped`` lists
+    the classes whose key entry is the cap min(x_k, J), and ``shared`` the
+    classes whose shares follow the first K entries.
     """
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, policy: str):
@@ -148,12 +150,12 @@ class PolicyEvaluator:
         groups = [sorted(ap.downlink) for ap in spec.access_points
                   if ap.downlink] if self.policy == "standard_infra" else []
         self._plain = [k for k in range(K) if not any(k in g for g in groups)]
-        self._capped = [k for k in range(K) if k not in self._plain]
+        self.capped = [k for k in range(K) if k not in self._plain]
         # a class alone at its access point has share 1.0, or 0.0 where its
         # cap rules it out, and so log-weight term 0: only access points with
         # two or more downlink classes enter the key and the share term
         self._groups = [g for g in groups if len(g) > 1]
-        self._shared = [k for g in self._groups for k in g]
+        self.shared = [k for g in self._groups for k in g]
 
     def _feasible(self, caps: tuple[int, ...]) -> ScheduleSet:
         """``enumerate_feasible(spec, caps)``, read off the uncapped set.
@@ -190,7 +192,7 @@ class PolicyEvaluator:
         const = const + np.einsum("skj,kj->s", schedules.active, self._log_beta)
         b = {"schedules": schedules, "per_class": per_class, "const": const,
              "plain": per_class[:, self._plain],
-             "shared": per_class[:, self._shared].astype(np.float64)}
+             "shared": per_class[:, self.shared].astype(np.float64)}
         self._bundles[caps] = b
         return b
 
@@ -228,7 +230,7 @@ class PolicyEvaluator:
                              f"integral flow counts")
         J = self._J
         key = list(flows)
-        for k in self._capped:
+        for k in self.capped:
             if key[k] > J:
                 key[k] = J
         for group in self._groups:

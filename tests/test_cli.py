@@ -34,6 +34,19 @@ def test_package_version_matches_pyproject(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["versions"]["mccsma"] == declared
 
 
+def test_csv_cells_are_the_text_of_fmt(tmp_path):
+    """``_write_csv`` writes a Python int, float or str with ``str`` and
+    everything else through ``_fmt``; the bytes are ``_fmt``'s either way."""
+    row = [3, -7, True, False, np.int64(-12), 0.1, -0.0, math.inf, -math.inf,
+           math.nan, 1e16, 5e-324, np.float64(0.25), np.float64(1e16), "unstable"]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, ["a", "b"], [row, row[::-1]])
+    expected = (b"a,b\n3,-7,1,0,-12,0.1,-0.0,inf,-inf,nan,1e+16,5e-324,0.25,1e+16,unstable\n"
+                b"unstable,1e+16,0.25,5e-324,1e+16,nan,-inf,inf,-0.0,0.1,-12,0,1,-7,3\n")
+    assert path.read_bytes() == expected
+    assert expected.decode().splitlines()[1] == ",".join(cli._fmt(v) for v in row)
+
+
 def test_equilibrium_run_reproduces_limit_throughput(tmp_path):
     out = tmp_path / "eq"
     code = main(["run", "equilibrium", "--scenario", "bowtie",
@@ -118,9 +131,11 @@ def test_capacity_sweep_and_plot_export(tmp_path):
     assert len(read_csv(plot / "boundary_optimal.csv")) == cli.BOUNDARY_RAYS
     sim = read_csv(plot / "simulation_points.csv")
     assert len(sim) == 81
+    # the points of a capacity sweep carry LP statuses, not simulated verdicts
     sources = [r["source"] for r in read_csv(plot / "region_plot.csv")]
-    assert sources == ["optimal"] * cli.BOUNDARY_RAYS + [f"simulation:{r['verdict']}"
+    assert sources == ["optimal"] * cli.BOUNDARY_RAYS + [f"capacity:{r['verdict']}"
                                                          for r in sim]
+    assert {r["verdict"] for r in sim} <= {"interior", "boundary", "exterior"}
 
 
 def _exported_boundary(scenario: str, tmp_path: Path) -> list[tuple[float, float]]:

@@ -10,9 +10,9 @@ import pytest
 from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
-from mccsma.dynamics import (_STREAM_KINDS, BLOCK, SimConfig, ThroughputCache,
-                             TrajectorySample, _Joint, _run, _Separated,
-                             _tv_from_counts, block_draws, left_sum,
+from mccsma.dynamics import (_JOINT_NETWORKS, _STREAM_KINDS, BLOCK, SimConfig,
+                             ThroughputCache, TrajectorySample, _Joint, _joint_tables,
+                             _run, _Separated, _tv_from_counts, block_draws, left_sum,
                              simulate_joint, simulate_separated, stream,
                              timescale_convergence, uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
@@ -162,12 +162,13 @@ class _PerFlowTracking(_Separated):
         return super().rates(x)
 
     def arrive(self, k, t):
+        super().arrive(k, t)
         self.flows[k].append(0.0)
 
     def fire(self, kind, k, uniform, t):
         flows = self.flows[k]
         self.completed[k].append(flows.pop(int(self.pick.integers(len(flows)))))
-        return True
+        return super().fire(kind, k, uniform, t)
 
     def accrue(self, x, dt):
         for k, n in enumerate(x):
@@ -277,12 +278,15 @@ def test_separated_runs_are_bit_identical_with_and_without_the_cache():
 
 class _CheckedSeparated(_Separated):
     """The separated model, checking before every race that the running
-    sums it hands the loop, read from its key table on a hit, equal a fresh
-    computation from ``throughput_fn``."""
+    sums it hands the loop, read from its key table on a hit or kept from
+    the last race where the event left the key unchanged, equal a fresh
+    computation from ``throughput_fn``; ``skips`` counts the races of the
+    second kind."""
 
-    checks = 0
+    checks = skips = 0
 
     def rates(self, x):
+        self.skips += self.acc is not None
         out = super().rates(x)
         phi = self.throughput_fn(tuple(x)).tolist()
         assert out == list(itertools.accumulate(
@@ -291,28 +295,42 @@ class _CheckedSeparated(_Separated):
         return out
 
 
+def _checked_run(spec, params, state, policy, load, sigma, seed, cache):
+    """A ``_CheckedSeparated`` run of 100 s on ``cache``, checked against a
+    run on the bare evaluator, which keeps no table and no key."""
+    traffic = TrafficSpec.of(load / sigma, sigma, spec.num_classes)
+    cfg = SimConfig(policy, 100.0, seed, state)
+    model = _CheckedSeparated(spec, cache, traffic)
+    assert _run(model, traffic, cfg) == simulate_separated(
+        spec, params, traffic, cfg, throughput_fn=cache.evaluator.throughput)
+    return model
+
+
 def test_key_table_hits_equal_a_fresh_computation():
     """On the instances of ``_incremental_cases`` (adhoc, standard_infra and
     flow_aware, J = 1, 2 and 3, shares in the key of an access point with
     three downlink classes), every race sees the running sums a fresh
-    computation gives, and the run equals one on the bare evaluator, which
-    keeps no table."""
+    computation gives, and the run equals one on the bare evaluator. So does
+    the bow-tie under standard_infra started above the cap J = 2, where
+    most events leave the key unchanged and race the sums kept from the
+    race before."""
     seen_channels, shares, checks, hits = set(), False, 0, 0
     for i, (spec, params, state, policy) in enumerate(_incremental_cases()):
         seen_channels.add(spec.num_channels)
-        ev = PolicyEvaluator(spec, params, policy)
-        cache = ThroughputCache(ev)
+        cache = ThroughputCache(PolicyEvaluator(spec, params, policy))
         for sigma in (1.0, 2.0):          # one cache, a table per run and sigma
-            traffic = TrafficSpec.of(0.5 / sigma, sigma, spec.num_classes)
-            cfg = SimConfig(policy, 100.0, 70 + i, state)
-            model = _CheckedSeparated(spec, cache, traffic)
-            assert _run(model, traffic, cfg) == simulate_separated(
-                spec, params, traffic, cfg, throughput_fn=ev.throughput)
+            model = _checked_run(spec, params, state, policy, 0.5, sigma, 70 + i, cache)
             shares |= any(len(key) > spec.num_classes for key in model.table)
             checks += model.checks
             hits += model.checks - len(model.table)
     assert seen_channels == {1, 2, 3} and shares
     assert checks > 10_000 and hits > checks // 3
+
+    spec = bowtie_spec()
+    params = CsmaParams.from_alpha(spec, 2.0)
+    cache = ThroughputCache(PolicyEvaluator(spec, params, "standard_infra"))
+    model = _checked_run(spec, params, (6,) * 5, "standard_infra", 0.65, 1.0, 90, cache)
+    assert model.checks > 500 and model.skips > model.checks // 2
 
 
 class _SizeTracked(_Separated):
@@ -729,6 +747,60 @@ def test_timescale_draws_only_its_joint_runs_streams(monkeypatch):
                           initial_state=(1, 0))
     assert len(made) == replications * len(n_values) * (spec.num_classes + 2)
     assert set(made) == {"arrival", "holding", "uniform"}
+
+
+def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
+    """On ap-line3 as the benchmark's smoke run sets it up (t_probe 0.5),
+    the study makes one ``simulate_joint`` call per run, and their tables
+    are built once per N and read from the cache by every other run."""
+    calls = []
+
+    def counting_simulate_joint(*args):
+        calls.append(args[-1].scaling_n)
+        return simulate_joint(*args)
+
+    monkeypatch.setattr("mccsma.dynamics.simulate_joint", counting_simulate_joint)
+    spec = ap_line3()
+    params = CsmaParams.from_alpha(spec, 1e6)
+    traffic = TrafficSpec.of(0.4, 1.0, 3)
+    n_values, replications = (1, 4, 16, 64), 5
+    _joint_tables.cache_clear()
+    timescale_convergence(spec, params, traffic, n_values=n_values, t_probe=0.5,
+                          replications=replications, seed=3, policy="standard_infra",
+                          initial_state=(0, 0, 0))
+    assert calls == [n for n in n_values for _ in range(replications)]
+    info = _joint_tables.cache_info()
+    assert (info.misses, info.hits) == (len(n_values), len(calls) - len(n_values))
+
+
+def test_joint_checks_raise_on_every_call_after_a_valid_one():
+    """A valid call keeps its network's tables; a call that fails a check is
+    not kept and raises again. Unequal attempt rates need an access point
+    with two or more downlink classes, which ap-line3 does not have."""
+    spec = NetworkSpec(4, 3, replicate_graph(3, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                       (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
+    params = CsmaParams.from_alpha(spec, 2.0)
+    traffic = TrafficSpec.of(0.5, 1.0, 4)
+    cfg = SimConfig("standard_infra", 5.0, 1, (1, 1, 1, 1))
+    simulate_joint(spec, params, traffic, cfg)
+    unequal = CsmaParams.from_alpha(spec, (2.0, 3.0, 2.0, 2.0))
+    short = TrafficSpec.of(0.5, 0.5, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="share one attempt rate"):
+            simulate_joint(spec, unequal, traffic, cfg)
+        with pytest.raises(ValueError, match="sigma_k"):
+            simulate_joint(spec, params, short, cfg)
+    simulate_joint(spec, params, short, dataclasses.replace(cfg, scaling_n=2))
+
+
+def test_joint_tables_keep_their_bound():
+    spec = ap_line3()
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec.of(0.4, 1.0, 3)
+    for n in range(1, _JOINT_NETWORKS + 10):
+        _joint_tables(spec, params, traffic, "standard_infra", n)
+        assert _joint_tables.cache_info().currsize <= _JOINT_NETWORKS
+    assert _joint_tables.cache_info().currsize == _JOINT_NETWORKS
 
 
 @pytest.mark.parametrize("bad, name", [

@@ -125,12 +125,13 @@ EXPORT_PLOT_GOLDEN = {
     "simulation_points.csv":
         "6cee28806196c2c5fad4a2e282f131b61e7aff91279b1286010585825792013b",
 }
-# the same on the bow-tie, whose boundary has a closed form
+# the same on the bow-tie capacity sweep, whose boundary has a closed form
+# and whose points region_plot.csv tags capacity:<status>
 EXPORT_PLOT_BOWTIE_GOLDEN = {
     "boundary_optimal.csv":
         "ca8ed6936703155252eb4092cbe0dc88e7e828fa017db2055d7ba7bae6614f7a",
     "region_plot.csv":
-        "b26d686a9dabd72f93108d10154016207dced49ed95a7c6fd61ac5f34e5d2744",
+        "751ea643ebd5447a14969e69f898e7b070e3599b70dc00959302ab13f3db6be5",
     "simulation_points.csv":
         "b5614d77356bed51480e2f7960492a714906726e80d9b617a32327b556ea1c30",
 }
