@@ -11,13 +11,15 @@ from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
 from mccsma.dynamics import (_JOINT_NETWORKS, _STREAM_KINDS, BLOCK, SimConfig,
-                             ThroughputCache, TrajectorySample, _Joint, _joint_tables,
-                             _run, _Separated, _tv_from_counts, block_draws, left_sum,
-                             simulate_joint, simulate_separated, stream,
-                             timescale_convergence, uniform_sample_times)
+                             ThroughputCache, TrajectorySample, _Joint,
+                             _joint_final_states, _joint_tables, _run, _Separated,
+                             _tv_from_counts, block_draws, left_sum, simulate_joint,
+                             simulate_separated, stream, timescale_convergence,
+                             uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.oracles import (joint_generator, schedule_rows, stationary_distribution,
                             transient_distribution)
+from mccsma.scenario import load_scenario
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
@@ -148,12 +150,14 @@ def test_mm1_mean_queue():
 class _PerFlowTracking(_Separated):
     """Per-flow service in the separated model: each class shares its
     throughput equally among its flows, every stretch adds each flow's share
-    to its bit count, and a departure removes a flow drawn uniformly from
-    the ``"flowpick"`` stream; its bit count is the completed flow size."""
+    to its bit count, and a departure removes a flow drawn uniformly from a
+    Philox stream of its own, so that the path stays the separated model's;
+    its bit count is the completed flow size."""
 
     def __init__(self, spec, throughput_fn, traffic, cfg):
         super().__init__(spec, throughput_fn, traffic)
-        self.pick = stream(cfg.seed, "flowpick", 0, cfg.replication)
+        self.pick = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            (cfg.seed % 2**64, 4, 0, cfg.replication))))
         self.flows = [[] for _ in range(self.num_classes)]
         self.completed = [[] for _ in range(self.num_classes)]
 
@@ -730,7 +734,8 @@ def test_timescale_absorbed_processes_agree():
 
 
 def test_timescale_draws_only_its_joint_runs_streams(monkeypatch):
-    """The study makes the K + 2 streams of each joint run and no others."""
+    """The study makes the K + 2 streams of each replication, which its
+    joint runs at every N share, and no others."""
     made = []
 
     def counting_stream(seed, kind, klass=0, replication=0):
@@ -745,21 +750,18 @@ def test_timescale_draws_only_its_joint_runs_streams(monkeypatch):
     timescale_convergence(spec, params, traffic, n_values=n_values, t_probe=1.0,
                           replications=replications, seed=3, policy="adhoc",
                           initial_state=(1, 0))
-    assert len(made) == replications * len(n_values) * (spec.num_classes + 2)
+    assert len(made) == replications * (spec.num_classes + 2)
     assert set(made) == {"arrival", "holding", "uniform"}
 
 
 def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
     """On ap-line3 as the benchmark's smoke run sets it up (t_probe 0.5),
-    the study makes one ``simulate_joint`` call per run, and their tables
-    are built once per N and read from the cache by every other run."""
-    calls = []
+    the study makes no ``simulate_joint`` call: its lanes read the tables,
+    which are built once per N."""
+    def no_simulate_joint(*args):
+        raise AssertionError("the study ran simulate_joint")
 
-    def counting_simulate_joint(*args):
-        calls.append(args[-1].scaling_n)
-        return simulate_joint(*args)
-
-    monkeypatch.setattr("mccsma.dynamics.simulate_joint", counting_simulate_joint)
+    monkeypatch.setattr("mccsma.dynamics.simulate_joint", no_simulate_joint)
     spec = ap_line3()
     params = CsmaParams.from_alpha(spec, 1e6)
     traffic = TrafficSpec.of(0.4, 1.0, 3)
@@ -768,9 +770,65 @@ def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
     timescale_convergence(spec, params, traffic, n_values=n_values, t_probe=0.5,
                           replications=replications, seed=3, policy="standard_infra",
                           initial_state=(0, 0, 0))
-    assert calls == [n for n in n_values for _ in range(replications)]
     info = _joint_tables.cache_info()
-    assert (info.misses, info.hits) == (len(n_values), len(calls) - len(n_values))
+    assert (info.misses, info.hits) == (len(n_values), 0)
+
+
+@pytest.mark.parametrize("name, policy", [
+    ("ap-line3", "standard_infra"), ("two-ap", "standard_infra"), ("two-ap", "flow_aware"),
+    ("adhoc4", "adhoc"), ("bowtie", "standard_infra")])
+def test_lanes_end_where_simulate_joint_ends(name, policy):
+    """Every (N, replication) lane ends at the final flow counts of its own
+    ``simulate_joint`` run, bit for bit: in the second config class 0 never
+    arrives and a small guard aborts some runs. Two-ap shares each access
+    point's queue between two downlink classes, and adhoc4, two-ap and the
+    bow-tie have two channels, so a class may hold two slots."""
+    sc = load_scenario(name)
+    spec, params, traffic = sc.network, sc.csma, sc.traffic
+    K = spec.num_classes
+    no_arrivals = TrafficSpec((0.0, *traffic.arrival_rate[1:]), traffic.mean_flow_size)
+    n_values, replications = (1, 4, 16, 64), 6
+    aborted = 0
+    for load, base in ((traffic, SimConfig(policy, 2.0, 5, (2,) * K)),
+                       (no_arrivals, SimConfig(policy, 4.0, 6, (1,) * K, max_total_flows=K))):
+        runs = [[simulate_joint(spec, params, load,
+                                dataclasses.replace(base, scaling_n=n, replication=r))
+                 for r in range(replications)] for n in n_values]
+        assert _joint_final_states(spec, params, load, base, n_values, replications) == [
+            [run.final_state for run in row] for row in runs]
+        aborted += sum(run.aborted for row in runs for run in row)
+    assert aborted > 0
+
+
+def test_lanes_raise_simulate_joint_errors_before_any_lane_runs(monkeypatch):
+    """A config that ``simulate_joint`` rejects raises its error, and one
+    with sample times raises, before the lanes make any stream."""
+    spec = NetworkSpec(4, 3, replicate_graph(3, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                       (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
+    params = CsmaParams.from_alpha(spec, 2.0)
+    traffic = TrafficSpec.of(0.5, 1.0, 4)
+    base = SimConfig("standard_infra", 5.0, 1, (1, 1, 1, 1))
+    unequal = CsmaParams.from_alpha(spec, (2.0, 3.0, 2.0, 2.0))
+    short = TrafficSpec.of(0.5, 0.5, 4)
+    three = dataclasses.replace(base, initial_state=(1, 1, 1))
+
+    def no_stream(*args):
+        raise AssertionError("a lane ran")
+
+    monkeypatch.setattr("mccsma.dynamics.stream", no_stream)
+    # the scaling values, and the first one whose run raises
+    for params_, traffic_, cfg, n_values, n_bad in ((unequal, traffic, base, (1, 4), 1),
+                                                    (params, short, base, (2, 1), 1),
+                                                    (params, traffic, three, (1, 4), 1),
+                                                    (params, traffic, base, (4, 0), 0)):
+        with pytest.raises(ValueError) as expected:
+            simulate_joint(spec, params_, traffic_, dataclasses.replace(cfg, scaling_n=n_bad))
+        with pytest.raises(ValueError) as got:
+            _joint_final_states(spec, params_, traffic_, cfg, n_values, 3)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="sample_times"):
+        _joint_final_states(spec, params, traffic,
+                            dataclasses.replace(base, sample_times=(1.0,)), (1,), 3)
 
 
 def test_joint_checks_raise_on_every_call_after_a_valid_one():
@@ -1024,13 +1082,13 @@ def test_block_draws_equal_scalar_draws(seed):
 
 
 def test_stream_equals_a_seed_sequence_generator():
-    """``stream`` keys Philox from a cached copy of the stream's seed
-    sequence state: the same generator as ``Philox(SeedSequence(...))``,
-    and a new one on every call, so two runs never share one."""
+    """``stream`` keys Philox from the two key words of the stream's seed
+    sequence: the same generator as ``Philox(SeedSequence(...))``, and a
+    new one on every call, so two runs never share one."""
     rng = np.random.default_rng(13)
     for _ in range(300):
         seed = int(rng.integers(0, 2**63)) * int(rng.integers(1, 3))
-        kind = ("arrival", "holding", "uniform", "flowpick", "bootstrap")[int(rng.integers(5))]
+        kind = ("arrival", "holding", "uniform", "bootstrap")[int(rng.integers(4))]
         klass, rep = int(rng.integers(0, 50)), int(rng.integers(0, 1000))
         plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(
             [seed % 2**64, _STREAM_KINDS[kind], klass, rep])))
