@@ -12,15 +12,19 @@ Two models are simulated exactly (no time discretization):
 
 Both run on one event loop, ``_run``, which ``_joint_final_states``
 repeats event for event on lanes of numpy arrays for the time-scale study
-(see below). It owns the class-k Poisson arrival clocks, which are
-memoryless and so kept until they fire, and races them against the
-model's clocks by Gillespie's direct method (1977): the model's clocks
-together fire after an exponential holding time at their total rate R,
-and the one that fires is clock c with probability r_c / R. So an event
-draws one exponential and, if the model's clocks win, one uniform, however
-many clocks the model has. The loop accrues the exact time integral of the
-flow counts up to each event; it also samples the state, counts arrivals
-and departures and enforces the truncation guard. A model supplies what
+(see below). The class-k Poisson arrival times do not depend on the state:
+each is the last one plus the next exponential over lambda_k. So
+``_arrivals`` draws them ahead, a block of the class's stream at a time,
+and merges the classes in time order, and the loop races the next arrival
+against the model's clocks by Gillespie's direct method (1977): the
+model's clocks together fire after an exponential holding time at their
+total rate R, and the one that fires is clock c with probability r_c / R.
+So an event draws one exponential and, if the model's clocks win, one
+uniform, however many clocks the model has; an arrival wins a tie. The
+loop logs each event's stretch length and its move, and every ``FOLD``
+events and at the end folds them into the exact time integral of the flow
+counts (``_fold``); it also samples the state, counts arrivals and
+departures and enforces the truncation guard. A model supplies what
 differs:
 
 * ``rates(x)``: the running (left-to-right) sums of the rates of its
@@ -52,7 +56,9 @@ a pathwise check of stochastic domination (Lindvall, 1992).
 about 0.1 at 200 replications; no interval until an exact error bound exists.
 
 No event pays for work that it leaves unchanged, and no run for work that
-its network's other runs have done. The loop keeps a running flow total for
+its network's other runs have done. The loop takes an arrival off the
+merged list, without a scan of the K clocks, and adds nothing per class to
+the flow-count integral until a fold. It keeps a running flow total for
 the guard and calls the sampler only when a sample time has passed or the
 run ends. ``_Separated`` on a ``ThroughputCache`` keeps the run's throughput
 key itself, updated by its ``arrive`` and ``fire`` hooks, and a per-run
@@ -82,8 +88,9 @@ trajectories, replications are independent, and
 comparisons across policies share arrival randomness (common random
 numbers). Every stream is drawn in blocks of ``BLOCK`` values, which gives
 the same values in the same order as one draw at a time. The arrival and
-holding streams give only standard exponentials, one per clock draw; the
-holding stream draws only while R > 0. The uniform stream gives, per model
+holding streams give only standard exponentials: an arrival stream one per
+arrival of its class and none where lambda_k <= 0, the holding stream one
+per event while R > 0. The uniform stream gives, per model
 event, first the clock pick, then ``fire``'s own draws in order: the joint
 model's attempt draws the channel (only with two or more channels), and its
 packet completion the slot (only where two or more are active), then
@@ -104,7 +111,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -305,8 +312,87 @@ class _Sampler:
             self.next = self.times[self.idx]
 
 
+def _arrivals(seed: int, replication: int,
+              lam: Sequence[float]) -> Iterator[tuple[float, int]]:
+    """The flow arrivals of one run as (time, class) pairs in time order,
+    simultaneous ones by class, then (inf, -1).
+
+    Class k's arrival times are partial sums of E / lam_k, E its arrival
+    stream's standard exponentials: each time is the last one plus the next
+    E / lam_k, as a clock redrawn when it fires would give. A class with
+    lam_k <= 0 never arrives and draws nothing. The times are drawn
+    ``BLOCK`` at a time, summed by ``np.add.accumulate``, which adds left to
+    right, and merged in rounds. Every class's undrawn times lie at or after
+    its last drawn one, so a round hands out, sorted as (time, class) pairs,
+    every drawn pair up to the bound: the least last drawn time, at the
+    lowest class that holds it. That class then draws its next block, and
+    only it, so a class draws at most its arrivals / ``BLOCK`` + 2 blocks in
+    a run. Plain lists keep the merge off numpy's sort and search code.
+    """
+    K = len(lam)
+    draws = [stream(seed, "arrival", k, replication).standard_exponential for k in range(K)]
+    last = [0.0 if r > 0 else math.inf for r in lam]
+    drawn: list[list[float]] = [[] for _ in range(K)]    # drawn, not yet handed out
+
+    def draw(k: int) -> None:
+        step = draws[k](BLOCK) / lam[k]
+        step[0] += last[k]
+        drawn[k] = np.add.accumulate(step).tolist()
+        last[k] = drawn[k][-1]
+
+    for k in range(K):
+        if lam[k] > 0:
+            draw(k)
+    while True:
+        bound = min(last)
+        b = last.index(bound)
+        final = bound == math.inf          # no class draws again: every finite time
+        cut = [(bisect.bisect_left if final or k > b else bisect.bisect_right)(d, bound)
+               for k, d in enumerate(drawn)]
+        pairs = [(t, k) for k, (d, c) in enumerate(zip(drawn, cut)) for t in d[:c]]
+        pairs.sort()
+        yield from pairs
+        if final:
+            yield math.inf, -1           # never taken: no run reaches time inf
+            return
+        for d, c in zip(drawn, cut):
+            del d[:c]
+        draw(b)
+
+
+# events whose flow-count integral is folded in at once
+FOLD = 1024
+
+
+def _fold(integral: np.ndarray, x0: Sequence[int], steps: list[float],
+          moves: list[int]) -> np.ndarray:
+    """The flow-count integral after the stretches ``steps`` from the K
+    flow counts ``x0``, where stretch e ends with the move ``moves[e]``: k
+    for a class-k arrival, K + k for a class-k departure, 2 K for neither.
+    Stretch e's counts are x0 plus the moves before it, exact in float64;
+    the integral adds each count times its stretch's length, left to right
+    from ``integral``, as ``a + n * dt`` does stretch by stretch."""
+    n, K = len(steps), len(x0)
+    delta = np.concatenate((np.eye(K), -np.eye(K), np.zeros((1, K))))
+    terms = np.empty((n + 1, K))
+    terms[0] = integral
+    terms[1] = x0
+    terms[2:] = delta[moves[:n - 1]]
+    counts = terms[1:]
+    np.add.accumulate(counts, axis=0, out=counts)
+    counts *= np.array(steps)[:, None]
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
 def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
-    """The event loop shared by every model (see the module docstring)."""
+    """The event loop shared by every model (see the module docstring).
+
+    Each event is the next (time, class) pair of ``_arrivals`` unless the
+    model's clocks fire first. It logs its stretch length and its move, and
+    every ``FOLD`` events, and at the end, ``_fold`` adds the logged
+    stretches to the flow-count integral, so the log never holds more than
+    ``FOLD`` events. A model's own ``accrue`` is still called stretch by
+    stretch."""
     K = model.num_classes
     x = list(state_flows(cfg.initial_state))
     if len(x) != K:
@@ -316,15 +402,17 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             model.arrive(k, 0.0)
 
     seed, rep = cfg.seed, cfg.replication
-    lam = [float(v) for v in traffic.arrival_rate]
-    arr_draws = [block_draws(stream(seed, "arrival", k, rep).standard_exponential)
-                 for k in range(K)]
+    next_arrival = _arrivals(seed, rep, [float(v) for v in traffic.arrival_rate]).__next__
     holding = block_draws(stream(seed, "holding", 0, rep).standard_exponential)
     uniform = block_draws(stream(seed, "uniform", 0, rep).random)
-    next_arrival = [draw() / r if r > 0 else math.inf for draw, r in zip(arr_draws, lam)]
+    t_arrival, i = next_arrival()
     arrivals = [0] * K
     departures = [0] * K
-    integral = [0.0] * K
+    integral = np.zeros(K)
+    x0 = list(x)                        # the flow counts when the log starts
+    steps: list[float] = []
+    moves: list[int] = []
+    unmoved = 2 * K
     flows = sum(x)                      # the running flow total, for the guard
     sampler = _Sampler(cfg.sample_times)
     accrue = model.accrue
@@ -335,7 +423,6 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         acc = model.rates(x)
         total = acc[-1]
         t_clock = t + holding() / total if total > 0 else math.inf
-        t_arrival = min(next_arrival)
         t_next = t_clock if t_clock < t_arrival else t_arrival
         done = t_next >= cfg.horizon
         if done:
@@ -344,7 +431,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         if sampler.next < until:
             sampler.emit(until, x, model.schedule)
         dt = t_next - t
-        integral = [a + n * dt for a, n in zip(integral, x)]
+        steps.append(dt)
         if accrue is not None:
             accrue(x, dt)
         t = t_next
@@ -352,11 +439,11 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             break
 
         if t_arrival <= t_clock:
-            i = next_arrival.index(t_arrival)
             x[i] += 1
             arrivals[i] += 1
-            next_arrival[i] = t + arr_draws[i]() / lam[i]
+            moves.append(i)
             model.arrive(i, t)
+            t_arrival, i = next_arrival()
             flows += 1
             if flows > cfg.max_total_flows:
                 abort_time = t
@@ -370,6 +457,14 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
                 x[k] -= 1
                 departures[k] += 1
                 flows -= 1
+                moves.append(K + k)
+            else:
+                moves.append(unmoved)
+        if len(steps) == FOLD:
+            integral = _fold(integral, x0, steps, moves)
+            x0 = list(x)
+            steps.clear()
+            moves.clear()
 
     traj = Trajectory(
         samples=sampler.out,
@@ -378,7 +473,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
         aborted=abort_time is not None,
         final_time=t,
         final_state=tuple(x),
-        time_integral_flows=tuple(integral),
+        time_integral_flows=tuple(_fold(integral, x0, steps, moves).tolist()),
         abort_time=abort_time,
     )
     model.finish(traj)

@@ -2,20 +2,22 @@
 
 These build explicit generators from the raw transition rates and solve them
 numerically. They are deliberately independent of the closed-form weights in
-:mod:`mccsma.equilibrium`: every product-form expression in this package is
-tested against a null-space solve of the matching generator, and transient
-distributions for convergence studies come from uniformization rather than
-from simulation. They also keep their own representation of a schedule,
-apart from the ``ScheduleSet`` arrays that the closed form reads: its
-activation matrix as a hashable tuple of rows (``Rows``, listed from a set by
-``schedule_rows``), on which the generators key their states.
-``attempt_rate`` gives each policy's raw activation rates.
+:mod:`mccsma.equilibrium`: transient distributions for convergence studies
+come from uniformization of the flow-level generator rather than from
+simulation, and the joint generator gives the tests the compensators of the
+joint model's events. They also keep their own representation of a
+schedule, apart from the ``ScheduleSet`` arrays that the closed form reads:
+its activation matrix as a hashable tuple of rows (``Rows``, listed from a
+set by ``schedule_rows``), on which the joint generator keys its states.
+``attempt_rate`` gives each policy's raw activation rates. The oracles that
+only the tests read, the packet-level generator and the stationary solve
+that every product form is checked against, live beside the tests, in
+``tests/oracles.py``, on the same helpers.
 
 Every generator is a ``scipy.sparse.csr_array`` assembled from (row, column,
 rate) triplets: a state has a handful of transitions, so a dense matrix would
-be almost all zeros (128 MB for a 4,096-state box). ``stationary_distribution``
-densifies for its least-squares solve; ``transient_distribution`` stays
-sparse. The flow-level and joint generators refuse a box of more than
+be almost all zeros (128 MB for a 4,096-state box). ``transient_distribution``
+stays sparse. The flow-level and joint generators refuse a box of more than
 ``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError`` before any
 per-state work.
 """
@@ -31,7 +33,7 @@ import scipy.sparse as sp
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .equilibrium import PolicyEvaluator, check_policy
-from .schedule import OracleSpaceError, ScheduleSet, enumerate_feasible, state_flows
+from .schedule import OracleSpaceError, ScheduleSet, enumerate_feasible
 from .topology import CsmaParams, NetworkSpec, TrafficSpec
 
 # Largest box (number of flow-count vectors) the flow-level and joint
@@ -111,47 +113,6 @@ def _csr_generator(n: int, triplets: list[tuple[int, int, float]]) -> sp.csr_arr
         (np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
          (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
         shape=(n, n))
-
-
-def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> tuple[list[Rows], sp.csr_array]:
-    """Generator of the schedule process at a fixed network state.
-
-    Activation transitions carry the policy's attempt rates (attempts whose
-    target schedule is infeasible are carrier-sense blocked and do not appear);
-    deactivations carry the per-class physical rate.
-    """
-    policy = check_policy(spec, policy)
-    flows = state_flows(state)
-    schedules = schedule_rows(enumerate_feasible(spec, flows))
-    index = {s: i for i, s in enumerate(schedules)}
-    triplets: list[tuple[int, int, float]] = []
-    for sched, si in index.items():
-        for k in range(spec.num_classes):
-            for j in range(spec.num_channels):
-                if sched[k][j]:
-                    continue
-                ti = index.get(_toggled(sched, k, j))
-                if ti is None:
-                    continue
-                rate = attempt_rate(spec, params, policy, flows, sched, k, j)
-                triplets.append((si, ti, rate))
-        for k, j in _active_slots(sched):
-            triplets.append((si, index[_toggled(sched, k, j)], params.phys_rate[k]))
-    return schedules, _csr_generator(len(schedules), triplets)
-
-
-def stationary_distribution(q) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 by least squares on the dense form of
-    ``q`` (a dense or sparse generator)."""
-    q = q.toarray() if sp.issparse(q) else np.asarray(q)
-    n = q.shape[0]
-    a = np.vstack([q.T, np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
 
 
 def transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:

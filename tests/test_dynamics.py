@@ -10,19 +10,19 @@ import pytest
 from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
-from mccsma.dynamics import (_JOINT_NETWORKS, _STREAM_KINDS, BLOCK, SimConfig,
+from mccsma.dynamics import (_JOINT_NETWORKS, _STREAM_KINDS, BLOCK, FOLD, SimConfig,
                              ThroughputCache, TrajectorySample, _Joint,
                              _joint_final_states, _joint_tables, _run, _Separated,
                              _tv_from_counts, block_draws, left_sum, simulate_joint,
                              simulate_separated, stream, timescale_convergence,
                              uniform_sample_times)
 from mccsma.equilibrium import PolicyEvaluator
-from mccsma.oracles import (joint_generator, schedule_rows, stationary_distribution,
-                            transient_distribution)
+from mccsma.oracles import joint_generator, schedule_rows, transient_distribution
 from mccsma.scenario import load_scenario
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, TrafficSpec,
                              replicate_graph)
+from oracles import stationary_distribution
 from theory import (_merge_bins, dominated_throughput_fn, generator_compensators,
                     simulate_coupled_pair, with_integrals)
 
@@ -1079,6 +1079,201 @@ def test_block_draws_equal_scalar_draws(seed):
             draw = block_draws(getattr(stream(seed, kind, klass, rep), method))
             got = [draw() for _ in range(n)]
             assert got == expected and all(type(v) is float for v in got)
+
+
+class _PerEventReference:
+    """Runs ``model`` on ``_run`` and checks the loop event by event against
+    per-class arrival clocks ``t + E / lam_k``, each redrawn when it fires
+    from ``block_draws`` of the same arrival stream: the lowest class wins
+    a tie between arrivals, and an arrival wins a tie with the model's
+    clocks. It accrues the flow-count integral as ``a + n * dt``, stretch
+    by stretch, and logs the time of every event after the initial flows."""
+
+    def __init__(self, model, traffic: TrafficSpec, cfg: SimConfig, make_stream=stream):
+        self.model = model
+        self.num_classes = K = model.num_classes
+        self.schedule, self.rates = model.schedule, model.rates
+        self.lam = [float(v) for v in traffic.arrival_rate]
+        self.draws = [block_draws(make_stream(cfg.seed, "arrival", k, cfg.replication)
+                                  .standard_exponential) for k in range(K)]
+        self.clock = [d() / r if r > 0 else math.inf for d, r in zip(self.draws, self.lam)]
+        self.integral = [0.0] * K
+        self.stretches = self.ties = 0
+        self.times: list[float] = []
+
+    def arrive(self, k, t):
+        if self.stretches:              # the initial flows enter before any stretch
+            first = min(self.clock)
+            assert (t, k) == (first, self.clock.index(first))
+            self.ties += self.clock.count(first) > 1
+            self.clock[k] = t + self.draws[k]() / self.lam[k]
+            self.times.append(t)
+        self.model.arrive(k, t)
+
+    def fire(self, kind, k, uniform, t):
+        assert t < min(self.clock)
+        self.times.append(t)
+        return self.model.fire(kind, k, uniform, t)
+
+    def accrue(self, x, dt):
+        self.stretches += 1
+        self.integral = [a + n * dt for a, n in zip(self.integral, x)]
+
+    def finish(self, traj):
+        self.model.finish(traj)
+        assert traj.aborted or min(self.clock) >= traj.final_time
+
+
+def _run_against_reference(make_model, traffic, cfg, make_stream=stream):
+    """``_run`` of a fresh model, checked against ``_PerEventReference``
+    around another: the same trajectory, bit for bit."""
+    ref = _PerEventReference(make_model(), traffic, cfg, make_stream)
+    traj = _run(ref, traffic, cfg)
+    assert _run(make_model(), traffic, cfg) == traj
+    assert list(traj.time_integral_flows) == ref.integral
+    return traj, ref
+
+
+def _separated_model(spec, params, traffic, policy):
+    fn = ThroughputCache(PolicyEvaluator(spec, params, policy))
+    return lambda: _Separated(spec, fn, traffic)
+
+
+def _reference_cases():
+    bowtie = load_scenario("bowtie")
+    spec, params = bowtie.network, bowtie.csma
+    single = NetworkSpec(1, 1, replicate_graph(1, [0], []))
+    pair = two_conflicting_classes()
+    line = ap_line3()
+    line_params = CsmaParams.from_alpha(line, 2.0)
+    line_traffic = TrafficSpec.of(0.4, 1.0, 3)
+    line_cfg = SimConfig("standard_infra", 400.0, 36, (1, 0, 2), scaling_n=4,
+                         sample_times=uniform_sample_times(400.0, 40))
+    # (id, model factory, traffic, config)
+    return [
+        ("bowtie-20000s", _separated_model(spec, params, bowtie.traffic, "standard_infra"),
+         bowtie.traffic, SimConfig("standard_infra", 20_000.0, 31, (0,) * 5)),
+        ("abort-mid-fold", _separated_model(spec, params, bowtie.traffic, "standard_infra"),
+         bowtie.traffic, SimConfig("standard_infra", 20_000.0, 32, (2,) * 5,
+                                   max_total_flows=300)),
+        ("zero-and-slow-class",
+         _separated_model(spec, params, TrafficSpec((0.0, 0.6, 0.0006, 0.6, 0.5), (1.0,) * 5),
+                          "standard_infra"),
+         TrafficSpec((0.0, 0.6, 0.0006, 0.6, 0.5), (1.0,) * 5),
+         SimConfig("standard_infra", 10_000.0, 33, (3, 0, 0, 1, 0))),
+        ("one-class", _separated_model(single, CsmaParams.from_alpha(single, 1.0),
+                                       TrafficSpec.of(0.6, 1.0, 1), "adhoc"),
+         TrafficSpec.of(0.6, 1.0, 1), SimConfig("adhoc", 5_000.0, 34, (2,))),
+        ("no-arrivals", _separated_model(pair, CsmaParams.from_alpha(pair, 1.0),
+                                         TrafficSpec.of(0.0, 1.0, 2), "adhoc"),
+         TrafficSpec.of(0.0, 1.0, 2), SimConfig("adhoc", 5_000.0, 35, (700, 500))),
+        ("joint", lambda: _Joint(line, line_params, line_traffic, "standard_infra", line_cfg),
+         line_traffic, line_cfg),
+    ]
+
+
+@pytest.mark.parametrize("case", _reference_cases(), ids=lambda case: case[0])
+def test_run_matches_the_per_event_loop(case):
+    """Arrivals drawn ahead and merged, and the flow-count integral folded
+    every ``FOLD`` events, give the per-event loop's run bit for bit."""
+    name, make_model, traffic, cfg = case
+    traj, ref = _run_against_reference(make_model, traffic, cfg)
+    assert ref.stretches > FOLD
+    if name == "abort-mid-fold":
+        assert traj.aborted and ref.stretches % FOLD
+        assert any(n % BLOCK for n in traj.arrivals)
+    else:
+        assert not traj.aborted
+    if name == "zero-and-slow-class":
+        assert traj.arrivals[0] == 0 and 0 < traj.arrivals[2] < BLOCK
+    if name == "no-arrivals":
+        assert traj.arrivals == (0, 0) and traj.departures == (700, 500)
+
+
+@pytest.mark.parametrize("folds", [1, 2])
+def test_run_ending_on_a_fold_boundary_matches_the_per_event_loop(folds):
+    """A run whose last stretch is the last of a fold, or the first after
+    one, gives the per-event loop's run bit for bit."""
+    bowtie = load_scenario("bowtie")
+    make_model = _separated_model(bowtie.network, bowtie.csma, bowtie.traffic,
+                                  "standard_infra")
+    cfg = SimConfig("standard_infra", 2_000.0, 37, (1,) * 5)
+    _, ref = _run_against_reference(make_model, bowtie.traffic, cfg)
+    times = ref.times
+    end = folds * FOLD
+    for stretches in (end, end + 1):
+        # the horizon falls after stretches - 1 events, which the last stretch follows
+        horizon = 0.5 * (times[stretches - 2] + times[stretches - 1])
+        _, ref = _run_against_reference(make_model, bowtie.traffic,
+                                         dataclasses.replace(cfg, horizon=horizon))
+        assert ref.stretches == stretches
+
+
+class _GappedStream:
+    """An arrival stream whose odd-numbered blocks start with a zero gap, so
+    that a class arrives twice at the time that ends its previous block."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+
+    def standard_exponential(self, size):
+        values = self.rng.standard_exponential(size)
+        if self.blocks % 2:
+            values[0] = 0.0
+        self.blocks += 1
+        return values
+
+
+def test_simultaneous_arrivals_go_to_the_lower_class(monkeypatch):
+    """With every class reading one arrival stream at one rate, all arrive
+    together, and with zero gaps a class arrives twice at one time; the
+    lower class takes each tie, as the per-event loop did, also where a
+    class's next block starts at the time its last one ended."""
+    def shared_stream(seed, kind, klass=0, replication=0):
+        if kind == "arrival":
+            return _GappedStream(stream(seed, kind, 0, replication))
+        return stream(seed, kind, klass, replication)
+
+    monkeypatch.setattr("mccsma.dynamics.stream", shared_stream)
+    bowtie = load_scenario("bowtie")
+    traffic = TrafficSpec.of(0.3, 1.0, 5)
+    make_model = _separated_model(bowtie.network, bowtie.csma, traffic, "standard_infra")
+    traj, ref = _run_against_reference(make_model, traffic,
+                                       SimConfig("standard_infra", 2_000.0, 38, (0,) * 5),
+                                       shared_stream)
+    assert traj.arrivals[0] > 4 * BLOCK and len(set(traj.arrivals)) == 1
+    assert ref.ties >= 4 * traj.arrivals[0]
+
+
+def test_arrival_read_ahead_stays_bounded(monkeypatch):
+    """Under a 1,000:1 rate ratio each class draws at most its arrivals /
+    ``BLOCK`` + 2 blocks of arrival times: only the class whose last drawn
+    time bounds the merge draws again. A class that never arrives draws
+    nothing."""
+    blocks = Counter()
+
+    class Counting:
+        def __init__(self, klass, rng):
+            self.klass, self.rng = klass, rng
+
+        def standard_exponential(self, size):
+            blocks[self.klass] += 1
+            return self.rng.standard_exponential(size)
+
+    def counting_stream(seed, kind, klass=0, replication=0):
+        rng = stream(seed, kind, klass, replication)
+        return Counting(klass, rng) if kind == "arrival" else rng
+
+    monkeypatch.setattr("mccsma.dynamics.stream", counting_stream)
+    spec = NetworkSpec(3, 1, replicate_graph(1, range(3), [(0, 1)]))
+    params = CsmaParams.from_alpha(spec, 1.0)
+    traffic = TrafficSpec((1.0, 0.001, 0.0), (0.2, 0.2, 0.2))
+    traj = simulate_separated(spec, params, traffic,
+                              SimConfig("adhoc", 20_000.0, 39, (0, 0, 1)))
+    assert traj.arrivals[0] > 100 * BLOCK and traj.arrivals[1] > 0
+    for k in range(3):
+        assert blocks[k] <= traj.arrivals[k] / BLOCK + 2
+    assert blocks[1] <= 2 and blocks[2] == 0
 
 
 def test_stream_equals_a_seed_sequence_generator():

@@ -9,9 +9,10 @@ from scipy.special import gammaln, logsumexp
 
 from conftest import bad_state_message, bowtie_spec, empty_schedule, random_instance
 from mccsma.equilibrium import LOG_FACTORIAL_CAP, PolicyEvaluator
-from mccsma.oracles import packet_level_generator, schedule_rows, stationary_distribution
+from mccsma.oracles import schedule_rows
 from mccsma.schedule import enumerate_feasible
 from mccsma.topology import (AccessPoint, CsmaParams, NetworkSpec, replicate_graph)
+from oracles import packet_level_generator, stationary_distribution
 from theory import (alpha_limit_distribution, detailed_balance_check, lemma1_check,
                     stationary_log_weights)
 

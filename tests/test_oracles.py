@@ -5,11 +5,11 @@ import pytest
 
 from conftest import ap_line3, random_instance
 from mccsma.oracles import (MAX_ORACLE_STATES, flow_level_generator, joint_generator,
-                            packet_level_generator, poisson_quantile,
-                            stationary_distribution, transient_distribution)
+                            poisson_quantile, transient_distribution)
 from mccsma.schedule import OracleSpaceError
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.topology import AccessPoint, CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
+from oracles import packet_level_generator, stationary_distribution
 from theory import flow_level_generator_per_state
 
 
