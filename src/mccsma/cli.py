@@ -59,25 +59,13 @@ OUTPUT_ROOT_ENV = "MCCSMA_OUTPUT_ROOT"
 BOUNDARY_RAYS = 401       # rays along which export-plot traces the capacity boundary
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-# the types whose str is _fmt's text (a Python float's str is its repr); a
-# bool, a NumPy scalar or a subclass goes through _fmt
-_STR_IS_FMT = frozenset((str, int, float))
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write ``rows`` of Python ints, floats and strs, each cell its ``str``:
+    a float's is its shortest round-trip text."""
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join([str(v) if type(v) in _STR_IS_FMT else _fmt(v) for v in row])
-                     + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _diag(kind: str, message: str) -> None:
@@ -167,7 +155,7 @@ def run_equilibrium(scenario: Scenario, seed: int, outdir: Path) -> list[str]:
                  for bits, p in zip(flat, result.probabilities.tolist())]
     _write_csv(outdir / "distribution.csv", ["schedule", "probability"], dist_rows)
     _write_csv(outdir / "throughput.csv", ["class", "throughput"],
-               [(k + 1, v) for k, v in enumerate(result.throughput)])
+               [(k + 1, v) for k, v in enumerate(result.throughput.tolist())])
     return ["distribution.csv", "throughput.csv"]
 
 
@@ -256,7 +244,8 @@ def run_stability_sweep(scenario: Scenario, seed: int, outdir: Path) -> list[str
                                                     exp.policy))
     sigma = np.asarray(scenario.traffic.mean_flow_size)
     rows = []
-    for v1, v2, rho in zip(*_sweep_grid(scenario)):
+    load1, load2, rhos = _sweep_grid(scenario)
+    for v1, v2, rho in zip(load1.tolist(), load2.tolist(), rhos):
         lam = tuple(float(r) / s for r, s in zip(rho, sigma))
         traffic = replace(scenario.traffic, arrival_rate=lam)
         trajectories = [simulate_separated(scenario.network, scenario.csma, traffic,

@@ -55,30 +55,31 @@ a pathwise check of stochastic domination (Lindvall, 1992).
 ``timescale_convergence``'s distance is a plug-in estimate, biased upward by
 about 0.1 at 200 replications; no interval until an exact error bound exists.
 
-No event pays for work that it leaves unchanged, and no run for work that
-its network's other runs have done. The loop takes an arrival off the
-merged list, without a scan of the K clocks, and adds nothing per class to
-the flow-count integral until a fold. It keeps a running flow total for
-the guard and calls the sampler only when a sample time has passed or the
-run ends. ``_Separated`` on a ``ThroughputCache`` keeps the run's throughput
-key itself, updated by its ``arrive`` and ``fire`` hooks, and a per-run
-table from that key to the running sums it races: an event that leaves the
-key unchanged races the same sums again, and one at a key the run has seen
-costs one dict lookup (see ``_Separated``). ``_Joint`` recomputes a
-class's packet clock rate, which reads only its slots, when ``fire``
-changes them, and its attempt rates only when the event touched what they
-read: the class's own flows or slots, a neighbour's slot on a shared
-channel, its access point's downlink slots or, under the shared queue, that
-access point's flow counts (see ``_Joint``). One bounded cache serves
-every joint run of a network: ``_joint_tables`` builds its joint tables and
-runs ``simulate_joint``'s checks once per scaling value N. The time-scale
-study needs only the final flow counts of its runs, and makes no
-``simulate_joint`` call: ``_joint_final_states`` advances every (N,
-replication) run of the study together, one event per live lane and step,
-so a run's fixed cost (streams, config, model, trajectory) is paid once
-per study, and a replication's streams, whose values do not depend on N,
-are made once and read by its lane at every N. ``simulate_joint`` stays
-for sampled trajectories and is the lanes' reference in the tests.
+No event pays for work that it leaves unchanged. The loop takes an arrival
+off the merged list, without a scan of the K clocks, and adds nothing per
+class to the flow-count integral until a fold. It keeps a running flow
+total for the guard and calls the sampler only when a sample time has
+passed or the run ends. ``_Separated`` on a ``ThroughputCache`` keeps the
+run's throughput key itself, updated by its ``arrive`` and ``fire`` hooks,
+and a per-run table from that key to the running sums it races: an event
+that leaves the key unchanged races the same sums again, and one at a key
+the run has seen costs one dict lookup (see ``_Separated``). ``_Joint``
+recomputes a class's packet clock rate, which reads only its slots, when
+``fire`` changes them, and its attempt rates only when the event touched
+what they read: the class's own flows or slots, a neighbour's slot on a
+shared channel, its access point's downlink slots or, under the shared
+queue, that access point's flow counts (see ``_Joint``). A joint run builds
+its network's joint tables and runs ``simulate_joint``'s checks in
+``_joint_tables``. The time-scale study needs only the final flow counts of
+its runs, and makes no ``simulate_joint`` call: ``_joint_final_states``
+advances every (N, replication) run of the study together, one event per
+live lane and step, so a run's fixed cost (streams, config, model,
+trajectory) is paid once per study and the joint tables once per N. A
+replication's streams, whose values do not depend on N, are made once and
+read by its lane at every N: its arrivals are its pairs of ``_arrivals``,
+held as arrays, and its holding and uniform streams are drawn ahead into
+blocks that its lanes share. ``simulate_joint`` stays for sampled
+trajectories and is the lanes' reference in the tests.
 
 Randomness comes from counter-based Philox streams derived from the master
 seed, K + 2 per run (the lanes of one replication share them): one arrival
@@ -402,10 +403,10 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             model.arrive(k, 0.0)
 
     seed, rep = cfg.seed, cfg.replication
-    next_arrival = _arrivals(seed, rep, [float(v) for v in traffic.arrival_rate]).__next__
+    take_arrival = _arrivals(seed, rep, [float(v) for v in traffic.arrival_rate]).__next__
     holding = block_draws(stream(seed, "holding", 0, rep).standard_exponential)
     uniform = block_draws(stream(seed, "uniform", 0, rep).random)
-    t_arrival, i = next_arrival()
+    t_arrival, i = take_arrival()
     arrivals = [0] * K
     departures = [0] * K
     integral = np.zeros(K)
@@ -443,7 +444,7 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             arrivals[i] += 1
             moves.append(i)
             model.arrive(i, t)
-            t_arrival, i = next_arrival()
+            t_arrival, i = take_arrival()
             flows += 1
             if flows > cfg.max_total_flows:
                 abort_time = t
@@ -578,17 +579,10 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     return _run(_Separated(spec, throughput_fn, traffic), traffic, cfg)
 
 
-# the networks whose joint tables are kept: a study runs one network at a
-# few scaling values N, each for every replication
-_JOINT_NETWORKS = 64
-
-
-@functools.lru_cache(maxsize=_JOINT_NETWORKS)
 def _joint_tables(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                   policy: str, N: int) -> tuple:
     """``simulate_joint``'s checks, then the tables that ``_Joint`` reads and
-    never changes, in the order of its attributes. A failing check raises,
-    and so is not kept: it raises again on the next call."""
+    never changes, in the order of its attributes."""
     policy = check_policy(spec, policy)
     if policy == "standard_infra":
         check_standard_attempt_rates(spec, params)
@@ -605,7 +599,6 @@ def _joint_tables(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                       for g in spec.channel_graphs)
     # the downlink classes of class k's access point, if k is one of them
     ap_peers = [frozenset() if i is None else frozenset(ap_downlink[i]) for i in downlink_ap]
-    # every run of the network shares these, so all of them are immutable
     return (
         tuple(params.phi.tolist()), nu, tuple(map(tuple, params.beta.tolist())),
         tuple(1.0 / (float(s) * N) for s in traffic.mean_flow_size),
@@ -648,9 +641,9 @@ class _Joint:
     some flow of its class with probability 1 / (sigma_k N).
 
     What the run reads and never changes, the tables above, the rates and
-    the flow-end probabilities, is built once per network and N by
-    ``_joint_tables``, which also runs ``simulate_joint``'s checks; a model
-    builds only its own schedule and clocks.
+    the flow-end probabilities, comes from ``_joint_tables``, which also
+    runs ``simulate_joint``'s checks; the lanes of ``_joint_final_states``
+    read the same tables, built once per N.
     """
 
     accrue = None
@@ -835,10 +828,13 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     (N (x_k - y_k)) nu_k round as the model's ints times floats do. A lane
     leaves when it reaches the horizon or crosses ``max_total_flows``. The
     lanes of one replication read one set of K + 2 streams, each at its own
-    position, since a stream's values do not depend on N. Attempt rates are
-    recomputed for every class at every step: they read only the lane's
-    state. The checks of ``SimConfig`` and ``simulate_joint`` run first; a
-    base config with ``sample_times`` is rejected, since no lane samples.
+    position, since a stream's values do not depend on N: a replication's
+    arrivals are its pairs of ``_arrivals``, made once and held as a time
+    array and a class array, into which each of its lanes keeps one index.
+    Attempt rates are recomputed for every class at every step: they read
+    only the lane's state. The checks of ``SimConfig`` and
+    ``simulate_joint`` run first; a base config with ``sample_times`` is
+    rejected, since no lane samples.
     """
     if base.sample_times:
         raise ValueError("the lanes keep final states only; sample_times must be empty")
@@ -874,58 +870,59 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     # a class alone there counts itself only, whose share is x_k / x_k = 1.0
     peers = np.array([[m in share_peers[k] or m == k for m in range(K)]
                       for k in range(K)], dtype=float)
-    lam = np.array([float(v) for v in traffic.arrival_rate])
-    R, horizon, limit = replications, base.horizon, base.max_total_flows
+    lam = [float(v) for v in traffic.arrival_rate]
+    R, seed, horizon, limit = replications, base.seed, base.horizon, base.max_total_flows
 
-    seed = base.seed
-    arrival = _LaneDraws([stream(seed, "arrival", k, r).standard_exponential
-                          for k in range(K) for r in range(R)])    # row k * R + r
+    def until_horizon(r: int) -> Iterator[tuple[float, int]]:
+        """Replication r's arrivals up to the first at or past the horizon,
+        the last that its lanes read."""
+        for pair in _arrivals(seed, r, lam):
+            yield pair
+            if pair[0] >= horizon:
+                return
+
+    pair_type = np.dtype([("time", float), ("klass", np.min_scalar_type(-K))])
+    by_rep = [np.fromiter(until_horizon(r), pair_type) for r in range(R)]
+    first = np.cumsum([0] + [a.size for a in by_rep[:-1]])    # r's first arrival
+    arrivals = np.concatenate(by_rep)
+    # contiguous copies, which every step gathers from faster than from fields
+    arrival_time, arrival_class = arrivals["time"].copy(), arrivals["klass"].copy()
     holding = _LaneDraws([stream(seed, "holding", 0, r).standard_exponential
                           for r in range(R)])
     uniform = _LaneDraws([stream(seed, "uniform", 0, r).random for r in range(R)])
 
     # Lane i * R + r runs replication r at n_values[i]. Its state is a
     # column of two arrays, so that finished lanes leave in two takes:
-    # floats t, N, x (K rows), y (J K rows, channel by channel), next
-    # arrivals, queue rates and flow-end probabilities (K rows each), and
-    # ints lane, replication, and its positions in the holding, uniform
-    # and arrival (K rows) streams.
+    # floats t, N, x (K rows), y (J K rows, channel by channel), queue
+    # rates and flow-end probabilities (K rows each), and ints lane,
+    # replication, its positions in the holding and uniform streams and
+    # the index of its next arrival.
     L = len(tables) * R
     lane = np.arange(L)
     rep = lane % R
-    classes = np.arange(K)[:, None]
-    live = lam > 0
-    start = np.zeros((K, L), dtype=np.int64)
-    arrival.reserve(classes * R + rep, start, 1)
-    first = arrival.take(classes * R + rep, start)
     floats = np.concatenate((
         np.zeros((1, L)), np.repeat(np.array(n_values, dtype=float), R)[None],
         np.repeat(np.array(x0, dtype=float)[:, None], L, axis=1), np.zeros((J * K, L)),
-        np.where(live[:, None], first / np.where(live, lam, 1.0)[:, None], math.inf),
         np.repeat(queue_rate_n, R, axis=1), np.repeat(flow_end_n, R, axis=1)))
-    ints = np.concatenate((lane[None], rep[None], np.zeros((2, L), dtype=np.int64),
-                           start + live[:, None]))
+    ints = np.stack((lane, rep, np.zeros_like(lane), np.zeros_like(lane), first[rep]))
     finals = np.empty((K, L))
     acc = np.empty((2 * K, L))
     # the steps that each stream's last reserve covers: a step reads at
-    # most one arrival, one holding time and three uniforms per lane
-    arrival_steps = holding_steps = uniform_steps = 0
+    # most one holding time and three uniforms per lane
+    holding_steps = uniform_steps = 0
 
     def unpack():
         slots = floats[2 + K:2 + K + J * K]
         return (floats[0], floats[1], floats[2:2 + K], slots, slots.reshape(J, K, -1),
-                *floats[2 + K + J * K:].reshape(3, K, -1), *ints[:4], ints[4:])
+                *floats[2 + K + J * K:].reshape(2, K, -1), *ints)
 
-    (t, N, x, slots, y, next_arrival, queue_rate, flow_end,
-     lane, rep, pos_holding, pos_uniform, pos_arrival) = unpack()
+    (t, N, x, slots, y, queue_rate, flow_end,
+     lane, rep, pos_holding, pos_uniform, pair_index) = unpack()
     while t.size:
-        if not arrival_steps:
-            arrival_steps = arrival.reserve(classes * R + rep, pos_arrival, 1)
         if not holding_steps:
             holding_steps = holding.reserve(rep, pos_holding, 1)
         if not uniform_steps:
             uniform_steps = uniform.reserve(rep, pos_uniform, 3)
-        arrival_steps -= 1
         holding_steps -= 1
         uniform_steps -= 1
 
@@ -951,18 +948,15 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
                          out=np.full(t.size, math.inf), where=clock)
         pos_holding += clock
         t_clock = t + wait
-        t_arrival = next_arrival.min(axis=0)
+        t_arrival = arrival_time[pair_index]
         arrives = t_arrival <= t_clock
         t[:] = np.where(arrives, t_arrival, t_clock)
         done = t >= horizon
 
         a = np.flatnonzero(arrives & ~done)
         if a.size:
-            k = next_arrival[:, a].argmin(axis=0)   # the first of simultaneous arrivals
-            x[k, a] += 1
-            draw = arrival.take(k * R + rep[a], pos_arrival[k, a])
-            next_arrival[k, a] = t[a] + draw / lam[k]
-            pos_arrival[k, a] += 1
+            x[arrival_class[pair_index[a]], a] += 1
+            pair_index[a] += 1
             done[a[x[:, a].sum(axis=0) > limit]] = True
 
         c = np.flatnonzero(~arrives & ~done)
@@ -996,8 +990,8 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
             finals[:, lane[done]] = x[:, done]
             keep = ~done
             floats, ints = floats.compress(keep, axis=1), ints.compress(keep, axis=1)
-            (t, N, x, slots, y, next_arrival, queue_rate, flow_end,
-             lane, rep, pos_holding, pos_uniform, pos_arrival) = unpack()
+            (t, N, x, slots, y, queue_rate, flow_end,
+             lane, rep, pos_holding, pos_uniform, pair_index) = unpack()
 
     out = [tuple(int(v) for v in col) for col in finals.T.tolist()]
     return [out[i * R:(i + 1) * R] for i in range(len(tables))]

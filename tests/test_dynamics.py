@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
-from mccsma.dynamics import (_JOINT_NETWORKS, _STREAM_KINDS, BLOCK, FOLD, SimConfig,
+from mccsma.dynamics import (_STREAM_KINDS, BLOCK, FOLD, SimConfig,
                              ThroughputCache, TrajectorySample, _Joint,
                              _joint_final_states, _joint_tables, _run, _Separated,
                              _tv_from_counts, block_draws, left_sum, simulate_joint,
@@ -761,36 +761,50 @@ def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
     def no_simulate_joint(*args):
         raise AssertionError("the study ran simulate_joint")
 
+    built = []
+
+    def counting_tables(*args):
+        built.append(args[-1])
+        return _joint_tables(*args)
+
     monkeypatch.setattr("mccsma.dynamics.simulate_joint", no_simulate_joint)
+    monkeypatch.setattr("mccsma.dynamics._joint_tables", counting_tables)
     spec = ap_line3()
     params = CsmaParams.from_alpha(spec, 1e6)
     traffic = TrafficSpec.of(0.4, 1.0, 3)
     n_values, replications = (1, 4, 16, 64), 5
-    _joint_tables.cache_clear()
     timescale_convergence(spec, params, traffic, n_values=n_values, t_probe=0.5,
                           replications=replications, seed=3, policy="standard_infra",
                           initial_state=(0, 0, 0))
-    info = _joint_tables.cache_info()
-    assert (info.misses, info.hits) == (len(n_values), 0)
+    assert built == list(n_values)
 
 
 @pytest.mark.parametrize("name, policy", [
     ("ap-line3", "standard_infra"), ("two-ap", "standard_infra"), ("two-ap", "flow_aware"),
     ("adhoc4", "adhoc"), ("bowtie", "standard_infra")])
-def test_lanes_end_where_simulate_joint_ends(name, policy):
+def test_lanes_end_where_simulate_joint_ends(name, policy, monkeypatch):
     """Every (N, replication) lane ends at the final flow counts of its own
     ``simulate_joint`` run, bit for bit: in the second config class 0 never
-    arrives and a small guard aborts some runs. Two-ap shares each access
-    point's queue between two downlink classes, and adhoc4, two-ap and the
-    bow-tie have two channels, so a class may hold two slots."""
+    arrives and a small guard aborts some runs; in the third every class
+    reads one gapped arrival stream at one rate, so all classes arrive
+    together and, past a block, a class arrives twice at one time, and the
+    guard aborts runs within such a batch, whose order then decides the
+    final counts. Two-ap shares each access point's queue between two
+    downlink classes, and adhoc4, two-ap and the bow-tie have two channels,
+    so a class may hold two slots."""
     sc = load_scenario(name)
     spec, params, traffic = sc.network, sc.csma, sc.traffic
     K = spec.num_classes
     no_arrivals = TrafficSpec((0.0, *traffic.arrival_rate[1:]), traffic.mean_flow_size)
+    together = TrafficSpec((40.0,) * K, traffic.mean_flow_size)
     n_values, replications = (1, 4, 16, 64), 6
     aborted = 0
-    for load, base in ((traffic, SimConfig(policy, 2.0, 5, (2,) * K)),
-                       (no_arrivals, SimConfig(policy, 4.0, 6, (1,) * K, max_total_flows=K))):
+    for load, base, make_stream in (
+            (traffic, SimConfig(policy, 2.0, 5, (2,) * K), stream),
+            (no_arrivals, SimConfig(policy, 4.0, 6, (1,) * K, max_total_flows=K), stream),
+            (together, SimConfig(policy, 2.0, 7, (0,) * K, max_total_flows=70 * K),
+             _shared_arrival_stream)):
+        monkeypatch.setattr("mccsma.dynamics.stream", make_stream)
         runs = [[simulate_joint(spec, params, load,
                                 dataclasses.replace(base, scaling_n=n, replication=r))
                  for r in range(replications)] for n in n_values]
@@ -798,6 +812,9 @@ def test_lanes_end_where_simulate_joint_ends(name, policy):
             [run.final_state for run in row] for row in runs]
         aborted += sum(run.aborted for row in runs for run in row)
     assert aborted > 0
+    ends = [run.final_state for row in runs for run in row if run.aborted]
+    assert any(len(set(end)) > 1 for end in ends)
+    assert max(run.arrivals[0] for row in runs for run in row) > BLOCK
 
 
 def test_lanes_raise_simulate_joint_errors_before_any_lane_runs(monkeypatch):
@@ -832,9 +849,10 @@ def test_lanes_raise_simulate_joint_errors_before_any_lane_runs(monkeypatch):
 
 
 def test_joint_checks_raise_on_every_call_after_a_valid_one():
-    """A valid call keeps its network's tables; a call that fails a check is
-    not kept and raises again. Unequal attempt rates need an access point
-    with two or more downlink classes, which ap-line3 does not have."""
+    """A call that fails a check raises again on every later call, also
+    after a valid call on the same network. Unequal attempt rates need an
+    access point with two or more downlink classes, which ap-line3 does not
+    have."""
     spec = NetworkSpec(4, 3, replicate_graph(3, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
                        (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
     params = CsmaParams.from_alpha(spec, 2.0)
@@ -849,16 +867,6 @@ def test_joint_checks_raise_on_every_call_after_a_valid_one():
         with pytest.raises(ValueError, match="sigma_k"):
             simulate_joint(spec, params, short, cfg)
     simulate_joint(spec, params, short, dataclasses.replace(cfg, scaling_n=2))
-
-
-def test_joint_tables_keep_their_bound():
-    spec = ap_line3()
-    params = CsmaParams.from_alpha(spec, 1.0)
-    traffic = TrafficSpec.of(0.4, 1.0, 3)
-    for n in range(1, _JOINT_NETWORKS + 10):
-        _joint_tables(spec, params, traffic, "standard_infra", n)
-        assert _joint_tables.cache_info().currsize <= _JOINT_NETWORKS
-    assert _joint_tables.cache_info().currsize == _JOINT_NETWORKS
 
 
 @pytest.mark.parametrize("bad, name", [
@@ -1224,23 +1232,26 @@ class _GappedStream:
         return values
 
 
+def _shared_arrival_stream(seed, kind, klass=0, replication=0):
+    """``stream``, except that every class reads class 0's arrival stream,
+    gapped."""
+    if kind == "arrival":
+        return _GappedStream(stream(seed, kind, 0, replication))
+    return stream(seed, kind, klass, replication)
+
+
 def test_simultaneous_arrivals_go_to_the_lower_class(monkeypatch):
     """With every class reading one arrival stream at one rate, all arrive
     together, and with zero gaps a class arrives twice at one time; the
     lower class takes each tie, as the per-event loop did, also where a
     class's next block starts at the time its last one ended."""
-    def shared_stream(seed, kind, klass=0, replication=0):
-        if kind == "arrival":
-            return _GappedStream(stream(seed, kind, 0, replication))
-        return stream(seed, kind, klass, replication)
-
-    monkeypatch.setattr("mccsma.dynamics.stream", shared_stream)
+    monkeypatch.setattr("mccsma.dynamics.stream", _shared_arrival_stream)
     bowtie = load_scenario("bowtie")
     traffic = TrafficSpec.of(0.3, 1.0, 5)
     make_model = _separated_model(bowtie.network, bowtie.csma, traffic, "standard_infra")
     traj, ref = _run_against_reference(make_model, traffic,
                                        SimConfig("standard_infra", 2_000.0, 38, (0,) * 5),
-                                       shared_stream)
+                                       _shared_arrival_stream)
     assert traj.arrivals[0] > 4 * BLOCK and len(set(traj.arrivals)) == 1
     assert ref.ties >= 4 * traj.arrivals[0]
 
