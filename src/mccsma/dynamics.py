@@ -15,17 +15,17 @@ repeats event for event on lanes of numpy arrays for the time-scale study
 (see below). The class-k Poisson arrival times do not depend on the state:
 each is the last one plus the next exponential over lambda_k. So
 ``_arrivals`` draws them ahead, a block of the class's stream at a time,
-and merges the classes in time order, and the loop races the next arrival
-against the model's clocks by Gillespie's direct method (1977): the
-model's clocks together fire after an exponential holding time at their
-total rate R, and the one that fires is clock c with probability r_c / R.
-So an event draws one exponential and, if the model's clocks win, one
-uniform, however many clocks the model has; an arrival wins a tie. The
-loop logs each event's stretch length and its move, and every ``FOLD``
-events and at the end folds them into the exact time integral of the flow
-counts (``_fold``); it also samples the state, counts arrivals and
-departures and enforces the truncation guard. A model supplies what
-differs:
+and merges the classes in time order up to the run's horizon, and the loop
+races the next arrival against the model's clocks by Gillespie's direct
+method (1977): the model's clocks together fire after an exponential
+holding time at their total rate R, and the one that fires is clock c with
+probability r_c / R. So an event draws one exponential and, if the model's
+clocks win, one uniform, however many clocks the model has; an arrival
+wins a tie. The loop logs each event's stretch length and its move, and
+every ``FOLD`` events and at the end folds them into the exact time
+integral of the flow counts (``_fold``); it also samples the state, counts
+arrivals and departures and enforces the truncation guard. A model
+supplies what differs:
 
 * ``rates(x)``: the running (left-to-right) sums of the rates of its
   clocks at flow counts ``x`` in one list, kind by kind and class by class
@@ -57,29 +57,32 @@ about 0.1 at 200 replications; no interval until an exact error bound exists.
 
 No event pays for work that it leaves unchanged. The loop takes an arrival
 off the merged list, without a scan of the K clocks, and adds nothing per
-class to the flow-count integral until a fold. It keeps a running flow
-total for the guard and calls the sampler only when a sample time has
-passed or the run ends. ``_Separated`` on a ``ThroughputCache`` keeps the
-run's throughput key itself, updated by its ``arrive`` and ``fire`` hooks,
-and a per-run table from that key to the running sums it races: an event
-that leaves the key unchanged races the same sums again, and one at a key
-the run has seen costs one dict lookup (see ``_Separated``). ``_Joint``
-recomputes a class's packet clock rate, which reads only its slots, when
-``fire`` changes them, and its attempt rates only when the event touched
-what they read: the class's own flows or slots, a neighbour's slot on a
-shared channel, its access point's downlink slots or, under the shared
-queue, that access point's flow counts (see ``_Joint``). A joint run builds
-its network's joint tables and runs ``simulate_joint``'s checks in
-``_joint_tables``. The time-scale study needs only the final flow counts of
-its runs, and makes no ``simulate_joint`` call: ``_joint_final_states``
-advances every (N, replication) run of the study together, one event per
-live lane and step, so a run's fixed cost (streams, config, model,
-trajectory) is paid once per study and the joint tables once per N. A
-replication's streams, whose values do not depend on N, are made once and
-read by its lane at every N: its arrivals are its pairs of ``_arrivals``,
-held as arrays, and its holding and uniform streams are drawn ahead into
-blocks that its lanes share. ``simulate_joint`` stays for sampled
-trajectories and is the lanes' reference in the tests.
+class to the flow-count integral until a fold; the list ends at the horizon,
+so a run merges no arrival that it cannot reach. It keeps a running flow
+total for the guard and calls the sampler only when a sample time has passed
+or the run ends. ``_Separated`` on a ``ThroughputCache`` keeps the run's
+throughput key itself, updated by its ``arrive`` and ``fire`` hooks, and a
+per-run table from that key to the running sums it races: an event that
+leaves the key unchanged races the same sums again, and one at a key the run
+has seen costs one dict lookup (see ``_Separated``). ``_Joint`` recomputes a
+class's packet clock rate, which reads only its slots, when ``fire`` changes
+them, and its attempt rates only when the event touched what they read: the
+class's own flows or slots, a neighbour's slot on a shared channel, its
+access point's downlink slots or, under the shared queue, that access
+point's flow counts (see ``_Joint``). A joint run builds its network's joint
+tables and runs ``simulate_joint``'s checks in ``_joint_tables``. The
+time-scale study needs only the final flow counts of its runs, and makes no
+``simulate_joint`` call: ``_joint_final_states`` advances every (N,
+replication) run of the study together, one event per live lane and step, so
+a run's fixed cost (streams, config, model, trajectory) is paid once per
+study and the joint tables once per N. A step updates every live lane
+through masks, whether it takes an arrival or a clock, so its numpy calls do
+not depend on how many lanes do which. A replication's streams, whose values
+do not depend on N, are made once and read by its lane at every N: its
+arrivals are its pairs of ``_arrivals`` up to the horizon, held as arrays,
+and its holding and uniform streams are drawn ahead into blocks that its
+lanes share. ``simulate_joint`` stays for sampled trajectories and is the
+lanes' reference in the tests.
 
 Randomness comes from counter-based Philox streams derived from the master
 seed, K + 2 per run (the lanes of one replication share them): one arrival
@@ -313,10 +316,10 @@ class _Sampler:
             self.next = self.times[self.idx]
 
 
-def _arrivals(seed: int, replication: int,
-              lam: Sequence[float]) -> Iterator[tuple[float, int]]:
-    """The flow arrivals of one run as (time, class) pairs in time order,
-    simultaneous ones by class, then (inf, -1).
+def _arrivals(seed: int, replication: int, lam: Sequence[float],
+              horizon: float = math.inf) -> Iterator[tuple[float, int]]:
+    """The flow arrivals of one run before ``horizon`` as (time, class)
+    pairs in time order, simultaneous ones by class, then (inf, -1).
 
     Class k's arrival times are partial sums of E / lam_k, E its arrival
     stream's standard exponentials: each time is the last one plus the next
@@ -328,7 +331,13 @@ def _arrivals(seed: int, replication: int,
     every drawn pair up to the bound: the least last drawn time, at the
     lowest class that holds it. That class then draws its next block, and
     only it, so a class draws at most its arrivals / ``BLOCK`` + 2 blocks in
-    a run. Plain lists keep the merge off numpy's sort and search code.
+    a run. Once the bound reaches ``horizon``, the last round hands out
+    only the drawn pairs before ``horizon``, and no class draws again: a
+    horizon inside the first block costs one block per arriving class. A
+    run ends at its first event at or past ``horizon``, and that event is
+    the same whether an arrival at or past ``horizon`` or the (inf, -1) in
+    its place races the clocks. Plain lists keep the merge off numpy's sort
+    and search code.
     """
     K = len(lam)
     draws = [stream(seed, "arrival", k, replication).standard_exponential for k in range(K)]
@@ -347,9 +356,12 @@ def _arrivals(seed: int, replication: int,
     while True:
         bound = min(last)
         b = last.index(bound)
-        final = bound == math.inf          # no class draws again: every finite time
-        cut = [(bisect.bisect_left if final or k > b else bisect.bisect_right)(d, bound)
-               for k, d in enumerate(drawn)]
+        final = bound >= horizon         # no class draws again
+        if final:
+            cut = [bisect.bisect_left(d, horizon) for d in drawn]
+        else:
+            cut = [(bisect.bisect_right if k <= b else bisect.bisect_left)(d, bound)
+                   for k, d in enumerate(drawn)]
         pairs = [(t, k) for k, (d, c) in enumerate(zip(drawn, cut)) for t in d[:c]]
         pairs.sort()
         yield from pairs
@@ -403,7 +415,8 @@ def _run(model, traffic: TrafficSpec, cfg: SimConfig) -> Trajectory:
             model.arrive(k, 0.0)
 
     seed, rep = cfg.seed, cfg.replication
-    take_arrival = _arrivals(seed, rep, [float(v) for v in traffic.arrival_rate]).__next__
+    take_arrival = _arrivals(seed, rep, [float(v) for v in traffic.arrival_rate],
+                            cfg.horizon).__next__
     holding = block_draws(stream(seed, "holding", 0, rep).standard_exponential)
     uniform = block_draws(stream(seed, "uniform", 0, rep).random)
     t_arrival, i = take_arrival()
@@ -822,19 +835,23 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     bit for bit.
 
     Every run is a lane, a column of numpy arrays, and each step advances
-    every live lane by one event of ``_run`` and ``_Joint``, repeating their
-    floating-point operations in their order. Counts are held as floats,
-    which are exact for integers below 2**53, so products such as
+    every live lane by one event of ``_run`` and ``_Joint``, repeating
+    their floating-point operations in their order. Counts are held as
+    floats, which are exact for integers below 2**53, so products such as
     (N (x_k - y_k)) nu_k round as the model's ints times floats do. A lane
     leaves when it reaches the horizon or crosses ``max_total_flows``. The
     lanes of one replication read one set of K + 2 streams, each at its own
     position, since a stream's values do not depend on N: a replication's
-    arrivals are its pairs of ``_arrivals``, made once and held as a time
-    array and a class array, into which each of its lanes keeps one index.
-    Attempt rates are recomputed for every class at every step: they read
-    only the lane's state. The checks of ``SimConfig`` and
-    ``simulate_joint`` run first; a base config with ``sample_times`` is
-    rejected, since no lane samples.
+    arrivals are its pairs of ``_arrivals`` before the horizon, then (inf,
+    -1), made once and held as a time array and a class array, into which
+    each of its lanes keeps one index. Attempt rates are recomputed for
+    every class at every step: they read only the lane's state. A step
+    updates every live lane through masks, arrivals and clocks alike: the
+    class that arrives or fires, the clock that fires and the channel that
+    a slot is taken or freed on are one-hot rows, and a lane that does not
+    take an event of a kind has no row set for it. The checks of
+    ``SimConfig`` and ``simulate_joint`` run first; a base config with
+    ``sample_times`` is rejected, since no lane samples.
     """
     if base.sample_times:
         raise ValueError("the lanes keep final states only; sample_times must be empty")
@@ -872,17 +889,8 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
                       for k in range(K)], dtype=float)
     lam = [float(v) for v in traffic.arrival_rate]
     R, seed, horizon, limit = replications, base.seed, base.horizon, base.max_total_flows
-
-    def until_horizon(r: int) -> Iterator[tuple[float, int]]:
-        """Replication r's arrivals up to the first at or past the horizon,
-        the last that its lanes read."""
-        for pair in _arrivals(seed, r, lam):
-            yield pair
-            if pair[0] >= horizon:
-                return
-
     pair_type = np.dtype([("time", float), ("klass", np.min_scalar_type(-K))])
-    by_rep = [np.fromiter(until_horizon(r), pair_type) for r in range(R)]
+    by_rep = [np.fromiter(_arrivals(seed, r, lam, horizon), pair_type) for r in range(R)]
     first = np.cumsum([0] + [a.size for a in by_rep[:-1]])    # r's first arrival
     arrivals = np.concatenate(by_rep)
     # contiguous copies, which every step gathers from faster than from fields
@@ -907,6 +915,11 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     ints = np.stack((lane, rep, np.zeros_like(lane), np.zeros_like(lane), first[rep]))
     finals = np.empty((K, L))
     acc = np.empty((2 * K, L))
+    # one-hot rows: a lane's class k, channel j or clock c is the row equal
+    # to it; clock c is of kind c // K (0 an access, 1 a packet) and class c % K
+    classes, channels, clocks = (np.arange(n)[:, None] for n in (K, J, 2 * K))
+    ahead = np.arange(3)[:, None]
+    any_shared = bool(shared.any())
     # the steps that each stream's last reserve covers: a step reads at
     # most one holding time and three uniforms per lane
     holding_steps = uniform_steps = 0
@@ -930,7 +943,7 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
         free = ((keeps_off @ slots + ineligible) == 0).reshape(J, K, -1)
         ready = y_class < x
         rate = (N * (x - y_class)) * nu
-        if shared.any():
+        if any_shared:
             rate = np.where(shared, queue_rate * (x / np.maximum(peers @ x, 1.0)), rate)
         attempt = np.where(free & ready, rate * beta, 0.0)
         # the running sums of the clock rates, added left to right
@@ -938,10 +951,8 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
         run[:K] = attempt[0]
         for j in range(1, J):
             run[:K] += attempt[j]
-        run[K:] = (y_class * N) * phi
-        for i in range(1, 2 * K):
-            run[i] += run[i - 1]
-        total = run[-1]
+        np.multiply(y_class * N, phi, out=run[K:])
+        total = np.add.accumulate(run, axis=0, out=run)[-1]
 
         clock = total > 0
         wait = np.divide(holding.take(rep, pos_holding), total,
@@ -950,42 +961,42 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
         t_clock = t + wait
         t_arrival = arrival_time[pair_index]
         arrives = t_arrival <= t_clock
-        t[:] = np.where(arrives, t_arrival, t_clock)
-        done = t >= horizon
+        np.minimum(t_arrival, t_clock, out=t)       # the arrival wins a tie
+        live = t < horizon
+        arrive = arrives & live
+        fire = live & ~arrives
 
-        a = np.flatnonzero(arrives & ~done)
-        if a.size:
-            x[arrival_class[pair_index[a]], a] += 1
-            pair_index[a] += 1
-            done[a[x[:, a].sum(axis=0) > limit]] = True
+        x += (arrival_class[pair_index] == classes) & arrive
+        pair_index += arrive
 
-        c = np.flatnonzero(~arrives & ~done)
-        if c.size:
-            # the next three uniforms, of which the event reads one to three
-            u = uniform.take(rep[c], pos_uniform[c] + np.arange(3)[:, None])
-            kind, k = np.divmod((run[:, c] <= u[0] * total[c]).sum(axis=0), K)
-            access = kind == 0                      # else a packet completion
-            s, ks, us = c[access], k[access], u[:, access]
-            p, kp, up = c[~access], k[~access], u[:, ~access]
-            reads = 1 + kind
-            if J == 1:
-                js = jp = 0
-                multi = 0
-            else:
-                chan = np.cumsum(attempt[:, ks, s], axis=0)
-                js = (chan <= us[1] * chan[-1]).sum(axis=0)
-                held = y_class[kp, p]
-                multi = held > 1                    # the slot is drawn, else taken
-                nth = np.where(multi, (up[1] * held).astype(np.int64), 0)
-                jp = (np.cumsum(y[:, kp, p], axis=0) > nth).argmax(axis=0)
-                reads[access] += 1
-                reads[~access] += multi
-            y[js, ks, s] = 1.0
-            ends = up[1 + multi, np.arange(p.size)] < flow_end[kp, p]
-            pos_uniform[c] += reads
-            y[jp, kp, p] = 0.0
-            x[kp[ends], p[ends]] -= 1
+        # the next three uniforms, of which a clock's event reads one to
+        # three: the pick, then, past one channel, the access's channel or
+        # the drawn slot of a class holding two or more, then whether a
+        # packet ends its flow
+        u = uniform.take(rep, pos_uniform + ahead)
+        pick = (run <= u[0] * total).sum(axis=0)
+        fired = (pick == clocks) & fire
+        access, packet = fired[:K], fired[K:]
+        pos_uniform += fire * (1 + (pick >= K))
+        on = off = True
+        flow_end_u = u[1]
+        if J > 1:
+            # the fired class's rates and slots by channel: sums of one term
+            chan = np.cumsum(np.where(access, attempt, 0.0).sum(axis=1), axis=0)
+            on = (chan <= u[1] * chan[-1]).sum(axis=0) == channels
+            held = np.where(packet, y, 0.0).sum(axis=1)
+            y_k = held.sum(axis=0)
+            multi = y_k > 1                         # the slot is drawn, else taken
+            nth = np.where(multi, (u[1] * y_k).astype(np.int64), 0)
+            off = (np.cumsum(held, axis=0) > nth).argmax(axis=0) == channels
+            on, off = on[:, None], off[:, None]
+            flow_end_u = np.where(multi, u[2], u[1])
+            pos_uniform += access.any(axis=0) | multi
+        y += on & access
+        y -= off & packet
+        x -= (flow_end_u < flow_end) & packet
 
+        done = ~live | (x.sum(axis=0) > limit)
         if done.any():
             finals[:, lane[done]] = x[:, done]
             keep = ~done

@@ -16,8 +16,13 @@ that every product form is checked against, live beside the tests, in
 
 Every generator is a ``scipy.sparse.csr_array`` assembled from (row, column,
 rate) triplets: a state has a handful of transitions, so a dense matrix would
-be almost all zeros (128 MB for a 4,096-state box). ``transient_distribution``
-stays sparse. The flow-level and joint generators refuse a box of more than
+be almost all zeros (128 MB for a 4,096-state box).
+``transient_distribution`` stays sparse. The flow-level generator builds its
+triplets as arrays, with no Python object per transition: one slot for each
+state's arrival and departure of each class, in the order of a loop over the
+states and classes, masked to the transitions that exist. The joint
+generator, whose states are schedules as well, lists its triplets state by
+state. The flow-level and joint generators refuse a box of more than
 ``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError`` before any
 per-state work.
 """
@@ -42,10 +47,11 @@ from .topology import CsmaParams, NetworkSpec, TrafficSpec
 # key, as under adhoc and flow_aware: on a 2-CPU Xeon, about 23,000 states/s
 # on adhoc4. Under standard_infra with one downlink class per access point
 # the keys are the cap patterns (8 for ap-line3's 4,096 states, 243 for the
-# bow-tie), and assembly dominates: about 58,000 states/s on the bow-tie. So
-# this bound keeps a build within about 5 s. It admits adhoc4's default
-# timescale box (28,561 states, built in 1.3 s) and refuses those of bow-tie
-# (759,375), two-ap (2,985,984) and bipartite33 (4,826,809).
+# bow-tie), and computing each state's key dominates: about 260,000
+# states/s on the bow-tie. So this bound keeps a build within about 5 s. It
+# admits adhoc4's default timescale box (28,561 states, built in 1.3 s) and
+# refuses those of bow-tie (759,375), two-ap (2,985,984) and bipartite33
+# (4,826,809).
 MAX_ORACLE_STATES = 100_000
 
 # Poisson mass that uniformization may leave out of a transient distribution
@@ -103,10 +109,11 @@ def poisson_quantile(q: float, mu: float) -> int:
     return below if pdtr(below, mu) >= q else m
 
 
-def _csr_generator(n: int, triplets: list[tuple[int, int, float]]) -> sp.csr_array:
-    """Generator from off-diagonal (row, column, rate) triplets; repeated
-    pairs add up and each diagonal entry is minus its row's total rate."""
-    t = np.array(triplets, dtype=float).reshape(-1, 3)
+def _csr_generator(n: int, triplets) -> sp.csr_array:
+    """Generator from off-diagonal (row, column, rate) triplets, a list of
+    them or an array of one per row; repeated pairs add up and each diagonal
+    entry is minus its row's total rate."""
+    t = np.asarray(triplets, dtype=float).reshape(-1, 3)
     rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
     diag = np.arange(n)
     return sp.csr_array(
@@ -189,32 +196,37 @@ def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
     Arrivals that would leave the box are dropped, so the result is exact only
     up to the probability mass the untruncated process puts outside the box.
     States of one ``throughput_key`` share one packet-level solve, whose
-    throughputs they would all get bit for bit. Raises ``OracleSpaceError`` when the box holds more than
-    ``MAX_ORACLE_STATES`` states.
+    throughputs they would all get bit for bit. The transitions are built
+    as arrays and come out in the order of a loop over the states and then
+    the classes, an arrival before a departure, which is the order of the
+    per-state reference in ``tests/theory.py``. Raises ``OracleSpaceError``
+    when the box holds more than ``MAX_ORACLE_STATES`` states.
     """
     policy = check_policy(spec, policy)
     states = _box_states(box)
     ev = PolicyEvaluator(spec, params, policy)
-    index = {x: i for i, x in enumerate(states)}
-    triplets: list[tuple[int, int, float]] = []
-    lam = traffic.arrival_rate
-    sigma = traffic.mean_flow_size
-    throughput: dict[tuple, list[float]] = {}     # one solve per throughput key
-    for x, xi in index.items():
+    keys: dict[tuple, int] = {}         # throughput key -> its row of solves
+    solves, of_state = [], []
+    for x in states:
         key = ev.throughput_key(x)
-        if key not in throughput:
-            throughput[key] = ev.throughput(x).tolist()
-        phi_x = throughput[key]
-        for k in range(spec.num_classes):
-            if lam[k] > 0 and x[k] < box[k]:
-                up = list(x)
-                up[k] += 1
-                triplets.append((xi, index[tuple(up)], lam[k]))
-            if x[k] > 0 and phi_x[k] > 0:
-                down = list(x)
-                down[k] -= 1
-                triplets.append((xi, index[tuple(down)], phi_x[k] / sigma[k]))
-    return states, _csr_generator(len(states), triplets)
+        if key not in keys:
+            keys[key] = len(solves)
+            solves.append(ev.throughput(x))
+        of_state.append(keys[key])
+    n, K = len(states), spec.num_classes
+    side = [int(b) + 1 for b in box]
+    x = np.indices(side).reshape(K, n).T                # the states, in their order
+    phi = np.array(solves)[of_state]
+    lam = np.array(traffic.arrival_rate, dtype=float)
+    sigma = np.array(traffic.mean_flow_size, dtype=float)
+    # entry [i, k] is state i's class-k arrival, then its class-k departure,
+    # which move it by + and - class k's stride in the box's row-major order
+    stride = np.cumprod([1, *side[:0:-1]])[::-1]
+    rows = np.broadcast_to(np.arange(n)[:, None, None], (n, K, 2))
+    cols = rows + stride[:, None] * np.array([1, -1])
+    rates = np.stack((np.broadcast_to(lam, (n, K)), phi / sigma), axis=2)
+    keep = np.stack(((lam > 0) & (x < np.array(box)), (x > 0) & (phi > 0)), axis=2)
+    return states, _csr_generator(n, np.stack((rows[keep], cols[keep], rates[keep]), axis=1))
 
 
 JointState = tuple[tuple[int, ...], Rows]

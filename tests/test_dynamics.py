@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import chisquare, kstest, norm
 
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
-from mccsma.dynamics import (_STREAM_KINDS, BLOCK, FOLD, SimConfig,
+from mccsma.dynamics import (_STREAM_KINDS, BLOCK, FOLD, SimConfig, _arrivals,
                              ThroughputCache, TrajectorySample, _Joint,
                              _joint_final_states, _joint_tables, _run, _Separated,
                              _tv_from_counts, block_draws, left_sum, simulate_joint,
@@ -785,23 +785,26 @@ def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
 def test_lanes_end_where_simulate_joint_ends(name, policy, monkeypatch):
     """Every (N, replication) lane ends at the final flow counts of its own
     ``simulate_joint`` run, bit for bit: in the second config class 0 never
-    arrives and a small guard aborts some runs; in the third every class
-    reads one gapped arrival stream at one rate, so all classes arrive
-    together and, past a block, a class arrives twice at one time, and the
-    guard aborts runs within such a batch, whose order then decides the
-    final counts. Two-ap shares each access point's queue between two
-    downlink classes, and adhoc4, two-ap and the bow-tie have two channels,
-    so a class may hold two slots."""
+    arrives and a small guard aborts some runs; in the third the horizon
+    equals replication 1's fifth arrival time, at which its runs end; in
+    the fourth every class reads one gapped arrival stream at one rate, so
+    all classes arrive together and, past a block, a class arrives twice at
+    one time, and the guard aborts runs within such a batch, whose order
+    then decides the final counts. Two-ap shares each access point's queue
+    between two downlink classes, and adhoc4, two-ap and the bow-tie have
+    two channels, so a class may hold two slots."""
     sc = load_scenario(name)
     spec, params, traffic = sc.network, sc.csma, sc.traffic
     K = spec.num_classes
     no_arrivals = TrafficSpec((0.0, *traffic.arrival_rate[1:]), traffic.mean_flow_size)
     together = TrafficSpec((40.0,) * K, traffic.mean_flow_size)
+    at_arrival = next(itertools.islice(_arrivals(8, 1, traffic.arrival_rate), 4, None))[0]
     n_values, replications = (1, 4, 16, 64), 6
     aborted = 0
     for load, base, make_stream in (
             (traffic, SimConfig(policy, 2.0, 5, (2,) * K), stream),
             (no_arrivals, SimConfig(policy, 4.0, 6, (1,) * K, max_total_flows=K), stream),
+            (traffic, SimConfig(policy, at_arrival, 8, (1,) * K), stream),
             (together, SimConfig(policy, 2.0, 7, (0,) * K, max_total_flows=70 * K),
              _shared_arrival_stream)):
         monkeypatch.setattr("mccsma.dynamics.stream", make_stream)
@@ -811,6 +814,9 @@ def test_lanes_end_where_simulate_joint_ends(name, policy, monkeypatch):
         assert _joint_final_states(spec, params, load, base, n_values, replications) == [
             [run.final_state for run in row] for row in runs]
         aborted += sum(run.aborted for row in runs for run in row)
+        if base.horizon == at_arrival:
+            # replication 1's runs take the four arrivals before the horizon
+            assert {sum(row[1].arrivals) for row in runs} == {4}
     assert aborted > 0
     ends = [run.final_state for row in runs for run in row if run.aborted]
     assert any(len(set(end)) > 1 for end in ends)
@@ -1256,11 +1262,9 @@ def test_simultaneous_arrivals_go_to_the_lower_class(monkeypatch):
     assert ref.ties >= 4 * traj.arrivals[0]
 
 
-def test_arrival_read_ahead_stays_bounded(monkeypatch):
-    """Under a 1,000:1 rate ratio each class draws at most its arrivals /
-    ``BLOCK`` + 2 blocks of arrival times: only the class whose last drawn
-    time bounds the merge draws again. A class that never arrives draws
-    nothing."""
+def _count_arrival_blocks(monkeypatch) -> Counter:
+    """Make ``stream`` count, per class, the blocks drawn from arrival
+    streams; returns the counter."""
     blocks = Counter()
 
     class Counting:
@@ -1276,6 +1280,15 @@ def test_arrival_read_ahead_stays_bounded(monkeypatch):
         return Counting(klass, rng) if kind == "arrival" else rng
 
     monkeypatch.setattr("mccsma.dynamics.stream", counting_stream)
+    return blocks
+
+
+def test_arrival_read_ahead_stays_bounded(monkeypatch):
+    """Under a 1,000:1 rate ratio each class draws at most its arrivals /
+    ``BLOCK`` + 2 blocks of arrival times: only the class whose last drawn
+    time bounds the merge draws again. A class that never arrives draws
+    nothing."""
+    blocks = _count_arrival_blocks(monkeypatch)
     spec = NetworkSpec(3, 1, replicate_graph(1, range(3), [(0, 1)]))
     params = CsmaParams.from_alpha(spec, 1.0)
     traffic = TrafficSpec((1.0, 0.001, 0.0), (0.2, 0.2, 0.2))
@@ -1285,6 +1298,35 @@ def test_arrival_read_ahead_stays_bounded(monkeypatch):
     for k in range(3):
         assert blocks[k] <= traj.arrivals[k] / BLOCK + 2
     assert blocks[1] <= 2 and blocks[2] == 0
+
+
+def test_arrivals_stop_at_the_horizon(monkeypatch):
+    """Bounded by a horizon, the arrivals are the unbounded ones before it,
+    then (inf, -1): at a horizon equal to a drawn arrival time, one before
+    the first arrival, one spanning many blocks under a 1,000:1 rate ratio
+    and with a class that never arrives. A horizon inside the first block
+    draws one block per arriving class and no more."""
+    cases = [((0.5, 0.8, 0.3), 40), ((0.5, 0.0, 0.3), 42), ((1.0, 0.001, 0.0), 41)]
+    for lam, seed in cases:
+        pairs = list(itertools.islice(_arrivals(seed, 3, lam), 200))
+        horizons = [pairs[0][0] / 2, pairs[17][0], pairs[-1][0]]
+        if lam[1] == 0.001:
+            horizons.append(20_000.0)
+        for horizon in horizons:
+            expected = list(itertools.takewhile(lambda p: p[0] < horizon,
+                                                _arrivals(seed, 3, lam)))
+            # a pair more than the bound gives, should it go on past its end
+            bounded = itertools.islice(_arrivals(seed, 3, lam, horizon), len(expected) + 2)
+            assert list(bounded) == [*expected, (math.inf, -1)]
+        # by the last horizon every class of positive rate has arrived
+        assert {k for _, k in expected} == {k for k, r in enumerate(lam) if r > 0}
+    # the last horizon, 20,000, spans over 100 of class 0's blocks
+    assert sum(k == 0 for _, k in expected) > 100 * BLOCK
+
+    blocks = _count_arrival_blocks(monkeypatch)
+    bounded = list(itertools.islice(_arrivals(43, 0, (1.0, 0.001, 0.0), 10.0), 2 * BLOCK))
+    assert 2 < len(bounded) < BLOCK and bounded[-1] == (math.inf, -1)
+    assert blocks == Counter({0: 1, 1: 1})
 
 
 def test_stream_equals_a_seed_sequence_generator():

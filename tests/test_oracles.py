@@ -103,7 +103,9 @@ def test_flow_level_generator_equals_its_per_state_reference():
     the benchmark's smoke time-scale study (1,728 states, 8 keys), and on an
     access point whose three downlink classes put shares in the key under
     the shared queue (480 states, 436 keys) and not under flow_aware, where
-    every state is its own key."""
+    every state is its own key; and under adhoc on two channels, with a
+    class that never arrives, a box entry of 0 and unequal mean flow sizes
+    (60 states, each its own key)."""
     line = ap_line3()
     shared = NetworkSpec(4, 2, replicate_graph(2, range(4), [(0, 1), (0, 2), (1, 2), (2, 3)]),
                          (AccessPoint.of([], [0, 1, 2]), AccessPoint.of([3], [])))
@@ -113,6 +115,10 @@ def test_flow_level_generator_equals_its_per_state_reference():
         cases.append((shared, CsmaParams.from_alpha(shared, 2.0),
                       TrafficSpec((0.3, 0.2, 0.4, 0.5), (1.0, 2.0, 0.5, 1.0)), policy,
                       (4, 3, 5, 3), n_keys))
+    adhoc = NetworkSpec(4, 2, replicate_graph(2, range(4), [(0, 1), (1, 2), (2, 3)]))
+    cases.append((adhoc, CsmaParams.from_alpha(adhoc, 1.5),
+                  TrafficSpec((0.6, 0.0, 0.3, 0.7), (1.0, 3.0, 0.25, 2.0)), "adhoc",
+                  (4, 2, 0, 3), 60))
     for spec, params, traffic, policy, box, n_keys in cases:
         states, q = flow_level_generator(spec, params, traffic, policy, box)
         ref_states, ref = flow_level_generator_per_state(spec, params, traffic, policy, box)

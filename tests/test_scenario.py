@@ -1,8 +1,10 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
-from mccsma.scenario import (ScenarioError, ScenarioValidationError,
+from mccsma.cli import main
+from mccsma.scenario import (Scenario, ScenarioError, ScenarioValidationError,
                              bundled_scenarios, dump_scenario, load_scenario,
                              load_scenario_text, parse_scenario)
 
@@ -42,21 +44,43 @@ def test_round_trip_is_identity_on_semantics():
     assert third == first
 
 
+def _pure_python_parse(path) -> Scenario:
+    """The scenario of a file read on PyYAML's pure-Python parser."""
+    return parse_scenario(yaml.load(path.read_text(), Loader=yaml.SafeLoader))
+
+
 def test_bundled_scenarios_all_parse_and_round_trip():
+    """Every bundled and benchmark scenario round-trips, and parses to an
+    equal ``Scenario`` on PyYAML's pure-Python parser."""
     names = bundled_scenarios()
     assert {"bowtie", "adhoc4", "star5", "bipartite33", "tripartite221",
             "two-ap", "ap-line3"} <= set(names)
+    root = Path(__file__).resolve().parents[1]
     for name in names:
         s = load_scenario(name)
         assert s.name == name
         assert load_scenario_text(dump_scenario(s)) == s
+        assert _pure_python_parse(root / "src" / "mccsma" / "scenarios" / f"{name}.yaml") == s
     # the benchmark's own scenario files as well
-    benchmark = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "scenarios")
-                       .glob("*.yaml"))
+    benchmark = sorted((root / "perfbench" / "scenarios").glob("*.yaml"))
     assert benchmark
     for path in benchmark:
         s = load_scenario(str(path))
         assert load_scenario_text(dump_scenario(s)) == s
+        assert _pure_python_parse(path) == s
+
+
+def test_malformed_yaml_is_a_parse_error_without_libyaml(monkeypatch, tmp_path):
+    """Without libyaml a malformed document still raises ``ScenarioError``
+    naming YAML, and the CLI still exits with its parse-error code."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(ScenarioError, match="^not valid YAML"):
+        load_scenario_text("a: [unclosed")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("network: {classes: 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "equilibrium", "--scenario", str(bad), "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_bowtie_scenario_structure():
@@ -73,7 +97,7 @@ def test_unknown_name_and_empty_text_fail():
         load_scenario("nope-not-here")
     with pytest.raises(ScenarioError, match="empty"):
         load_scenario_text("")
-    with pytest.raises(ScenarioError, match="YAML"):
+    with pytest.raises(ScenarioError, match="^not valid YAML"):
         load_scenario_text("a: [unclosed")
 
 
