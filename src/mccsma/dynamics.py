@@ -69,42 +69,43 @@ class's packet clock rate, which reads only its slots, when ``fire`` changes
 them, and its attempt rates only when the event touched what they read: the
 class's own flows or slots, a neighbour's slot on a shared channel, its
 access point's downlink slots or, under the shared queue, that access
-point's flow counts (see ``_Joint``). A joint run builds its network's joint
-tables and runs ``simulate_joint``'s checks in ``_joint_tables``. The
-time-scale study needs only the final flow counts of its runs, and makes no
-``simulate_joint`` call: ``_joint_final_states`` advances every (N,
-replication) run of the study together, one event per live lane and step, so
-a run's fixed cost (streams, config, model, trajectory) is paid once per
-study and the joint tables once per N. A step updates every live lane
-through masks, whether it takes an arrival or a clock, so its numpy calls do
-not depend on how many lanes do which. A replication's streams, whose values
-do not depend on N, are made once and read by its lane at every N: its
-arrivals are its pairs of ``_arrivals`` up to the horizon, held as arrays,
-and its holding and uniform streams are drawn ahead into blocks that its
-lanes share. ``simulate_joint`` stays for sampled trajectories and is the
-lanes' reference in the tests.
+point's flow counts (see ``_Joint``). ``_Joint``'s constructor runs
+``simulate_joint``'s checks and sets, as named attributes, the tables that a
+run reads and never changes. The time-scale study needs only the final flow
+counts of its runs, and makes no ``simulate_joint`` call:
+``_joint_final_states`` builds one ``_Joint`` per N, reads its tables by
+name, and advances every (N, replication) run of the study together, one
+event per live lane and step, so a run's fixed cost (streams, config,
+trajectory) is paid once per study and the model once per N. A step
+updates every live lane through masks, whether it takes an arrival or a
+clock, so its numpy calls do not depend on how many lanes do which. A
+replication's streams, whose values do not depend on N, are made once and
+read by its lane at every N: its arrivals are its pairs of ``_arrivals`` up
+to the horizon, held as arrays, and its holding and uniform streams are
+drawn ahead into blocks that its lanes share. ``simulate_joint`` stays for
+sampled trajectories and is the lanes' reference in the tests.
 
-Randomness comes from counter-based Philox streams derived from the master
-seed, K + 2 per run (the lanes of one replication share them): one arrival
-stream per class, the ``"holding"`` stream of the model's holding times
-and the ``"uniform"`` stream. Identical configs give bit-identical
-trajectories, replications are independent, and
+Randomness comes from counter-based Philox streams, K + 2 per run (the lanes
+of one replication share them): one arrival stream per class, the
+``"holding"`` stream of the model's holding times and the ``"uniform"``
+stream. ``stream`` keys each one by numpy's ``SeedSequence`` of the master
+seed (mod 2**64), the kind's id, the class and the replication, so identical
+configs give bit-identical trajectories, replications are independent, and
 comparisons across policies share arrival randomness (common random
 numbers). Every stream is drawn in blocks of ``BLOCK`` values, which gives
 the same values in the same order as one draw at a time. The arrival and
 holding streams give only standard exponentials: an arrival stream one per
 arrival of its class and none where lambda_k <= 0, the holding stream one
-per event while R > 0. The uniform stream gives, per model
-event, first the clock pick, then ``fire``'s own draws in order: the joint
-model's attempt draws the channel (only with two or more channels), and its
-packet completion the slot (only where two or more are active), then
-whether the flow ends; the coupled pair of the tests draws its coupling
-uniform. Rates and path integrals are Python floats, float64 arrays in the
-lanes, and the order of each floating-point operation is part of the
-trajectory: a packet clock runs at (y_k * N) * phi_k, not
-y_k * (N * phi_k), and R is the last entry of the running (left-to-right)
-sum that the pick bisects, so a pick always lands on a clock of positive
-rate.
+per event while R > 0. The uniform stream gives, per model event, first the
+clock pick, then ``fire``'s own draws in order: the joint model's attempt
+draws the channel (only with two or more channels), and its packet
+completion the slot (only where two or more are active), then whether the
+flow ends; the coupled pair of the tests draws its coupling uniform. Rates
+and path integrals are Python floats, float64 arrays in the lanes, and the
+order of each floating-point operation is part of the trajectory: a packet
+clock runs at (y_k * N) * phi_k, not y_k * (N * phi_k), and R is the last
+entry of the running (left-to-right) sum that the pick bisects, so a pick
+always lands on a clock of positive rate.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_rates
 from .schedule import state_flows
@@ -133,29 +133,11 @@ _STREAM_KINDS = {
 }
 
 
-class _PhiloxKey(ISeedSequence):
-    """The Philox key words of one stream's ``SeedSequence``.
-
-    ``Philox(seed_seq)`` reads its key as ``seed_seq.generate_state(2,
-    np.uint64)`` and nothing else, so a seed sequence that hands out those
-    two stored words gives the same generator. ``Philox(key=...)`` would
-    too, but it first draws OS entropy for a seed sequence it then drops.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, entropy: tuple[int, ...]):
-        self.words = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-        self.words.flags.writeable = False
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
 def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> np.random.Generator:
-    """Counter-based generator for one (kind, class, replication) stream."""
+    """Counter-based generator for one (kind, class, replication) stream:
+    Philox keyed by the seed sequence of the stream's entropy words."""
     entropy = (seed % 2**64, _STREAM_KINDS[kind], klass, replication)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 BLOCK = 64
@@ -592,47 +574,6 @@ def simulate_separated(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSp
     return _run(_Separated(spec, throughput_fn, traffic), traffic, cfg)
 
 
-def _joint_tables(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
-                  policy: str, N: int) -> tuple:
-    """``simulate_joint``'s checks, then the tables that ``_Joint`` reads and
-    never changes, in the order of its attributes."""
-    policy = check_policy(spec, policy)
-    if policy == "standard_infra":
-        check_standard_attempt_rates(spec, params)
-    sigma = np.asarray(traffic.mean_flow_size, dtype=float)
-    if np.any(sigma * N < 1.0):
-        raise ValueError("mean packet count sigma_k * N must be at least one")
-    K, J = spec.num_classes, spec.num_channels
-    nu = tuple(params.nu.tolist())
-    downlink_ap = tuple(spec.downlink_ap(k) for k in range(K))
-    shared_queue = tuple(policy == "standard_infra" and i is not None for i in downlink_ap)
-    ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
-    eligible = tuple(tuple(k in g.eligible for g in spec.channel_graphs) for k in range(K))
-    neighbors = tuple(tuple(frozenset(g.neighbors(k)) for k in range(K))
-                      for g in spec.channel_graphs)
-    # the downlink classes of class k's access point, if k is one of them
-    ap_peers = [frozenset() if i is None else frozenset(ap_downlink[i]) for i in downlink_ap]
-    return (
-        tuple(params.phi.tolist()), nu, tuple(map(tuple, params.beta.tolist())),
-        tuple(1.0 / (float(s) * N) for s in traffic.mean_flow_size),
-        # a class's attempt total, added left to right. With one channel the
-        # total is the one rate, which is never -0.0, so 0.0 + r == r.
-        operator.itemgetter(0) if J == 1 else left_sum,
-        downlink_ap, shared_queue,
-        # N nu_k, and the classes that share its access point's attempt rate
-        # with class k: none where k is alone there, whose share is then
-        # x_k / x_k = 1.0 exactly
-        tuple(N * v for v in nu),
-        tuple(ap_downlink[i] if q and len(ap_downlink[i]) > 1 else ()
-              for i, q in zip(downlink_ap, shared_queue)),
-        eligible, neighbors,
-        tuple(frozenset({k}) | ap_peers[k] if shared_queue[k] else frozenset({k})
-              for k in range(K)),
-        tuple(tuple(frozenset({k}) | neighbors[j][k] | ap_peers[k] if eligible[k][j]
-                    else None for j in range(J)) for k in range(K)),
-    )
-
-
 class _Joint:
     """Joint model: per class an attempt clock over its feasible idle slots
     and a packet clock over its active slots; keeps the schedule feasible
@@ -653,23 +594,54 @@ class _Joint:
     whenever y_k changes. Flows are not told apart: a packet completion ends
     some flow of its class with probability 1 / (sigma_k N).
 
-    What the run reads and never changes, the tables above, the rates and
-    the flow-end probabilities, comes from ``_joint_tables``, which also
-    runs ``simulate_joint``'s checks; the lanes of ``_joint_final_states``
-    read the same tables, built once per N.
+    The constructor runs ``simulate_joint``'s checks, then sets what the
+    run reads and never changes: the tables above, the rates and the
+    flow-end probabilities. The lanes of ``_joint_final_states`` build one
+    model per N and read these attributes by name.
     """
 
     accrue = None
 
     def __init__(self, spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                  policy: str, cfg: SimConfig):
+        policy = check_policy(spec, policy)
+        if policy == "standard_infra":
+            check_standard_attempt_rates(spec, params)
+        self.N = N = cfg.scaling_n
+        sigma = np.asarray(traffic.mean_flow_size, dtype=float)
+        if np.any(sigma * N < 1.0):
+            raise ValueError("mean packet count sigma_k * N must be at least one")
         self.num_classes = K = spec.num_classes
         self.num_channels = J = spec.num_channels
-        self.N = cfg.scaling_n
-        (self.phi, self.nu, self.beta, self.flow_end_prob, self.total,
-         self.downlink_ap, self.shared_queue, self.queue_rate, self.share_peers,
-         self.eligible, self.neighbors, self.flow_readers, self.slot_readers,
-         ) = _joint_tables(spec, params, traffic, policy, self.N)
+        self.phi = tuple(params.phi.tolist())
+        self.nu = tuple(params.nu.tolist())
+        self.beta = tuple(map(tuple, params.beta.tolist()))
+        self.flow_end_prob = tuple(1.0 / (float(s) * N) for s in traffic.mean_flow_size)
+        # a class's attempt total, added left to right. With one channel the
+        # total is the one rate, which is never -0.0, so 0.0 + r == r.
+        self.total = operator.itemgetter(0) if J == 1 else left_sum
+        self.downlink_ap = tuple(spec.downlink_ap(k) for k in range(K))
+        self.shared_queue = tuple(policy == "standard_infra" and i is not None
+                                  for i in self.downlink_ap)
+        ap_downlink = [tuple(ap.downlink) for ap in spec.access_points]
+        # N nu_k, and the classes that share its access point's attempt rate
+        # with class k: none where k is alone there, whose share is then
+        # x_k / x_k = 1.0 exactly
+        self.queue_rate = tuple(N * v for v in self.nu)
+        self.share_peers = tuple(ap_downlink[i] if q and len(ap_downlink[i]) > 1 else ()
+                                 for i, q in zip(self.downlink_ap, self.shared_queue))
+        self.eligible = tuple(tuple(k in g.eligible for g in spec.channel_graphs)
+                              for k in range(K))
+        self.neighbors = tuple(tuple(frozenset(g.neighbors(k)) for k in range(K))
+                               for g in spec.channel_graphs)
+        # the downlink classes of class k's access point, if k is one of them
+        ap_peers = [frozenset() if i is None else frozenset(ap_downlink[i])
+                    for i in self.downlink_ap]
+        self.flow_readers = tuple(frozenset({k}) | ap_peers[k] if self.shared_queue[k]
+                                  else frozenset({k}) for k in range(K))
+        self.slot_readers = tuple(
+            tuple(frozenset({k}) | self.neighbors[j][k] | ap_peers[k] if self.eligible[k][j]
+                  else None for j in range(J)) for k in range(K))
         self.stale = set(range(K))
         self.y = [[0] * J for _ in range(K)]
         self.y_class = [0] * K
@@ -850,30 +822,33 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     class that arrives or fires, the clock that fires and the channel that
     a slot is taken or freed on are one-hot rows, and a lane that does not
     take an event of a kind has no row set for it. The checks of
-    ``SimConfig`` and ``simulate_joint`` run first; a base config with
+    ``SimConfig`` and ``simulate_joint`` run first, as the lanes build the
+    ``_Joint`` of each N whose tables they read; a base config with
     ``sample_times`` is rejected, since no lane samples.
     """
     if base.sample_times:
         raise ValueError("the lanes keep final states only; sample_times must be empty")
     K, J = spec.num_classes, spec.num_channels
     x0 = state_flows(base.initial_state)
-    tables = []
-    for n in n_values:
-        replace(base, scaling_n=n)              # SimConfig's checks of N
-        tables.append(_joint_tables(spec, params, traffic, base.policy, n))
-        if len(x0) != K:
-            raise ValueError(f"initial_state has {len(x0)} entries, expected {K}")
-    if not tables or replications < 1:
+
+    def build(n: int) -> _Joint:
+        return _Joint(spec, params, traffic, base.policy, replace(base, scaling_n=n))
+
+    models = [build(n) for n in n_values[:1]]
+    if models and len(x0) != K:         # simulate_joint's next check, at the first N
+        raise ValueError(f"initial_state has {len(x0)} entries, expected {K}")
+    models += [build(n) for n in n_values[1:]]
+    if not models or replications < 1:
         return [[] for _ in n_values]
-    (phi, nu, beta, _, _, downlink_ap, shared_queue, _, share_peers, eligible,
-     neighbors, _, _) = tables[0]
-    # per N: the flow-end probabilities 1 / (sigma_k N) and the rates N nu_k
-    flow_end_n = np.array([tb[3] for tb in tables]).T
-    queue_rate_n = np.array([tb[7] for tb in tables]).T
-    # the tables as columns, to broadcast over the lanes
-    phi, nu = np.array(phi)[:, None], np.array(nu)[:, None]
-    beta = np.array(beta).T[:, :, None]
-    shared = np.array(shared_queue)[:, None]
+    # the tables that do not depend on N, as columns to broadcast over the
+    # lanes, and per N the rates N nu_k and the flow-end probabilities
+    joint = models[0]
+    neighbors, downlink_ap, eligible = joint.neighbors, joint.downlink_ap, joint.eligible
+    phi, nu = np.array(joint.phi)[:, None], np.array(joint.nu)[:, None]
+    beta = np.array(joint.beta).T[:, :, None]
+    shared = np.array(joint.shared_queue)[:, None]
+    queue_rate_n = np.array([model.queue_rate for model in models]).T
+    flow_end_n = np.array([model.flow_end_prob for model in models]).T
     # keeps_off[j K + k, i K + m]: class m's slot on channel i keeps class k
     # off channel j: its own or a neighbour's slot on j, or any slot of a
     # downlink class of its access point, if k is one
@@ -885,7 +860,7 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
                           dtype=float)
     # peers[k, m]: x_m counts in class k's share of its access point's rate;
     # a class alone there counts itself only, whose share is x_k / x_k = 1.0
-    peers = np.array([[m in share_peers[k] or m == k for m in range(K)]
+    peers = np.array([[m in joint.share_peers[k] or m == k for m in range(K)]
                       for k in range(K)], dtype=float)
     lam = [float(v) for v in traffic.arrival_rate]
     R, seed, horizon, limit = replications, base.seed, base.horizon, base.max_total_flows
@@ -905,7 +880,7 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
     # rates and flow-end probabilities (K rows each), and ints lane,
     # replication, its positions in the holding and uniform streams and
     # the index of its next arrival.
-    L = len(tables) * R
+    L = len(models) * R
     lane = np.arange(L)
     rep = lane % R
     floats = np.concatenate((
@@ -1005,7 +980,7 @@ def _joint_final_states(spec: NetworkSpec, params: CsmaParams, traffic: TrafficS
              lane, rep, pos_holding, pos_uniform, pair_index) = unpack()
 
     out = [tuple(int(v) for v in col) for col in finals.T.tolist()]
-    return [out[i * R:(i + 1) * R] for i in range(len(tables))]
+    return [out[i * R:(i + 1) * R] for i in range(len(models))]
 
 
 @dataclass

@@ -31,8 +31,11 @@ distribution has an explicit product form. Three policies are covered:
 Under every policy the empty schedule has log-weight exactly 0.
 ``PolicyEvaluator.equilibrium`` gives the distribution as one probability
 per row of the feasible ``ScheduleSet``, in the set's lexicographic order.
-The raw transition rates that the weights balance are the brute-force
-oracles' (:mod:`mccsma.oracles`), which check these weights independently.
+The raw transition rates that the weights balance are
+``mccsma.oracles.attempt_rate`` and the physical rates; the stationary-weight
+check lives in the tests' brute-force oracles (``tests/oracles.py``), which
+solve the packet-level generator built from those rates and never read
+these weights.
 
 The weights read the state only through its *throughput key*
 (``PolicyEvaluator.throughput_key``): the count of each plain class

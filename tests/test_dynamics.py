@@ -12,7 +12,7 @@ from scipy.stats import chisquare, kstest, norm
 from conftest import ap_line3, bowtie_spec, empty_schedule, random_instance
 from mccsma.dynamics import (_STREAM_KINDS, BLOCK, FOLD, SimConfig, _arrivals,
                              ThroughputCache, TrajectorySample, _Joint,
-                             _joint_final_states, _joint_tables, _run, _Separated,
+                             _joint_final_states, _run, _Separated,
                              _tv_from_counts, block_draws, left_sum, simulate_joint,
                              simulate_separated, stream, timescale_convergence,
                              uniform_sample_times)
@@ -754,21 +754,22 @@ def test_timescale_draws_only_its_joint_runs_streams(monkeypatch):
     assert set(made) == {"arrival", "holding", "uniform"}
 
 
-def test_timescale_builds_the_joint_tables_once_per_scaling_value(monkeypatch):
+def test_timescale_builds_one_joint_model_per_scaling_value(monkeypatch):
     """On ap-line3 as the benchmark's smoke run sets it up (t_probe 0.5),
-    the study makes no ``simulate_joint`` call: its lanes read the tables,
-    which are built once per N."""
+    the study makes no ``simulate_joint`` call: its lanes read the tables
+    of one ``_Joint`` per N."""
     def no_simulate_joint(*args):
         raise AssertionError("the study ran simulate_joint")
 
     built = []
 
-    def counting_tables(*args):
-        built.append(args[-1])
-        return _joint_tables(*args)
+    class CountingJoint(_Joint):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(args[-1].scaling_n)
 
     monkeypatch.setattr("mccsma.dynamics.simulate_joint", no_simulate_joint)
-    monkeypatch.setattr("mccsma.dynamics._joint_tables", counting_tables)
+    monkeypatch.setattr("mccsma.dynamics._Joint", CountingJoint)
     spec = ap_line3()
     params = CsmaParams.from_alpha(spec, 1e6)
     traffic = TrafficSpec.of(0.4, 1.0, 3)
@@ -843,6 +844,7 @@ def test_lanes_raise_simulate_joint_errors_before_any_lane_runs(monkeypatch):
     for params_, traffic_, cfg, n_values, n_bad in ((unequal, traffic, base, (1, 4), 1),
                                                     (params, short, base, (2, 1), 1),
                                                     (params, traffic, three, (1, 4), 1),
+                                                    (params, traffic, three, (1, 0), 1),
                                                     (params, traffic, base, (4, 0), 0)):
         with pytest.raises(ValueError) as expected:
             simulate_joint(spec, params_, traffic_, dataclasses.replace(cfg, scaling_n=n_bad))

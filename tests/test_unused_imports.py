@@ -90,7 +90,7 @@ UNREAD_MEMBERS_ALLOWED = {
     # traffic given per class or as one value for every class
     "CsmaParams.from_alpha",
     "TrafficSpec.of",
-    # the time of a run's truncation, for the run telemetry of ROADMAP item 7
+    # the time of a run's truncation, for the run telemetry of ROADMAP item 5
     "Trajectory.abort_time",
     # the public view of the stationary weights, which the tests check
     # against independent references
