@@ -119,6 +119,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; importing it here keeps that cost
+# in the import of the package rather than in a run's first stream
+from numpy.random import Generator, Philox, SeedSequence
 
 from .equilibrium import PolicyEvaluator, check_policy, check_standard_attempt_rates
 from .schedule import state_flows
@@ -133,11 +136,11 @@ _STREAM_KINDS = {
 }
 
 
-def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> np.random.Generator:
+def stream(seed: int, kind: str, klass: int = 0, replication: int = 0) -> Generator:
     """Counter-based generator for one (kind, class, replication) stream:
     Philox keyed by the seed sequence of the stream's entropy words."""
     entropy = (seed % 2**64, _STREAM_KINDS[kind], klass, replication)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return Generator(Philox(SeedSequence(entropy)))
 
 
 BLOCK = 64

@@ -53,10 +53,18 @@ evaluation.
 All weights are kept in log space and normalized through log-sum-exp, so
 flow counts in the tens of thousands stay representable. An evaluator reads
 every factorial from one table of log n! = lgamma(n + 1) for n = 0, 1, ...,
-which doubles as larger states come along, up to ``LOG_FACTORIAL_CAP``
-entries (512 KiB). A state whose plain flow total reaches the cap gets its
-factorials from lgamma directly, so memory never grows with the flow count.
-The table holds exactly lgamma's values, so both ways give the same floats.
+built on its first use with 64 entries or more, which doubles as larger
+states come along, up to ``LOG_FACTORIAL_CAP`` entries (512 KiB). A state
+whose plain flow total reaches the cap gets its factorials from lgamma
+directly, so memory never grows with the flow count. The table holds
+exactly lgamma's values, so both ways give the same floats.
+
+``gammaln`` and ``logsumexp`` come from ``scipy.special``, which this module
+imports only where it needs them: importing it takes about 0.2 s on a
+2-CPU Xeon, and ``throughput`` reads neither, nor the table unless a class
+is plain. So runs of the bow-tie and of ap-line3 under ``standard_infra``,
+where every class is a downlink class and none is plain, load no scipy;
+``equilibrium`` does, for its log-sum-exp.
 """
 
 from __future__ import annotations
@@ -66,7 +74,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .schedule import ScheduleSet, ScheduleSpaceError, enumerate_feasible, state_flows
 from .topology import CsmaParams, NetworkSpec
@@ -144,7 +151,7 @@ class PolicyEvaluator:
         self._log_beta = np.log(np.where(params.beta > 0, params.beta, 1.0))
         self._bundles: dict[tuple[int, ...], dict] = {}
         self._uncapped: Optional[ScheduleSet | bool] = None   # see _feasible
-        self._log_factorial = gammaln(np.arange(64) + 1.0)
+        self._log_factorial = np.empty(0)          # see _log_factorials
         self._phi = params.phi
         self._K = K = spec.num_classes
         self._J = spec.num_channels
@@ -201,12 +208,15 @@ class PolicyEvaluator:
 
     def _log_factorials(self, n: int) -> Optional[np.ndarray]:
         """The table of log k!, holding k = 0..n at least, or None when n + 1
-        entries would exceed ``LOG_FACTORIAL_CAP``."""
+        entries would exceed ``LOG_FACTORIAL_CAP``. The table is empty until
+        the first call, which gives it 64 entries or more."""
         lf = self._log_factorial
         if n >= len(lf):
             if n >= LOG_FACTORIAL_CAP:
                 return None
-            size = min(LOG_FACTORIAL_CAP, max(2 * len(lf), n + 1))
+            from scipy.special import gammaln
+
+            size = min(LOG_FACTORIAL_CAP, max(64, 2 * len(lf), n + 1))
             lf = self._log_factorial = gammaln(np.arange(size) + 1.0)
         return lf
 
@@ -250,6 +260,8 @@ class PolicyEvaluator:
             # every factorial below is of a count in [0, sum(counts)]
             lf = self._log_factorials(sum(counts))
             if lf is None:                          # beyond the table
+                from scipy.special import gammaln
+
                 x = np.asarray(counts, dtype=np.float64)
                 log_factorial = lambda v: gammaln(v + 1.0)
             else:
@@ -275,6 +287,8 @@ class PolicyEvaluator:
     def equilibrium(self, state) -> EquilibriumResult:
         """The normalized distribution at ``state`` and the throughputs
         phys_rate_k * E[number of active class-k links]."""
+        from scipy.special import logsumexp
+
         b, logw = self._logw(state)
         log_z = float(logsumexp(logw))
         probs = np.exp(logw - log_z)

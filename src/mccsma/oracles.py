@@ -14,10 +14,13 @@ only the tests read, the packet-level generator and the stationary solve
 that every product form is checked against, live beside the tests, in
 ``tests/oracles.py``, on the same helpers.
 
-Every generator is a ``scipy.sparse.csr_array`` assembled from (row, column,
-rate) triplets: a state has a handful of transitions, so a dense matrix would
-be almost all zeros (128 MB for a 4,096-state box).
-``transient_distribution`` stays sparse. The flow-level generator builds its
+Every generator is a ``Csr``: a compressed-sparse-row matrix of numpy
+arrays, laid out as ``scipy.sparse.csr_array`` lays it out (the same
+``data``, ``indices`` and ``indptr``, with int32 indices), assembled from
+(row, column, rate) triplets. A state has a handful of transitions, so a
+dense matrix would be almost all zeros (128 MB for a 4,096-state box).
+``transient_distribution`` stays sparse, and each uniformization step gives
+scipy's CSR product bit for bit. The flow-level generator builds its
 triplets as arrays, with no Python object per transition: one slot for each
 state's arrival and departure of each class, in the order of a loop over the
 states and classes, masked to the transitions that exist. The joint
@@ -25,17 +28,21 @@ generator, whose states are schedules as well, lists its triplets state by
 state. The flow-level and joint generators refuse a box of more than
 ``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError`` before any
 per-state work.
+
+Nothing here imports scipy when the module loads, so a time-scale study
+runs on numpy alone: ``poisson_quantile`` sums the Poisson probabilities
+itself and leaves only the rare knife-edge case to ``scipy.special``, and
+the log-space weights of a uniformization too long for plain weights
+(``_transient_scaled``) import it when they are needed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .equilibrium import PolicyEvaluator, check_policy
 from .schedule import OracleSpaceError, ScheduleSet, enumerate_feasible
@@ -97,82 +104,210 @@ def attempt_rate(spec: NetworkSpec, params: CsmaParams, policy: str,
     return (x_k - y_k) * params.attempt_rate[k] * beta
 
 
-def poisson_quantile(q: float, mu: float) -> int:
-    """Smallest m with P(Poisson(mu) <= m) >= q, for 0 < q < 1 and mu > 0.
+class Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form, laid out as
+    ``scipy.sparse`` lays out a canonical ``csr_array``: row i holds the
+    values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which increase along the row."""
 
-    The inverse of the regularized incomplete gamma function gives a real
-    m; its ceiling or the integer below is the answer, decided by one exact
-    CDF evaluation.
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+# Mean up to which poisson_quantile sums the Poisson probabilities itself;
+# below it exp(-mu) is a normal float.
+_SUMMED_MU_MAX = 700.0
+# A summed probability within _KNIFE_EDGE, plus 1e-12 of the target's size,
+# of its target leaves the quantile to scipy: the sum errs by less than
+# about 2e-13 of its size, and the CDF value that scipy compares with q
+# rounds at about 1e-16.
+_KNIFE_EDGE = 1e-15
+
+
+def poisson_quantile(q: float, mu: float) -> int:
+    """Smallest m with P(Poisson(mu) <= m) >= q, for 0 < q < 1 and finite
+    mu >= 0, as scipy's ``poisson.ppf`` gives it.
+
+    Up to mu = 700 the probabilities are summed in floats, the small side
+    against its target: the cumulative sum against q when q <= 0.5, else
+    the tail, summed from its far end, against 1 - q. Where that sum lies
+    within about 1e-15 of its target at m or m - 1 (``_KNIFE_EDGE``),
+    rounding decides, and the answer is scipy's
+    (``_scipy_poisson_quantile``), as it is for larger mu. Raises
+    ``ValueError`` naming q and mu when q is outside (0, 1) or mu is
+    negative or not finite.
     """
+    if not (0.0 < q < 1.0 and math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"poisson_quantile needs 0 < q < 1 and a finite mu >= 0, "
+                         f"got q={q}, mu={mu}")
+    if mu == 0.0:
+        return 0
+    if mu > _SUMMED_MU_MAX:
+        return _scipy_poisson_quantile(q, mu)
+    if q <= 0.5:
+        target = q
+        term = cdf = math.exp(-mu)
+        m, below = 0, 0.0                   # below = P(X <= m - 1)
+        while cdf < q:
+            m += 1
+            term *= mu / m
+            below, cdf = cdf, cdf + term
+        sums = (below, cdf)
+    else:
+        target = 1.0 - q                    # exact for q >= 0.5
+        # the terms p_0..p_M, M past the mean and far enough out that the
+        # tail beyond it is negligible against the target
+        terms = [math.exp(-mu)]
+        while len(terms) <= mu or terms[-1] > 1e-20 * target:
+            terms.append(terms[-1] * mu / len(terms))
+        m, tail = len(terms) - 1, 0.0       # tail = P(X > m)
+        while m > 0 and tail + terms[m] <= target:
+            tail += terms[m]
+            m -= 1
+        sums = (tail, tail + terms[m])
+    if any(abs(s - target) <= _KNIFE_EDGE + 1e-12 * target for s in sums):
+        return _scipy_poisson_quantile(q, mu)
+    return m
+
+
+def _scipy_poisson_quantile(q: float, mu: float) -> int:
+    """``poisson_quantile`` by scipy: the inverse of the regularized
+    incomplete gamma function gives a real m; its ceiling or the integer
+    below is the answer, decided by one exact CDF evaluation."""
+    from scipy.special import pdtr, pdtrik
+
     m = math.ceil(pdtrik(q, mu))
     below = max(m - 1, 0)
     return below if pdtr(below, mu) >= q else m
 
 
-def _csr_generator(n: int, triplets) -> sp.csr_array:
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Csr:
+    """The n x n ``Csr`` of the given entries, as ``scipy.sparse.csr_array``
+    builds it from them: in the order of the rows and then the columns,
+    repeated pairs added up and explicit zeros kept, with int32 indices."""
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        rows, cols, values = rows[starts], cols[starts], np.add.reduceat(values, starts)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Csr(values, cols.astype(np.int32), indptr, (n, n))
+
+
+def _csr_generator(n: int, triplets) -> Csr:
     """Generator from off-diagonal (row, column, rate) triplets, a list of
     them or an array of one per row; repeated pairs add up and each diagonal
     entry is minus its row's total rate."""
     t = np.asarray(triplets, dtype=float).reshape(-1, 3)
     rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
     diag = np.arange(n)
-    return sp.csr_array(
-        (np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
-         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-        shape=(n, n))
+    return _csr(n, np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+                np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]))
+
+
+def _as_csr(q) -> Csr:
+    """A square matrix as a ``Csr``: a ``Csr`` as it is, a ``scipy.sparse``
+    matrix or array through its CSR form (put in canonical order), and a
+    dense array through its nonzero entries."""
+    if isinstance(q, Csr):
+        return q
+    if hasattr(q, "tocsr"):                 # scipy.sparse, which is not imported here
+        q = q.tocsr()
+        n = q.shape[0]
+        return _csr(n, np.repeat(np.arange(n), np.diff(q.indptr)),
+                    q.indices.astype(np.int64), q.data.astype(float))
+    a = np.asarray(q, dtype=float)
+    rows, cols = np.nonzero(a)
+    return _csr(a.shape[0], rows, cols, a[rows, cols])
 
 
 def transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:
     """Distribution at time t via uniformization, accurate to
     ``UNIFORMIZATION_TOL``.
 
-    ``q`` may be dense or sparse; it is converted to CSR once, and each
-    step is one sparse product.
+    ``q`` is a generator: a ``Csr``, as the generators here give, a
+    ``scipy.sparse`` matrix or array, or a dense square array. It is read
+    in canonical CSR form once, and each step is one sparse product, bit
+    for bit the product of scipy's transposed CSR step with the vector.
     """
     if t <= 0:
         return np.array(p0, dtype=float)
-    q = sp.csr_array(q)
-    lam = float(np.max(-q.diagonal()))
+    q = _as_csr(q)
+    n = q.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(q.indptr))
+    cols = q.indices.astype(np.intp)
+    on_diag = rows == cols
+    diagonal = np.zeros(n)
+    diagonal[rows[on_diag]] = q.data[on_diag]
+    lam = float(np.max(-diagonal))
     if lam == 0.0:
         return np.array(p0, dtype=float)
     lam *= 1.0 + 1e-12
-    # I + Q / lam, dividing each rate (scipy's scalar division multiplies
-    # by 1 / lam, which can round differently), transposed so that the
-    # row vector times the step is a CSR product
-    scaled = sp.csr_array((q.data / lam, q.indices, q.indptr), shape=q.shape)
-    step_t = (sp.eye_array(q.shape[0], format="csr") + scaled).T.tocsr()
+    # I + Q / lam, dividing each rate; a row without a stored diagonal entry
+    # gets 1.0. scipy's sum drops the entries that come out 0, which here
+    # add 0.0 to sums that start at 0.0 and so change none
+    values = q.data / lam
+    values[on_diag] += 1.0
+    has_diag = np.zeros(n, dtype=bool)
+    has_diag[rows[on_diag]] = True
+    missing = np.flatnonzero(~has_diag)
+    rows, cols, values = (np.concatenate(pair) for pair in (
+        (rows, missing), (cols, missing), (values, np.ones(len(missing)))))
+    order = np.argsort(rows, kind="stable")
+    step = np.bincount(rows, minlength=n), cols[order], values[order]
     v = np.array(p0, dtype=float)
     weight = np.exp(-lam * t)
     if weight == 0.0:
         # avoid underflow for large lam*t by scaling in log space
-        return _transient_scaled(step_t, p0, lam * t)
+        return _transient_scaled(step, p0, lam * t)
     acc = weight * v
     mass = weight
     m = 0
     max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
     while mass < 1.0 - UNIFORMIZATION_TOL and m < max_terms:
         m += 1
-        v = step_t @ v
+        v = _times_step(step, v)
         weight *= lam * t / m
         acc += weight * v
         mass += weight
     return acc / acc.sum()
 
 
+def _times_step(step: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The row vector v times the step, given as the number of entries of
+    each row and the (column, value) of each entry in row order: entry c of
+    the product is the running sum, in row order, of v[row] * value over
+    column c's entries, the sum that scipy's CSR product of the transposed
+    step with v forms."""
+    counts, cols, values = step
+    terms = np.repeat(v, counts)
+    terms *= values
+    return np.bincount(cols, weights=terms, minlength=len(v))
+
+
 def _poisson_pmf(m: int, mu: float) -> float:
+    from scipy.special import gammaln, xlogy
+
     return float(np.exp(xlogy(m, mu) - gammaln(m + 1) - mu))
 
 
-def _transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float) -> np.ndarray:
-    # Poisson weights computed in log space, renormalized at the end
-    lo = max(poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
-    hi = poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
+def _transient_scaled(step: tuple[np.ndarray, np.ndarray, np.ndarray], p0: np.ndarray,
+                      lt: float) -> np.ndarray:
+    # Poisson weights computed in log space, renormalized at the end; the
+    # weights need scipy.special, and so do these quantiles
+    lo = max(_scipy_poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
+    hi = _scipy_poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
     v = np.array(p0, dtype=float)
     for _ in range(lo):
-        v = step_t @ v
+        v = _times_step(step, v)
     acc = _poisson_pmf(lo, lt) * v
     for m in range(lo + 1, hi + 2):
-        v = step_t @ v
+        v = _times_step(step, v)
         acc += _poisson_pmf(m, lt) * v
     return acc / acc.sum()
 
@@ -189,7 +324,7 @@ def _box_states(box: Sequence[int]) -> list[tuple[int, ...]]:
 def flow_level_generator(spec: NetworkSpec, params: CsmaParams,
                          traffic: TrafficSpec, policy: str,
                          box: Sequence[int]
-                         ) -> tuple[list[tuple[int, ...]], sp.csr_array]:
+                         ) -> tuple[list[tuple[int, ...]], Csr]:
     """Truncated generator of the flow-count process under instantaneous
     packet-level equilibrium.
 
@@ -234,7 +369,7 @@ JointState = tuple[tuple[int, ...], Rows]
 
 def joint_generator(spec: NetworkSpec, params: CsmaParams, traffic: TrafficSpec,
                     policy: str, scaling_n: int, box: Sequence[int]
-                    ) -> tuple[list[JointState], sp.csr_array]:
+                    ) -> tuple[list[JointState], Csr]:
     """Truncated generator of the joint (flow counts, schedule) process at
     scaling parameter N.
 

@@ -35,7 +35,7 @@ class ScheduleSpaceError(RuntimeError):
 
 
 # Defined here, not in mccsma.oracles, so that the CLI can catch it without
-# importing the oracles (and scipy.sparse) before a run needs them.
+# importing the oracles before a run needs them.
 class OracleSpaceError(RuntimeError):
     """A brute-force oracle's state space exceeds its guard
     (``mccsma.oracles.MAX_ORACLE_STATES``)."""

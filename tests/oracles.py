@@ -7,22 +7,29 @@ against the null-space solve of the matching generator. They build on the
 schedule helpers of :mod:`mccsma.oracles` (``Rows``, ``schedule_rows``,
 ``attempt_rate``), which its joint generator reads too, and never on the
 closed form they check.
+
+The generators of :mod:`mccsma.oracles` are numpy ``Csr`` tuples, and its
+uniformization runs on them without scipy. ``scipy_csr_generator`` and
+``scipy_transient_distribution`` are the same two steps on
+``scipy.sparse.csr_array``, the reference that they must equal bit for
+bit; ``dense`` reads any of these generators as a dense array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import gammaln, xlogy
 
 from mccsma.equilibrium import check_policy
-from mccsma.oracles import (Rows, _active_slots, _csr_generator, _toggled, attempt_rate,
-                            schedule_rows)
+from mccsma.oracles import (UNIFORMIZATION_TOL, Csr, Rows, _active_slots, _csr_generator,
+                            _scipy_poisson_quantile, _toggled, attempt_rate, schedule_rows)
 from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec
 
 
 def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
-                           policy: str) -> tuple[list[Rows], sp.csr_array]:
+                           policy: str) -> tuple[list[Rows], Csr]:
     """Generator of the schedule process at a fixed network state.
 
     Activation transitions carry the policy's attempt rates (attempts whose
@@ -51,8 +58,8 @@ def packet_level_generator(state, params: CsmaParams, spec: NetworkSpec,
 
 def stationary_distribution(q) -> np.ndarray:
     """Solve pi Q = 0, sum(pi) = 1 by least squares on the dense form of
-    ``q`` (a dense or sparse generator)."""
-    q = q.toarray() if sp.issparse(q) else np.asarray(q)
+    ``q`` (any generator that ``dense`` reads)."""
+    q = dense(q)
     n = q.shape[0]
     a = np.vstack([q.T, np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -60,3 +67,78 @@ def stationary_distribution(q) -> np.ndarray:
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def dense(q) -> np.ndarray:
+    """A generator as a dense array: a ``Csr``, a ``scipy.sparse`` matrix or
+    array, or an array-like."""
+    if isinstance(q, Csr):
+        return sp.csr_array(q[:3], shape=q.shape).toarray()
+    return q.toarray() if sp.issparse(q) else np.asarray(q)
+
+
+# --- the scipy.sparse reference of the CSR generator and its uniformization ---
+
+def scipy_csr_generator(n: int, triplets) -> sp.csr_array:
+    """``oracles._csr_generator`` on ``scipy.sparse``: a generator from
+    off-diagonal (row, column, rate) triplets. The coordinates are int32,
+    which scipy keeps as int32 indices, as ``Csr`` holds them (scipy 1.17
+    keeps int64 coordinates as int64 indices)."""
+    t = np.asarray(triplets, dtype=float).reshape(-1, 3)
+    rows, cols, rates = t[:, 0].astype(np.int32), t[:, 1].astype(np.int32), t[:, 2]
+    diag = np.arange(n, dtype=np.int32)
+    return sp.csr_array(
+        (np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]),
+         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+        shape=(n, n))
+
+
+def scipy_transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:
+    """``oracles.transient_distribution`` on ``scipy.sparse``: ``q`` (dense,
+    sparse or a ``Csr``) is converted to a ``csr_array`` once, and each step
+    is one product of the transposed CSR step with the vector."""
+    if t <= 0:
+        return np.array(p0, dtype=float)
+    q = sp.csr_array(q[:3], shape=q.shape) if isinstance(q, Csr) else sp.csr_array(q)
+    lam = float(np.max(-q.diagonal()))
+    if lam == 0.0:
+        return np.array(p0, dtype=float)
+    lam *= 1.0 + 1e-12
+    # I + Q / lam, dividing each rate (scipy's scalar division multiplies
+    # by 1 / lam, which can round differently), transposed so that the
+    # row vector times the step is a CSR product
+    scaled = sp.csr_array((q.data / lam, q.indices, q.indptr), shape=q.shape)
+    step_t = (sp.eye_array(q.shape[0], format="csr") + scaled).T.tocsr()
+    v = np.array(p0, dtype=float)
+    weight = np.exp(-lam * t)
+    if weight == 0.0:
+        # avoid underflow for large lam*t by scaling in log space
+        return _scipy_transient_scaled(step_t, p0, lam * t)
+    acc = weight * v
+    mass = weight
+    m = 0
+    max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
+    while mass < 1.0 - UNIFORMIZATION_TOL and m < max_terms:
+        m += 1
+        v = step_t @ v
+        weight *= lam * t / m
+        acc += weight * v
+        mass += weight
+    return acc / acc.sum()
+
+
+def _scipy_transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float) -> np.ndarray:
+    # Poisson weights computed in log space, renormalized at the end
+    def pmf(m: int) -> float:
+        return float(np.exp(xlogy(m, lt) - gammaln(m + 1) - lt))
+
+    lo = max(_scipy_poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
+    hi = _scipy_poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
+    v = np.array(p0, dtype=float)
+    for _ in range(lo):
+        v = step_t @ v
+    acc = pmf(lo) * v
+    for m in range(lo + 1, hi + 2):
+        v = step_t @ v
+        acc += pmf(m) * v
+    return acc / acc.sum()

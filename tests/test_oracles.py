@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import mccsma.oracles
 from conftest import ap_line3, random_instance
 from mccsma.oracles import (MAX_ORACLE_STATES, flow_level_generator, joint_generator,
                             poisson_quantile, transient_distribution)
 from mccsma.schedule import OracleSpaceError
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.topology import AccessPoint, CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
-from oracles import packet_level_generator, stationary_distribution
+from oracles import (dense, packet_level_generator, scipy_csr_generator,
+                     scipy_transient_distribution, stationary_distribution)
 from theory import flow_level_generator_per_state
 
 
@@ -43,7 +46,7 @@ def test_packet_generator_rows_sum_to_zero():
         spec, params, state = random_instance(rng, infrastructure=infra)
         policy = "standard_infra" if infra else "adhoc"
         _, q = packet_level_generator(state, params, spec, policy)
-        q = q.toarray()
+        q = dense(q)
         assert np.allclose(q.sum(axis=1), 0.0, atol=1e-12)
         assert np.all(q - np.diag(np.diag(q)) >= 0)
 
@@ -67,6 +70,7 @@ def test_joint_generator_rates_respect_flow_end_probability():
     traffic = TrafficSpec.of(0.2, 1.0, 1)
     # sigma * N = 1: all packet completions end their flow
     states, q = joint_generator(spec, params, traffic, "adhoc", 1, box=(3,))
+    q = dense(q)
     idx = {s: i for i, s in enumerate(states)}
     active, idle = ((1,),), ((0,),)
     si = idx[((2,), active)]
@@ -84,6 +88,54 @@ def test_poisson_quantile_matches_scipy_stats():
         expected = poisson.ppf(q, mu)
         got = np.array([poisson_quantile(q, m) for m in mu])
         assert np.array_equal(got, expected)
+
+
+def _spy_on_scipy_quantile(monkeypatch) -> list:
+    """Record each call of ``poisson_quantile``'s scipy fallback."""
+    calls = []
+    scipy_quantile = mccsma.oracles._scipy_poisson_quantile
+
+    def spy(q, mu):
+        calls.append((q, mu))
+        return scipy_quantile(q, mu)
+
+    monkeypatch.setattr(mccsma.oracles, "_scipy_poisson_quantile", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mu, expected", [(10.572417387700106, 40),
+                                          (49.49989558672955, 106),
+                                          (4.6295978817475145, 26)])
+def test_poisson_quantile_leaves_knife_edges_to_scipy(monkeypatch, mu, expected):
+    """Means where the upper tail at the answer lies within rounding of
+    1e-12, so that a plain float sum of the CDF is one off: the summed tail
+    is too close to decide, and scipy's answer is returned."""
+    from scipy.stats import poisson
+
+    calls = _spy_on_scipy_quantile(monkeypatch)
+    assert poisson_quantile(1 - 1e-12, mu) == expected == poisson.ppf(1 - 1e-12, mu)
+    assert calls == [(1 - 1e-12, mu)]
+
+
+def test_poisson_quantile_of_the_benchmark_study_needs_no_scipy(monkeypatch):
+    """The time-scale study of the benchmark, ap-line3 at arrival rate 0.4
+    and t_probe 2.0, sizes its box at mu = 0.8 from the float sum alone."""
+    from scipy.stats import poisson
+
+    calls = _spy_on_scipy_quantile(monkeypatch)
+    assert poisson_quantile(1 - 1e-12, 0.4 * 2.0) == poisson.ppf(1 - 1e-12, 0.8) == 13
+    assert calls == []
+
+
+@pytest.mark.parametrize("q, mu", [(0.5, -1.0), (0.5, math.nan), (0.5, math.inf),
+                                   (0.0, 1.0), (1.0, 1.0), (-0.1, 1.0), (math.nan, 1.0)])
+def test_poisson_quantile_rejects_bad_inputs(q, mu):
+    with pytest.raises(ValueError, match=rf"q={q}, mu={mu}"):
+        poisson_quantile(q, mu)
+
+
+def test_poisson_quantile_of_a_zero_mean_is_zero():
+    assert [poisson_quantile(q, 0.0) for q in (1e-12, 0.5, 1 - 1e-12)] == [0, 0, 0]
 
 
 def test_oracle_guard_refuses_large_boxes():
@@ -128,3 +180,73 @@ def test_flow_level_generator_equals_its_per_state_reference():
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         ev = PolicyEvaluator(spec, params, policy)
         assert len({ev.throughput_key(x) for x in states}) == n_keys
+
+
+def _same_array(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_csr_generator_equals_scipy_csr_array(monkeypatch):
+    """``_csr_generator`` gives the ``data``, ``indices`` and ``indptr`` that
+    ``scipy.sparse.csr_array`` builds from the same triplets, bytes and
+    dtypes: for the flow-level generator of ap-line3's 16^3 box and of
+    adhoc4's 7^4 box (triplet arrays), the joint generator and the
+    packet-level generator (triplet lists), a repeated pair, and a state
+    with no transition (diagonal -0.0)."""
+    built = []
+
+    def recording(n, triplets):
+        built.append((n, triplets))
+        return csr_generator(n, triplets)
+
+    csr_generator = mccsma.oracles._csr_generator
+    monkeypatch.setattr(mccsma.oracles, "_csr_generator", recording)
+    line, adhoc = ap_line3(), NetworkSpec(4, 2, replicate_graph(2, range(4),
+                                                                [(0, 1), (1, 2), (2, 3)]))
+    flow_level_generator(line, CsmaParams.from_alpha(line, 1e6), TrafficSpec.of(0.4, 1.0, 3),
+                         "standard_infra", (15, 15, 15))
+    flow_level_generator(adhoc, CsmaParams.from_alpha(adhoc, 1.5),
+                         TrafficSpec((0.6, 0.0, 0.3, 0.7), (1.0, 3.0, 0.25, 2.0)), "adhoc",
+                         (6, 6, 6, 6))
+    joint_generator(line, CsmaParams.from_alpha(line, 0.5), TrafficSpec.of(0.4, 1.0, 3),
+                    "standard_infra", 4, (3, 4, 3))
+    spec, params, state = random_instance(np.random.default_rng(3), infrastructure=True)
+    packet_level_generator(state, params, spec, "standard_infra")
+    built += [(3, [(0, 1, 0.5), (1, 0, 2.0), (0, 1, 0.25)]), (2, [(0, 1, 1.5)])]
+    for n, triplets in built:
+        got, expected = csr_generator(n, triplets), scipy_csr_generator(n, triplets)
+        assert got.shape == expected.shape == (n, n)
+        for name in ("data", "indices", "indptr"):
+            assert _same_array(getattr(got, name), getattr(expected, name)), name
+
+
+def test_transient_distribution_equals_scipy_uniformization():
+    """Uniformization on plain arrays gives scipy's CSR results bit for bit:
+    on the box of the ap-line3 time-scale study at t_probe 0.5, given as a
+    ``Csr`` and as a ``scipy.sparse`` array; on a generator with an
+    absorbing state, dense (no stored diagonal entry) and built from
+    triplets (a stored diagonal of -0.0); on a joint generator, whose
+    step drops the zero rates of packets that always end their flow; and on
+    a chain whose uniformization runs in log space."""
+    spec = ap_line3()
+    params, traffic = CsmaParams.from_alpha(spec, 1e6), TrafficSpec.of(0.4, 1.0, 3)
+    t_probe = 0.5
+    box = tuple(poisson_quantile(1 - 1e-12, rate * t_probe) + 2
+                for rate in traffic.arrival_rate)
+    states, q = flow_level_generator(spec, params, traffic, "standard_infra", box)
+    p0 = np.zeros(len(states))
+    p0[states.index((1, 2, 1))] = 1.0
+    scipy_q = sp.csr_array(q[:3], shape=q.shape)
+    absorbing = np.array([[-1.0, 0.7, 0.3], [0.0, 0.0, 0.0], [0.5, 0.0, -0.5]])
+    joint_states, joint = joint_generator(spec, CsmaParams.from_alpha(spec, 0.5), traffic,
+                                          "standard_infra", 1, (3, 4, 3))
+    joint_p0 = np.zeros(len(joint_states))
+    joint_p0[5] = 1.0
+    built = mccsma.oracles._csr_generator(3, [(0, 1, 0.7), (0, 2, 0.3), (2, 0, 0.5)])
+    assert built.data[built.indptr[1]] == 0.0                 # row 1's diagonal
+    cases = [(q, p0, t_probe), (scipy_q, p0, t_probe), (absorbing, np.array([1.0, 0, 0]), 2.0),
+             (built, np.array([1.0, 0, 0]), 2.0), (joint, joint_p0, 1.0),
+             (np.array([[-300.0, 300.0], [500.0, -500.0]]), np.array([1.0, 0.0]), 5.0)]
+    for generator, start, t in cases:
+        got = transient_distribution(generator, start, t)
+        assert _same_array(got, scipy_transient_distribution(generator, start, t))

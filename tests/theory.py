@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import logsumexp
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
@@ -47,7 +46,7 @@ from scipy.stats import t as t_dist
 from mccsma.dynamics import (SimConfig, ThroughputCache, ThroughputFn, Trajectory,
                              _Joint, _run, _Sampler, _Separated, left_sum)
 from mccsma.equilibrium import PolicyEvaluator, check_policy
-from mccsma.oracles import (Rows, _active_slots, _box_states, _csr_generator, _toggled,
+from mccsma.oracles import (Csr, Rows, _active_slots, _box_states, _csr_generator, _toggled,
                             attempt_rate, joint_generator, schedule_rows)
 from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec, TrafficSpec
@@ -502,7 +501,7 @@ def generator_compensators(spec: NetworkSpec, params: CsmaParams, traffic: Traff
 
 def flow_level_generator_per_state(spec: NetworkSpec, params: CsmaParams,
                                    traffic: TrafficSpec, policy: str, box: Sequence[int]
-                                   ) -> tuple[list[tuple[int, ...]], sp.csr_array]:
+                                   ) -> tuple[list[tuple[int, ...]], Csr]:
     """``oracles.flow_level_generator`` with one ``PolicyEvaluator.throughput``
     per state of the box instead of one per throughput key: the reference
     that the per-key build must equal bit for bit."""
