@@ -17,23 +17,25 @@ that every product form is checked against, live beside the tests, in
 Every generator is a ``Csr``: a compressed-sparse-row matrix of numpy
 arrays, laid out as ``scipy.sparse.csr_array`` lays it out (the same
 ``data``, ``indices`` and ``indptr``, with int32 indices), assembled from
-(row, column, rate) triplets. A state has a handful of transitions, so a
-dense matrix would be almost all zeros (128 MB for a 4,096-state box).
-``transient_distribution`` stays sparse, and each uniformization step gives
-scipy's CSR product bit for bit. The flow-level generator builds its
-triplets as arrays, with no Python object per transition: one slot for each
-state's arrival and departure of each class, in the order of a loop over the
-states and classes, masked to the transitions that exist. The joint
-generator, whose states are schedules as well, lists its triplets state by
-state. The flow-level and joint generators refuse a box of more than
-``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError`` before any
-per-state work.
+(row, column, rate) triplets, with every row's diagonal entry stored. A
+state has a handful of transitions, so a dense matrix would be almost all
+zeros (128 MB for a 4,096-state box). ``transient_distribution`` takes
+such a ``Csr`` and no other matrix, stays sparse, and each uniformization
+step gives scipy's CSR product bit for bit. The flow-level generator builds
+its triplets as arrays, with no Python object per transition: one slot for
+each state's arrival and departure of each class, in the order of a loop
+over the states and classes, masked to the transitions that exist. The
+joint generator, whose states are schedules as well, lists its triplets
+state by state. The flow-level and joint generators refuse a box of more
+than ``MAX_ORACLE_STATES`` flow-count vectors with ``OracleSpaceError``
+before any per-state work.
 
 Nothing here imports scipy when the module loads, so a time-scale study
-runs on numpy alone: ``poisson_quantile`` sums the Poisson probabilities
-itself and leaves only the rare knife-edge case to ``scipy.special``, and
-the log-space weights of a uniformization too long for plain weights
-(``_transient_scaled``) import it when they are needed.
+runs on numpy alone: ``poisson_quantile`` sums the Poisson upper tail
+itself for the upper quantiles that size a study's box, and leaves only
+the rare knife-edge case, and every quantile at or below the median, to
+``scipy.special``; the log-space weights of a uniformization too long for
+plain weights (``_transient_scaled``) import it when they are needed.
 """
 
 from __future__ import annotations
@@ -130,44 +132,32 @@ def poisson_quantile(q: float, mu: float) -> int:
     """Smallest m with P(Poisson(mu) <= m) >= q, for 0 < q < 1 and finite
     mu >= 0, as scipy's ``poisson.ppf`` gives it.
 
-    Up to mu = 700 the probabilities are summed in floats, the small side
-    against its target: the cumulative sum against q when q <= 0.5, else
-    the tail, summed from its far end, against 1 - q. Where that sum lies
-    within about 1e-15 of its target at m or m - 1 (``_KNIFE_EDGE``),
-    rounding decides, and the answer is scipy's
-    (``_scipy_poisson_quantile``), as it is for larger mu. Raises
-    ``ValueError`` naming q and mu when q is outside (0, 1) or mu is
-    negative or not finite.
+    For q > 0.5, the upper quantiles that size a time-scale study's box,
+    and mu up to 700, the tail beyond m is summed in floats from its far
+    end against 1 - q. Where that sum lies within about 1e-15 of 1 - q at
+    m or m - 1 (``_KNIFE_EDGE``), rounding decides, and the answer is
+    scipy's (``_scipy_poisson_quantile``), as it is for q <= 0.5 and for
+    larger mu. Raises ``ValueError`` naming q and mu when q is outside
+    (0, 1) or mu is negative or not finite.
     """
     if not (0.0 < q < 1.0 and math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"poisson_quantile needs 0 < q < 1 and a finite mu >= 0, "
                          f"got q={q}, mu={mu}")
     if mu == 0.0:
         return 0
-    if mu > _SUMMED_MU_MAX:
+    if q <= 0.5 or mu > _SUMMED_MU_MAX:
         return _scipy_poisson_quantile(q, mu)
-    if q <= 0.5:
-        target = q
-        term = cdf = math.exp(-mu)
-        m, below = 0, 0.0                   # below = P(X <= m - 1)
-        while cdf < q:
-            m += 1
-            term *= mu / m
-            below, cdf = cdf, cdf + term
-        sums = (below, cdf)
-    else:
-        target = 1.0 - q                    # exact for q >= 0.5
-        # the terms p_0..p_M, M past the mean and far enough out that the
-        # tail beyond it is negligible against the target
-        terms = [math.exp(-mu)]
-        while len(terms) <= mu or terms[-1] > 1e-20 * target:
-            terms.append(terms[-1] * mu / len(terms))
-        m, tail = len(terms) - 1, 0.0       # tail = P(X > m)
-        while m > 0 and tail + terms[m] <= target:
-            tail += terms[m]
-            m -= 1
-        sums = (tail, tail + terms[m])
-    if any(abs(s - target) <= _KNIFE_EDGE + 1e-12 * target for s in sums):
+    target = 1.0 - q                        # exact for q >= 0.5
+    # the terms p_0..p_M, M past the mean and far enough out that the tail
+    # beyond it is negligible against the target
+    terms = [math.exp(-mu)]
+    while len(terms) <= mu or terms[-1] > 1e-20 * target:
+        terms.append(terms[-1] * mu / len(terms))
+    m, tail = len(terms) - 1, 0.0           # tail = P(X > m)
+    while m > 0 and tail + terms[m] <= target:
+        tail += terms[m]
+        m -= 1
+    if any(abs(s - target) <= _KNIFE_EDGE + 1e-12 * target for s in (tail, tail + terms[m])):
         return _scipy_poisson_quantile(q, mu)
     return m
 
@@ -183,10 +173,18 @@ def _scipy_poisson_quantile(q: float, mu: float) -> int:
     return below if pdtr(below, mu) >= q else m
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Csr:
-    """The n x n ``Csr`` of the given entries, as ``scipy.sparse.csr_array``
-    builds it from them: in the order of the rows and then the columns,
-    repeated pairs added up and explicit zeros kept, with int32 indices."""
+def _csr_generator(n: int, triplets) -> Csr:
+    """Generator from off-diagonal (row, column, rate) triplets, a list of
+    them or an array of one per row; each diagonal entry, stored in every
+    row, is minus its row's total rate. The ``Csr`` is the one that
+    ``scipy.sparse.csr_array`` builds from these entries: in the order of
+    the rows and then the columns, repeated pairs added up and explicit
+    zeros kept, with int32 indices."""
+    t = np.asarray(triplets, dtype=float).reshape(-1, 3)
+    rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
+    diag = np.arange(n)
+    values = np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)])
+    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
     order = np.lexsort((cols, rows))
     rows, cols, values = rows[order], cols[order], values[order]
     first = np.ones(len(rows), dtype=bool)
@@ -199,67 +197,35 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Csr:
     return Csr(values, cols.astype(np.int32), indptr, (n, n))
 
 
-def _csr_generator(n: int, triplets) -> Csr:
-    """Generator from off-diagonal (row, column, rate) triplets, a list of
-    them or an array of one per row; repeated pairs add up and each diagonal
-    entry is minus its row's total rate."""
-    t = np.asarray(triplets, dtype=float).reshape(-1, 3)
-    rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
-    diag = np.arange(n)
-    return _csr(n, np.concatenate([rows, diag]), np.concatenate([cols, diag]),
-                np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=n)]))
-
-
-def _as_csr(q) -> Csr:
-    """A square matrix as a ``Csr``: a ``Csr`` as it is, a ``scipy.sparse``
-    matrix or array through its CSR form (put in canonical order), and a
-    dense array through its nonzero entries."""
-    if isinstance(q, Csr):
-        return q
-    if hasattr(q, "tocsr"):                 # scipy.sparse, which is not imported here
-        q = q.tocsr()
-        n = q.shape[0]
-        return _csr(n, np.repeat(np.arange(n), np.diff(q.indptr)),
-                    q.indices.astype(np.int64), q.data.astype(float))
-    a = np.asarray(q, dtype=float)
-    rows, cols = np.nonzero(a)
-    return _csr(a.shape[0], rows, cols, a[rows, cols])
-
-
-def transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:
+def transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray:
     """Distribution at time t via uniformization, accurate to
     ``UNIFORMIZATION_TOL``.
 
-    ``q`` is a generator: a ``Csr``, as the generators here give, a
-    ``scipy.sparse`` matrix or array, or a dense square array. It is read
-    in canonical CSR form once, and each step is one sparse product, bit
-    for bit the product of scipy's transposed CSR step with the vector.
+    ``q`` is a generator as the generators here build it: a ``Csr`` whose
+    every row stores its diagonal entry (a row with no transition stores
+    -0.0); any other raises ``ValueError``. Each step is one sparse
+    product, bit for bit the product of scipy's transposed CSR step with
+    the vector.
     """
     if t <= 0:
         return np.array(p0, dtype=float)
-    q = _as_csr(q)
     n = q.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(q.indptr))
-    cols = q.indices.astype(np.intp)
-    on_diag = rows == cols
-    diagonal = np.zeros(n)
-    diagonal[rows[on_diag]] = q.data[on_diag]
-    lam = float(np.max(-diagonal))
+    counts = np.diff(q.indptr)
+    on_diag = np.repeat(np.arange(n), counts) == q.indices
+    stored = np.count_nonzero(on_diag)
+    if stored != n:
+        raise ValueError(f"transient_distribution needs a generator that stores each "
+                         f"row's diagonal entry; {n - stored} of its {n} rows store none")
+    lam = float(np.max(-q.data[on_diag]))
     if lam == 0.0:
         return np.array(p0, dtype=float)
     lam *= 1.0 + 1e-12
-    # I + Q / lam, dividing each rate; a row without a stored diagonal entry
-    # gets 1.0. scipy's sum drops the entries that come out 0, which here
-    # add 0.0 to sums that start at 0.0 and so change none
+    # I + Q / lam, dividing each rate. scipy's sum drops the entries that
+    # come out 0, which here add 0.0 to sums that start at 0.0 and so
+    # change none
     values = q.data / lam
     values[on_diag] += 1.0
-    has_diag = np.zeros(n, dtype=bool)
-    has_diag[rows[on_diag]] = True
-    missing = np.flatnonzero(~has_diag)
-    rows, cols, values = (np.concatenate(pair) for pair in (
-        (rows, missing), (cols, missing), (values, np.ones(len(missing)))))
-    order = np.argsort(rows, kind="stable")
-    step = np.bincount(rows, minlength=n), cols[order], values[order]
+    step = counts, q.indices, values
     v = np.array(p0, dtype=float)
     weight = np.exp(-lam * t)
     if weight == 0.0:

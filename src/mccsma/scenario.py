@@ -245,10 +245,9 @@ def _parse_csma(doc: dict, spec: NetworkSpec) -> CsmaParams:
         nu = _per_class(doc["attempt_rate"], K, "csma.attempt_rate")
     else:
         alpha = _per_class(doc["alpha"], K, "csma.alpha")
-        nu = tuple(a * p for a, p in zip(alpha, phys))
     probe = doc.get("probe", "uniform")
     if probe == "uniform":
-        probe_prob = CsmaParams.uniform_probe(spec)
+        probe_prob = None
     elif not isinstance(probe, (list, tuple)):
         raise ScenarioError(f"csma.probe must be 'uniform' or a classes x channels "
                             f"matrix, got {probe!r}")
@@ -256,7 +255,9 @@ def _parse_csma(doc: dict, spec: NetworkSpec) -> CsmaParams:
         probe_prob = tuple(_numbers(row, f"csma.probe[{k}]") for k, row in enumerate(probe))
         if len(probe_prob) != K or any(len(r) != spec.num_channels for r in probe_prob):
             raise ScenarioError("csma.probe: expected a classes x channels matrix")
-    return CsmaParams(phys, nu, probe_prob)
+    if "alpha" in doc:
+        return CsmaParams.from_alpha(spec, alpha, phys, probe_prob)
+    return CsmaParams(phys, nu, probe_prob or CsmaParams.uniform_probe(spec))
 
 
 def _parse_traffic(doc: dict, K: int) -> TrafficSpec:
@@ -379,10 +380,6 @@ def load_scenario_text(text: str) -> Scenario:
     if doc is None:
         raise ScenarioError("scenario file is empty")
     return parse_scenario(doc)
-
-
-def dump_scenario(s: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_document(s), sort_keys=False)
 
 
 def bundled_scenarios() -> list[str]:

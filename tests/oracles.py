@@ -8,11 +8,12 @@ schedule helpers of :mod:`mccsma.oracles` (``Rows``, ``schedule_rows``,
 ``attempt_rate``), which its joint generator reads too, and never on the
 closed form they check.
 
-The generators of :mod:`mccsma.oracles` are numpy ``Csr`` tuples, and its
-uniformization runs on them without scipy. ``scipy_csr_generator`` and
+The generators of :mod:`mccsma.oracles` are numpy ``Csr`` tuples that store
+every row's diagonal entry, the one input its uniformization takes, and it
+runs on them without scipy. ``scipy_csr_generator`` and
 ``scipy_transient_distribution`` are the same two steps on
 ``scipy.sparse.csr_array``, the reference that they must equal bit for
-bit; ``dense`` reads any of these generators as a dense array.
+bit; ``dense`` reads a ``Csr``, or an array-like, as a dense array.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ def stationary_distribution(q) -> np.ndarray:
 
 
 def dense(q) -> np.ndarray:
-    """A generator as a dense array: a ``Csr``, a ``scipy.sparse`` matrix or
-    array, or an array-like."""
+    """A generator as a dense array: a ``Csr`` or an array-like."""
     if isinstance(q, Csr):
         return sp.csr_array(q[:3], shape=q.shape).toarray()
-    return q.toarray() if sp.issparse(q) else np.asarray(q)
+    return np.asarray(q)
 
 
 # --- the scipy.sparse reference of the CSR generator and its uniformization ---
@@ -93,13 +93,13 @@ def scipy_csr_generator(n: int, triplets) -> sp.csr_array:
         shape=(n, n))
 
 
-def scipy_transient_distribution(q, p0: np.ndarray, t: float) -> np.ndarray:
-    """``oracles.transient_distribution`` on ``scipy.sparse``: ``q`` (dense,
-    sparse or a ``Csr``) is converted to a ``csr_array`` once, and each step
-    is one product of the transposed CSR step with the vector."""
+def scipy_transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray:
+    """``oracles.transient_distribution`` on ``scipy.sparse``: the ``Csr``
+    ``q`` is converted to a ``csr_array`` once, and each step is one product
+    of the transposed CSR step with the vector."""
     if t <= 0:
         return np.array(p0, dtype=float)
-    q = sp.csr_array(q[:3], shape=q.shape) if isinstance(q, Csr) else sp.csr_array(q)
+    q = sp.csr_array(q[:3], shape=q.shape)
     lam = float(np.max(-q.diagonal()))
     if lam == 0.0:
         return np.array(p0, dtype=float)

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import mccsma.oracles
 from conftest import ap_line3, random_instance
-from mccsma.oracles import (MAX_ORACLE_STATES, flow_level_generator, joint_generator,
-                            poisson_quantile, transient_distribution)
+from mccsma.oracles import (MAX_ORACLE_STATES, Csr, _csr_generator, flow_level_generator,
+                            joint_generator, poisson_quantile, transient_distribution)
 from mccsma.schedule import OracleSpaceError
 from mccsma.equilibrium import PolicyEvaluator
 from mccsma.topology import AccessPoint, CsmaParams, NetworkSpec, TrafficSpec, replicate_graph
@@ -19,7 +18,7 @@ from theory import flow_level_generator_per_state
 def test_two_state_chain_analytic_transient():
     # on/off chain: up rate a, down rate b
     a, b = 0.7, 1.3
-    q = np.array([[-a, a], [b, -b]])
+    q = _csr_generator(2, [(0, 1, a), (1, 0, b)])
     for t in (0.0, 0.1, 0.5, 2.0, 10.0):
         p = transient_distribution(q, np.array([1.0, 0.0]), t)
         expect_on = a / (a + b) * (1.0 - math.exp(-(a + b) * t))
@@ -35,7 +34,7 @@ def test_two_state_chain_stationary():
 
 def test_transient_with_large_uniformization_constant():
     a, b = 300.0, 500.0
-    q = np.array([[-a, a], [b, -b]])
+    q = _csr_generator(2, [(0, 1, a), (1, 0, b)])
     p = transient_distribution(q, np.array([1.0, 0.0]), 5.0)
     assert p[1] == pytest.approx(a / (a + b), abs=1e-9)
 
@@ -222,12 +221,11 @@ def test_csr_generator_equals_scipy_csr_array(monkeypatch):
 
 def test_transient_distribution_equals_scipy_uniformization():
     """Uniformization on plain arrays gives scipy's CSR results bit for bit:
-    on the box of the ap-line3 time-scale study at t_probe 0.5, given as a
-    ``Csr`` and as a ``scipy.sparse`` array; on a generator with an
-    absorbing state, dense (no stored diagonal entry) and built from
-    triplets (a stored diagonal of -0.0); on a joint generator, whose
-    step drops the zero rates of packets that always end their flow; and on
-    a chain whose uniformization runs in log space."""
+    on the box of the ap-line3 time-scale study at t_probe 0.5; on a
+    generator with an absorbing state built from triplets (a stored
+    diagonal of -0.0); on a joint generator, whose step drops the zero
+    rates of packets that always end their flow; and on a chain whose
+    uniformization runs in log space."""
     spec = ap_line3()
     params, traffic = CsmaParams.from_alpha(spec, 1e6), TrafficSpec.of(0.4, 1.0, 3)
     t_probe = 0.5
@@ -236,17 +234,66 @@ def test_transient_distribution_equals_scipy_uniformization():
     states, q = flow_level_generator(spec, params, traffic, "standard_infra", box)
     p0 = np.zeros(len(states))
     p0[states.index((1, 2, 1))] = 1.0
-    scipy_q = sp.csr_array(q[:3], shape=q.shape)
-    absorbing = np.array([[-1.0, 0.7, 0.3], [0.0, 0.0, 0.0], [0.5, 0.0, -0.5]])
     joint_states, joint = joint_generator(spec, CsmaParams.from_alpha(spec, 0.5), traffic,
                                           "standard_infra", 1, (3, 4, 3))
     joint_p0 = np.zeros(len(joint_states))
     joint_p0[5] = 1.0
-    built = mccsma.oracles._csr_generator(3, [(0, 1, 0.7), (0, 2, 0.3), (2, 0, 0.5)])
+    built = _csr_generator(3, [(0, 1, 0.7), (0, 2, 0.3), (2, 0, 0.5)])
     assert built.data[built.indptr[1]] == 0.0                 # row 1's diagonal
-    cases = [(q, p0, t_probe), (scipy_q, p0, t_probe), (absorbing, np.array([1.0, 0, 0]), 2.0),
-             (built, np.array([1.0, 0, 0]), 2.0), (joint, joint_p0, 1.0),
-             (np.array([[-300.0, 300.0], [500.0, -500.0]]), np.array([1.0, 0.0]), 5.0)]
+    cases = [(q, p0, t_probe), (built, np.array([1.0, 0, 0]), 2.0), (joint, joint_p0, 1.0),
+             (_csr_generator(2, [(0, 1, 300.0), (1, 0, 500.0)]), np.array([1.0, 0.0]), 5.0)]
     for generator, start, t in cases:
         got = transient_distribution(generator, start, t)
         assert _same_array(got, scipy_transient_distribution(generator, start, t))
+
+
+def test_transient_distribution_refuses_a_row_without_its_diagonal():
+    """An absorbing state whose row stores no diagonal entry, as no
+    generator here builds it, is refused rather than read as a zero."""
+    absorbing = Csr(np.array([-1.0, 0.7, 0.3, 0.5, -0.5]),
+                    np.array([0, 1, 2, 0, 2], dtype=np.int32),
+                    np.array([0, 3, 3, 5], dtype=np.int32), (3, 3))
+    with pytest.raises(ValueError, match="1 of its 3 rows store none"):
+        transient_distribution(absorbing, np.array([1.0, 0.0, 0.0]), 2.0)
+
+
+def test_joint_generator_aggregates_to_the_flow_level_generator():
+    """Averaging the joint generator's slow moves over each flow vector's
+    schedule equilibrium gives the flow-level generator, off its diagonal,
+    on ap-line3 under both infrastructure policies. The joint generator is
+    affine in N: F = Q_2 - Q_1 holds the schedule moves, within each flow
+    vector's block, and S = 2 Q_1 - Q_2 the arrivals, the flow completions
+    and the -phi/sigma share of packet-continue. With pi_x the stationary
+    law of block F_x, the aggregate is Qbar[x, x'] = sum over y of
+    pi_x(y) S[(x, y), (x', .)]."""
+    spec = ap_line3()
+    params, traffic, box = CsmaParams.from_alpha(spec, 2.0), TrafficSpec.of(0.4, 1.0, 3), (3, 4, 3)
+    for policy in ("standard_infra", "flow_aware"):
+        flows, q_bar = flow_level_generator(spec, params, traffic, policy, box)
+        states, q1 = joint_generator(spec, params, traffic, policy, 1, box)
+        _, q2 = joint_generator(spec, params, traffic, policy, 2, box)
+        assert _same_array(q1.indices, q2.indices) and _same_array(q1.indptr, q2.indptr)
+        fast, slow = q2.data - q1.data, 2 * q1.data - q2.data
+        flow_of = {x: i for i, x in enumerate(flows)}
+        of_state = np.array([flow_of[x] for x, _ in states])
+        of_entry = np.repeat(of_state, np.diff(q1.indptr))
+        assert not fast[of_entry != of_state[q1.indices]].any()    # F is block-diagonal
+        block_ends = np.searchsorted(of_state, np.arange(len(flows) + 1))
+        for i in range(len(flows)):
+            lo, hi = block_ends[i], block_ends[i + 1]
+            block = np.zeros((hi - lo, hi - lo))
+            aggregate = np.zeros(len(flows))
+            for r in range(lo, hi):
+                entries = slice(q1.indptr[r], q1.indptr[r + 1])
+                cols = q1.indices[entries]
+                inside = of_state[cols] == i
+                block[r - lo, cols[inside] - lo] = fast[entries][inside]
+            pi = stationary_distribution(block)
+            for r in range(lo, hi):
+                entries = slice(q1.indptr[r], q1.indptr[r + 1])
+                np.add.at(aggregate, of_state[q1.indices[entries]], pi[r - lo] * slow[entries])
+            expected = np.zeros(len(flows))
+            entries = slice(q_bar.indptr[i], q_bar.indptr[i + 1])
+            expected[q_bar.indices[entries]] = q_bar.data[entries]
+            off = np.arange(len(flows)) != i
+            assert np.allclose(aggregate[off], expected[off], rtol=0.0, atol=1e-10), (policy, flows[i])
