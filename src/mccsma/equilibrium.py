@@ -50,21 +50,22 @@ bit-identical weights and throughputs by construction. This is what lets
 ``dynamics.ThroughputCache`` serve every state of one key from one
 evaluation.
 
-All weights are kept in log space and normalized through log-sum-exp, so
-flow counts in the tens of thousands stay representable. An evaluator reads
-every factorial from one table of log n! = lgamma(n + 1) for n = 0, 1, ...,
-built on its first use with 64 entries or more, which doubles as larger
-states come along, up to ``LOG_FACTORIAL_CAP`` entries (512 KiB). A state
-whose plain flow total reaches the cap gets its factorials from lgamma
-directly, so memory never grows with the flow count. The table holds
-exactly lgamma's values, so both ways give the same floats.
+All weights are kept in log space, so flow counts in the tens of thousands
+stay representable, and normalized by shifting them by their maximum before
+they are exponentiated. An evaluator reads every factorial from one table of
+log n! = lgamma(n + 1) for n = 0, 1, ..., built on its first use with 64
+entries or more, which doubles as larger states come along, up to
+``LOG_FACTORIAL_CAP`` entries (512 KiB). A state whose plain flow total
+reaches the cap gets its factorials from lgamma directly, so memory never
+grows with the flow count. The table holds exactly lgamma's values, so both
+ways give the same floats.
 
-``gammaln`` and ``logsumexp`` come from ``scipy.special``, which this module
-imports only where it needs them: importing it takes about 0.2 s on a
-2-CPU Xeon, and ``throughput`` reads neither, nor the table unless a class
-is plain. So runs of the bow-tie and of ap-line3 under ``standard_infra``,
-where every class is a downlink class and none is plain, load no scipy;
-``equilibrium`` does, for its log-sum-exp.
+scipy is read only for ``gammaln``, from ``scipy.special``, and imported
+only where a log-factorial needs it: importing it takes about 0.2 s on a
+2-CPU Xeon, and an evaluation reads the table only when a class is plain.
+So runs of the bow-tie and of ap-line3 under ``standard_infra``, where
+every class is a downlink class and none is plain, load no scipy, and
+neither does an equilibrium of such a network.
 """
 
 from __future__ import annotations
@@ -286,20 +287,14 @@ class PolicyEvaluator:
 
     def equilibrium(self, state) -> EquilibriumResult:
         """The normalized distribution at ``state`` and the throughputs
-        phys_rate_k * E[number of active class-k links]."""
-        from scipy.special import logsumexp
-
-        b, logw = self._logw(state)
-        log_z = float(logsumexp(logw))
-        probs = np.exp(logw - log_z)
-        throughput = self._phi * (probs @ b["per_class"])
-        return EquilibriumResult(b["schedules"], probs, throughput)
-
-    def throughput(self, state) -> np.ndarray:
-        """Per-class throughput only, without the distribution."""
+        phys_rate_k * E[number of active class-k links]. The weights are
+        shifted by their maximum, exponentiated and divided by their sum."""
         b, w = self._logw(state)
         w -= w.max()
         np.exp(w, out=w)
         w /= w.sum()
-        return self._phi * (w @ b["per_class"])
+        return EquilibriumResult(b["schedules"], w, self._phi * (w @ b["per_class"]))
 
+    def throughput(self, state) -> np.ndarray:
+        """Per-class throughput only: ``equilibrium(state).throughput``."""
+        return self.equilibrium(state).throughput

@@ -34,8 +34,7 @@ Nothing here imports scipy when the module loads, so a time-scale study
 runs on numpy alone: ``poisson_quantile`` sums the Poisson upper tail
 itself for the upper quantiles that size a study's box, and leaves only
 the rare knife-edge case, and every quantile at or below the median, to
-``scipy.special``; the log-space weights of a uniformization too long for
-plain weights (``_transient_scaled``) import it when they are needed.
+``scipy.special``; ``transient_distribution`` reads no scipy at any λt.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ def _csr_generator(n: int, triplets) -> Csr:
     them or an array of one per row; each diagonal entry, stored in every
     row, is minus its row's total rate. The ``Csr`` is the one that
     ``scipy.sparse.csr_array`` builds from these entries: in the order of
-    the rows and then the columns, repeated pairs added up and explicit
-    zeros kept, with int32 indices."""
+    the rows and then the columns, explicit zeros kept, with int32 indices.
+    No (row, column) pair may repeat."""
     t = np.asarray(triplets, dtype=float).reshape(-1, 3)
     rows, cols, rates = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
     diag = np.arange(n)
@@ -187,11 +186,6 @@ def _csr_generator(n: int, triplets) -> Csr:
     rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
     order = np.lexsort((cols, rows))
     rows, cols, values = rows[order], cols[order], values[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    if not first.all():
-        starts = np.flatnonzero(first)
-        rows, cols, values = rows[starts], cols[starts], np.add.reduceat(values, starts)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Csr(values, cols.astype(np.int32), indptr, (n, n))
@@ -206,6 +200,14 @@ def transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray:
     -0.0); any other raises ``ValueError``. Each step is one sparse
     product, bit for bit the product of scipy's transposed CSR step with
     the vector.
+
+    The sum of the Poisson(λt)-weighted steps starts at term 0, of weight
+    e^-λt, and ends once the weights add up to 1 - ``UNIFORMIZATION_TOL``.
+    Where e^-λt underflows (λt above about 745), it starts at term
+    lo = floor(λt - 8 sqrt(λt)) instead, of weight exp(lo log λt - log lo!
+    - λt) from ``math.lgamma``, and goes on by the same recursion: by the
+    Chernoff bound the Poisson mass below lo is under e^-32, about 1e-14,
+    and the result is renormalized to sum to 1.
     """
     if t <= 0:
         return np.array(p0, dtype=float)
@@ -227,13 +229,17 @@ def transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray:
     values[on_diag] += 1.0
     step = counts, q.indices, values
     v = np.array(p0, dtype=float)
-    weight = np.exp(-lam * t)
+    m, weight = 0, np.exp(-lam * t)
     if weight == 0.0:
-        # avoid underflow for large lam*t by scaling in log space
-        return _transient_scaled(step, p0, lam * t)
+        # the sum starts at lo, where the weight is a normal float; the
+        # Poisson mass below lo is under e^-32
+        lt = lam * t
+        m = math.floor(lt - 8 * math.sqrt(lt))
+        for _ in range(m):
+            v = _times_step(step, v)
+        weight = math.exp(m * math.log(lt) - math.lgamma(m + 1) - lt)
     acc = weight * v
     mass = weight
-    m = 0
     max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
     while mass < 1.0 - UNIFORMIZATION_TOL and m < max_terms:
         m += 1
@@ -254,28 +260,6 @@ def _times_step(step: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) 
     terms = np.repeat(v, counts)
     terms *= values
     return np.bincount(cols, weights=terms, minlength=len(v))
-
-
-def _poisson_pmf(m: int, mu: float) -> float:
-    from scipy.special import gammaln, xlogy
-
-    return float(np.exp(xlogy(m, mu) - gammaln(m + 1) - mu))
-
-
-def _transient_scaled(step: tuple[np.ndarray, np.ndarray, np.ndarray], p0: np.ndarray,
-                      lt: float) -> np.ndarray:
-    # Poisson weights computed in log space, renormalized at the end; the
-    # weights need scipy.special, and so do these quantiles
-    lo = max(_scipy_poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
-    hi = _scipy_poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
-    v = np.array(p0, dtype=float)
-    for _ in range(lo):
-        v = _times_step(step, v)
-    acc = _poisson_pmf(lo, lt) * v
-    for m in range(lo + 1, hi + 2):
-        v = _times_step(step, v)
-        acc += _poisson_pmf(m, lt) * v
-    return acc / acc.sum()
 
 
 def _box_states(box: Sequence[int]) -> list[tuple[int, ...]]:

@@ -18,13 +18,14 @@ bit; ``dense`` reads a ``Csr``, or an array-like, as a dense array.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln, xlogy
 
 from mccsma.equilibrium import check_policy
 from mccsma.oracles import (UNIFORMIZATION_TOL, Csr, Rows, _active_slots, _csr_generator,
-                            _scipy_poisson_quantile, _toggled, attempt_rate, schedule_rows)
+                            _toggled, attempt_rate, schedule_rows)
 from mccsma.schedule import enumerate_feasible, state_flows
 from mccsma.topology import CsmaParams, NetworkSpec
 
@@ -110,13 +111,16 @@ def scipy_transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray
     scaled = sp.csr_array((q.data / lam, q.indices, q.indptr), shape=q.shape)
     step_t = (sp.eye_array(q.shape[0], format="csr") + scaled).T.tocsr()
     v = np.array(p0, dtype=float)
-    weight = np.exp(-lam * t)
+    m, weight = 0, np.exp(-lam * t)
     if weight == 0.0:
-        # avoid underflow for large lam*t by scaling in log space
-        return _scipy_transient_scaled(step_t, p0, lam * t)
+        # start at lo = floor(lam t - 8 sqrt(lam t)), of weight from lgamma
+        lt = lam * t
+        m = math.floor(lt - 8 * math.sqrt(lt))
+        for _ in range(m):
+            v = step_t @ v
+        weight = math.exp(m * math.log(lt) - math.lgamma(m + 1) - lt)
     acc = weight * v
     mass = weight
-    m = 0
     max_terms = int(lam * t + 20 * np.sqrt(lam * t + 1) + 200)
     while mass < 1.0 - UNIFORMIZATION_TOL and m < max_terms:
         m += 1
@@ -126,19 +130,3 @@ def scipy_transient_distribution(q: Csr, p0: np.ndarray, t: float) -> np.ndarray
         mass += weight
     return acc / acc.sum()
 
-
-def _scipy_transient_scaled(step_t: sp.csr_array, p0: np.ndarray, lt: float) -> np.ndarray:
-    # Poisson weights computed in log space, renormalized at the end
-    def pmf(m: int) -> float:
-        return float(np.exp(xlogy(m, lt) - gammaln(m + 1) - lt))
-
-    lo = max(_scipy_poisson_quantile(UNIFORMIZATION_TOL / 2, lt) - 1, 0)
-    hi = _scipy_poisson_quantile(1 - UNIFORMIZATION_TOL / 2, lt)
-    v = np.array(p0, dtype=float)
-    for _ in range(lo):
-        v = step_t @ v
-    acc = pmf(lo) * v
-    for m in range(lo + 1, hi + 2):
-        v = step_t @ v
-        acc += pmf(m) * v
-    return acc / acc.sum()

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adhoc_path4, bipartite33, bowtie_spec, random_instance, star5,
-                      tripartite221)
+from conftest import adhoc_path4, bipartite33, random_instance, star5, tripartite221
 from mccsma import capacity
 from mccsma.capacity import BOUNDARY_TOL, SolverError, margins, membership
 from mccsma.cli import main

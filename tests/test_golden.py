@@ -18,9 +18,9 @@ GOLDEN = {
         ["run", "equilibrium", "--scenario", "two-ap"],
         {
             "distribution.csv":
-                "7ff6e502ec3c25151e3b578ac50316b3387b3c34a0bdbeb1a8d75568c82fe014",
+                "6a95192ea9ba4c00637d4b42050eaab650c771dd7d93e3ee7833a04047628931",
             "throughput.csv":
-                "2c0a938413a5d81eba5dd8dd1af68b6e49abdd0d2fda34754bf89275fbabbb17",
+                "8610eae0f62e1de118ca61e734d14f727a58c890ca2c6ac91a75011505e523cf",
         },
     ),
     "capacity-sweep-bowtie": (

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BOWTIE_EDGES, adhoc_path4, bipartite33, bowtie_spec,
-                      random_instance, star5, tripartite221)
+from conftest import (BOWTIE_EDGES, adhoc_path4, bipartite33, random_instance, star5,
+                      tripartite221)
 from mccsma.topology import (AccessPoint, ChannelGraph, CsmaParams, NetworkSpec,
                              TrafficSpec, canonical_edges, replicate_graph,
                              validate_params, validate_spec, validate_traffic)

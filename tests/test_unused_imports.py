@@ -1,5 +1,5 @@
-"""Every name a module of the package, or the tests' ``theory`` helper,
-imports must be used in that module; no module of the package but the CLI
+"""Every name a module of the package or of the tests imports must be used
+in that module; no module of the package but the CLI
 names ``print``; and every top-level definition of the package, and every
 method, property and dataclass field of its classes, must be read outside
 the tests. A member counts as read only through an attribute
@@ -21,7 +21,14 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mccsma"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-THEORY = Path(__file__).resolve().parent / "theory.py"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _module_id(path: Path) -> str:
+    """The file name, with ``tests/`` before a test module named like a
+    module of the package."""
+    shadows = path.parent != PACKAGE and (PACKAGE / path.name).exists()
+    return f"tests/{path.name}" if shadows else path.name
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -58,7 +65,7 @@ def _used(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES + [THEORY], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=_module_id)
 def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
